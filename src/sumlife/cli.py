@@ -2,8 +2,8 @@
 
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
 --out directory; reruns with equal configuration and seed produce
-byte-identical artifacts.  Exit codes: 0 ok, 1 I/O, 2 configuration,
-3 numerical failure.
+byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an
+unreadable checkpoint), 2 configuration, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import SEED_ENV_VAR, RunConfig, build_config, parse_config_file
-from .errors import ConfigError, IngestError, NumericalError
+from .errors import CheckpointError, ConfigError, IngestError, NumericalError
 from .features import TEST
 from .ingest import SnapshotGraph, filter_high_degree, load_snapshot
 from .lifelong import (
@@ -35,7 +35,9 @@ from .reporting import (
     write_json,
     write_matrix_csv,
 )
-from .summarize import summarize, vertex_hashes, write_eqc_tsv, write_summary_tsv
+from .summarize import summarize, write_eqc_tsv, write_summary_tsv
+# perfbench/tracing.py wraps sumlife.cli.vertex_hashes by name
+from .summarize import vertex_hashes  # noqa: F401
 
 
 def _hyper(cfg: RunConfig) -> Hyper:
@@ -75,10 +77,9 @@ def cmd_summarize(cfg: RunConfig) -> int:
     ts, g = graphs[0]
     with manifest.stage("summarize"):
         summary, ext = summarize(g, cfg.model, cfg.include_rdf_types)
-        hashes = vertex_hashes(g, cfg.model, cfg.include_rdf_types)
     with manifest.stage("emit"):
         stats = unary_stats(summary, ext) if summary.num_primary else None
-        write_eqc_tsv(out / "eqcs.tsv", g, hashes)
+        write_eqc_tsv(out / "eqcs.tsv", g, ext)
         write_summary_tsv(out / "summary_edges.tsv", summary)
         payload = {
             "timestamp": ts,
@@ -215,7 +216,7 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int
         seq = prepare_tasks(graphs[:1], cfg.model, seed, pred_vocab=pv,
                             class_vocab=cv, include_rdf_types=cfg.include_rdf_types)
         task = seq.tasks[0]
-        test_acc, unseen = evaluate_network(net, task, seq.pred_vocab, which=TEST)
+        test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
         write_json(
             out / "eval.json",
             {
@@ -331,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IngestError, OSError) as exc:
+    except (IngestError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ingest/I/O problems exit 1, bad
-configuration exits 2, numerical failures exit 3.
+The CLI maps these onto exit codes: ingest/I/O problems and unreadable
+checkpoints exit 1, bad configuration exits 2, numerical failures exit 3.
 """
 
 
@@ -11,6 +11,11 @@ class SumlifeError(Exception):
 
 class IngestError(SumlifeError):
     """Fatal I/O problem while reading snapshot data."""
+
+
+class CheckpointError(SumlifeError):
+    """A file that cannot be read as a checkpoint: bad magic, unsupported
+    version, truncated or undecodable header, truncated payload."""
 
 
 class ConfigError(SumlifeError):

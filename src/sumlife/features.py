@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import SnapshotGraph
-from .summarize import SIPHASH_KEY, _siphash24
+from .summarize import SIPHASH_KEY, siphash24
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_FRACTIONS = (0.93, 0.02, 0.05)
@@ -168,17 +168,12 @@ def split_vertices(g: SnapshotGraph, seed: int) -> np.ndarray:
     """
     n = g.num_vertices
     tags = np.empty(n, dtype=np.int8)
-    if n == 0:
-        return tags
     key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little") + SIPHASH_KEY[8:]
-    ranked = sorted(
-        range(n),
-        key=lambda i: (
-            _siphash24(key, g.terms.lexical(int(g.vertex_ids[i])).encode("utf-8")),
-            i,
-        ),
-    )
+    lex = g.terms.lexical
+    hashes = siphash24(key, [lex(t).encode("utf-8") for t in g.vertex_ids.tolist()])
+    ranked = np.lexsort((np.arange(n), hashes))
     n_train, n_val, _ = _largest_remainder(n, SPLIT_FRACTIONS)
-    for r, i in enumerate(ranked):
-        tags[i] = TRAIN if r < n_train else (VAL if r < n_train + n_val else TEST)
+    tags[ranked[:n_train]] = TRAIN
+    tags[ranked[n_train : n_train + n_val]] = VAL
+    tags[ranked[n_train + n_val :]] = TEST
     return tags

@@ -31,7 +31,7 @@ from .features import (
 from .ingest import SnapshotGraph
 from .nets import Hyper, Network
 from .sampling import edge_as_vertex_transform, full_graph_batch, sample_batch
-from .summarize import vertex_hashes
+from .summarize import MODEL_HOPS, vertex_hashes
 
 
 @dataclass
@@ -52,6 +52,7 @@ class TaskSequence:
     pred_vocab: PredicateVocabulary
     class_vocab: ClassVocabulary
     model: str
+    include_rdf_types: bool = False  # rdf:type edges count for labels, features and batches
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -91,21 +92,18 @@ def prepare_tasks(
                 features=encode_features(g, pv, include_rdf_types),
             )
         )
-    return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model)
+    return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model,
+                        include_rdf_types=include_rdf_types)
 
 
 def _task_rng(seed: int, task_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(task_index,)))
 
 
-def _hops(model: str) -> int:
-    return 1 if model == "ac1" else 2
-
-
 def evaluate_network(
     net: Network,
     task: Task,
-    pred_vocab: PredicateVocabulary,
+    seq: TaskSequence,
     which: int = TEST,
 ) -> tuple[float, float]:
     """(accuracy, unseen-class fraction) on one split of a task.
@@ -123,9 +121,11 @@ def evaluate_network(
         pred = np.argmax(logits, axis=1)
     else:
         # k is batch metadata here; 2 keeps the edge-as-vertex path legal
-        batch = full_graph_batch(task.graph, task.labels, task.features, 2)
+        batch = full_graph_batch(
+            task.graph, task.labels, task.features, 2, seq.include_rdf_types
+        )
         if net.arch == "gcn-edges":
-            batch = edge_as_vertex_transform(batch, pred_vocab)
+            batch = edge_as_vertex_transform(batch, seq.pred_vocab)
         logits = net.batch_logits(batch)
         pred = np.argmax(logits[rows], axis=1)
     correct = (pred == labels) & ~unseen
@@ -143,11 +143,12 @@ def _train_on_task(
 ) -> list[float]:
     """Run the per-task iterations; returns validation accuracy per iteration."""
     adam = net.new_adam()
-    k = _hops(seq.model)
+    k = MODEL_HOPS[seq.model]
     val_curve = []
     for step in range(iterations):
         batch = sample_batch(
-            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng
+            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng,
+            include_rdf_types=seq.include_rdf_types,
         )
         if net.arch == "gcn-edges":
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)
@@ -156,7 +157,7 @@ def _train_on_task(
         except NumericalError as exc:
             raise TrainingDivergence(task.index, step, str(exc)) from exc
         if track_val:
-            val_acc, _ = evaluate_network(net, task, seq.pred_vocab, which=VAL)
+            val_acc, _ = evaluate_network(net, task, seq, which=VAL)
             val_curve.append(val_acc)
     return val_curve
 
@@ -198,10 +199,10 @@ def run_sequence(
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(
-                    pool.map(lambda o: evaluate_network(frozen, o, seq.pred_vocab), seq.tasks)
+                    pool.map(lambda o: evaluate_network(frozen, o, seq), seq.tasks)
                 )
         else:
-            results = [evaluate_network(frozen, o, seq.pred_vocab) for o in seq.tasks]
+            results = [evaluate_network(frozen, o, seq) for o in seq.tasks]
         unseen_row = []
         for other, (acc_ij, unseen) in zip(seq.tasks, results):
             r[task.index, other.index] = acc_ij
@@ -346,18 +347,18 @@ def time_warp(
     )
     task = seq.tasks[0]
 
-    frozen_acc, frozen_unseen = evaluate_network(old_net, task, seq.pred_vocab)
+    frozen_acc, frozen_unseen = evaluate_network(old_net, task, seq)
 
     warm = old_net.clone()
     rng = _task_rng(seed, 0)
     warm.grow(task.pred_width, task.class_width, rng)
     _train_on_task(warm, task, seq, iterations, batch_cap, rng, track_val=False)
-    warm_acc, _ = evaluate_network(warm, task, seq.pred_vocab)
+    warm_acc, _ = evaluate_network(warm, task, seq)
 
     rng = _task_rng(seed, 0)
     cold = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
     _train_on_task(cold, task, seq, iterations, batch_cap, rng, track_val=False)
-    cold_acc, _ = evaluate_network(cold, task, seq.pred_vocab)
+    cold_acc, _ = evaluate_network(cold, task, seq)
 
     return {
         "frozen_accuracy": frozen_acc,

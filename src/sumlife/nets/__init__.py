@@ -1,5 +1,5 @@
 from .adam import AdamState, adam_step
-from .network import Hyper, Network, predict
+from .network import Hyper, Network
 from .losses import combined_loss, cross_entropy, ncontrast_loss
 from .checkpoint import load_checkpoint, save_checkpoint
 
@@ -8,7 +8,6 @@ __all__ = [
     "adam_step",
     "Hyper",
     "Network",
-    "predict",
     "combined_loss",
     "cross_entropy",
     "ncontrast_loss",

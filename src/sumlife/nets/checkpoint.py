@@ -2,8 +2,8 @@
 
 The header records the architecture, dimensions, seed and both vocabularies
 (entries plus digests); payloads follow in the header's declared order as
-little-endian row-major bytes.  Round-trips are bit-exact for float64; a
-float32 payload is available to halve checkpoint size.
+little-endian row-major float64 bytes, so round-trips are bit-exact.
+A file that cannot be read as a checkpoint raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import CheckpointError
 from ..features import ClassVocabulary, PredicateVocabulary
 from .gcn import GcnParams
 from .graphmlp import GraphMlpParams
@@ -30,10 +31,9 @@ def save_checkpoint(
     pred_vocab: PredicateVocabulary,
     class_vocab: ClassVocabulary,
     seed: int,
-    float32: bool = False,
 ) -> None:
     tensors = network.params.tensors()
-    dtype = "<f4" if float32 else "<f8"
+    dtype = "<f8"
     header = {
         "format_version": FORMAT_VERSION,
         "architecture": network.arch,
@@ -70,11 +70,17 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        version, header_len = struct.unpack("<II", fh.read(8))
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise CheckpointError(f"{path}: truncated checkpoint header")
+        version, header_len = struct.unpack("<II", prefix)
         if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from exc
         dtype = np.dtype(header["dtype"])
         tensors = {}
         for spec in header["tensors"]:
@@ -82,7 +88,7 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * dtype.itemsize)
             if len(buf) != count * dtype.itemsize:
-                raise ValueError(f"{path}: truncated payload for {spec['name']}")
+                raise CheckpointError(f"{path}: truncated payload for {spec['name']}")
             tensors[spec["name"]] = (
                 np.frombuffer(buf, dtype=dtype).reshape(shape).astype(np.float64)
             )

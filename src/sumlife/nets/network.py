@@ -173,11 +173,3 @@ class Network:
         adam_step(self.params.tensors(), grads, adam, hyper.learning_rate)
         return loss
 
-
-def predict(network: Network, data) -> np.ndarray:
-    """Class indices by argmax; ties break to the lowest index."""
-    if isinstance(data, Subgraph):
-        logits = network.batch_logits(data)
-    else:
-        logits = network.feature_logits(np.asarray(data))
-    return np.argmax(logits, axis=1)

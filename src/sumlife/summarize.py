@@ -8,7 +8,9 @@ Set semantics matter: XOR would silently cancel a pair contributed twice.
 The pass is bottom-up dynamic programming over CSR edge arrays: one level for
 the whole graph at a time, O(k * |E| log |E|) total, instead of per-vertex
 recursion.  Pair hashing is SipHash-2-4 under a fixed key so runs are
-reproducible; distinct (predicate, child) pairs are hashed once and cached.
+reproducible; each level hashes its distinct (predicate, child) pairs in one
+call of the batched numpy kernel ``siphash24``, which also ranks the vertex
+splits in ``features``.
 
 Summary model "ac1" uses one recursion level (outgoing label sets), "ac2" two
 (labels of the vertex and of its neighbours).
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -34,58 +37,71 @@ SIPHASH_KEY = bytes(range(16))
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _siphash24(key: bytes, data: bytes) -> int:
-    """SipHash-2-4 of ``data`` under a 16-byte ``key``, as unsigned 64-bit."""
+def _rotl(x: np.ndarray, b: int) -> np.ndarray:
+    return (x << np.uint64(b)) | (x >> np.uint64(64 - b))
+
+
+def _sipround(v0, v1, v2, v3):
+    v0 = v0 + v1
+    v1 = _rotl(v1, 13) ^ v0
+    v0 = _rotl(v0, 32)
+    v2 = v2 + v3
+    v3 = _rotl(v3, 16) ^ v2
+    v0 = v0 + v3
+    v3 = _rotl(v3, 21) ^ v0
+    v2 = v2 + v1
+    v1 = _rotl(v1, 17) ^ v2
+    v2 = _rotl(v2, 32)
+    return v0, v1, v2, v3
+
+
+def siphash24(key: bytes, messages: Sequence[bytes]) -> np.ndarray:
+    """SipHash-2-4 of every message under a 16-byte ``key``, as uint64, in order.
+
+    Messages are grouped by their count of 8-byte blocks (the final block,
+    which carries the length byte, included); each group runs the rounds as
+    uint64 array arithmetic, so the interpreter works per group, not per
+    message.
+    """
+    out = np.empty(len(messages), dtype=np.uint64)
     k0 = int.from_bytes(key[:8], "little")
     k1 = int.from_bytes(key[8:], "little")
-    v0 = 0x736F6D6570736575 ^ k0
-    v1 = 0x646F72616E646F6D ^ k1
-    v2 = 0x6C7967656E657261 ^ k0
-    v3 = 0x7465646279746573 ^ k1
+    lengths = np.fromiter(map(len, messages), dtype=np.int64, count=len(messages))
+    n_blocks = lengths // 8 + 1
+    for nb in np.unique(n_blocks).tolist():
+        idx = np.flatnonzero(n_blocks == nb)
+        width = 8 * nb
+        raw = bytearray(b"".join(messages[i].ljust(width, b"\x00") for i in idx.tolist()))
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(idx), width)
+        rows[:, -1] = lengths[idx] & 0xFF
+        blocks = rows.view("<u8").astype(np.uint64, copy=False)
+        v0 = np.full(len(idx), 0x736F6D6570736575 ^ k0, dtype=np.uint64)
+        v1 = np.full(len(idx), 0x646F72616E646F6D ^ k1, dtype=np.uint64)
+        v2 = np.full(len(idx), 0x6C7967656E657261 ^ k0, dtype=np.uint64)
+        v3 = np.full(len(idx), 0x7465646279746573 ^ k1, dtype=np.uint64)
+        for j in range(nb):
+            m = blocks[:, j]
+            v3 = v3 ^ m
+            v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
+            v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
+            v0 = v0 ^ m
+        v2 = v2 ^ np.uint64(0xFF)
+        for _ in range(4):
+            v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
+        out[idx] = v0 ^ v1 ^ v2 ^ v3
+    return out
 
-    def rounds(v0: int, v1: int, v2: int, v3: int, n: int) -> tuple[int, int, int, int]:
-        for _ in range(n):
-            v0 = (v0 + v1) & _MASK
-            v1 = ((v1 << 13) | (v1 >> 51)) & _MASK
-            v1 ^= v0
-            v0 = ((v0 << 32) | (v0 >> 32)) & _MASK
-            v2 = (v2 + v3) & _MASK
-            v3 = ((v3 << 16) | (v3 >> 48)) & _MASK
-            v3 ^= v2
-            v0 = (v0 + v3) & _MASK
-            v3 = ((v3 << 21) | (v3 >> 43)) & _MASK
-            v3 ^= v0
-            v2 = (v2 + v1) & _MASK
-            v1 = ((v1 << 17) | (v1 >> 47)) & _MASK
-            v1 ^= v2
-            v2 = ((v2 << 32) | (v2 >> 32)) & _MASK
-        return v0, v1, v2, v3
 
-    n = len(data)
-    for off in range(0, n - n % 8, 8):
-        m = int.from_bytes(data[off : off + 8], "little")
-        v3 ^= m
-        v0, v1, v2, v3 = rounds(v0, v1, v2, v3, 2)
-        v0 ^= m
-    tail = data[n - n % 8 :]
-    b = (n & 0xFF) << 56 | int.from_bytes(tail, "little")
-    v3 ^= b
-    v0, v1, v2, v3 = rounds(v0, v1, v2, v3, 2)
-    v0 ^= b
-    v2 ^= 0xFF
-    v0, v1, v2, v3 = rounds(v0, v1, v2, v3, 4)
-    return v0 ^ v1 ^ v2 ^ v3
+def _pair_message(predicate_iri: str, child_hash: int) -> bytes:
+    """Canonical bytes of a (predicate, child hash) pair: UTF-8 predicate, a
+    0x00 separator, then the child hash as 8 little-endian bytes.  The
+    separator keeps predicate suffixes from colliding with hash bytes."""
+    return predicate_iri.encode("utf-8") + b"\x00" + (child_hash & _MASK).to_bytes(8, "little")
 
 
 def hash_pair(predicate_iri: str, child_hash: int) -> int:
-    """Fingerprint of one (predicate, child hash) pair.
-
-    Canonical byte string: UTF-8 predicate, a 0x00 separator, then the child
-    hash as 8 little-endian bytes.  The separator keeps predicate suffixes
-    from colliding with hash bytes.
-    """
-    msg = predicate_iri.encode("utf-8") + b"\x00" + (child_hash & _MASK).to_bytes(8, "little")
-    return _siphash24(SIPHASH_KEY, msg)
+    """Fingerprint of one (predicate, child hash) pair."""
+    return int(siphash24(SIPHASH_KEY, [_pair_message(predicate_iri, child_hash)])[0])
 
 
 @dataclass
@@ -130,27 +146,6 @@ class ExtensionMap:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-class _PairHasher:
-    """Caches hash_pair over (predicate term id, child hash) pairs."""
-
-    def __init__(self, g: SnapshotGraph):
-        self._lex = g.terms.lexical
-        self._cache: dict[tuple[int, int], int] = {}
-
-    def hash_unique(self, preds: np.ndarray, children: np.ndarray) -> np.ndarray:
-        out = np.empty(len(preds), dtype=np.uint64)
-        cache = self._cache
-        lex = self._lex
-        for i in range(len(preds)):
-            key = (int(preds[i]), int(children[i]))
-            h = cache.get(key)
-            if h is None:
-                h = hash_pair(lex(key[0]), key[1])
-                cache[key] = h
-            out[i] = h
-        return out
 
 
 def _group_rows(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -216,70 +211,70 @@ def _dedup_key_pairs(major: np.ndarray, minor_id: np.ndarray, n_minor: int):
 class _LevelPairs:
     """Pair bookkeeping for one recursion level (reused by summary edges)."""
 
-    __slots__ = ("u_pred", "u_child", "pair_id", "pair_hash")
+    __slots__ = ("u_pred", "u_child", "pair_id")
 
-    def __init__(self, u_pred, u_child, pair_id, pair_hash):
+    def __init__(self, u_pred, u_child, pair_id):
         self.u_pred = u_pred
         self.u_child = u_child
         self.pair_id = pair_id
-        self.pair_hash = pair_hash
 
 
 def _level_up(
-    n: int,
+    g: SnapshotGraph,
     src: np.ndarray,
     pred: np.ndarray,
     obj: np.ndarray,
     h_prev: np.ndarray,
-    hasher: _PairHasher,
 ) -> tuple[np.ndarray, _LevelPairs | None]:
     """One recursion level of the bottom-up pass.
 
-    XOR-folds the deduplicated set of pair hashes per source vertex; vertices
-    with no considered out-edges keep hash 0.
+    Hashes the level's distinct (predicate, child hash) pairs in one kernel
+    call, then XOR-folds the deduplicated set of pair hashes per source
+    vertex; vertices with no considered out-edges keep hash 0.
     """
-    new_h = np.zeros(n, dtype=np.uint64)
+    new_h = np.zeros(g.num_vertices, dtype=np.uint64)
     if len(src) == 0:
         return new_h, None
     children = h_prev[obj] if h_prev.any() else None
     u_pred, u_child, pair_id = _factorize_pairs(pred, children)
-    pair_hash = hasher.hash_unique(u_pred, u_child)
+    lex = g.terms.lexical
+    pair_hash = siphash24(
+        SIPHASH_KEY,
+        [_pair_message(lex(p), c) for p, c in zip(u_pred.tolist(), u_child.tolist())],
+    )
     src_u, pid_u = _dedup_key_pairs(src, pair_id, len(u_pred))
     ph_u = pair_hash[pid_u.astype(np.int64)]
     starts = np.flatnonzero(np.concatenate(([True], src_u[1:] != src_u[:-1])))
     if len(src_u):
         new_h[src_u[starts].astype(np.int64)] = np.bitwise_xor.reduceat(ph_u, starts)
-    return new_h, _LevelPairs(u_pred, u_child, pair_id, pair_hash)
+    return new_h, _LevelPairs(u_pred, u_child, pair_id)
 
 
-def eqc_hash_levels(
-    g: SnapshotGraph, k: int, include_rdf_types: bool = False
-) -> list[np.ndarray]:
-    """Hashes for recursion depths 0..k, each an array over vertex positions.
-
-    Depth 0 is all zeros; model AC_k reads depth k.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _hash_pass(
+    g: SnapshotGraph, k: int, include_rdf_types: bool
+) -> tuple[np.ndarray, np.ndarray, _LevelPairs | None]:
+    """The level loop: (depth-k hash per vertex position, considered edge
+    sources, pair bookkeeping of the last level).  Depth 0 is all zeros."""
     mask = g.considered_mask(include_rdf_types)
     src = g.edge_sources()[mask]
     pred = g.edge_pred[mask]
     obj = g.edge_obj[mask]
-    hasher = _PairHasher(g)
-    levels = [np.zeros(g.num_vertices, dtype=np.uint64)]
+    h = np.zeros(g.num_vertices, dtype=np.uint64)
+    pairs = None
     for _ in range(k):
-        nxt, _ = _level_up(g.num_vertices, src, pred, obj, levels[-1], hasher)
-        levels.append(nxt)
-    return levels
+        h, pairs = _level_up(g, src, pred, obj, h)
+    return h, src, pairs
 
 
 def eqc_hash(
     g: SnapshotGraph, vertex: int, k: int, include_rdf_types: bool = False
 ) -> int:
     """EQC hash of one vertex (by position) for a k-hop model, k in {1, 2}."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if not 0 <= vertex < g.num_vertices:
         raise KeyError(f"unknown vertex position {vertex}")
-    return int(eqc_hash_levels(g, k, include_rdf_types)[k][vertex])
+    return int(_hash_pass(g, k, include_rdf_types)[0][vertex])
 
 
 def summarize(
@@ -288,18 +283,7 @@ def summarize(
     """Summarize a snapshot; returns the summary graph and its extension map."""
     if model not in MODEL_HOPS:
         raise ValueError(f"unknown summary model {model!r}")
-    k = MODEL_HOPS[model]
-    mask = g.considered_mask(include_rdf_types)
-    src = g.edge_sources()[mask]
-    pred = g.edge_pred[mask]
-    obj = g.edge_obj[mask]
-    hasher = _PairHasher(g)
-    levels = [np.zeros(g.num_vertices, dtype=np.uint64)]
-    pairs: _LevelPairs | None = None
-    for _ in range(k):
-        nxt, pairs = _level_up(g.num_vertices, src, pred, obj, levels[-1], hasher)
-        levels.append(nxt)
-    final = levels[k]
+    final, src, pairs = _hash_pass(g, MODEL_HOPS[model], include_rdf_types)
 
     # extension map: group vertex term ids by final hash; the same grouping
     # doubles as a dense class id per vertex for the summary-edge dedup
@@ -350,18 +334,16 @@ def vertex_hashes(
     g: SnapshotGraph, model: str, include_rdf_types: bool = False
 ) -> np.ndarray:
     """EQC hash per vertex position for the given model."""
-    k = MODEL_HOPS[model]
-    return eqc_hash_levels(g, k, include_rdf_types)[k]
+    return _hash_pass(g, MODEL_HOPS[model], include_rdf_types)[0]
 
 
-def write_eqc_tsv(path: str | Path, g: SnapshotGraph, hashes: np.ndarray) -> None:
+def write_eqc_tsv(path: str | Path, g: SnapshotGraph, ext: ExtensionMap) -> None:
     """Write ``vertex-iri<TAB>eqc-hash-hex`` rows, sorted by vertex lexical."""
-    rows = sorted(
-        (g.terms.lexical(int(t)), int(h)) for t, h in zip(g.vertex_ids, hashes)
-    )
+    lex = g.terms.lexical
+    rows = sorted((lex(t), h) for h, members in ext.members.items() for t in members)
     with open(path, "w", encoding="utf-8") as fh:
-        for lex, h in rows:
-            fh.write(f"{lex}\t{h:016x}\n")
+        for iri, h in rows:
+            fh.write(f"{iri}\t{h:016x}\n")
 
 
 def write_summary_tsv(path: str | Path, summary: SummaryGraph) -> None:

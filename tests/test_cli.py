@@ -248,3 +248,28 @@ def test_env_seed_changes_outputs(tmp_path, snapshot_files, monkeypatch):
     monkeypatch.setenv("SUMLIFE_SEED", "6")
     assert main(["lifelong", "--model", "ac1", "--in", *snapshot_files, "--out", str(out2), "--iterations", "6"]) == 0
     assert (out1 / "R.csv").read_bytes() != (out2 / "R.csv").read_bytes()
+
+
+def test_cmd_eval_unreadable_checkpoint_exits_1(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    good = (out / "task00.gslc").read_bytes()
+    header_len = int.from_bytes(good[8:12], "little")
+    cases = {
+        "garbage.gslc": b"not a checkpoint at all",
+        "magic_only.gslc": b"GSLC",
+        "cut_header.gslc": good[: 12 + header_len // 2],
+    }
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        for argv in (
+            ["eval", "--model", "ac1", "--in", snapshot_files[0], "--ckpt", str(path)],
+            ["lifelong", "--model", "ac1", "--in", snapshot_files[1], "--time-warp", str(path)],
+        ):
+            rc = main([*argv, "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert rc == 1, name
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert name in err

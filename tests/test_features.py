@@ -11,8 +11,11 @@ from sumlife.features import (
     extend_vocabularies,
     split_vertices,
 )
+import sumlife.features as features
+from oracles import reference_siphash24
+from sumlife.features import SPLIT_FRACTIONS, _largest_remainder
 from sumlife.ingest import build_snapshot
-from sumlife.summarize import vertex_hashes
+from sumlife.summarize import SIPHASH_KEY, vertex_hashes
 from synth import random_graph
 
 
@@ -155,3 +158,33 @@ def test_split_rounding_small():
     sizes = [(tags == k).sum() for k in (TRAIN, VAL, TEST)]
     assert sum(sizes) == 10
     assert sizes[0] >= 9  # 9.3 -> 9 or 10 by largest remainder
+
+
+def _oracle_split(g, seed, coarsen=0):
+    """Tags from a ranking by (reference SipHash >> coarsen, position)."""
+    key = seed.to_bytes(8, "little") + SIPHASH_KEY[8:]
+    n = g.num_vertices
+    h = [reference_siphash24(key, g.terms.lexical(int(t)).encode("utf-8")) >> coarsen
+         for t in g.vertex_ids]
+    ranked = sorted(range(n), key=lambda i: (h[i], i))
+    n_train, n_val, _ = _largest_remainder(n, SPLIT_FRACTIONS)
+    tags = np.empty(n, dtype=np.int8)
+    for r, i in enumerate(ranked):
+        tags[i] = TRAIN if r < n_train else (VAL if r < n_train + n_val else TEST)
+    return tags
+
+
+def test_split_matches_reference_ranking():
+    g = build_snapshot(
+        "t", [(f"http://v{i}/é", "http://p", f"http://v{(i + 7) % 60}/é") for i in range(60)]
+    )
+    for seed in (0, 3, 2**40 + 1):
+        assert (split_vertices(g, seed) == _oracle_split(g, seed)).all()
+
+
+def test_split_ties_on_hash_break_by_position(monkeypatch):
+    # keep 2 bits of each hash so most vertices tie and position decides
+    g = make_n_vertices(40)
+    kernel = features.siphash24
+    monkeypatch.setattr(features, "siphash24", lambda key, msgs: kernel(key, msgs) >> np.uint64(62))
+    assert (split_vertices(g, 9) == _oracle_split(g, 9, coarsen=62)).all()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import sumlife.lifelong as lifelong
 from sumlife.errors import TrainingDivergence
+from sumlife.ingest import RDF_TYPE_IRI, build_snapshot
 from sumlife.lifelong import (
     LifelongReport,
     acc,
@@ -160,7 +162,7 @@ def test_unseen_classes_count_as_errors():
     seq = quick_seq(2)
     ckpts, r, diag = run_sequence(seq, "mlp", Hyper(), "warm", seed=7, iterations=20)
     # first checkpoint evaluated on task 2: its unique classes are unseen
-    acc01, unseen01 = evaluate_network(ckpts[0], seq.tasks[1], seq.pred_vocab)
+    acc01, unseen01 = evaluate_network(ckpts[0], seq.tasks[1], seq)
     assert unseen01 > 0.0
     assert acc01 <= 1.0 - unseen01 + 1e-9
     assert diag[0]["unseen_fraction"][1] == unseen01
@@ -220,3 +222,25 @@ def test_time_warp_protocol():
     assert result["frozen_unseen_fraction"] > 0.9
     assert abs(result["retrained_accuracy"] - result["cold_accuracy"]) <= 0.05
     assert result["retrained_accuracy"] > 0.9
+
+
+def test_include_rdf_types_reaches_gcn_batches(monkeypatch):
+    triples = [(f"http://v{i}", "http://p", f"http://v{(i + 1) % 12}") for i in range(12)]
+    triples += [(f"http://v{i}", RDF_TYPE_IRI, f"http://T{i % 2}") for i in range(12)]
+    g = build_snapshot("t0", triples)
+    type_id = g.terms.lookup("iri", RDF_TYPE_IRI)
+    batches = {"sample_batch": [], "full_graph_batch": []}
+
+    def recording(fn, seen):
+        def wrapper(*args, **kwargs):
+            seen.append(fn(*args, **kwargs))
+            return seen[-1]
+        return wrapper
+
+    for name, seen in batches.items():
+        monkeypatch.setattr(lifelong, name, recording(getattr(lifelong, name), seen))
+    seq = prepare_tasks([("t0", g)], "ac1", seed=1, include_rdf_types=True)
+    run_sequence(seq, "gcn", Hyper(hidden=[4]), "warm", seed=1, iterations=2, batch_cap=50)
+    for name, seen in batches.items():
+        assert seen, name
+        assert all((b.edge_pred == type_id).any() for b in seen), name

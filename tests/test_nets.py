@@ -14,8 +14,8 @@ from sumlife.nets.gcn import (
 )
 from sumlife.nets.graphmlp import graphmlp_forward, grow_graphmlp, init_graphmlp
 from sumlife.nets.losses import combined_loss, cross_entropy, ncontrast_loss
-from sumlife.nets.mlp import MlpParams, grow_mlp, init_mlp, mlp_backward, mlp_forward
-from sumlife.nets.network import Hyper, Network, predict
+from sumlife.nets.mlp import grow_mlp, init_mlp, mlp_backward, mlp_forward
+from sumlife.nets.network import Hyper, Network
 from sumlife.nets.ops import assert_finite, dropout_mask, gelu, softmax_rows
 
 
@@ -200,20 +200,6 @@ def test_grow_graphmlp_zero_init_flag():
     grown = grow_graphmlp(p, rng, 6, 5, zero_init=True)
     assert np.allclose(grown.w0[4:], 0.0)
     assert np.allclose(grown.w2[:, 3:], 0.0)
-
-
-def test_predict_tie_breaks_low_index():
-    p = init_mlp(np.random.default_rng(0), 3, 4, 5)
-    net = Network("mlp", MlpParams(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 5)), np.zeros(5)), Hyper().resolved("mlp"))
-    out = predict(net, np.ones((3, 3)))
-    assert (out == 0).all()
-
-
-def test_predict_order_and_unique_max():
-    params = MlpParams(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
-    net = Network("mlp", params, Hyper().resolved("mlp"))
-    x = np.array([[0.0, 5.0], [5.0, 0.0], [0.0, 5.0]])
-    assert predict(net, x).tolist() == [1, 0, 1]
 
 
 def test_zero_classifier_gradient_closed_form():

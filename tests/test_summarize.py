@@ -10,9 +10,9 @@ from oracles import (
 from sumlife.ingest import build_snapshot
 from sumlife.summarize import (
     SIPHASH_KEY,
-    _siphash24,
     eqc_hash,
     hash_pair,
+    siphash24,
     summarize,
     vertex_hashes,
     write_eqc_tsv,
@@ -29,10 +29,25 @@ HASH_Q0 = 0xAF98E6146AF98AD3  # hash_pair("http://q", 0)
 def test_siphash_official_vectors():
     key = bytes(range(16))
     msg = bytes(range(64))
+    # one batched call over all prefixes mixes block counts 1..8
+    got = siphash24(key, [msg[:i] for i in range(64)])
+    assert got.dtype == np.uint64
     for i, vec in enumerate(SIPHASH_VECTORS):
         expected = int.from_bytes(bytes.fromhex(vec), "little")
-        assert _siphash24(key, msg[:i]) == expected
+        assert int(got[i]) == expected
         assert reference_siphash24(key, msg[:i]) == expected
+
+
+def test_siphash_kernel_matches_reference_in_order():
+    rng = np.random.default_rng(5)
+    key = bytes(rng.integers(0, 256, 16, dtype=np.uint8))
+    msgs = [bytes(rng.integers(0, 256, int(n), dtype=np.uint8)) for n in rng.integers(0, 200, 60)]
+    msgs += ["http://ex.org/größe/日本".encode("utf-8"), b"x" * 64, b"y" * 65, b"", b"z" * 300]
+    order = rng.permutation(len(msgs))
+    msgs = [msgs[i] for i in order]
+    got = siphash24(key, msgs)
+    assert [int(h) for h in got] == [reference_siphash24(key, m) for m in msgs]
+    assert len(siphash24(key, [])) == 0
 
 
 def test_hash_pair_fixture_values():
@@ -228,13 +243,17 @@ def test_summary_edge_structure():
 
 def test_tsv_exports(tmp_path):
     g = chain()
-    summary, _ = summarize(g, "ac1")
-    write_eqc_tsv(tmp_path / "eqcs.tsv", g, vertex_hashes(g, "ac1"))
+    summary, ext = summarize(g, "ac1")
+    write_eqc_tsv(tmp_path / "eqcs.tsv", g, ext)
     write_summary_tsv(tmp_path / "edges.tsv", summary)
     lines = (tmp_path / "eqcs.tsv").read_text().splitlines()
     assert len(lines) == 3
     assert lines == sorted(lines)
     iri, hexhash = lines[0].split("\t")
     assert iri == "http://a" and len(hexhash) == 16
+    hashes = vertex_hashes(g, "ac1")
+    for line in lines:
+        iri, hexhash = line.split("\t")
+        assert int(hexhash, 16) == int(hashes[g.position_of(iri)])
     edge_lines = (tmp_path / "edges.tsv").read_text().splitlines()
     assert len(edge_lines) == len(summary.summary_edges)
