@@ -3,7 +3,9 @@
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
 --out directory; reruns with equal configuration and seed produce
 byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an
-unreadable checkpoint), 2 configuration, 3 numerical failure.
+unreadable checkpoint), 2 configuration (including a checkpoint trained for
+another summary model, degree cap, degree mode or rdf:type setting),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -49,6 +51,26 @@ def _hyper(cfg: RunConfig) -> Hyper:
         tau=cfg.tau,
         normalize_adjacency=cfg.normalize_adjacency,
     ).resolved(cfg.architecture)
+
+
+def _run_fields(cfg: RunConfig) -> dict:
+    """The settings a checkpoint records and must be used with again."""
+    return {
+        "model": cfg.model,
+        "include_rdf_types": cfg.include_rdf_types,
+        "degree_cap": cfg.effective_degree_cap(),
+        "degree_mode": cfg.degree_mode,
+    }
+
+
+def _load_checkpoint_for(cfg: RunConfig, path: str):
+    """``load_checkpoint``, refusing a checkpoint trained under other run settings."""
+    net, pv, cv, header = load_checkpoint(path)
+    wrong = [f"{k} {header[k]!r} (this run: {v!r})"
+             for k, v in _run_fields(cfg).items() if header[k] != v]
+    if wrong:
+        raise ConfigError(f"{path} was trained for {', '.join(wrong)}")
+    return net, pv, cv, header
 
 
 def _load_graphs(cfg: RunConfig) -> list[tuple[str, SnapshotGraph]]:
@@ -165,7 +187,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
 
     if time_warp_ckpt is not None:
         with manifest.stage("time_warp"):
-            old_net, old_pv, old_cv, _ = load_checkpoint(time_warp_ckpt)
+            old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
             result = time_warp(
                 old_net, old_pv, old_cv, graphs[0], cfg.model, cfg.architecture,
                 hyper, cfg.seed, cfg.iterations, cfg.batch_cap, cfg.include_rdf_types,
@@ -187,7 +209,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
         labels = [t for t, _ in graphs]
         for i, net in enumerate(checkpoints):
             path = out / f"task{i:02d}.gslc"
-            save_checkpoint(path, net, seq.pred_vocab, seq.class_vocab, cfg.seed)
+            save_checkpoint(path, net, seq.pred_vocab, seq.class_vocab, cfg.seed, _run_fields(cfg))
             manifest.record_output(path)
         write_matrix_csv(out / "R.csv", r, labels)
         report = LifelongReport.from_matrix(r, diagnostics)
@@ -209,10 +231,10 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
     with manifest.stage("eval"):
-        net, pv, cv, header = load_checkpoint(ckpt_path)
+        net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         # default to the checkpoint's recorded seed so the split matches the
         # run that produced it; an explicit seed still wins
-        seed = cfg.seed if seed_explicit else header.get("seed", cfg.seed)
+        seed = cfg.seed if seed_explicit else header["seed"]
         seq = prepare_tasks(graphs[:1], cfg.model, seed, pred_vocab=pv,
                             class_vocab=cv, include_rdf_types=cfg.include_rdf_types)
         task = seq.tasks[0]

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ingest/I/O problems and unreadable
-checkpoints exit 1, bad configuration exits 2, numerical failures exit 3.
+checkpoints exit 1, bad configuration (including a checkpoint used with
+other run settings than it was trained for) exits 2, numerical failures
+exit 3.
 """
 
 
@@ -15,7 +17,8 @@ class IngestError(SumlifeError):
 
 class CheckpointError(SumlifeError):
     """A file that cannot be read as a checkpoint: bad magic, unsupported
-    version, truncated or undecodable header, truncated payload."""
+    version, truncated or undecodable header, a missing or ill-typed header
+    field, truncated payload, a vocabulary that does not match its digest."""
 
 
 class ConfigError(SumlifeError):

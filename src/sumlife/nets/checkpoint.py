@@ -1,14 +1,18 @@
 """Checkpoint files: magic GSLC, version, JSON header, raw tensor payloads.
 
-The header records the architecture, dimensions, seed and both vocabularies
-(entries plus digests); payloads follow in the header's declared order as
+The header records the architecture, dimensions, seed, the run settings the
+labels and features depend on (``RUN_FIELDS``) and both vocabularies (entries
+plus digests); payloads follow in the header's declared order as
 little-endian row-major float64 bytes, so round-trips are bit-exact.
-A file that cannot be read as a checkpoint raises ``CheckpointError``.
+A file that cannot be read as a checkpoint (bad magic, truncated data, a
+missing or ill-typed header field, a vocabulary that does not match its
+digest) raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -22,7 +26,24 @@ from .mlp import MlpParams
 from .network import Hyper, Network
 
 MAGIC = b"GSLC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+# run settings a checkpoint is only valid for, with their header types
+RUN_FIELDS = {
+    "model": str,
+    "include_rdf_types": bool,
+    "degree_cap": (int, type(None)),
+    "degree_mode": str,
+}
+_NUMBER = (int, float)
+_HYPER_FIELDS = {
+    "hidden": list,
+    "dropout": _NUMBER,
+    "learning_rate": _NUMBER,
+    "alpha": _NUMBER,
+    "tau": _NUMBER,
+    "normalize_adjacency": bool,
+}
 
 
 def save_checkpoint(
@@ -31,7 +52,9 @@ def save_checkpoint(
     pred_vocab: PredicateVocabulary,
     class_vocab: ClassVocabulary,
     seed: int,
+    run: dict,
 ) -> None:
+    """Write a checkpoint; ``run`` maps every ``RUN_FIELDS`` key to its value."""
     tensors = network.params.tensors()
     dtype = "<f8"
     header = {
@@ -48,6 +71,7 @@ def save_checkpoint(
         "n_in": network.n_in,
         "n_classes": network.n_classes,
         "seed": seed,
+        **{k: run[k] for k in RUN_FIELDS},
         "dtype": dtype,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
         "predicate_vocab": list(pred_vocab.entries),
@@ -81,17 +105,39 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from exc
-        dtype = np.dtype(header["dtype"])
-        tensors = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise CheckpointError(f"{path}: truncated payload for {spec['name']}")
-            tensors[spec["name"]] = (
-                np.frombuffer(buf, dtype=dtype).reshape(shape).astype(np.float64)
-            )
+        try:
+            return _from_header(fh, path, header)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CheckpointError(
+                f"{path}: missing or ill-typed checkpoint header field "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+
+
+def _require_types(record: dict, types: dict) -> None:
+    for name, expected in types.items():
+        if not isinstance(record[name], expected):
+            raise TypeError(f"{name} = {record[name]!r}")
+
+
+def _from_header(fh, path, header: dict):
+    """Network and vocabularies from a parsed header; the payloads follow at ``fh``."""
+    _require_types(header, {"seed": int, **RUN_FIELDS})
+    _require_types(header["hyper"], _HYPER_FIELDS)
+    dtype = np.dtype(header["dtype"])
+    payload = fh.read()
+    tensors = {}
+    offset = 0
+    for spec in header["tensors"]:
+        shape = tuple(spec["shape"])
+        count = math.prod(shape)
+        end = offset + count * dtype.itemsize
+        if end > len(payload):
+            raise CheckpointError(f"{path}: truncated payload for {spec['name']}")
+        tensors[spec["name"]] = (
+            np.frombuffer(payload, dtype, count, offset).reshape(shape).astype(np.float64)
+        )
+        offset = end
     arch = header["architecture"]
     if arch == "mlp":
         params = MlpParams(tensors["w0"], tensors["b0"], tensors["w_out"], tensors["b_out"])
@@ -114,4 +160,8 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
     network = Network(arch, params, hyper)
     pred_vocab = PredicateVocabulary(header["predicate_vocab"])
     class_vocab = ClassVocabulary(int(x, 16) for x in header["class_vocab"])
+    digests = header["vocab_digests"]
+    for kind, vocab in (("predicates", pred_vocab), ("classes", class_vocab)):
+        if vocab.digest() != digests[kind]:
+            raise CheckpointError(f"{path}: {kind} vocabulary does not match its digest")
     return network, pred_vocab, class_vocab, header

@@ -1,10 +1,15 @@
 """Sampled-subgraph GCN with jumping-knowledge connections.
 
-Message passing aggregates from out-neighbors over the sampled batch
-adjacency; self-loops are always added so isolated targets keep their own
-features.  Optional degree normalization scales each entry by
-1/sqrt(d_v * d_u), with d the row degree of the self-looped adjacency.
-The hidden layers' outputs are concatenated before the linear classifier.
+Message passing runs over the batch's edge list, never a dense n x n matrix,
+so memory grows with V + E: ``A @ H`` and ``A.T @ G`` are segment sums over
+the edges.  Each vertex aggregates its own row (an implicit self-loop, so
+isolated targets keep their own features) and its out-neighbours' rows.
+Parallel edges count once and self-loop edges are dropped, exactly as in an
+adjacency matrix with a unit diagonal.  Degree normalization
+(``Hyper.normalize_adjacency``) is applied once, when ``batch_adjacency``
+builds a batch's edge list: entry (u, v) is scaled by 1/sqrt(d_u * d_v),
+with d = 1 + the distinct out-degree.  The hidden layers' outputs are
+concatenated before the linear classifier.
 """
 
 from __future__ import annotations
@@ -47,35 +52,63 @@ def init_gcn(
     return GcnParams(layers=layers, w_cls=glorot_uniform(rng, jk, n_classes, (jk, n_classes)))
 
 
-def batch_adjacency(n: int, edge_src: np.ndarray, edge_dst: np.ndarray) -> np.ndarray:
-    """Dense out-neighbor adjacency with self-loops for a sampled batch."""
-    a = np.eye(n, dtype=np.float64)
-    if len(edge_src):
-        a[edge_src, edge_dst] = 1.0
-    return a
+@dataclass(frozen=True)
+class EdgeList:
+    """Sparse batch adjacency ``A``: distinct out-edges plus implicit self-loops.
+
+    ``A @ h`` scales each row of ``h`` by ``self_weight`` and adds the
+    out-neighbours' rows, scaled by ``weight`` (1 when it is None).
+    ``A.T`` swaps the edge direction and shares the arrays.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    self_weight: np.ndarray
+    weight: np.ndarray | None = None
+
+    @property
+    def T(self) -> "EdgeList":
+        return EdgeList(self.dst, self.src, self.self_weight, self.weight)
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.src, self.dst, self.self_weight, self.weight)
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        out = self.self_weight[:, None] * h
+        msg = h[self.dst]
+        if self.weight is not None:
+            msg *= self.weight[:, None]
+        np.add.at(out, self.src, msg)
+        return out
 
 
-def normalize_adjacency(adj: np.ndarray) -> np.ndarray:
-    """Scale entries by 1/sqrt(d_v * d_u) with d the row degrees."""
-    d = adj.sum(axis=1)
-    d = np.where(d > 0, d, 1.0)
-    inv = 1.0 / np.sqrt(d)
-    return adj * inv[:, None] * inv[None, :]
+def batch_adjacency(
+    n: int, edge_src: np.ndarray, edge_dst: np.ndarray, normalize: bool = False
+) -> EdgeList:
+    """Out-neighbour adjacency of an n-vertex batch, optionally degree-normalized.
 
-
-def gcn_layer(
-    h_prev: np.ndarray, adj: np.ndarray, w: np.ndarray, normalize: bool = False
-) -> np.ndarray:
-    """One propagation step: relu(A @ h_prev @ w), optionally degree-normalized."""
-    a = normalize_adjacency(adj) if normalize else adj
-    return relu(a @ (h_prev @ w))
+    Parallel edges collapse to one and self-loop edges are dropped, since
+    every vertex already keeps its own row.  Normalization scales the entry
+    (u, v) by 1/sqrt(d_u * d_v), with d = 1 + the distinct out-degree.
+    """
+    src = np.asarray(edge_src, dtype=np.int64)
+    dst = np.asarray(edge_dst, dtype=np.int64)
+    keys = np.unique(src * n + dst)
+    src, dst = np.divmod(keys, n)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    if not normalize:
+        return EdgeList(src, dst, np.ones(n))
+    inv = 1.0 / np.sqrt(1.0 + np.bincount(src, minlength=n))
+    return EdgeList(src, dst, inv * inv, inv[src] * inv[dst])
 
 
 def gcn_forward(
     params: GcnParams,
     x: np.ndarray,
-    adj: np.ndarray,
-    normalize: bool = False,
+    adj: EdgeList,
     train_mode: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -83,14 +116,13 @@ def gcn_forward(
     """Logits via jumping-knowledge concatenation of all hidden layers."""
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
-    a = normalize_adjacency(adj) if normalize else adj
     hs = [x]
     pre = []
     masks = []
     gen = rng if rng is not None else np.random.default_rng()
     h = x
     for w in params.layers:
-        p = a @ (h @ w)
+        p = adj @ (h @ w)
         h = relu(p)
         if train_mode:
             mask = dropout_mask(gen, h.shape, dropout)
@@ -100,7 +132,7 @@ def gcn_forward(
         hs.append(h)
     jk = np.hstack(hs[1:])
     logits = jk @ params.w_cls
-    cache = {"a": a, "hs": hs, "pre": pre, "masks": masks, "jk": jk} if train_mode else None
+    cache = {"a": adj, "hs": hs, "pre": pre, "masks": masks, "jk": jk} if train_mode else None
     return logits, cache
 
 

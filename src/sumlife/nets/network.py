@@ -114,8 +114,10 @@ class Network:
         elif self.arch == "graph-mlp":
             _, logits, _ = graphmlp_forward(self.params, x)
         else:
-            adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst)
-            logits, _ = gcn_forward(self.params, x, adj, normalize=self.hyper.normalize_adjacency)
+            adj = batch_adjacency(
+                batch.num_vertices, batch.edge_src, batch.edge_dst, self.hyper.normalize_adjacency
+            )
+            logits, _ = gcn_forward(self.params, x, adj)
         return logits
 
     def feature_logits(self, x: np.ndarray) -> np.ndarray:
@@ -159,10 +161,10 @@ class Network:
             np.add.at(dlogits, targets, dsel)
             grads = graphmlp_backward(self.params, cache, dlogits, hyper.alpha * dz_nc)
         else:
-            adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst)
-            logits, cache = gcn_forward(
-                self.params, x, adj, hyper.normalize_adjacency, True, hyper.dropout, rng
+            adj = batch_adjacency(
+                batch.num_vertices, batch.edge_src, batch.edge_dst, hyper.normalize_adjacency
             )
+            logits, cache = gcn_forward(self.params, x, adj, True, hyper.dropout, rng)
             loss, dsel = cross_entropy(logits[targets], labels)
             dlogits = np.zeros_like(logits)
             np.add.at(dlogits, targets, dsel)

@@ -210,13 +210,16 @@ def edge_as_vertex_transform(b: Subgraph, vocab: PredicateVocabulary) -> Subgrap
     if e == 0:
         return replace(b, edge_as_vertex=True)
     width = b.features.shape[1]
-    edge_feats = np.zeros((e, width), dtype=b.features.dtype)
-    for i in range(e):
-        iri = b.graph.terms.lexical(int(b.edge_pred[i]))
+    preds, which = np.unique(b.edge_pred, return_inverse=True)
+    cols = np.empty(len(preds), dtype=np.int64)
+    for i, p in enumerate(preds):
+        iri = b.graph.terms.lexical(int(p))
         col = vocab.get(iri)
         if col is None or col >= width:
             raise ValueError(f"predicate {iri!r} missing from vocabulary")
-        edge_feats[i, col] = 1.0
+        cols[i] = col
+    edge_feats = np.zeros((e, width), dtype=b.features.dtype)
+    edge_feats[np.arange(e), cols[which]] = 1.0
     edge_ids = n + np.arange(e, dtype=np.int64)
     return replace(
         b,

@@ -9,6 +9,8 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 
+import numpy as np
+
 
 def _rotl(x: int, b: int) -> int:
     return ((x << b) | (x >> (64 - b))) & 0xFFFFFFFFFFFFFFFF
@@ -163,3 +165,18 @@ def partition_of_hashes(hashes) -> set[frozenset[int]]:
     for i, h in enumerate(hashes):
         groups[int(h)].add(i)
     return {frozenset(g) for g in groups.values()}
+
+
+def dense_adjacency(n: int, src, dst, normalize: bool = False) -> np.ndarray:
+    """Dense n x n out-neighbour adjacency with a unit diagonal.
+
+    Parallel edges set the same entry to 1 and self-loop edges land on the
+    diagonal.  With ``normalize`` every entry (u, v) is scaled by
+    1/sqrt(d_u * d_v), d being the row sums.
+    """
+    a = np.eye(n, dtype=np.float64)
+    a[np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)] = 1.0
+    if normalize:
+        inv = 1.0 / np.sqrt(a.sum(axis=1))
+        a = a * inv[:, None] * inv[None, :]
+    return a

@@ -152,13 +152,13 @@ def test_criterion_04_gradient_checks():
 
             assert max_rel_error(gm_loss, gparams.tensors()) < tol
 
-            adj = batch_adjacency(b, src, dst)
             for normalize in (False, True):
+                adj = batch_adjacency(b, src, dst, normalize)
                 cparams = init_gcn(np.random.default_rng(seed + 3000), x.shape[1], [4, 3], 3)
 
                 def gcn_loss():
                     logits, cache = gcn_forward(
-                        cparams, x, adj, normalize, True, 0.0, np.random.default_rng(1)
+                        cparams, x, adj, True, 0.0, np.random.default_rng(1)
                     )
                     loss, dlogits = cross_entropy(logits, labels)
                     return loss, gcn_backward(cparams, cache, dlogits)

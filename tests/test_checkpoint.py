@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from sumlife.nets import Hyper, Network, load_checkpoint, save_checkpoint
 
 def make_net(arch="mlp", n_in=5, n_classes=4, seed=0):
     return Network.create(arch, n_in, n_classes, Hyper(hidden=[6] if arch != "gcn-edges" else [3, 3]), np.random.default_rng(seed))
+
+
+RUN = {"model": "ac2", "include_rdf_types": False, "degree_cap": 100, "degree_mode": "total"}
 
 
 def vocabs():
@@ -21,7 +26,7 @@ def test_roundtrip_bit_exact(tmp_path, arch):
     net = make_net(arch)
     pv, cv = vocabs()
     path = tmp_path / "model.gslc"
-    save_checkpoint(path, net, pv, cv, seed=42)
+    save_checkpoint(path, net, pv, cv, seed=42, run=RUN)
     loaded, pv2, cv2, header = load_checkpoint(path)
     assert loaded.arch == arch
     for (ka, a), (kb, b) in zip(net.params.tensors().items(), loaded.params.tensors().items()):
@@ -32,15 +37,16 @@ def test_roundtrip_bit_exact(tmp_path, arch):
     assert cv2.entries == cv.entries
     assert header["seed"] == 42
     assert header["vocab_digests"]["predicates"] == pv.digest()
+    assert {k: header[k] for k in RUN} == RUN
 
 
 def test_roundtrip_again_identical_bytes(tmp_path):
     net = make_net()
     pv, cv = vocabs()
     p1, p2 = tmp_path / "a.gslc", tmp_path / "b.gslc"
-    save_checkpoint(p1, net, pv, cv, seed=1)
+    save_checkpoint(p1, net, pv, cv, seed=1, run=RUN)
     loaded, pv2, cv2, _ = load_checkpoint(p1)
-    save_checkpoint(p2, loaded, pv2, cv2, seed=1)
+    save_checkpoint(p2, loaded, pv2, cv2, seed=1, run=RUN)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -55,7 +61,7 @@ def test_truncated_payload_rejected(tmp_path):
     net = make_net()
     pv, cv = vocabs()
     p = tmp_path / "model.gslc"
-    save_checkpoint(p, net, pv, cv, seed=1)
+    save_checkpoint(p, net, pv, cv, seed=1, run=RUN)
     data = p.read_bytes()
     p.write_bytes(data[:-16])
     with pytest.raises(CheckpointError):
@@ -69,8 +75,78 @@ def test_hyper_survives_roundtrip(tmp_path):
         np.random.default_rng(0),
     )
     p = tmp_path / "m.gslc"
-    save_checkpoint(p, net, *vocabs(), seed=9)
+    save_checkpoint(p, net, *vocabs(), seed=9, run=RUN)
     loaded, _, _, _ = load_checkpoint(p)
     assert loaded.hyper.alpha == 2.0
     assert loaded.hyper.tau == 0.5
     assert loaded.hyper.dropout == 0.3
+
+
+def rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header by ``edit(header)``, keeping the payload."""
+    data = path.read_bytes()
+    header_len = int.from_bytes(data[8:12], "little")
+    header = edit(json.loads(data[12 : 12 + header_len]))
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + header_len :])
+
+
+def saved(tmp_path, arch="gcn"):
+    p = tmp_path / "m.gslc"
+    save_checkpoint(p, make_net(arch), *vocabs(), seed=3, run=RUN)
+    return p
+
+
+def drop(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
+
+
+def setting(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {},
+    lambda h: [],
+    drop("dtype"),
+    drop("model"),
+    drop("vocab_digests"),
+    setting("seed", "3"),
+    setting("degree_cap", "100"),
+    setting("include_rdf_types", 0),
+    setting("tensors", [{"name": "w0", "shape": [-1, 2]}]),
+    setting("architecture", "rnn"),
+    lambda h: {**h, "hyper": {**h["hyper"], "dropout": "0.5"}},
+    setting("class_vocab", ["not hex"]),
+])
+def test_missing_or_ill_typed_header_field_rejected(tmp_path, edit):
+    p = saved(tmp_path)
+    rewrite_header(p, edit)
+    with pytest.raises(CheckpointError, match="header field"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("vocab", ["predicate_vocab", "class_vocab"])
+def test_vocabulary_digest_mismatch_rejected(tmp_path, vocab):
+    p = saved(tmp_path)
+
+    def edit(header):
+        header[vocab][0] = "http://edited" if vocab == "predicate_vocab" else "00000000000000ff"
+        return header
+
+    rewrite_header(p, edit)
+    with pytest.raises(CheckpointError, match="does not match its digest"):
+        load_checkpoint(p)
+
+
+def test_tensor_shape_beyond_payload_rejected(tmp_path):
+    p = saved(tmp_path)
+    rewrite_header(p, setting("tensors", [{"name": "w0", "shape": [2**62]}]))
+    with pytest.raises(CheckpointError, match="truncated payload"):
+        load_checkpoint(p)

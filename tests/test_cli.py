@@ -273,3 +273,63 @@ def test_cmd_eval_unreadable_checkpoint_exits_1(tmp_path, snapshot_files, capsys
             assert rc == 1, name
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert name in err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cmd_eval_header_missing_field_exits_1(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    good = (out / "task00.gslc").read_bytes()
+    header_len = int.from_bytes(good[8:12], "little")
+    path = tmp_path / "empty_header.gslc"
+    path.write_bytes(good[:8] + (2).to_bytes(4, "little") + b"{}" + good[12 + header_len :])
+    capsys.readouterr()
+    for argv in (
+        ["eval", "--model", "ac1", "--in", snapshot_files[0], "--ckpt", str(path)],
+        ["lifelong", "--model", "ac1", "--in", snapshot_files[1], "--time-warp", str(path)],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "empty_header.gslc" in _one_error_line(capsys)
+
+
+def test_checkpoint_refuses_other_run_settings(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac2", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    ckpt = str(out / "task00.gslc")
+    eval_ac2 = ["eval", "--model", "ac2", "--in", snapshot_files[0], "--ckpt", ckpt]
+    assert main([*eval_ac2, "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["eval", "--model", "ac1", "--in", snapshot_files[0], "--ckpt", ckpt],
+        [*eval_ac2, "--degree-cap", "50"],
+        [*eval_ac2, "--degree-mode", "out"],
+        [*eval_ac2, "--include-rdf-types"],
+        ["lifelong", "--model", "ac1", "--in", snapshot_files[1], "--time-warp", ckpt],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2, argv
+        assert "was trained for" in _one_error_line(capsys)
+    assert not (tmp_path / "o" / "eval.json").exists()
+
+
+def test_cmd_eval_edited_vocabulary_exits_1(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    data = (out / "task00.gslc").read_bytes()
+    header_len = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12 : 12 + header_len])
+    header["predicate_vocab"][0] = header["predicate_vocab"][0][:-1] + "X"
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path = tmp_path / "edited.gslc"
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + header_len :])
+    capsys.readouterr()
+    assert main(["eval", "--model", "ac1", "--in", snapshot_files[0], "--ckpt", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "does not match its digest" in _one_error_line(capsys)

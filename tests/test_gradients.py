@@ -56,10 +56,10 @@ def test_graphmlp_combined_gradients(seed):
 def test_gcn_gradients(seed, normalize, hidden):
     x, labels, src, dst = small_problem(seed)
     params = init_gcn(np.random.default_rng(seed + 300), x.shape[1], hidden, 3)
-    adj = batch_adjacency(x.shape[0], src, dst)
+    adj = batch_adjacency(x.shape[0], src, dst, normalize)
 
     def loss_fn():
-        logits, cache = gcn_forward(params, x, adj, normalize, True, 0.0, np.random.default_rng(1))
+        logits, cache = gcn_forward(params, x, adj, True, 0.0, np.random.default_rng(1))
         loss, dlogits = cross_entropy(logits, labels)
         return loss, gcn_backward(params, cache, dlogits)
 

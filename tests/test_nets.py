@@ -1,22 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import dense_adjacency
 from sumlife.errors import NumericalError
 from sumlife.nets.adam import AdamState, adam_step
 from sumlife.nets.gcn import (
+    GcnParams,
     batch_adjacency,
+    gcn_backward,
     gcn_forward,
-    gcn_layer,
     init_gcn,
-    normalize_adjacency,
 )
 from sumlife.nets.graphmlp import graphmlp_forward, grow_graphmlp, init_graphmlp
 from sumlife.nets.losses import combined_loss, cross_entropy, ncontrast_loss
 from sumlife.nets.mlp import grow_mlp, init_mlp, mlp_backward, mlp_forward
 from sumlife.nets.network import Hyper, Network
 from sumlife.nets.ops import assert_finite, dropout_mask, gelu, softmax_rows
+from sumlife.sampling import Subgraph
 
 
 def test_zero_input_zero_bias_zero_logits():
@@ -47,10 +50,17 @@ def test_shape_mismatch_errors():
         mlp_forward(p, np.zeros((2, 5)))
 
 
+def gcn_layer(h_prev, adj, w):
+    """relu(A @ h_prev @ w): a one-layer GCN whose classifier is the identity."""
+    params = GcnParams(layers=[w], w_cls=np.eye(w.shape[1]))
+    logits, _ = gcn_forward(params, h_prev, adj)
+    return logits
+
+
 def test_gcn_layer_single_vertex_self_loop():
     h_prev = np.array([[-1.0, 2.0]])
-    adj = np.eye(1)
-    h = gcn_layer(h_prev, adj, np.eye(2), normalize=False)
+    adj = batch_adjacency(1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    h = gcn_layer(h_prev, adj, np.eye(2))
     assert np.array_equal(h, np.array([[0.0, 2.0]]))
 
 
@@ -62,9 +72,9 @@ def test_gcn_layer_zero_input():
 
 def test_gcn_layer_normalized_hand_fixture():
     # two vertices, edge 0->1, self loops; row degrees 2 and 1
-    adj = np.array([[1.0, 1.0], [0.0, 1.0]])
+    adj = batch_adjacency(2, np.array([0]), np.array([1]), normalize=True)
     h_prev = np.array([[1.0, 2.0], [3.0, 4.0]])
-    h = gcn_layer(h_prev, adj, np.eye(2), normalize=True)
+    h = gcn_layer(h_prev, adj, np.eye(2))
     s = 1.0 / math.sqrt(2.0)
     expected = np.array(
         [[0.5 * 1.0 + s * 3.0, 0.5 * 2.0 + s * 4.0], [3.0, 4.0]]
@@ -73,10 +83,11 @@ def test_gcn_layer_normalized_hand_fixture():
 
 
 def test_normalize_adjacency_rows():
-    adj = np.array([[1.0, 1.0], [0.0, 1.0]])
-    a = normalize_adjacency(adj)
+    adj = batch_adjacency(2, np.array([0]), np.array([1]), normalize=True)
+    a = adj @ np.eye(2)  # the matrix A, one column per unit vector
     assert a[0, 0] == pytest.approx(0.5)
     assert a[0, 1] == pytest.approx(1 / math.sqrt(2))
+    assert a[1, 0] == 0.0
     assert a[1, 1] == pytest.approx(1.0)
 
 
@@ -87,13 +98,88 @@ def test_gcn_permutation_invariance():
     x = rng.normal(size=(n, n_in))
     src = np.array([0, 1, 2, 5, 6])
     dst = np.array([1, 2, 3, 4, 0])
-    adj = batch_adjacency(n, src, dst)
-    logits, _ = gcn_forward(params, x, adj, normalize=True)
+    adj = batch_adjacency(n, src, dst, normalize=True)
+    logits, _ = gcn_forward(params, x, adj)
     perm = rng.permutation(n)
     inv = np.argsort(perm)
-    adj_p = batch_adjacency(n, inv[src], inv[dst])
-    logits_p, _ = gcn_forward(params, x[perm], adj_p, normalize=True)
+    adj_p = batch_adjacency(n, inv[src], inv[dst], normalize=True)
+    logits_p, _ = gcn_forward(params, x[perm], adj_p)
     assert np.allclose(logits_p, logits[perm], atol=1e-12)
+
+
+def random_batch_graph(rng, n):
+    """Edges with parallel copies and self-loops; the last two vertices stay isolated."""
+    e = int(rng.integers(1, 3 * n))
+    src = rng.integers(0, max(n - 2, 1), size=e)
+    dst = rng.integers(0, max(n - 2, 1), size=e)
+    src = np.concatenate([src, src[: e // 3], [0]])  # parallel edges
+    dst = np.concatenate([dst, dst[: e // 3], [0]])  # ... and one self-loop
+    return src, dst
+
+
+def sparse_dense_cases():
+    rng = np.random.default_rng(11)
+    empty = np.array([], dtype=np.int64)
+    cases = [(1, empty, empty), (5, empty, empty), (3, np.array([1, 1, 2]), np.array([1, 2, 2]))]
+    for n in (2, 4, 9, 17, 30):
+        cases.append((n, *random_batch_graph(rng, n)))
+    return cases
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("case", range(len(sparse_dense_cases())))
+def test_sparse_propagation_matches_dense(case, normalize):
+    n, src, dst = sparse_dense_cases()[case]
+    rng = np.random.default_rng(case)
+    adj = batch_adjacency(n, src, dst, normalize)
+    dense = dense_adjacency(n, src, dst, normalize)
+    h = rng.normal(size=(n, 6))
+    np.testing.assert_allclose(adj @ h, dense @ h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(adj.T @ h, dense.T @ h, rtol=0, atol=1e-12)
+
+    params = init_gcn(rng, 5, [4, 3], 3)
+    x = rng.normal(size=(n, 5))
+    dlogits = rng.normal(size=(n, 3))
+    logits, cache = gcn_forward(params, x, adj, True, 0.0, np.random.default_rng(1))
+    # the dense reference runs the same layers with the matrix in place of the edge list
+    ref_logits, ref_cache = gcn_forward(params, x, dense, True, 0.0, np.random.default_rng(1))
+    np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+    grads = gcn_backward(params, cache, dlogits)
+    ref_grads = gcn_backward(params, ref_cache, dlogits)
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+
+def test_adjacency_bytes_linear_in_vertices_and_edges():
+    rng = np.random.default_rng(3)
+    n, e = 100_000, 300_000
+    src, dst = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
+    for normalize in (False, True):
+        nbytes = batch_adjacency(n, src, dst, normalize).nbytes
+        assert nbytes <= 40 * (n + e)  # 16 MB here; a dense matrix would take 80 GB
+
+
+def test_full_graph_gcn_logits_memory_linear():
+    rng = np.random.default_rng(4)
+    n, e, n_in, n_classes = 50_000, 150_000, 8, 5
+    src, dst = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
+    everyone = np.arange(n, dtype=np.int64)
+    batch = Subgraph(
+        graph=None, vertices=everyone, n_targets=n, target_idx=everyone,
+        labels=np.zeros(n, dtype=np.int64), edge_src=src, edge_dst=dst,
+        edge_pred=np.full(e, -1, dtype=np.int64), features=rng.normal(size=(n, n_in)), k=2,
+    )
+    net = Network.create("gcn", n_in, n_classes, Hyper(hidden=[16]), rng)
+    tracemalloc.start()
+    try:
+        logits = net.batch_logits(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (n, n_classes) and np.isfinite(logits).all()
+    # the dense n x n float64 path needed 20 GB for this batch
+    assert peak < 100 * 2**20, peak
 
 
 def test_cross_entropy_uniform_logits():

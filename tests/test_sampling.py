@@ -151,6 +151,35 @@ def test_edge_as_vertex_shape_and_features():
     assert (tb.labels == b.labels).all()
 
 
+def per_edge_features(b, vocab):
+    """Edge-vertex feature rows built one edge at a time."""
+    rows = np.zeros((b.num_edges, b.features.shape[1]))
+    for i in range(b.num_edges):
+        rows[i, vocab.index(b.graph.terms.lexical(int(b.edge_pred[i])))] = 1.0
+    return rows
+
+
+def test_edge_as_vertex_matches_per_edge_reference():
+    g, labels, split, x, pv = setup_task(n_classes=6)
+    batches = [
+        sample_batch(g, labels, split, 2, x, cap=80, rng=np.random.default_rng(9)),
+        full_graph_batch(g, labels, x, 2),
+    ]
+    for b in batches:
+        assert len(np.unique(b.edge_pred)) > 1
+        tb = edge_as_vertex_transform(b, pv)
+        assert np.array_equal(tb.features[: b.num_vertices], b.features)
+        assert np.array_equal(tb.features[b.num_vertices :], per_edge_features(b, pv))
+
+
+def test_edge_as_vertex_predicate_missing_from_vocabulary():
+    g, labels, split, x, pv = setup_task()
+    b = full_graph_batch(g, labels, x, 2)
+    short = PredicateVocabulary(pv.entries[1:])
+    with pytest.raises(ValueError, match="missing from vocabulary"):
+        edge_as_vertex_transform(b, short)
+
+
 def test_edge_as_vertex_no_edges_identity():
     g = build_snapshot("t", [("http://a", "http://p", "http://b")])
     labels = np.zeros(2, dtype=np.int64)
