@@ -3,7 +3,8 @@
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
 --out directory; reruns with equal configuration and seed produce
 byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an
-unreadable checkpoint), 2 configuration (including a checkpoint trained for
+unreadable checkpoint and a ``lifelong`` snapshot with no vertices to train
+on), 2 configuration (including a checkpoint trained for
 another summary model, degree cap, degree mode or rdf:type setting),
 3 numerical failure.
 """
@@ -184,6 +185,10 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
     hyper = _hyper(cfg)
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
+    trained = graphs[:1] if time_warp_ckpt is not None else graphs
+    for path, (ts, g) in zip(cfg.snapshots, trained):
+        if g.num_vertices == 0:
+            raise IngestError(f"{path}: snapshot {ts} has no vertices to train on")
 
     if time_warp_ckpt is not None:
         with manifest.stage("time_warp"):

@@ -1,9 +1,11 @@
 """Streaming N-Triples / N-Quads ingestion into an interned snapshot graph.
 
 A snapshot is one file or one directory of files (plain or ``.gz``).  Parsing
-is line-local and never aborts on bad statements: malformed lines are counted
-and skipped.  Duplicate triples are detected during the load with per-subject
-hash sets, so memory is bounded by the number of unique edges.
+is line-local and never aborts on bad statements: malformed lines (including
+lines that are not valid UTF-8) are counted and skipped.  The loader only
+appends each statement's term ids to three id columns, so its memory grows
+with the number of statement lines, duplicates included; duplicates are
+dropped and counted once, when the columns are sorted into the graph.
 
 Terms are interned into a dense, append-only :class:`TermTable`.  Blank node
 labels have document scope, so each file in a directory snapshot gets its own
@@ -21,8 +23,8 @@ import gzip
 import math
 import re
 import zlib
+from array import array
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -45,22 +47,6 @@ _STATEMENT_RE = re.compile(
     rf"({_IRI_PAT}|{_BLANK_PAT}|{_LITERAL_PAT})"
     rf"(?:\s+({_IRI_PAT}|{_BLANK_PAT}))?\s*\.\s*(?:#.*)?$"
 )
-
-
-@dataclass(frozen=True)
-class Triple:
-    """One statement, as term ids into the snapshot's TermTable."""
-
-    subject: int
-    predicate: int
-    object: int
-
-
-@dataclass(frozen=True)
-class Skip:
-    """A non-statement line and why it was skipped."""
-
-    reason: str  # "comment" | "blank" | "malformed"
 
 
 class TermTable:
@@ -105,23 +91,25 @@ def _intern_token(token: str, table: TermTable, blank_scope: str) -> int:
     return table.intern(LITERAL, token)
 
 
-def parse_line(line: str, table: TermTable, blank_scope: str = "") -> Triple | Skip:
+def parse_line(
+    line: str, table: TermTable, blank_scope: str = ""
+) -> tuple[int, int, int] | str:
     """Parse one physical N-Triples/N-Quads line.
 
-    Returns a :class:`Triple` (context term of quads is discarded) or a
-    :class:`Skip` with reason ``comment``, ``blank`` or ``malformed``.
-    Never raises on bad input.
+    Returns the statement's (subject, predicate, object) term ids (the context
+    term of quads is discarded) or the skip reason ``"comment"``, ``"blank"``
+    or ``"malformed"``.  Never raises on bad input.
     """
     stripped = line.strip()
     if not stripped:
-        return Skip("blank")
+        return "blank"
     if stripped.startswith("#"):
-        return Skip("comment")
+        return "comment"
     m = _STATEMENT_RE.match(stripped)
     if m is None:
-        return Skip("malformed")
+        return "malformed"
     s_tok, p_tok, o_tok = m.group(1), m.group(2), m.group(3)
-    return Triple(
+    return (
         _intern_token(s_tok, table, blank_scope),
         _intern_token(p_tok, table, blank_scope),
         _intern_token(o_tok, table, blank_scope),
@@ -144,7 +132,6 @@ class SnapshotGraph:
         "edge_pred",
         "edge_obj",
         "edge_is_type",
-        "predicates",
         "edge_count",
         "skip_reasons",
     )
@@ -167,7 +154,6 @@ class SnapshotGraph:
         self.edge_pred = edge_pred
         self.edge_obj = edge_obj
         self.edge_is_type = edge_is_type
-        self.predicates = frozenset(int(p) for p in np.unique(edge_pred)) if len(edge_pred) else frozenset()
         self.edge_count = int(len(edge_pred))
         self.skip_reasons = skip_reasons if skip_reasons is not None else Counter()
 
@@ -238,31 +224,33 @@ class SnapshotGraph:
         preds: np.ndarray,
         objects: np.ndarray,
         skip_reasons: Counter | None = None,
-        count_duplicates: bool = False,
+        vertex_ids: np.ndarray | None = None,
     ) -> "SnapshotGraph":
-        """Build a snapshot from parallel term-id arrays (deduplicates)."""
+        """Build a snapshot from parallel term-id arrays, one entry per statement.
+
+        Repeated statements are dropped and counted under ``"duplicate"`` in
+        ``skip_reasons``; the key is added only when there is one.  The
+        vertices are the subjects and objects, or ``vertex_ids`` when given: a
+        sorted superset of them, which keeps vertices that have no edge.
+        """
         skips = skip_reasons if skip_reasons is not None else Counter()
         subjects = np.asarray(subjects, dtype=np.int64)
         preds = np.asarray(preds, dtype=np.int64)
         objects = np.asarray(objects, dtype=np.int64)
-        vertex_ids = np.unique(np.concatenate([subjects, objects])) if len(subjects) else np.empty(0, np.int64)
-        if len(subjects):
-            order = np.lexsort((objects, preds, subjects))
-            s, p, o = subjects[order], preds[order], objects[order]
-            keep = np.ones(len(s), dtype=bool)
-            keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
-            if count_duplicates:
-                skips["duplicate"] += int(len(s) - keep.sum())
-            s, p, o = s[keep], p[keep], o[keep]
-            src_pos = np.searchsorted(vertex_ids, s)
-            obj_pos = np.searchsorted(vertex_ids, o)
-            indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-            np.add.at(indptr, src_pos + 1, 1)
-            np.cumsum(indptr, out=indptr)
-        else:
-            p = np.empty(0, np.int64)
-            obj_pos = np.empty(0, np.int64)
-            indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
+        if vertex_ids is None:
+            vertex_ids = np.unique(np.concatenate([subjects, objects]))
+        order = np.lexsort((objects, preds, subjects))
+        s, p, o = subjects[order], preds[order], objects[order]
+        keep = np.ones(len(s), dtype=bool)
+        keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
+        duplicates = len(s) - int(np.count_nonzero(keep))
+        if duplicates:
+            skips["duplicate"] += duplicates
+        s, p, o = s[keep], p[keep], o[keep]
+        indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
+        np.add.at(indptr, np.searchsorted(vertex_ids, s) + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        obj_pos = np.searchsorted(vertex_ids, o)
         type_id = terms.lookup(IRI, RDF_TYPE_IRI)
         is_type = (p == type_id) if type_id is not None else np.zeros(len(p), dtype=bool)
         return cls(timestamp, terms, vertex_ids, indptr, p, obj_pos, is_type, skips)
@@ -315,8 +303,7 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
     """Load, clean and deduplicate one snapshot (file or directory)."""
     path = Path(path)
     table = TermTable()
-    adj: dict[int, set[tuple[int, int]]] = {}
-    object_ids: set[int] = set()
+    subjects, preds, objects = array("q"), array("q"), array("q")
     skips: Counter = Counter()
     offset = 0
     current: Path | None = None
@@ -325,31 +312,21 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
             current = file_path
             scope = f"f{file_index}"
             for raw, offset in _iter_lines(file_path):
-                parsed = parse_line(raw.decode("utf-8", errors="replace"), table, scope)
-                if isinstance(parsed, Skip):
-                    skips[parsed.reason] += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    skips["malformed"] += 1
                     continue
-                pairs = adj.setdefault(parsed.subject, set())
-                pair = (parsed.predicate, parsed.object)
-                if pair in pairs:
-                    skips["duplicate"] += 1
-                else:
-                    pairs.add(pair)
-                    object_ids.add(parsed.object)
+                parsed = parse_line(line, table, scope)
+                if isinstance(parsed, str):
+                    skips[parsed] += 1
+                    continue
+                s, p, o = parsed
+                subjects.append(s)
+                preds.append(p)
+                objects.append(o)
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
-
-    n_edges = sum(len(v) for v in adj.values())
-    subjects = np.empty(n_edges, dtype=np.int64)
-    preds = np.empty(n_edges, dtype=np.int64)
-    objects = np.empty(n_edges, dtype=np.int64)
-    i = 0
-    for s, pairs in adj.items():
-        for p, o in pairs:
-            subjects[i] = s
-            preds[i] = p
-            objects[i] = o
-            i += 1
     return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)
 
 
@@ -376,40 +353,12 @@ def filter_high_degree(
         return g
     src = g.edge_sources()
     keep_edge = keep_vertex[src] & keep_vertex[g.edge_obj]
-    kept_ids = g.vertex_ids[keep_vertex]
-    new = SnapshotGraph.from_term_edges(
+    return SnapshotGraph.from_term_edges(
         g.timestamp,
         g.terms,
         g.vertex_ids[src[keep_edge]],
         g.edge_pred[keep_edge],
         g.vertex_ids[g.edge_obj[keep_edge]],
         Counter(g.skip_reasons),
-    )
-    # keep surviving isolated vertices that from_term_edges cannot see
-    if len(new.vertex_ids) != len(kept_ids):
-        return _with_vertices(new, kept_ids)
-    return new
-
-
-def _with_vertices(g: SnapshotGraph, vertex_ids: np.ndarray) -> SnapshotGraph:
-    """Rebuild ``g`` over a superset vertex id array (adds isolated vertices).
-
-    Position mappings are monotone in term id, so the existing edge order
-    stays sorted and no resort is needed.
-    """
-    old_src = g.edge_sources()
-    src_pos = np.searchsorted(vertex_ids, g.vertex_ids[old_src]) if len(old_src) else old_src
-    obj_pos = np.searchsorted(vertex_ids, g.vertex_ids[g.edge_obj]) if len(g.edge_obj) else g.edge_obj
-    indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-    np.add.at(indptr, src_pos + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SnapshotGraph(
-        g.timestamp,
-        g.terms,
-        vertex_ids,
-        indptr,
-        g.edge_pred.copy(),
-        obj_pos.astype(np.int64),
-        g.edge_is_type.copy(),
-        Counter(g.skip_reasons),
+        vertex_ids=g.vertex_ids[keep_vertex],
     )

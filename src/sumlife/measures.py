@@ -115,24 +115,18 @@ def _directed_divergence(
 def js_divergence(
     a: tuple[SummaryGraph, ExtensionMap],
     b: tuple[SummaryGraph, ExtensionMap],
-    literal_normalization: bool = False,
 ) -> float:
     """Symmetrized relative entropy D(A,B) + D(B,A) over EQC mass.
 
     D(A,B) sums over the EQCs of B only, so A-mass outside B is dropped; this
     mirrors the published measure rather than the textbook Jensen-Shannon
-    divergence.  Probabilities normalize by total extension mass; with
-    ``literal_normalization`` they divide by the number of primary vertices
-    instead (in which case they need not sum to 1).
+    divergence.  Probabilities normalize by total extension mass.
     """
     sa, ea = a
     sb, eb = b
     _require_same_model(sa, sb)
     ca, cb = ea.counts(), eb.counts()
-    if literal_normalization:
-        na, nb = max(len(sa.eqcs), 1), max(len(sb.eqcs), 1)
-    else:
-        na, nb = max(ea.total(), 1), max(eb.total(), 1)
+    na, nb = max(ea.total(), 1), max(eb.total(), 1)
     return _directed_divergence(ca, na, cb, nb, sb.eqcs) + _directed_divergence(
         cb, nb, ca, na, sa.eqcs
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, glorot_uniform, relu, relu_grad
+from .ops import dropout_mask, glorot_uniform, relu, relu_grad, widen
 
 
 @dataclass
@@ -166,22 +166,7 @@ def grow_gcn(
 ) -> GcnParams:
     if new_in < params.n_in or new_classes < params.n_classes:
         raise ValueError("layers can only grow")
-    layers = [w.copy() for w in params.layers]
-    if new_in > params.n_in:
-        h0 = layers[0].shape[1]
-        extra = (
-            np.zeros((new_in - params.n_in, h0))
-            if zero_init
-            else glorot_uniform(rng, new_in, h0, (new_in - params.n_in, h0))
-        )
-        layers[0] = np.vstack([layers[0], extra])
-    w_cls = params.w_cls.copy()
-    if new_classes > params.n_classes:
-        jk = w_cls.shape[0]
-        extra = (
-            np.zeros((jk, new_classes - params.n_classes))
-            if zero_init
-            else glorot_uniform(rng, jk, new_classes, (jk, new_classes - params.n_classes))
-        )
-        w_cls = np.hstack([w_cls, extra])
+    first, *rest = params.layers
+    layers = [widen(rng, first, new_in, first.shape[1], zero_init)] + [w.copy() for w in rest]
+    w_cls = widen(rng, params.w_cls, params.w_cls.shape[0], new_classes, zero_init)
     return GcnParams(layers=layers, w_cls=w_cls)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, gelu, gelu_grad, glorot_uniform
+from .ops import dropout_mask, gelu, gelu_grad, glorot_uniform, widen
 
 
 @dataclass
@@ -95,20 +95,8 @@ def grow_graphmlp(
     if new_in < params.n_in or new_classes < params.n_classes:
         raise ValueError("layers can only grow")
     hidden = params.w0.shape[1]
-    w0 = params.w0
-    if new_in > params.n_in:
-        extra = (
-            np.zeros((new_in - params.n_in, hidden))
-            if zero_init
-            else glorot_uniform(rng, new_in, hidden, (new_in - params.n_in, hidden))
-        )
-        w0 = np.vstack([w0, extra])
-    w2 = params.w2
-    if new_classes > params.n_classes:
-        extra = (
-            np.zeros((hidden, new_classes - params.n_classes))
-            if zero_init
-            else glorot_uniform(rng, hidden, new_classes, (hidden, new_classes - params.n_classes))
-        )
-        w2 = np.hstack([w2, extra])
-    return GraphMlpParams(w0.copy(), params.w1.copy(), w2.copy())
+    return GraphMlpParams(
+        widen(rng, params.w0, new_in, hidden, zero_init),
+        params.w1.copy(),
+        widen(rng, params.w2, hidden, new_classes, zero_init),
+    )

@@ -75,12 +75,3 @@ def ncontrast_loss(
     dz = dzn / norms[:, None] - zn * ((zn * dzn).sum(axis=1) / norms)[:, None]
     return loss, dz
 
-
-def combined_loss(
-    logits: np.ndarray, labels: np.ndarray, loss_nc: float, alpha: float
-) -> float:
-    """Cross-entropy over the labeled rows plus alpha times the contrastive term."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    ce, _ = cross_entropy(logits, labels)
-    return ce + alpha * loss_nc

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, glorot_uniform, relu, relu_grad
+from .ops import dropout_mask, glorot_uniform, relu, relu_grad, widen
 
 
 @dataclass
@@ -85,22 +85,7 @@ def grow_mlp(
     if new_in < params.n_in or new_classes < params.n_classes:
         raise ValueError("layers can only grow")
     hidden = params.w0.shape[1]
-    w0 = params.w0
-    if new_in > params.n_in:
-        extra = (
-            np.zeros((new_in - params.n_in, hidden))
-            if zero_init
-            else glorot_uniform(rng, new_in, hidden, (new_in - params.n_in, hidden))
-        )
-        w0 = np.vstack([w0, extra])
-    w_out = params.w_out
-    b_out = params.b_out
-    if new_classes > params.n_classes:
-        extra = (
-            np.zeros((hidden, new_classes - params.n_classes))
-            if zero_init
-            else glorot_uniform(rng, hidden, new_classes, (hidden, new_classes - params.n_classes))
-        )
-        w_out = np.hstack([w_out, extra])
-        b_out = np.concatenate([b_out, np.zeros(new_classes - params.n_classes)])
-    return MlpParams(w0.copy(), params.b0.copy(), w_out.copy(), b_out.copy())
+    w0 = widen(rng, params.w0, new_in, hidden, zero_init)
+    w_out = widen(rng, params.w_out, hidden, new_classes, zero_init)
+    b_out = np.concatenate([params.b_out, np.zeros(new_classes - params.n_classes)])
+    return MlpParams(w0, params.b0.copy(), w_out, b_out)

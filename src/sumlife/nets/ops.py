@@ -51,6 +51,26 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: t
     return rng.uniform(-bound, bound, size=shape)
 
 
+def widen(
+    rng: np.random.Generator, w: np.ndarray, rows: int, cols: int, zero_init: bool
+) -> np.ndarray:
+    """Copy of ``w`` padded to ``rows`` x ``cols``; existing entries are kept bit-exactly.
+
+    New rows are appended first, then new columns.  Each block is drawn
+    Glorot-uniform with the fans of the full new shape, or is zero with
+    ``zero_init``.
+    """
+
+    def block(shape: tuple[int, int]) -> np.ndarray:
+        return np.zeros(shape) if zero_init else glorot_uniform(rng, rows, cols, shape)
+
+    if rows > w.shape[0]:
+        w = np.vstack([w, block((rows - w.shape[0], w.shape[1]))])
+    if cols > w.shape[1]:
+        w = np.hstack([w, block((w.shape[0], cols - w.shape[1]))])
+    return w.copy()
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)

@@ -39,7 +39,6 @@ class Subgraph:
     edge_pred: np.ndarray
     features: np.ndarray
     k: int
-    edge_as_vertex: bool = False
 
     @property
     def num_vertices(self) -> int:
@@ -102,7 +101,6 @@ def sample_batch(
     features: np.ndarray,
     cap: int = 1000,
     rng: np.random.Generator | None = None,
-    max_targets: int | None = None,
     include_rdf_types: bool = False,
 ) -> Subgraph:
     """Draw one class-balanced batch with at most ``cap`` vertices."""
@@ -112,13 +110,11 @@ def sample_batch(
         raise ValueError("cap must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    if max_targets is None:
-        max_targets = cap
     train_positions = np.flatnonzero(split == TRAIN)
     if len(train_positions) == 0:
         raise ValueError("train split is empty")
     p = _target_distribution(labels, train_positions)
-    draws = rng.choice(len(train_positions), size=max_targets, replace=True, p=p)
+    draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
     mask = g.considered_mask(include_rdf_types)
 
     batch: dict[int, int] = {}  # global position -> local index
@@ -208,7 +204,7 @@ def edge_as_vertex_transform(b: Subgraph, vocab: PredicateVocabulary) -> Subgrap
         raise ValueError("edge-as-vertex transform requires a 2-hop batch")
     n, e = b.num_vertices, b.num_edges
     if e == 0:
-        return replace(b, edge_as_vertex=True)
+        return b
     width = b.features.shape[1]
     preds, which = np.unique(b.edge_pred, return_inverse=True)
     cols = np.empty(len(preds), dtype=np.int64)
@@ -228,5 +224,4 @@ def edge_as_vertex_transform(b: Subgraph, vocab: PredicateVocabulary) -> Subgrap
         edge_dst=np.concatenate([edge_ids, b.edge_dst]),
         edge_pred=np.full(2 * e, -1, dtype=np.int64),
         features=np.vstack([b.features, edge_feats]),
-        edge_as_vertex=True,
     )

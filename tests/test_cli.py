@@ -333,3 +333,25 @@ def test_cmd_eval_edited_vocabulary_exits_1(tmp_path, snapshot_files, capsys):
     assert main(["eval", "--model", "ac1", "--in", snapshot_files[0], "--ckpt", str(path),
                  "--out", str(tmp_path / "o")]) == 1
     assert "does not match its digest" in _one_error_line(capsys)
+
+
+def test_lifelong_snapshot_without_vertices_exits_1(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    skipped = tmp_path / "2012-05-08.nt"
+    skipped.write_text("# only a comment\nnot a statement\n")
+    capsys.readouterr()
+    cases = [
+        (skipped, []),
+        # every vertex of the ring has total degree 2 or more
+        (snapshot_files[1], ["--degree-cap", "1"]),
+    ]
+    for path, extra in cases:
+        for argv in (
+            ["lifelong", "--model", "ac1", "--in", str(path)],
+            ["lifelong", "--model", "ac1", "--in", str(path), "--time-warp",
+             str(out / "task00.gslc")],
+        ):
+            assert main([*argv, *extra, "--iterations", "2", "--out", str(tmp_path / "o")]) == 1
+            assert str(path) in _one_error_line(capsys)

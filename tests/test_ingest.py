@@ -5,9 +5,7 @@ import pytest
 
 from sumlife.errors import IngestError
 from sumlife.ingest import (
-    Skip,
     TermTable,
-    Triple,
     build_snapshot,
     filter_high_degree,
     load_snapshot,
@@ -17,48 +15,46 @@ from sumlife.ingest import (
 
 def test_parse_basic_triple():
     t = TermTable()
-    r = parse_line("<http://a> <http://p> <http://b> .", t)
-    assert isinstance(r, Triple)
-    assert t.lexical(r.subject) == "http://a"
-    assert t.lexical(r.predicate) == "http://p"
-    assert t.lexical(r.object) == "http://b"
+    s, p, o = parse_line("<http://a> <http://p> <http://b> .", t)
+    assert t.lexical(s) == "http://a"
+    assert t.lexical(p) == "http://p"
+    assert t.lexical(o) == "http://b"
 
 
 def test_parse_comment_and_blank():
     t = TermTable()
-    assert parse_line("# comment", t) == Skip("comment")
-    assert parse_line("   ", t) == Skip("blank")
-    assert parse_line("", t) == Skip("blank")
+    assert parse_line("# comment", t) == "comment"
+    assert parse_line("   ", t) == "blank"
+    assert parse_line("", t) == "blank"
 
 
 def test_parse_typed_literal():
     t = TermTable()
-    r = parse_line(
+    _, _, o = parse_line(
         '<http://a> <http://p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .', t
     )
-    assert isinstance(r, Triple)
-    assert t.kind(r.object) == "literal"
-    assert t.lexical(r.object) == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
+    assert t.kind(o) == "literal"
+    assert t.lexical(o) == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
 
 
 def test_parse_lang_literal_and_escapes():
     t = TermTable()
-    assert isinstance(parse_line('<http://a> <http://p> "bonjour"@fr .', t), Triple)
-    assert isinstance(parse_line('<http://a> <http://p> "say \\"hi\\"" .', t), Triple)
+    assert isinstance(parse_line('<http://a> <http://p> "bonjour"@fr .', t), tuple)
+    assert isinstance(parse_line('<http://a> <http://p> "say \\"hi\\"" .', t), tuple)
 
 
 def test_parse_malformed():
     t = TermTable()
-    assert parse_line("<http://a> <http://p> .", t) == Skip("malformed")
-    assert parse_line("not a triple at all", t) == Skip("malformed")
-    assert parse_line('"lit" <http://p> <http://o> .', t) == Skip("malformed")
-    assert parse_line("<http://a> <http://p> <http://b>", t) == Skip("malformed")
+    assert parse_line("<http://a> <http://p> .", t) == "malformed"
+    assert parse_line("not a triple at all", t) == "malformed"
+    assert parse_line('"lit" <http://p> <http://o> .', t) == "malformed"
+    assert parse_line("<http://a> <http://p> <http://b>", t) == "malformed"
 
 
 def test_parse_quad_context_dropped():
     t = TermTable()
     r = parse_line("<http://a> <http://p> <http://b> <http://graph> .", t)
-    assert isinstance(r, Triple)
+    assert isinstance(r, tuple) and len(r) == 3
     assert t.lookup("iri", "http://graph") is None
 
 
@@ -66,7 +62,7 @@ def test_parse_blank_nodes_scoped():
     t = TermTable()
     r1 = parse_line("_:x <http://p> <http://o> .", t, blank_scope="f0")
     r2 = parse_line("_:x <http://p> <http://o> .", t, blank_scope="f1")
-    assert r1.subject != r2.subject
+    assert r1[0] != r2[0]
 
 
 def test_load_dedup_counts(tmp_path):
@@ -102,6 +98,21 @@ def test_load_malformed_mixed(tmp_path):
     g = load_snapshot(f, "t0")
     assert g.edge_count == 2
     assert g.skip_reasons["malformed"] == 1
+
+
+def test_load_invalid_utf8_is_malformed(tmp_path):
+    # decoding with replacement characters would merge both subjects into one vertex
+    f = tmp_path / "s.nt"
+    f.write_bytes(
+        b"<http://a\xff> <http://p> <http://b> .\n"
+        b"<http://a\xfe> <http://p> <http://b> .\n"
+        b"<http://c> <http://p> <http://b> .\n"
+    )
+    g = load_snapshot(f, "t0")
+    assert dict(g.skip_reasons) == {"malformed": 2}
+    assert g.edge_count == 1
+    assert [g.vertex_lexical(i) for i in range(g.num_vertices)] == ["http://c", "http://b"]
+    assert g.terms.lookup("iri", "http://a\ufffd") is None
 
 
 def test_load_gzip(tmp_path):

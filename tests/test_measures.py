@@ -129,12 +129,6 @@ def test_js_nonnegative_on_shared_domain():
     assert js_divergence(a, b) >= 0.0 or abs(js_divergence(a, b)) < 1e-12
 
 
-def test_js_literal_normalization_mode():
-    a = (fake_summary({1, 2}), fake_ext({1: 3, 2: 1}))
-    b = (fake_summary({1, 2}), fake_ext({1: 2, 2: 2}))
-    assert js_divergence(a, b, literal_normalization=True) != js_divergence(a, b)
-
-
 def test_diff_report_counts():
     a = (fake_summary({1, 2}), fake_ext({1: 1, 2: 1}))
     b = (fake_summary({2, 3}), fake_ext({2: 1, 3: 1}))

@@ -15,7 +15,7 @@ from sumlife.nets.gcn import (
     init_gcn,
 )
 from sumlife.nets.graphmlp import graphmlp_forward, grow_graphmlp, init_graphmlp
-from sumlife.nets.losses import combined_loss, cross_entropy, ncontrast_loss
+from sumlife.nets.losses import cross_entropy, ncontrast_loss
 from sumlife.nets.mlp import grow_mlp, init_mlp, mlp_backward, mlp_forward
 from sumlife.nets.network import Hyper, Network
 from sumlife.nets.ops import assert_finite, dropout_mask, gelu, softmax_rows
@@ -185,17 +185,6 @@ def test_full_graph_gcn_logits_memory_linear():
 def test_cross_entropy_uniform_logits():
     loss, _ = cross_entropy(np.zeros((4, 7)), np.array([0, 1, 2, 3]))
     assert loss == pytest.approx(math.log(7))
-
-
-def test_combined_loss_arithmetic():
-    logits = np.zeros((2, 4))
-    labels = np.array([0, 1])
-    ce = math.log(4)
-    assert combined_loss(logits, labels, 0.2, 0.0) == pytest.approx(ce)
-    assert combined_loss(logits, labels, 0.2, 1.0) == pytest.approx(ce + 0.2)
-    got = combined_loss(logits, labels, 0.2, 1.0)
-    # alpha=1 with ce=0.3 nc=0.2 gives 0.5; here just check additivity shape
-    assert got - combined_loss(logits, labels, 0.0, 1.0) == pytest.approx(0.2)
 
 
 def test_ncontrast_equal_similarities():

@@ -118,7 +118,7 @@ def test_expected_class_frequency_uniform():
     counts = np.zeros(4, dtype=np.int64)
     draws = 0
     while draws < 10_000:
-        b = sample_batch(g, labels, split, 1, x, cap=1000, rng=rng, max_targets=500)
+        b = sample_batch(g, labels, split, 1, x, cap=1000, rng=rng)
         for c in b.labels:
             counts[int(c)] += 1
         draws += len(b.labels)
@@ -140,7 +140,6 @@ def test_edge_as_vertex_shape_and_features():
     tb = edge_as_vertex_transform(b, pv)
     assert tb.num_vertices == v + e
     assert tb.num_edges == 2 * e
-    assert tb.edge_as_vertex
     # each edge vertex row is a one-hot at its predicate's column
     for i in range(e):
         row = tb.features[v + i]
@@ -203,4 +202,4 @@ def test_edge_as_vertex_no_edges_identity():
         features=x[[sink]],
     )
     tb = edge_as_vertex_transform(empty, pv)
-    assert tb.num_vertices == 1 and tb.num_edges == 0 and tb.edge_as_vertex
+    assert tb.num_vertices == 1 and tb.num_edges == 0
