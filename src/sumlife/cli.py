@@ -3,10 +3,11 @@
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
 --out directory; reruns with equal configuration and seed produce
 byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an
-unreadable checkpoint and a ``lifelong`` snapshot with no vertices to train
-on), 2 configuration (including a checkpoint trained for
-another summary model, degree cap, degree mode or rdf:type setting),
-3 numerical failure.
+unreadable checkpoint, a ``lifelong`` snapshot with no vertices to train
+on and an ``eval`` snapshot with no test vertices), 2 configuration
+(including ``gcn-edges`` with a model other than ac2 and a checkpoint
+trained for another summary model, degree cap, degree mode or rdf:type
+setting), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -243,6 +245,8 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int
         seq = prepare_tasks(graphs[:1], cfg.model, seed, pred_vocab=pv,
                             class_vocab=cv, include_rdf_types=cfg.include_rdf_types)
         task = seq.tasks[0]
+        if not (task.split == TEST).any():
+            raise IngestError(f"{cfg.snapshots[0]}: snapshot {task.timestamp} has no test vertices")
         test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
         write_json(
             out / "eval.json",
@@ -327,12 +331,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "snapshots", "timestamps", "model", "architecture", "hidden_size", "dropout",
-    "learning_rate", "alpha", "tau", "normalize_adjacency", "iterations",
-    "batch_cap", "seed", "degree_cap", "degree_mode", "restart", "threads",
-    "include_rdf_types", "zero_init_growth", "out_dir",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def main(argv: list[str] | None = None) -> int:

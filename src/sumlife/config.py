@@ -44,6 +44,8 @@ class RunConfig:
             raise ConfigError(f"unknown summary model {self.model!r}")
         if self.architecture not in ("mlp", "graph-mlp", "gcn", "gcn-edges"):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
+        if self.architecture == "gcn-edges" and self.model != "ac2":
+            raise ConfigError(f"architecture gcn-edges needs model ac2, not {self.model!r}")
         if self.restart not in ("warm", "cold"):
             raise ConfigError(f"restart must be warm or cold, got {self.restart!r}")
         if self.degree_mode not in ("total", "out", "in"):

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import SnapshotGraph
+from .ingest import SnapshotGraph, TermTable
 from .summarize import SIPHASH_KEY, siphash24
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -68,6 +68,15 @@ class PredicateVocabulary(_Vocabulary):
         for iri in iris:
             self.add(iri)
         return self.width - before
+
+    def columns(self, terms: TermTable, preds: np.ndarray) -> np.ndarray:
+        """Feature column of each predicate term id, looking up each distinct one once."""
+        uniq, inverse = np.unique(preds, return_inverse=True)
+        iris = [terms.lexical(p) for p in uniq.tolist()]
+        missing = [iri for iri in iris if iri not in self]
+        if missing:
+            raise ValueError(f"predicate {missing[0]!r} missing from vocabulary")
+        return np.array([self.index(iri) for iri in iris], dtype=np.int64)[inverse]
 
     def serialize(self, path: str | Path) -> None:
         Path(path).write_text("".join(f"{e}\n" for e in self.entries), encoding="utf-8")
@@ -133,19 +142,7 @@ def encode_features(
     """
     x = np.zeros((g.num_vertices, vocab.width), dtype=np.float64)
     mask = g.considered_mask(include_rdf_types)
-    if not mask.any():
-        return x
-    src = g.edge_sources()[mask]
-    preds = g.edge_pred[mask]
-    uniq_pred, inverse = np.unique(preds, return_inverse=True)
-    cols = np.empty(len(uniq_pred), dtype=np.int64)
-    for i, p in enumerate(uniq_pred):
-        iri = g.terms.lexical(int(p))
-        idx = vocab.get(iri)
-        if idx is None:
-            raise ValueError(f"predicate {iri!r} missing from vocabulary")
-        cols[i] = idx
-    x[src, cols[inverse]] = 1.0
+    x[g.edge_sources()[mask], vocab.columns(g.terms, g.edge_pred[mask])] = 1.0
     return x
 
 

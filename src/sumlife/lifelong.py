@@ -278,7 +278,8 @@ def forgetting(r: np.ndarray, k: int) -> float:
 
 @dataclass
 class LifelongReport:
-    """Everything recomputable from the result matrix, plus diagnostics."""
+    """Everything recomputable from the result matrix, plus diagnostics.
+    Measures undefined for T < 2, or omega for an all-zero diagonal, are None."""
 
     acc: float
     bwt: float | None
@@ -295,7 +296,7 @@ class LifelongReport:
         t = _check_full(r)
         alpha_ideal = max(float(r[i, i]) for i in range(t))
         if t >= 2:
-            ob, on, oa = omega(r)
+            ob, on, oa = omega(r) if alpha_ideal != 0.0 else (None, None, None)
             report = cls(
                 acc=acc(r), bwt=bwt(r), fwt=fwt(r),
                 omega_base=ob, omega_new=on, omega_all=oa,

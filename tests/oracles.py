@@ -180,3 +180,107 @@ def dense_adjacency(n: int, src, dst, normalize: bool = False) -> np.ndarray:
         inv = 1.0 / np.sqrt(a.sum(axis=1))
         a = a * inv[:, None] * inv[None, :]
     return a
+
+
+def _reference_target_distribution(labels: np.ndarray, train_positions: np.ndarray) -> np.ndarray:
+    train_labels = labels[train_positions]
+    classes, counts = np.unique(train_labels, return_counts=True)
+    inv = 1.0 / counts
+    inv /= inv.sum()
+    weights = {int(c): float(w) for c, w in zip(classes, inv)}
+    p = np.array([weights[int(c)] for c in train_labels], dtype=np.float64)
+    return p / p.sum()
+
+
+def _reference_closure(g, start: int, k: int, mask: np.ndarray) -> list[int]:
+    seen = {start}
+    frontier = [start]
+    order = [start]
+    for _ in range(k):
+        nxt = []
+        for v in frontier:
+            for e in range(int(g.indptr[v]), int(g.indptr[v + 1])):
+                if not mask[e]:
+                    continue
+                o = int(g.edge_obj[e])
+                if o not in seen:
+                    seen.add(o)
+                    nxt.append(o)
+                    order.append(o)
+        frontier = nxt
+    return order
+
+
+def reference_sample_batch(
+    g, labels, split, k: int, features, cap: int, rng, include_rdf_types: bool, train: int = 0
+) -> dict:
+    """The per-edge sampler: a Python closure walk, a vertex -> local dict with
+    placeholders, and the induced edges collected one at a time.
+
+    Draws the same targets as the sampler from the same generator state and
+    returns the batch fields by name.
+    """
+    train_positions = np.flatnonzero(split == train)
+    p = _reference_target_distribution(labels, train_positions)
+    draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
+    mask = g.considered_mask(include_rdf_types)
+    batch: dict[int, int] = {}
+    target_order: list[int] = []
+    closure_extra: list[int] = []
+    accepted: list[int] = []
+    for d in draws:
+        t = int(train_positions[d])
+        closure = _reference_closure(g, t, k, mask)
+        new = [v for v in closure if v not in batch]
+        if batch and len(batch) + len(new) > cap:
+            break
+        accepted.append(t)
+        if t not in batch:
+            batch[t] = -1
+            target_order.append(t)
+        for v in new:
+            if v != t and v not in batch:
+                batch[v] = -1
+                closure_extra.append(v)
+    ordered = target_order + closure_extra
+    local = {v: i for i, v in enumerate(ordered)}
+    vertices = np.array(ordered, dtype=np.int64)
+    src_l, dst_l, pred_l = [], [], []
+    for v in ordered:
+        for e in range(int(g.indptr[v]), int(g.indptr[v + 1])):
+            if not mask[e]:
+                continue
+            j = local.get(int(g.edge_obj[e]))
+            if j is not None:
+                src_l.append(local[v])
+                dst_l.append(j)
+                pred_l.append(int(g.edge_pred[e]))
+    return {
+        "vertices": vertices,
+        "n_targets": len(target_order),
+        "target_idx": np.array([local[t] for t in accepted], dtype=np.int64),
+        "labels": np.asarray(labels)[np.array(accepted, dtype=np.int64)],
+        "edge_src": np.array(src_l, dtype=np.int64),
+        "edge_dst": np.array(dst_l, dtype=np.int64),
+        "edge_pred": np.array(pred_l, dtype=np.int64),
+        "features": features[vertices],
+        "k": k,
+    }
+
+
+def reference_full_graph_batch(g, labels, features, k: int, include_rdf_types: bool) -> dict:
+    """The whole snapshot as one batch, its edges cut out of the CSR arrays by
+    the considered-edge mask."""
+    mask = g.considered_mask(include_rdf_types)
+    n = g.num_vertices
+    return {
+        "vertices": np.arange(n, dtype=np.int64),
+        "n_targets": n,
+        "target_idx": np.arange(n, dtype=np.int64),
+        "labels": np.asarray(labels),
+        "edge_src": g.edge_sources()[mask].astype(np.int64),
+        "edge_dst": g.edge_obj[mask].astype(np.int64),
+        "edge_pred": g.edge_pred[mask].astype(np.int64),
+        "features": features,
+        "k": k,
+    }

@@ -355,3 +355,52 @@ def test_lifelong_snapshot_without_vertices_exits_1(tmp_path, snapshot_files, ca
         ):
             assert main([*argv, *extra, "--iterations", "2", "--out", str(tmp_path / "o")]) == 1
             assert str(path) in _one_error_line(capsys)
+
+
+def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):
+    argv = ["lifelong", "--model", "ac1", "--architecture", "gcn-edges",
+            "--in", snapshot_files[0], "--iterations", "2", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = _one_error_line(capsys)
+    assert "gcn-edges" in err and "ac1" in err
+    assert not (tmp_path / "o" / "R.csv").exists()
+    with pytest.raises(ConfigError, match="gcn-edges"):
+        build_config(None, {"architecture": "gcn-edges"})
+
+
+def test_lifelong_empty_test_splits_leave_omega_null(tmp_path, capsys):
+    # five vertices split 5/0/0, so every cell of R is 0
+    paths = []
+    for day in (6, 7):
+        path = tmp_path / f"2012-05-0{day}.nt"
+        write_ntriples(path, [(f"http://d{day}v{i}", "http://p", f"http://d{day}v{i + 1}")
+                              for i in range(4)])
+        paths.append(str(path))
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", *paths, "--out", str(out),
+                 "--iterations", "2"]) == 0
+    assert main(["report", "--matrix", str(out / "R.csv"), "--out", str(tmp_path / "re")]) == 0
+    for report_dir in (out, tmp_path / "re"):
+        report = json.loads((report_dir / "report.json").read_text())
+        assert report["alpha_ideal"] == 0.0
+        assert report["omega_base"] is None and report["omega_new"] is None
+        assert report["omega_all"] is None
+        assert report["bwt"] == 0.0 and report["forgetting"] == {"2": 0.0}
+    assert capsys.readouterr().err == ""
+
+
+def test_cmd_eval_snapshot_without_test_vertices_exits_1(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    comments = tmp_path / "comments.nt"
+    comments.write_text("# only a comment\n")
+    # two vertices split 2/0/0
+    two = tmp_path / "two.nt"
+    write_ntriples(two, [("http://a", predicate_pool(4)[0], "http://b")])
+    capsys.readouterr()
+    for path in (comments, two):
+        assert main(["eval", "--model", "ac1", "--in", str(path), "--ckpt",
+                     str(out / "task00.gslc"), "--out", str(tmp_path / "o")]) == 1
+        assert str(path) in _one_error_line(capsys)
+    assert not (tmp_path / "o" / "eval.json").exists()

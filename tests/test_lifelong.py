@@ -76,6 +76,16 @@ def test_report_from_matrix_and_t1():
     assert rep1.bwt is None and rep1.fwt is None
 
 
+def test_report_zero_diagonal_leaves_omega_null():
+    r = np.array([[0.0, 0.5], [0.25, 0.0]])
+    rep = LifelongReport.from_matrix(r)
+    assert rep.omega_base is None and rep.omega_new is None and rep.omega_all is None
+    assert rep.acc == 0.125 and rep.bwt == 0.25 and rep.fwt == 0.5
+    assert rep.forgetting == {2: -0.25}
+    with pytest.raises(ValueError, match="all diagonal accuracies are zero"):
+        omega(r)
+
+
 def test_matrix_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     r = rng.random((4, 4))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from oracles import reference_full_graph_batch, reference_sample_batch
 from sumlife.features import PredicateVocabulary, encode_features, split_vertices
-from sumlife.ingest import build_snapshot
+from sumlife.ingest import RDF_TYPE_IRI, build_snapshot, filter_high_degree
 from sumlife.sampling import (
     class_weights,
     edge_as_vertex_transform,
@@ -179,6 +180,13 @@ def test_edge_as_vertex_predicate_missing_from_vocabulary():
         edge_as_vertex_transform(b, short)
 
 
+def test_edge_as_vertex_column_beyond_feature_width():
+    g, labels, split, x, pv = setup_task()
+    b = full_graph_batch(g, labels, x[:, :1], 2)
+    with pytest.raises(ValueError, match="no column in features of width 1"):
+        edge_as_vertex_transform(b, pv)
+
+
 def test_edge_as_vertex_no_edges_identity():
     g = build_snapshot("t", [("http://a", "http://p", "http://b")])
     labels = np.zeros(2, dtype=np.int64)
@@ -203,3 +211,56 @@ def test_edge_as_vertex_no_edges_identity():
     )
     tb = edge_as_vertex_transform(empty, pv)
     assert tb.num_vertices == 1 and tb.num_edges == 0
+
+
+def oracle_task():
+    """A graph with self-loop, parallel and rdf:type edges and isolated vertices.
+
+    The leaves l0..l19 point only at a hub that the in-degree cap removes, so
+    they are left without edges.
+    """
+    rng = np.random.default_rng(5)
+    triples = [
+        (f"http://v{i}", f"http://p{rng.integers(3)}", f"http://v{rng.integers(40)}")
+        for i in range(40)
+        for _ in range(rng.integers(0, 4))
+    ]
+    triples += [("http://v3", "http://p0", "http://v3"), ("http://v5", "http://p1", "http://v5")]
+    triples += [("http://v7", f"http://p{j}", "http://v8") for j in range(3)]
+    triples += [(f"http://v{i}", RDF_TYPE_IRI, f"http://C{i % 2}") for i in range(0, 40, 3)]
+    triples += [(f"http://l{i}", "http://p0", "http://hub") for i in range(20)]
+    g = filter_high_degree(build_snapshot("t", triples), 10, "in")
+    n = g.num_vertices
+    labels = np.arange(n, dtype=np.int64) % 4
+    split = rng.choice(np.array([0, 0, 0, 0, 1, 2], dtype=np.int8), size=n)
+    return g, labels, split, rng.standard_normal((n, 3))
+
+
+def assert_same_batch(b, ref):
+    assert b.n_targets == ref["n_targets"] and b.k == ref["k"]
+    for name in ("vertices", "target_idx", "labels", "edge_src", "edge_dst", "edge_pred", "features"):
+        got, want = getattr(b, name), ref[name]
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("include_rdf_types", [False, True])
+def test_batches_match_per_edge_reference(include_rdf_types):
+    g, labels, split, x = oracle_task()
+    isolated = np.flatnonzero((g.out_degrees() == 0) & (g.in_degrees() == 0))
+    assert len(isolated) == 20
+    assert (g.edge_sources() == g.edge_obj).any() and g.edge_is_type.any()
+    reached_before_drawn = False
+    for k in (1, 2):
+        for cap in (1, 7, 1000):
+            for seed in range(3):
+                b = sample_batch(g, labels, split, k, x, cap=cap, rng=np.random.default_rng(seed),
+                                 include_rdf_types=include_rdf_types)
+                ref = reference_sample_batch(g, labels, split, k, x, cap,
+                                             np.random.default_rng(seed), include_rdf_types)
+                assert_same_batch(b, ref)
+                reached_before_drawn |= bool((b.target_idx >= b.n_targets).any())
+        b = full_graph_batch(g, labels, x, k, include_rdf_types)
+        assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types))
+        assert b.features is x and b.labels is labels
+    assert reached_before_drawn
