@@ -3,8 +3,9 @@
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
 --out directory; reruns with equal configuration and seed produce
 byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an
-unreadable checkpoint, a ``lifelong`` snapshot with no vertices to train
-on and an ``eval`` snapshot with no test vertices), 2 configuration
+unreadable checkpoint or snapshot file, an empty snapshot directory and a
+``lifelong`` or ``eval`` snapshot whose 93/2/5 split has no test vertex,
+which is any snapshot of fewer than 9 vertices), 2 configuration
 (including ``gcn-edges`` with a model other than ac2 and a checkpoint
 trained for another summary model, degree cap, degree mode or rdf:type
 setting), 3 numerical failure.
@@ -21,9 +22,10 @@ from pathlib import Path
 from . import __version__
 from .config import SEED_ENV_VAR, RunConfig, build_config, parse_config_file
 from .errors import CheckpointError, ConfigError, IngestError, NumericalError
-from .features import TEST
-from .ingest import SnapshotGraph, filter_high_degree, load_snapshot
+from .features import TEST, split_sizes
+from .ingest import DEGREE_MODES, SnapshotGraph, filter_high_degree, load_snapshot
 from .lifelong import (
+    RESTARTS,
     LifelongReport,
     evaluate_network,
     prepare_tasks,
@@ -32,6 +34,8 @@ from .lifelong import (
 )
 from .measures import diff_report, meta_track, unary_stats
 from .nets import Hyper, load_checkpoint, save_checkpoint
+from .nets.checkpoint import RUN_FIELDS
+from .nets.network import ARCHITECTURES
 from .reporting import (
     Manifest,
     read_matrix_csv,
@@ -40,30 +44,20 @@ from .reporting import (
     write_json,
     write_matrix_csv,
 )
-from .summarize import summarize, write_eqc_tsv, write_summary_tsv
+from .summarize import MODEL_HOPS, summarize, write_eqc_tsv, write_summary_tsv
 # perfbench/tracing.py wraps sumlife.cli.vertex_hashes by name
 from .summarize import vertex_hashes  # noqa: F401
 
 
 def _hyper(cfg: RunConfig) -> Hyper:
-    return Hyper(
-        hidden=cfg.hidden_list(),
-        dropout=cfg.dropout,
-        learning_rate=cfg.learning_rate,
-        alpha=cfg.alpha,
-        tau=cfg.tau,
-        normalize_adjacency=cfg.normalize_adjacency,
-    ).resolved(cfg.architecture)
+    """Every ``Hyper`` field from the ``RunConfig`` field of the same name; ``hidden`` is parsed."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(Hyper) if f.name != "hidden"}
+    return Hyper(hidden=cfg.hidden_list(), **values).resolved(cfg.architecture)
 
 
 def _run_fields(cfg: RunConfig) -> dict:
     """The settings a checkpoint records and must be used with again."""
-    return {
-        "model": cfg.model,
-        "include_rdf_types": cfg.include_rdf_types,
-        "degree_cap": cfg.effective_degree_cap(),
-        "degree_mode": cfg.degree_mode,
-    }
+    return {k: getattr(cfg, k) for k in RUN_FIELDS} | {"degree_cap": cfg.effective_degree_cap()}
 
 
 def _load_checkpoint_for(cfg: RunConfig, path: str):
@@ -86,6 +80,15 @@ def _load_graphs(cfg: RunConfig) -> list[tuple[str, SnapshotGraph]]:
         g = filter_high_degree(g, cap, cfg.degree_mode)
         out.append((ts, g))
     return out
+
+
+def _require_test_vertices(cfg: RunConfig, graphs: list[tuple[str, SnapshotGraph]]) -> None:
+    """Refuse a snapshot whose split has no test vertex: its accuracy would read as 0.0."""
+    for path, (ts, g) in zip(cfg.snapshots, graphs):
+        if split_sizes(g.num_vertices)[TEST] == 0:
+            raise IngestError(
+                f"{path}: snapshot {ts} has no test vertices ({g.num_vertices} vertices)"
+            )
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -187,10 +190,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
     hyper = _hyper(cfg)
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
-    trained = graphs[:1] if time_warp_ckpt is not None else graphs
-    for path, (ts, g) in zip(cfg.snapshots, trained):
-        if g.num_vertices == 0:
-            raise IngestError(f"{path}: snapshot {ts} has no vertices to train on")
+    _require_test_vertices(cfg, graphs[:1] if time_warp_ckpt is not None else graphs)
 
     if time_warp_ckpt is not None:
         with manifest.stage("time_warp"):
@@ -237,6 +237,7 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int
     manifest = Manifest("eval", cfg.to_dict())
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
+    _require_test_vertices(cfg, graphs[:1])
     with manifest.stage("eval"):
         net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         # default to the checkpoint's recorded seed so the split matches the
@@ -245,8 +246,6 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int
         seq = prepare_tasks(graphs[:1], cfg.model, seed, pred_vocab=pv,
                             class_vocab=cv, include_rdf_types=cfg.include_rdf_types)
         task = seq.tasks[0]
-        if not (task.split == TEST).any():
-            raise IngestError(f"{cfg.snapshots[0]}: snapshot {task.timestamp} has no test vertices")
         test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
         write_json(
             out / "eval.json",
@@ -281,17 +280,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--in", dest="snapshots", nargs="+", help="snapshot files or directories")
     p.add_argument("--timestamps", nargs="+", help="one label per snapshot")
-    p.add_argument("--model", choices=["ac1", "ac2"])
+    p.add_argument("--model", choices=list(MODEL_HOPS))
     p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--seed", type=int)
     p.add_argument("--degree-cap", dest="degree_cap", type=int)
-    p.add_argument("--degree-mode", dest="degree_mode", choices=["total", "out", "in"])
+    p.add_argument("--degree-mode", dest="degree_mode", choices=DEGREE_MODES)
     p.add_argument("--include-rdf-types", dest="include_rdf_types", action="store_const", const=True)
     p.add_argument("--threads", type=int)
 
 
 def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--architecture", choices=["mlp", "graph-mlp", "gcn", "gcn-edges"])
+    p.add_argument("--architecture", choices=ARCHITECTURES)
     p.add_argument("--hidden-size", dest="hidden_size")
     p.add_argument("--dropout", type=float)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
@@ -300,7 +299,7 @@ def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normalize-adjacency", dest="normalize_adjacency", action="store_const", const=True)
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-cap", dest="batch_cap", type=int)
-    p.add_argument("--restart", choices=["warm", "cold"])
+    p.add_argument("--restart", choices=RESTARTS)
     p.add_argument("--zero-init-growth", dest="zero_init_growth", action="store_const", const=True)
 
 

@@ -3,15 +3,23 @@
 Precedence: command-line flags beat the SUMLIFE_SEED environment variable,
 which beats the config file, which beats the documented defaults.  Unknown
 keys are rejected so typos fail loudly.
+
+Config-file values are coerced to their ``RunConfig`` field annotations.
+Choice lists are constants of the modules that implement them.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .ingest import DEGREE_MODES
+from .lifelong import RESTARTS
+from .nets.network import ARCHITECTURES
+from .summarize import MODEL_HOPS
 
 SEED_ENV_VAR = "SUMLIFE_SEED"
 
@@ -20,8 +28,8 @@ SEED_ENV_VAR = "SUMLIFE_SEED"
 class RunConfig:
     snapshots: list[str] = field(default_factory=list)
     timestamps: list[str] = field(default_factory=list)
-    model: str = "ac1"  # ac1 | ac2
-    architecture: str = "mlp"  # mlp | graph-mlp | gcn | gcn-edges
+    model: str = "ac1"  # a MODEL_HOPS key
+    architecture: str = "mlp"  # one of ARCHITECTURES
     hidden_size: str = ""  # e.g. "1024" or "32,32"; empty uses the architecture default
     dropout: float | None = None
     learning_rate: float | None = None
@@ -32,24 +40,26 @@ class RunConfig:
     batch_cap: int = 1000
     seed: int = 42
     degree_cap: int | None = None  # None: 100 for ac2, unlimited for ac1
-    degree_mode: str = "total"  # total | out | in
-    restart: str = "warm"  # warm | cold
+    degree_mode: str = "total"  # one of DEGREE_MODES
+    restart: str = "warm"  # one of RESTARTS
     threads: int = 1
     include_rdf_types: bool = False
     zero_init_growth: bool = False
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.model not in ("ac1", "ac2"):
+        if self.model not in MODEL_HOPS:
             raise ConfigError(f"unknown summary model {self.model!r}")
-        if self.architecture not in ("mlp", "graph-mlp", "gcn", "gcn-edges"):
+        if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.architecture == "gcn-edges" and self.model != "ac2":
             raise ConfigError(f"architecture gcn-edges needs model ac2, not {self.model!r}")
-        if self.restart not in ("warm", "cold"):
-            raise ConfigError(f"restart must be warm or cold, got {self.restart!r}")
-        if self.degree_mode not in ("total", "out", "in"):
-            raise ConfigError(f"degree_mode must be total/out/in, got {self.degree_mode!r}")
+        if self.restart not in RESTARTS:
+            raise ConfigError(f"restart must be {'/'.join(RESTARTS)}, got {self.restart!r}")
+        if self.degree_mode not in DEGREE_MODES:
+            raise ConfigError(
+                f"degree_mode must be {'/'.join(DEGREE_MODES)}, got {self.degree_mode!r}"
+            )
         if self.iterations < 1 or self.batch_cap < 1 or self.threads < 1:
             raise ConfigError("iterations, batch_cap and threads must be >= 1")
 
@@ -74,39 +84,29 @@ class RunConfig:
             raise ConfigError(f"bad hidden_size {self.hidden_size!r}") from exc
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, list) else v
-        return out
+        return asdict(self)
 
 
-_BOOL_KEYS = {"normalize_adjacency", "include_rdf_types", "zero_init_growth"}
-_INT_KEYS = {"iterations", "batch_cap", "seed", "threads"}
-_OPT_INT_KEYS = {"degree_cap"}
-_FLOAT_KEYS = {"alpha", "tau"}
-_OPT_FLOAT_KEYS = {"dropout", "learning_rate"}
-_LIST_KEYS = {"snapshots", "timestamps"}
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _coerce(key: str, raw: str):
+    """``raw`` as the type ``RunConfig`` annotates ``key`` with."""
     raw = raw.strip()
-    if key in _LIST_KEYS:
+    kind = _FIELD_TYPES[key]
+    if get_origin(kind) is list:
         return [x.strip() for x in raw.split(",") if x.strip()]
-    if key in _BOOL_KEYS:
+    (kind,) = [t for t in get_args(kind) or (kind,) if t is not type(None)]
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if key in _INT_KEYS or key in _OPT_INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    return raw
 
 
 def parse_config_file(path: str | Path) -> dict:

@@ -21,14 +21,16 @@ SPLIT_FRACTIONS = (0.93, 0.02, 0.05)
 
 
 class _Vocabulary:
-    """Ordered append-only mapping key -> stable index."""
+    """Ordered append-only mapping key -> stable index.
+
+    A subclass declares its line format once, as ``_format`` and ``_parse``;
+    files, checkpoint headers and digests all derive from that pair.
+    """
 
     def __init__(self, entries: Iterable | None = None):
         self._index: dict = {}
         self.entries: list = []
-        if entries:
-            for e in entries:
-                self.add(e)
+        self._extend(entries or ())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -48,11 +50,37 @@ class _Vocabulary:
             self.entries.append(key)
         return idx
 
+    def _extend(self, keys: Iterable) -> int:
+        before = self.width
+        for key in keys:
+            self.add(key)
+        return self.width - before
+
     def index(self, key) -> int:
         return self._index[key]
 
-    def get(self, key, default=None):
-        return self._index.get(key, default)
+    def lines(self) -> list[str]:
+        return [self._format(e) for e in self.entries]
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str]):
+        """Inverse of ``lines()``; every line is an entry, empty ones included."""
+        return cls(cls._parse(line) for line in lines)
+
+    def _bytes(self) -> bytes:
+        return "".join(f"{line}\n" for line in self.lines()).encode("utf-8")
+
+    def serialize(self, path: str | Path) -> None:
+        Path(path).write_bytes(self._bytes())
+
+    @classmethod
+    def deserialize(cls, path: str | Path):
+        text = Path(path).read_bytes().decode("utf-8")
+        return cls.from_lines(text.removesuffix("\n").split("\n") if text else [])
+
+    def digest(self) -> str:
+        """SHA-256 of the serialized file."""
+        return hashlib.sha256(self._bytes()).hexdigest()
 
 
 class PredicateVocabulary(_Vocabulary):
@@ -61,13 +89,7 @@ class PredicateVocabulary(_Vocabulary):
     def extend_from_graph(self, g: SnapshotGraph, include_rdf_types: bool = False) -> int:
         """Append this snapshot's unseen predicates in sorted IRI order."""
         mask = g.considered_mask(include_rdf_types)
-        iris = sorted(
-            g.terms.lexical(int(p)) for p in np.unique(g.edge_pred[mask])
-        )
-        before = self.width
-        for iri in iris:
-            self.add(iri)
-        return self.width - before
+        return self._extend(sorted(g.terms.lexical(int(p)) for p in np.unique(g.edge_pred[mask])))
 
     def columns(self, terms: TermTable, preds: np.ndarray) -> np.ndarray:
         """Feature column of each predicate term id, looking up each distinct one once."""
@@ -78,45 +100,20 @@ class PredicateVocabulary(_Vocabulary):
             raise ValueError(f"predicate {missing[0]!r} missing from vocabulary")
         return np.array([self.index(iri) for iri in iris], dtype=np.int64)[inverse]
 
-    def serialize(self, path: str | Path) -> None:
-        Path(path).write_text("".join(f"{e}\n" for e in self.entries), encoding="utf-8")
-
-    @classmethod
-    def deserialize(cls, path: str | Path) -> "PredicateVocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(line for line in text.splitlines() if line)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(e.encode("utf-8") + b"\n")
-        return h.hexdigest()
+    _format = _parse = staticmethod(str)
+    # perfbench/tracing.py wraps each vocabulary class's own serialize
+    serialize = _Vocabulary.serialize
 
 
 class ClassVocabulary(_Vocabulary):
     """EQC hash -> class index; width is the cumulative distinct EQCs seen."""
 
     def extend(self, hashes: Iterable[int]) -> int:
-        before = self.width
-        for h in sorted(set(int(x) for x in hashes)):
-            self.add(h)
-        return self.width - before
+        return self._extend(sorted(set(int(x) for x in hashes)))
 
-    def serialize(self, path: str | Path) -> None:
-        Path(path).write_text(
-            "".join(f"{e:016x}\n" for e in self.entries), encoding="utf-8"
-        )
-
-    @classmethod
-    def deserialize(cls, path: str | Path) -> "ClassVocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls(int(line, 16) for line in text.splitlines() if line)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(f"{e:016x}\n".encode())
-        return h.hexdigest()
+    _format = staticmethod("{:016x}".format)
+    _parse = staticmethod(lambda line: int(line, 16))
+    serialize = _Vocabulary.serialize
 
 
 def extend_vocabularies(
@@ -156,6 +153,11 @@ def _largest_remainder(n: int, fractions: Sequence[float]) -> list[int]:
     return base
 
 
+def split_sizes(n: int) -> list[int]:
+    """Train, val and test bucket sizes of an n-vertex split."""
+    return _largest_remainder(n, SPLIT_FRACTIONS)
+
+
 def split_vertices(g: SnapshotGraph, seed: int) -> np.ndarray:
     """Assign train/val/test tags (93/2/5) per vertex position.
 
@@ -169,7 +171,7 @@ def split_vertices(g: SnapshotGraph, seed: int) -> np.ndarray:
     lex = g.terms.lexical
     hashes = siphash24(key, [lex(t).encode("utf-8") for t in g.vertex_ids.tolist()])
     ranked = np.lexsort((np.arange(n), hashes))
-    n_train, n_val, _ = _largest_remainder(n, SPLIT_FRACTIONS)
+    n_train, n_val, _ = split_sizes(n)
     tags[ranked[:n_train]] = TRAIN
     tags[ranked[n_train : n_train + n_val]] = VAL
     tags[ranked[n_train + n_val :]] = TEST

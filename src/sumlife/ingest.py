@@ -34,6 +34,9 @@ from .errors import IngestError
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
+# which degree filter_high_degree caps: in + out, out or in
+DEGREE_MODES = ("total", "out", "in")
+
 IRI = "iri"
 BLANK = "blank"
 LITERAL = "literal"
@@ -335,19 +338,19 @@ def filter_high_degree(
 ) -> SnapshotGraph:
     """Remove every vertex whose degree exceeds ``cap``, with incident edges.
 
-    Single pass, no cascading re-check.  ``mode`` selects which degree is
-    capped: "total" (in+out, the default), "out" or "in".  ``cap`` of None or
-    infinity is the identity.
+    Single pass, no cascading re-check.  ``mode`` (one of ``DEGREE_MODES``)
+    selects which degree is capped.  ``cap`` of None or infinity is the
+    identity.
     """
     if cap is None or (isinstance(cap, float) and math.isinf(cap)):
         return g
     if cap < 1:
         raise ValueError("degree cap must be >= 1")
-    if mode not in ("total", "out", "in"):
+    if mode not in DEGREE_MODES:
         raise ValueError(f"unknown degree mode {mode!r}")
     out_deg = g.out_degrees()
     in_deg = g.in_degrees()
-    degree = {"total": out_deg + in_deg, "out": out_deg, "in": in_deg}[mode]
+    degree = dict(zip(DEGREE_MODES, (out_deg + in_deg, out_deg, in_deg)))[mode]
     keep_vertex = degree <= cap
     if keep_vertex.all():
         return g

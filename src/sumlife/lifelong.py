@@ -33,6 +33,9 @@ from .nets import Hyper, Network
 from .sampling import edge_as_vertex_transform, full_graph_batch, sample_batch
 from .summarize import MODEL_HOPS, vertex_hashes
 
+# how a task after the first starts: warm grows the previous network, cold reinitializes
+RESTARTS = ("warm", "cold")
+
 
 @dataclass
 class Task:
@@ -180,8 +183,8 @@ def run_sequence(
     ``threads`` workers over frozen checkpoints, so results do not depend on
     the worker count.
     """
-    if restart not in ("warm", "cold"):
-        raise ValueError(f"restart must be 'warm' or 'cold', got {restart!r}")
+    if restart not in RESTARTS:
+        raise ValueError(f"restart must be one of {RESTARTS}, got {restart!r}")
     t_count = len(seq)
     r = np.zeros((t_count, t_count), dtype=np.float64)
     checkpoints: list[Network] = []

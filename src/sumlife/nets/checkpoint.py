@@ -1,9 +1,12 @@
 """Checkpoint files: magic GSLC, version, JSON header, raw tensor payloads.
 
-The header records the architecture, dimensions, seed, the run settings the
-labels and features depend on (``RUN_FIELDS``) and both vocabularies (entries
-plus digests); payloads follow in the header's declared order as
-little-endian row-major float64 bytes, so round-trips are bit-exact.
+The header records the architecture, dimensions, seed, every ``Hyper``
+field, the run settings the labels and features depend on (``RUN_FIELDS``)
+and both vocabularies, each as the lines of its vocabulary file plus the
+SHA-256 digest of that file; payloads follow in the header's declared order
+as little-endian row-major float64 bytes, so round-trips are bit-exact.
+``RUN_FIELDS`` and ``_HYPER_FIELDS`` give the types a header field must have,
+because the header is outside input.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
 missing or ill-typed header field, a vocabulary that does not match its
 digest) raises ``CheckpointError``.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -60,22 +64,15 @@ def save_checkpoint(
     header = {
         "format_version": FORMAT_VERSION,
         "architecture": network.arch,
-        "hyper": {
-            "hidden": network.hyper.hidden,
-            "dropout": network.hyper.dropout,
-            "learning_rate": network.hyper.learning_rate,
-            "alpha": network.hyper.alpha,
-            "tau": network.hyper.tau,
-            "normalize_adjacency": network.hyper.normalize_adjacency,
-        },
+        "hyper": asdict(network.hyper),
         "n_in": network.n_in,
         "n_classes": network.n_classes,
         "seed": seed,
         **{k: run[k] for k in RUN_FIELDS},
         "dtype": dtype,
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
-        "predicate_vocab": list(pred_vocab.entries),
-        "class_vocab": [f"{h:016x}" for h in class_vocab.entries],
+        "predicate_vocab": pred_vocab.lines(),
+        "class_vocab": class_vocab.lines(),
         "vocab_digests": {
             "predicates": pred_vocab.digest(),
             "classes": class_vocab.digest(),
@@ -148,18 +145,9 @@ def _from_header(fh, path, header: dict):
         params = GcnParams(
             layers=[tensors[f"w{i}"] for i in range(n_layers)], w_cls=tensors["w_cls"]
         )
-    h = header["hyper"]
-    hyper = Hyper(
-        hidden=list(h["hidden"]),
-        dropout=h["dropout"],
-        learning_rate=h["learning_rate"],
-        alpha=h["alpha"],
-        tau=h["tau"],
-        normalize_adjacency=h["normalize_adjacency"],
-    )
-    network = Network(arch, params, hyper)
-    pred_vocab = PredicateVocabulary(header["predicate_vocab"])
-    class_vocab = ClassVocabulary(int(x, 16) for x in header["class_vocab"])
+    network = Network(arch, params, Hyper(**header["hyper"]))
+    pred_vocab = PredicateVocabulary.from_lines(header["predicate_vocab"])
+    class_vocab = ClassVocabulary.from_lines(header["class_vocab"])
     digests = header["vocab_digests"]
     for kind, vocab in (("predicates", pred_vocab), ("classes", class_vocab)):
         if vocab.digest() != digests[kind]:

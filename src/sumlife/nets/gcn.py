@@ -119,13 +119,12 @@ def gcn_forward(
     hs = [x]
     pre = []
     masks = []
-    gen = rng if rng is not None else np.random.default_rng()
     h = x
     for w in params.layers:
         p = adj @ (h @ w)
         h = relu(p)
         if train_mode:
-            mask = dropout_mask(gen, h.shape, dropout)
+            mask = dropout_mask(rng, h.shape, dropout)
             h = h * mask
             masks.append(mask)
         pre.append(p)

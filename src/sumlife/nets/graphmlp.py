@@ -54,7 +54,7 @@ def graphmlp_forward(
     a0 = x @ params.w0
     g = gelu(a0)
     if train_mode:
-        mask = dropout_mask(rng if rng is not None else np.random.default_rng(), g.shape, dropout)
+        mask = dropout_mask(rng, g.shape, dropout)
     else:
         mask = 1.0
     x1 = g * mask

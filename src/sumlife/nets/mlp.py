@@ -54,7 +54,7 @@ def mlp_forward(
     a = x @ params.w0 + params.b0
     h = relu(a)
     if train_mode:
-        mask = dropout_mask(rng if rng is not None else np.random.default_rng(), h.shape, dropout)
+        mask = dropout_mask(rng, h.shape, dropout)
         hd = h * mask
         logits = hd @ params.w_out + params.b_out
         return logits, {"x": x, "a": a, "mask": mask, "hd": hd}

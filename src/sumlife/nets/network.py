@@ -9,7 +9,7 @@ hidden layers).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .losses import cross_entropy, ncontrast_loss
 from .mlp import MlpParams, grow_mlp, init_mlp, mlp_backward, mlp_forward
 from .ops import assert_finite
 
-ARCHITECTURES = ("mlp", "graph-mlp", "gcn", "gcn-edges")
-
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
     "mlp": ([1024], 0.5, 0.01),
@@ -30,6 +28,7 @@ ARCH_DEFAULTS = {
     "gcn": ([64], 0.0, 0.1),
     "gcn-edges": ([32, 32], 0.0, 0.1),
 }
+ARCHITECTURES = tuple(ARCH_DEFAULTS)
 
 
 @dataclass
@@ -45,13 +44,11 @@ class Hyper:
 
     def resolved(self, arch: str) -> "Hyper":
         d_hidden, d_drop, d_lr = ARCH_DEFAULTS[arch]
-        return Hyper(
-            hidden=list(self.hidden) if self.hidden is not None else list(d_hidden),
+        return replace(
+            self,
+            hidden=list(self.hidden if self.hidden is not None else d_hidden),
             dropout=self.dropout if self.dropout is not None else d_drop,
             learning_rate=self.learning_rate if self.learning_rate is not None else d_lr,
-            alpha=self.alpha,
-            tau=self.tau,
-            normalize_adjacency=self.normalize_adjacency,
         )
 
 

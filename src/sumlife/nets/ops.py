@@ -36,8 +36,10 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
 
 
-def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+def dropout_mask(rng: np.random.Generator | None, shape: tuple[int, ...], rate: float) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate)."""
+    if rng is None:  # every train-mode forward pass draws here: never unseeded
+        raise ValueError("train mode needs a seeded rng for its dropout mask")
     if rate <= 0.0:
         return np.ones(shape, dtype=np.float64)
     if rate >= 1.0:

@@ -114,7 +114,6 @@ class SummaryGraph:
     eqcs: frozenset[int]
     secondary: frozenset[tuple[str, int]]
     summary_edges: frozenset[tuple[int, str, int]]  # (source eqc, predicate, child hash)
-    predicates: frozenset[str]
     predicate_usage: dict[str, int]
 
     @property
@@ -324,7 +323,6 @@ def summarize(
         eqcs=frozenset(members),
         secondary=frozenset(secondary),
         summary_edges=frozenset(edges),
-        predicates=frozenset(usage),
         predicate_usage=usage,
     )
     return summary, ext

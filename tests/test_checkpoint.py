@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -150,3 +151,28 @@ def test_tensor_shape_beyond_payload_rejected(tmp_path):
     rewrite_header(p, setting("tensors", [{"name": "w0", "shape": [2**62]}]))
     with pytest.raises(CheckpointError, match="truncated payload"):
         load_checkpoint(p)
+
+
+def read_header(path):
+    data = path.read_bytes()
+    return json.loads(data[12 : 12 + int.from_bytes(data[8:12], "little")])
+
+
+def test_header_hyper_keys_are_the_hyper_fields(tmp_path):
+    p = saved(tmp_path, "graph-mlp")
+    hyper = read_header(p)["hyper"]
+    assert sorted(hyper) == sorted(f.name for f in fields(Hyper))
+    loaded, _, _, _ = load_checkpoint(p)
+    assert asdict(loaded.hyper) == hyper
+
+
+def test_empty_predicate_iri_survives_checkpoint(tmp_path):
+    pv = PredicateVocabulary(["http://p", "", "http://q"])
+    cv = ClassVocabulary([3, 0])
+    p = tmp_path / "m.gslc"
+    save_checkpoint(p, make_net(n_in=3, n_classes=2), pv, cv, seed=1, run=RUN)
+    assert read_header(p)["predicate_vocab"] == ["http://p", "", "http://q"]
+    _, pv2, cv2, _ = load_checkpoint(p)
+    assert pv2.entries == pv.entries and cv2.entries == cv.entries
+    pv2.serialize(tmp_path / "p.vocab")
+    assert PredicateVocabulary.deserialize(tmp_path / "p.vocab").entries == pv.entries

@@ -1,9 +1,13 @@
+import gzip
 import json
+from dataclasses import fields
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
-from sumlife.cli import main
-from sumlife.config import build_config, parse_config_file
+from sumlife.cli import _parser, main
+from sumlife.config import RunConfig, build_config, parse_config_file
 from sumlife.errors import ConfigError
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 
@@ -368,24 +372,38 @@ def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):
         build_config(None, {"architecture": "gcn-edges"})
 
 
-def test_lifelong_empty_test_splits_leave_omega_null(tmp_path, capsys):
-    # five vertices split 5/0/0, so every cell of R is 0
+def test_lifelong_empty_test_splits_leave_omega_null(tmp_path, snapshot_files, capsys):
+    # five vertices split 5/0/0, so no test vertex could be scored
     paths = []
+    (tmp_path / "small").mkdir()
     for day in (6, 7):
-        path = tmp_path / f"2012-05-0{day}.nt"
+        path = tmp_path / "small" / f"2012-05-0{day}.nt"
         write_ntriples(path, [(f"http://d{day}v{i}", "http://p", f"http://d{day}v{i + 1}")
                               for i in range(4)])
         paths.append(str(path))
     out = tmp_path / "run"
     assert main(["lifelong", "--model", "ac1", "--in", *paths, "--out", str(out),
+                 "--iterations", "2"]) == 1
+    err = _one_error_line(capsys)
+    assert paths[0] in err and "2012-05-06" in err
+    assert not (out / "R.csv").exists()
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
                  "--iterations", "2"]) == 0
-    assert main(["report", "--matrix", str(out / "R.csv"), "--out", str(tmp_path / "re")]) == 0
-    for report_dir in (out, tmp_path / "re"):
-        report = json.loads((report_dir / "report.json").read_text())
-        assert report["alpha_ideal"] == 0.0
-        assert report["omega_base"] is None and report["omega_new"] is None
-        assert report["omega_all"] is None
-        assert report["bwt"] == 0.0 and report["forgetting"] == {"2": 0.0}
+    capsys.readouterr()
+    assert main(["lifelong", "--model", "ac1", "--in", paths[1], "--time-warp",
+                 str(out / "task00.gslc"), "--iterations", "2", "--out", str(tmp_path / "tw")]) == 1
+    err = _one_error_line(capsys)
+    assert paths[1] in err and "2012-05-07" in err
+    assert not (tmp_path / "tw" / "timewarp.json").exists()
+    # an all-zero diagonal still reports null omegas
+    matrix = tmp_path / "R.csv"
+    matrix.write_text("trained_through,a,b\na,0.0,0.0\nb,0.0,0.0\n")
+    assert main(["report", "--matrix", str(matrix), "--out", str(tmp_path / "re")]) == 0
+    report = json.loads((tmp_path / "re" / "report.json").read_text())
+    assert report["alpha_ideal"] == 0.0
+    assert report["omega_base"] is None and report["omega_new"] is None
+    assert report["omega_all"] is None
+    assert report["bwt"] == 0.0 and report["forgetting"] == {"2": 0.0}
     assert capsys.readouterr().err == ""
 
 
@@ -404,3 +422,76 @@ def test_cmd_eval_snapshot_without_test_vertices_exits_1(tmp_path, snapshot_file
                      str(out / "task00.gslc"), "--out", str(tmp_path / "o")]) == 1
         assert str(path) in _one_error_line(capsys)
     assert not (tmp_path / "o" / "eval.json").exists()
+
+
+def test_truncated_gz_snapshot_exits_1(tmp_path, snapshot_files, capsys):
+    data = gzip.compress(Path(snapshot_files[0]).read_bytes())
+    path = tmp_path / "2012-05-08.nt.gz"
+    path.write_bytes(data[: len(data) // 2])
+    for argv in (
+        ["summarize", "--model", "ac1", "--in", str(path)],
+        ["lifelong", "--model", "ac1", "--in", snapshot_files[0], str(path), "--iterations", "2"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert str(path) in _one_error_line(capsys)
+
+
+def test_empty_snapshot_directory_exits_1(tmp_path, snapshot_files, capsys):
+    path = tmp_path / "2012-05-08"
+    path.mkdir()
+    for argv in (
+        ["summarize", "--model", "ac1", "--in", str(path)],
+        ["lifelong", "--model", "ac1", "--in", snapshot_files[0], str(path), "--iterations", "2"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert "snapshot directory is empty" in _one_error_line(capsys)
+
+
+def test_every_run_config_field_has_a_lifelong_flag():
+    sub = next(a for a in _parser()._actions if a.dest == "command")
+    dests = {a.dest for a in sub.choices["lifelong"]._actions}
+    assert {f.name for f in fields(RunConfig)} <= dests
+
+
+def test_every_config_key_coerces_to_its_annotated_type(tmp_path):
+    expected = {
+        "snapshots": ["a.nt", "b.nt"],
+        "timestamps": ["t1", "t2"],
+        "model": "ac2",
+        "architecture": "gcn",
+        "hidden_size": "32,32",
+        "dropout": 0.25,
+        "learning_rate": 0.05,
+        "alpha": 0.5,
+        "tau": 1.5,
+        "normalize_adjacency": True,
+        "iterations": 7,
+        "batch_cap": 64,
+        "seed": 9,
+        "degree_cap": 50,
+        "degree_mode": "out",
+        "restart": "cold",
+        "threads": 2,
+        "include_rdf_types": True,
+        "zero_init_growth": False,
+        "out_dir": "o",
+    }
+    assert set(expected) == {f.name for f in fields(RunConfig)}
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "snapshots = a.nt, b.nt\ntimestamps = t1,t2\nmodel = ac2\narchitecture = gcn\n"
+        "hidden_size = 32,32\ndropout = 0.25\nlearning_rate = 0.05\nalpha = 0.5\n"
+        "tau = 1.5\nnormalize_adjacency = yes\niterations = 7\nbatch_cap = 64\nseed = 9\n"
+        "degree_cap = 50\ndegree_mode = out\nrestart = cold\nthreads = 2\n"
+        "include_rdf_types = 1\nzero_init_growth = false\nout_dir = o\n"
+    )
+    values = parse_config_file(cfg_file)
+    assert values == expected
+    hints = get_type_hints(RunConfig)
+    for key, value in values.items():
+        kind = hints[key]
+        if get_origin(kind) is list:
+            assert all(type(v) is str for v in value), key
+        else:
+            assert type(value) in (get_args(kind) or (kind,)), key
+    assert build_config(cfg_file, {}).to_dict() == expected

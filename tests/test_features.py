@@ -9,6 +9,7 @@ from sumlife.features import (
     PredicateVocabulary,
     encode_features,
     extend_vocabularies,
+    split_sizes,
     split_vertices,
 )
 import sumlife.features as features
@@ -158,6 +159,26 @@ def test_split_rounding_small():
     sizes = [(tags == k).sum() for k in (TRAIN, VAL, TEST)]
     assert sum(sizes) == 10
     assert sizes[0] >= 9  # 9.3 -> 9 or 10 by largest remainder
+
+
+def test_split_has_a_test_vertex_from_nine_vertices():
+    assert [n for n in range(40) if split_sizes(n)[TEST] == 0] == list(range(9))
+    for n in (8, 9):
+        tags = split_vertices(make_n_vertices(n), 0)
+        assert [int((tags == k).sum()) for k in (TRAIN, VAL, TEST)] == split_sizes(n)
+
+
+def test_vocabulary_file_keeps_empty_lines(tmp_path):
+    pv = PredicateVocabulary(["http://p", "", "http://q"])
+    pv.serialize(tmp_path / "p.vocab")
+    assert (tmp_path / "p.vocab").read_bytes() == b"http://p\n\nhttp://q\n"
+    back = PredicateVocabulary.deserialize(tmp_path / "p.vocab")
+    assert back.entries == ["http://p", "", "http://q"]
+    assert back.digest() == pv.digest()
+    assert PredicateVocabulary.from_lines(pv.lines()).entries == pv.entries
+    for vocab in (PredicateVocabulary(), PredicateVocabulary([""]), ClassVocabulary([0, 2**64 - 1])):
+        vocab.serialize(tmp_path / "v.vocab")
+        assert type(vocab).deserialize(tmp_path / "v.vocab").entries == vocab.entries
 
 
 def _oracle_split(g, seed, coarsen=0):

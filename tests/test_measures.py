@@ -21,7 +21,6 @@ def fake_summary(eqcs, edges=(), model="ac1", usage=None):
         eqcs=frozenset(eqcs),
         secondary=frozenset((p, c) for _, p, c in edges),
         summary_edges=frozenset(edges),
-        predicates=frozenset(usage or {}),
         predicate_usage=dict(usage or {}),
     )
 

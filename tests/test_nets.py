@@ -44,6 +44,25 @@ def test_dropout_mask_deterministic():
     assert np.allclose(kept, 2.0)  # inverted scaling at rate 0.5
 
 
+def test_train_mode_needs_an_rng():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 4))
+    mlp = init_mlp(rng, 4, 8, 3)
+    graphmlp = init_graphmlp(rng, 4, 8, 3)
+    gcn = init_gcn(rng, 4, [8], 3)
+    adj = batch_adjacency(3, np.array([0, 1]), np.array([1, 2]))
+    for forward in (
+        lambda *a: mlp_forward(mlp, x, *a),
+        lambda *a: graphmlp_forward(graphmlp, x, *a),
+        lambda *a: gcn_forward(gcn, x, adj, *a),
+    ):
+        forward()  # eval mode draws nothing
+        forward(True, 0.5, np.random.default_rng(1))
+        for dropout in (0.0, 0.5):
+            with pytest.raises(ValueError, match="rng"):
+                forward(True, dropout)
+
+
 def test_shape_mismatch_errors():
     p = init_mlp(np.random.default_rng(0), 4, 8, 3)
     with pytest.raises(ValueError):
