@@ -2,13 +2,13 @@
 
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
 --out directory; reruns with equal configuration and seed produce
-byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an
-unreadable checkpoint or snapshot file, an empty snapshot directory and a
-``lifelong`` or ``eval`` snapshot whose 93/2/5 split has no test vertex,
-which is any snapshot of fewer than 9 vertices), 2 configuration
-(including ``gcn-edges`` with a model other than ac2 and a checkpoint
-trained for another summary model, degree cap, degree mode or rdf:type
-setting), 3 numerical failure.
+byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an unreadable
+checkpoint, snapshot or ``report --matrix`` file, an empty snapshot directory
+and a ``lifelong`` or ``eval`` snapshot whose 93/2/5 split has no test vertex,
+which is any snapshot of fewer than 9 vertices), 2 configuration (including
+``gcn-edges`` with a model other than ac2, a checkpoint trained for another
+summary model, degree cap, degree mode or rdf:type setting, and more than one
+snapshot for ``eval`` or ``lifelong --time-warp``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 from .config import SEED_ENV_VAR, RunConfig, build_config, parse_config_file
 from .errors import CheckpointError, ConfigError, IngestError, NumericalError
 from .features import TEST, split_sizes
-from .ingest import DEGREE_MODES, SnapshotGraph, filter_high_degree, load_snapshot
+from .ingest import DEGREE_MODES, SnapshotGraph, drop_rdf_types, filter_high_degree, load_snapshot
 from .lifelong import (
     RESTARTS,
     LifelongReport,
@@ -71,6 +71,7 @@ def _load_checkpoint_for(cfg: RunConfig, path: str):
 
 
 def _load_graphs(cfg: RunConfig) -> list[tuple[str, SnapshotGraph]]:
+    """Load and cap each snapshot, then drop its rdf:type edges unless the run includes them."""
     if not cfg.snapshots:
         raise ConfigError("no snapshots given")
     cap = cfg.effective_degree_cap()
@@ -78,8 +79,16 @@ def _load_graphs(cfg: RunConfig) -> list[tuple[str, SnapshotGraph]]:
     for path, ts in zip(cfg.snapshots, cfg.effective_timestamps()):
         g = load_snapshot(path, ts)
         g = filter_high_degree(g, cap, cfg.degree_mode)
+        if not cfg.include_rdf_types:
+            g = drop_rdf_types(g)
         out.append((ts, g))
     return out
+
+
+def _one_snapshot(cfg: RunConfig, command: str) -> None:
+    """Refuse snapshots that ``command`` would load and then ignore."""
+    if cfg.snapshots and len(cfg.snapshots) > 1:
+        raise ConfigError(f"{command} takes one snapshot, got {len(cfg.snapshots)}")
 
 
 def _require_test_vertices(cfg: RunConfig, graphs: list[tuple[str, SnapshotGraph]]) -> None:
@@ -104,7 +113,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
         graphs = _load_graphs(cfg)
     ts, g = graphs[0]
     with manifest.stage("summarize"):
-        summary, ext = summarize(g, cfg.model, cfg.include_rdf_types)
+        summary, ext = summarize(g, cfg.model)
     with manifest.stage("emit"):
         stats = unary_stats(summary, ext) if summary.num_primary else None
         write_eqc_tsv(out / "eqcs.tsv", g, ext)
@@ -141,7 +150,7 @@ def cmd_diff(cfg: RunConfig) -> int:
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
     with manifest.stage("summarize"):
-        summaries = [summarize(g, cfg.model, cfg.include_rdf_types) for _, g in graphs]
+        summaries = [summarize(g, cfg.model) for _, g in graphs]
     with manifest.stage("measure"):
         track = meta_track(summaries)
         records = []
@@ -185,19 +194,21 @@ def cmd_diff(cfg: RunConfig) -> int:
 
 
 def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
+    if time_warp_ckpt is not None:
+        _one_snapshot(cfg, "lifelong --time-warp")
     out = _out_dir(cfg)
     manifest = Manifest("lifelong", cfg.to_dict())
     hyper = _hyper(cfg)
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
-    _require_test_vertices(cfg, graphs[:1] if time_warp_ckpt is not None else graphs)
+    _require_test_vertices(cfg, graphs)
 
     if time_warp_ckpt is not None:
         with manifest.stage("time_warp"):
             old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
             result = time_warp(
                 old_net, old_pv, old_cv, graphs[0], cfg.model, cfg.architecture,
-                hyper, cfg.seed, cfg.iterations, cfg.batch_cap, cfg.include_rdf_types,
+                hyper, cfg.seed, cfg.iterations, cfg.batch_cap,
             )
             write_json(out / "timewarp.json", result)
             manifest.record_output(out / "timewarp.json")
@@ -205,7 +216,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
         return 0
 
     with manifest.stage("prepare"):
-        seq = prepare_tasks(graphs, cfg.model, cfg.seed, include_rdf_types=cfg.include_rdf_types)
+        seq = prepare_tasks(graphs, cfg.model, cfg.seed)
     with manifest.stage("train"):
         checkpoints, r, diagnostics = run_sequence(
             seq, cfg.architecture, hyper, cfg.restart, cfg.seed,
@@ -233,18 +244,18 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int:
+    _one_snapshot(cfg, "eval")
     out = _out_dir(cfg)
     manifest = Manifest("eval", cfg.to_dict())
     with manifest.stage("ingest"):
         graphs = _load_graphs(cfg)
-    _require_test_vertices(cfg, graphs[:1])
+    _require_test_vertices(cfg, graphs)
     with manifest.stage("eval"):
         net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         # default to the checkpoint's recorded seed so the split matches the
         # run that produced it; an explicit seed still wins
         seed = cfg.seed if seed_explicit else header["seed"]
-        seq = prepare_tasks(graphs[:1], cfg.model, seed, pred_vocab=pv,
-                            class_vocab=cv, include_rdf_types=cfg.include_rdf_types)
+        seq = prepare_tasks(graphs, cfg.model, seed, pred_vocab=pv, class_vocab=cv)
         task = seq.tasks[0]
         test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
         write_json(

@@ -12,7 +12,7 @@ class SumlifeError(Exception):
 
 
 class IngestError(SumlifeError):
-    """Fatal I/O problem while reading snapshot data."""
+    """Fatal I/O problem while reading snapshot data or a result matrix."""
 
 
 class CheckpointError(SumlifeError):

@@ -2,7 +2,9 @@
 
 Vocabulary indices are append-only and never reassigned, so feature columns
 and class indices stay valid across snapshots; serialized vocabularies from
-an earlier task are always a prefix of later ones.
+an earlier task are always a prefix of later ones.  Predicates and features
+come from every edge of the given graph: a run without rdf:type edges gets a
+graph that ``ingest.drop_rdf_types`` has already cut.
 """
 
 from __future__ import annotations
@@ -86,10 +88,9 @@ class _Vocabulary:
 class PredicateVocabulary(_Vocabulary):
     """Predicate IRI -> feature column."""
 
-    def extend_from_graph(self, g: SnapshotGraph, include_rdf_types: bool = False) -> int:
+    def extend_from_graph(self, g: SnapshotGraph) -> int:
         """Append this snapshot's unseen predicates in sorted IRI order."""
-        mask = g.considered_mask(include_rdf_types)
-        return self._extend(sorted(g.terms.lexical(int(p)) for p in np.unique(g.edge_pred[mask])))
+        return self._extend(sorted(g.terms.lexical(int(p)) for p in np.unique(g.edge_pred)))
 
     def columns(self, terms: TermTable, preds: np.ndarray) -> np.ndarray:
         """Feature column of each predicate term id, looking up each distinct one once."""
@@ -121,25 +122,21 @@ def extend_vocabularies(
     eqc_hashes: Iterable[int],
     pred_vocab: PredicateVocabulary,
     class_vocab: ClassVocabulary,
-    include_rdf_types: bool = False,
 ) -> tuple[PredicateVocabulary, ClassVocabulary]:
     """Grow both vocabularies with one snapshot's predicates and EQCs."""
-    pred_vocab.extend_from_graph(g, include_rdf_types)
+    pred_vocab.extend_from_graph(g)
     class_vocab.extend(eqc_hashes)
     return pred_vocab, class_vocab
 
 
-def encode_features(
-    g: SnapshotGraph, vocab: PredicateVocabulary, include_rdf_types: bool = False
-) -> np.ndarray:
+def encode_features(g: SnapshotGraph, vocab: PredicateVocabulary) -> np.ndarray:
     """Multi-hot outgoing-predicate matrix, one row per vertex position.
 
-    Multiplicity is ignored; sinks get zero rows.  Every considered predicate
-    must already be in the vocabulary.
+    Multiplicity is ignored; sinks get zero rows.  Every predicate must
+    already be in the vocabulary.
     """
     x = np.zeros((g.num_vertices, vocab.width), dtype=np.float64)
-    mask = g.considered_mask(include_rdf_types)
-    x[g.edge_sources()[mask], vocab.columns(g.terms, g.edge_pred[mask])] = 1.0
+    x[g.edge_sources(), vocab.columns(g.terms, g.edge_pred)] = 1.0
     return x
 
 

@@ -15,6 +15,10 @@ datatype/language suffix) and behave as sink vertices.
 The finished :class:`SnapshotGraph` is immutable: edges live in CSR arrays
 keyed by vertex *position* (0..n-1), with each vertex's out-edges sorted by
 (predicate id, object id) and free of duplicates.
+
+rdf:type statements are loaded like any other and count for the degree cap;
+:func:`drop_rdf_types` then removes them from the capped graph unless the run
+includes them, so every consumer downstream uses all edges it is given.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ class SnapshotGraph:
 
     Vertices are the term ids appearing in subject or object position; edge
     endpoints are stored as positions into the sorted ``vertex_ids`` array.
-    rdf:type edges are kept but flagged so downstream consumers can skip them.
+    ``edge_count`` counts statements, rdf:type included (see :func:`drop_rdf_types`).
     """
 
     __slots__ = (
@@ -134,7 +138,6 @@ class SnapshotGraph:
         "indptr",
         "edge_pred",
         "edge_obj",
-        "edge_is_type",
         "edge_count",
         "skip_reasons",
     )
@@ -147,7 +150,6 @@ class SnapshotGraph:
         indptr: np.ndarray,
         edge_pred: np.ndarray,
         edge_obj: np.ndarray,
-        edge_is_type: np.ndarray,
         skip_reasons: Counter | None = None,
     ):
         self.timestamp = timestamp
@@ -156,7 +158,6 @@ class SnapshotGraph:
         self.indptr = indptr
         self.edge_pred = edge_pred
         self.edge_obj = edge_obj
-        self.edge_is_type = edge_is_type
         self.edge_count = int(len(edge_pred))
         self.skip_reasons = skip_reasons if skip_reasons is not None else Counter()
 
@@ -199,22 +200,13 @@ class SnapshotGraph:
         return np.diff(self.indptr)
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        if len(self.edge_obj):
-            np.add.at(deg, self.edge_obj, 1)
-        return deg
+        return np.bincount(self.edge_obj, minlength=self.num_vertices)
 
     def edge_sources(self) -> np.ndarray:
         """Per-edge source positions expanded from the CSR index."""
         return np.repeat(
             np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
         )
-
-    def considered_mask(self, include_rdf_types: bool = False) -> np.ndarray:
-        """Edge mask used by summarization/features (drops rdf:type by default)."""
-        if include_rdf_types:
-            return np.ones(self.edge_count, dtype=bool)
-        return ~self.edge_is_type
 
     # -- construction ------------------------------------------------------
 
@@ -251,12 +243,10 @@ class SnapshotGraph:
             skips["duplicate"] += duplicates
         s, p, o = s[keep], p[keep], o[keep]
         indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-        np.add.at(indptr, np.searchsorted(vertex_ids, s) + 1, 1)
+        indptr[1:] = np.bincount(np.searchsorted(vertex_ids, s), minlength=len(vertex_ids))
         np.cumsum(indptr, out=indptr)
         obj_pos = np.searchsorted(vertex_ids, o)
-        type_id = terms.lookup(IRI, RDF_TYPE_IRI)
-        is_type = (p == type_id) if type_id is not None else np.zeros(len(p), dtype=bool)
-        return cls(timestamp, terms, vertex_ids, indptr, p, obj_pos, is_type, skips)
+        return cls(timestamp, terms, vertex_ids, indptr, p, obj_pos, skips)
 
 
 def build_snapshot(
@@ -354,14 +344,29 @@ def filter_high_degree(
     keep_vertex = degree <= cap
     if keep_vertex.all():
         return g
-    src = g.edge_sources()
-    keep_edge = keep_vertex[src] & keep_vertex[g.edge_obj]
+    keep_edge = keep_vertex[g.edge_sources()] & keep_vertex[g.edge_obj]
+    return _keep_edges(g, keep_edge, g.vertex_ids[keep_vertex])
+
+
+def drop_rdf_types(g: SnapshotGraph) -> SnapshotGraph:
+    """``g`` without its rdf:type edges, every vertex kept.
+
+    A class IRI that is only an rdf:type object stays as a sink.  Edge order
+    within each vertex is unchanged.  ``edge_count`` carries over from ``g``,
+    so it still counts the rdf:type statements.
+    """
+    type_id = g.terms.lookup(IRI, RDF_TYPE_IRI)
+    if type_id is None:
+        return g
+    out = _keep_edges(g, g.edge_pred != type_id, g.vertex_ids)
+    out.edge_count = g.edge_count
+    return out
+
+
+def _keep_edges(g: SnapshotGraph, keep: np.ndarray, vertex_ids: np.ndarray) -> SnapshotGraph:
+    """``g`` rebuilt from the edges ``keep`` marks, over ``vertex_ids``."""
+    subjects, objects = g.vertex_ids[g.edge_sources()[keep]], g.vertex_ids[g.edge_obj[keep]]
     return SnapshotGraph.from_term_edges(
-        g.timestamp,
-        g.terms,
-        g.vertex_ids[src[keep_edge]],
-        g.edge_pred[keep_edge],
-        g.vertex_ids[g.edge_obj[keep_edge]],
-        Counter(g.skip_reasons),
-        vertex_ids=g.vertex_ids[keep_vertex],
+        g.timestamp, g.terms, subjects, g.edge_pred[keep], objects, Counter(g.skip_reasons),
+        vertex_ids=vertex_ids,
     )

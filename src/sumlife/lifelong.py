@@ -55,7 +55,6 @@ class TaskSequence:
     pred_vocab: PredicateVocabulary
     class_vocab: ClassVocabulary
     model: str
-    include_rdf_types: bool = False  # rdf:type edges count for labels, features and batches
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -67,7 +66,6 @@ def prepare_tasks(
     seed: int,
     pred_vocab: PredicateVocabulary | None = None,
     class_vocab: ClassVocabulary | None = None,
-    include_rdf_types: bool = False,
 ) -> TaskSequence:
     """Summarize each snapshot, grow the vocabularies, attach splits/features."""
     timestamps = [t for t, _ in snapshots]
@@ -77,8 +75,8 @@ def prepare_tasks(
     cv = class_vocab if class_vocab is not None else ClassVocabulary()
     staged = []
     for index, (timestamp, g) in enumerate(snapshots):
-        hashes = vertex_hashes(g, model, include_rdf_types)
-        extend_vocabularies(g, hashes, pv, cv, include_rdf_types)
+        hashes = vertex_hashes(g, model)
+        extend_vocabularies(g, hashes, pv, cv)
         staged.append((index, timestamp, g, hashes, pv.width, cv.width))
     tasks = []
     for index, timestamp, g, hashes, pw, cw in staged:
@@ -92,11 +90,10 @@ def prepare_tasks(
                 split=split_vertices(g, seed),
                 pred_width=pw,
                 class_width=cw,
-                features=encode_features(g, pv, include_rdf_types),
+                features=encode_features(g, pv),
             )
         )
-    return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model,
-                        include_rdf_types=include_rdf_types)
+    return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model)
 
 
 def _task_rng(seed: int, task_index: int) -> np.random.Generator:
@@ -124,9 +121,7 @@ def evaluate_network(
         pred = np.argmax(logits, axis=1)
     else:
         # k is batch metadata here; 2 keeps the edge-as-vertex path legal
-        batch = full_graph_batch(
-            task.graph, task.labels, task.features, 2, seq.include_rdf_types
-        )
+        batch = full_graph_batch(task.graph, task.labels, task.features, 2)
         if net.arch == "gcn-edges":
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)
         logits = net.batch_logits(batch)
@@ -150,8 +145,7 @@ def _train_on_task(
     val_curve = []
     for step in range(iterations):
         batch = sample_batch(
-            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng,
-            include_rdf_types=seq.include_rdf_types,
+            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng
         )
         if net.arch == "gcn-edges":
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)
@@ -341,13 +335,10 @@ def time_warp(
     seed: int = 42,
     iterations: int = 100,
     batch_cap: int = 1000,
-    include_rdf_types: bool = False,
 ) -> dict:
     """Frozen / retrained / from-scratch comparison on a distant new task."""
     seq = prepare_tasks(
-        [new_snapshot], model, seed,
-        pred_vocab=old_pred_vocab, class_vocab=old_class_vocab,
-        include_rdf_types=include_rdf_types,
+        [new_snapshot], model, seed, pred_vocab=old_pred_vocab, class_vocab=old_class_vocab
     )
     task = seq.tasks[0]
 

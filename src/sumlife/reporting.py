@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import IngestError
 
 
 def _code_digest() -> str:
@@ -56,18 +57,25 @@ def write_matrix_csv(path: str | Path, r: np.ndarray, labels: list[str]) -> None
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Inverse of ``write_matrix_csv``; a file that is not a square matrix
+    of finite numbers raises ``IngestError`` naming it."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8: {exc}") from exc
     if not lines:
-        raise ValueError(f"{path}: empty matrix file")
+        raise IngestError(f"{path}: empty matrix file")
     labels = lines[0].split(",")[1:]
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        rows.append([float(x) for x in line.split(",")[1:]])
-    r = np.array(rows, dtype=np.float64)
-    if r.shape[0] != len(labels) or (r.size and r.shape[1] != len(labels)):
-        raise ValueError(f"{path}: matrix is not square")
+    rows = [line.split(",")[1:] for line in lines[1:] if line]
+    widths = [len(row) for row in rows]
+    if not labels or widths != [len(labels)] * len(labels):
+        raise IngestError(f"{path}: matrix is not square: {len(labels)} labels, row widths {widths}")
+    try:
+        r = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+    if not np.isfinite(r).all():
+        raise IngestError(f"{path}: a cell is not a finite number")
     return r, labels
 
 

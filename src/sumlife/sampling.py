@@ -10,7 +10,9 @@ exceeds the cap, so hub-heavy graphs still make progress.
 ``_induced_edges`` builds the edges of sampled and full-graph batches alike
 from CSR slices and one global-to-local position array.  The closure walk
 stays Python: 2-hop closures hold a few vertices, where a numpy gather per
-closure measured about 20x slower.
+closure measured about 20x slower.  Closures and batches use every edge of
+the given graph; whether rdf:type edges are among them was decided when the
+graph was built (``ingest.drop_rdf_types``).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ class Subgraph:
 
     ``vertices`` holds unique global positions, accepted targets first.
     ``target_idx`` are local indices of the drawn targets and may repeat;
-    ``labels`` aligns with it.  Edges are the induced (considered) edges among
-    batch vertices; ``edge_pred`` carries predicate term ids (-1 after the
+    ``labels`` aligns with it.  Edges are the induced edges among batch
+    vertices; ``edge_pred`` carries predicate term ids (-1 after the
     edge-as-vertex transform, where predicates become vertices).
     """
 
@@ -78,8 +80,8 @@ def _target_distribution(labels: np.ndarray, train_positions: np.ndarray) -> np.
     return p / p.sum()
 
 
-def _khop_closure(g: SnapshotGraph, start: int, k: int, mask: np.ndarray) -> list[int]:
-    """Vertices reachable from ``start`` within k hops over considered out-edges."""
+def _khop_closure(g: SnapshotGraph, start: int, k: int) -> list[int]:
+    """Vertices reachable from ``start`` within k hops over out-edges."""
     seen = dict.fromkeys([start])  # insertion-ordered: the discovery order
     frontier = [start]
     for _ in range(k):
@@ -87,7 +89,7 @@ def _khop_closure(g: SnapshotGraph, start: int, k: int, mask: np.ndarray) -> lis
         for v in frontier:
             for e in range(g.indptr[v], g.indptr[v + 1]):
                 o = int(g.edge_obj[e])
-                if mask[e] and o not in seen:
+                if o not in seen:
                     seen[o] = None
                     nxt.append(o)
         frontier = nxt
@@ -95,9 +97,9 @@ def _khop_closure(g: SnapshotGraph, start: int, k: int, mask: np.ndarray) -> lis
 
 
 def _induced_edges(
-    g: SnapshotGraph, vertices: np.ndarray, mask: np.ndarray
+    g: SnapshotGraph, vertices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(local, src, dst, pred)``: the considered edges among ``vertices`` in
+    """``(local, src, dst, pred)``: the edges among ``vertices`` in
     local indices, ordered by source as listed, then by CSR position; ``local``
     maps each global position to its index in ``vertices`` (-1 outside)."""
     local = np.full(g.num_vertices, -1, dtype=np.int64)
@@ -108,7 +110,7 @@ def _induced_edges(
     starts = np.cumsum(counts) - counts  # where each vertex's edges begin in the gather
     edges = np.repeat(lo - starts, counts) + np.arange(len(src), dtype=np.int64)
     dst = local[g.edge_obj[edges]]
-    keep = mask[edges] & (dst >= 0)
+    keep = dst >= 0
     return local, src[keep], dst[keep], g.edge_pred[edges[keep]].astype(np.int64, copy=False)
 
 
@@ -121,7 +123,6 @@ def sample_batch(
     cap: int = 1000,
     *,
     rng: np.random.Generator,
-    include_rdf_types: bool = False,
 ) -> Subgraph:
     """Draw one class-balanced batch with at most ``cap`` vertices."""
     if k not in (1, 2):
@@ -133,7 +134,6 @@ def sample_batch(
         raise ValueError("train split is empty")
     p = _target_distribution(labels, train_positions)
     draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
-    mask = g.considered_mask(include_rdf_types)
 
     members: set[int] = set()
     targets: list[int] = []  # targets new to the batch, acceptance order
@@ -141,7 +141,7 @@ def sample_batch(
     accepted: list[int] = []  # drawn targets incl. repeats
     for d in draws:
         t = int(train_positions[d])
-        new = [v for v in _khop_closure(g, t, k, mask) if v not in members]
+        new = [v for v in _khop_closure(g, t, k) if v not in members]
         if members and len(members) + len(new) > cap:
             break
         accepted.append(t)
@@ -153,7 +153,7 @@ def sample_batch(
         extra.extend(new)
 
     vertices = np.array(targets + extra, dtype=np.int64)
-    local, src, dst, pred = _induced_edges(g, vertices, mask)
+    local, src, dst, pred = _induced_edges(g, vertices)
     return Subgraph(
         graph=g,
         vertices=vertices,
@@ -169,15 +169,11 @@ def sample_batch(
 
 
 def full_graph_batch(
-    g: SnapshotGraph,
-    labels: np.ndarray,
-    features: np.ndarray,
-    k: int,
-    include_rdf_types: bool = False,
+    g: SnapshotGraph, labels: np.ndarray, features: np.ndarray, k: int
 ) -> Subgraph:
     """The whole snapshot as one batch; used for evaluation."""
     vertices = np.arange(g.num_vertices, dtype=np.int64)
-    _, src, dst, pred = _induced_edges(g, vertices, g.considered_mask(include_rdf_types))
+    _, src, dst, pred = _induced_edges(g, vertices)
     return Subgraph(
         graph=g,
         vertices=vertices,

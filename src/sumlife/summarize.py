@@ -13,7 +13,9 @@ call of the batched numpy kernel ``siphash24``, which also ranks the vertex
 splits in ``features``.
 
 Summary model "ac1" uses one recursion level (outgoing label sets), "ac2" two
-(labels of the vertex and of its neighbours).
+(labels of the vertex and of its neighbours).  Every edge of the given graph
+counts; rdf:type edges are left out beforehand by ``ingest.drop_rdf_types``
+unless the run includes them.
 """
 
 from __future__ import annotations
@@ -219,23 +221,19 @@ class _LevelPairs:
 
 
 def _level_up(
-    g: SnapshotGraph,
-    src: np.ndarray,
-    pred: np.ndarray,
-    obj: np.ndarray,
-    h_prev: np.ndarray,
+    g: SnapshotGraph, src: np.ndarray, h_prev: np.ndarray
 ) -> tuple[np.ndarray, _LevelPairs | None]:
     """One recursion level of the bottom-up pass.
 
     Hashes the level's distinct (predicate, child hash) pairs in one kernel
     call, then XOR-folds the deduplicated set of pair hashes per source
-    vertex; vertices with no considered out-edges keep hash 0.
+    vertex; vertices with no out-edges keep hash 0.
     """
     new_h = np.zeros(g.num_vertices, dtype=np.uint64)
     if len(src) == 0:
         return new_h, None
-    children = h_prev[obj] if h_prev.any() else None
-    u_pred, u_child, pair_id = _factorize_pairs(pred, children)
+    children = h_prev[g.edge_obj] if h_prev.any() else None
+    u_pred, u_child, pair_id = _factorize_pairs(g.edge_pred, children)
     lex = g.terms.lexical
     pair_hash = siphash24(
         SIPHASH_KEY,
@@ -249,40 +247,31 @@ def _level_up(
     return new_h, _LevelPairs(u_pred, u_child, pair_id)
 
 
-def _hash_pass(
-    g: SnapshotGraph, k: int, include_rdf_types: bool
-) -> tuple[np.ndarray, np.ndarray, _LevelPairs | None]:
-    """The level loop: (depth-k hash per vertex position, considered edge
-    sources, pair bookkeeping of the last level).  Depth 0 is all zeros."""
-    mask = g.considered_mask(include_rdf_types)
-    src = g.edge_sources()[mask]
-    pred = g.edge_pred[mask]
-    obj = g.edge_obj[mask]
+def _hash_pass(g: SnapshotGraph, k: int) -> tuple[np.ndarray, np.ndarray, _LevelPairs | None]:
+    """The level loop: (depth-k hash per vertex position, edge sources, pair
+    bookkeeping of the last level).  Depth 0 is all zeros."""
+    src = g.edge_sources()
     h = np.zeros(g.num_vertices, dtype=np.uint64)
     pairs = None
     for _ in range(k):
-        h, pairs = _level_up(g, src, pred, obj, h)
+        h, pairs = _level_up(g, src, h)
     return h, src, pairs
 
 
-def eqc_hash(
-    g: SnapshotGraph, vertex: int, k: int, include_rdf_types: bool = False
-) -> int:
+def eqc_hash(g: SnapshotGraph, vertex: int, k: int) -> int:
     """EQC hash of one vertex (by position) for a k-hop model, k in {1, 2}."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if not 0 <= vertex < g.num_vertices:
         raise KeyError(f"unknown vertex position {vertex}")
-    return int(_hash_pass(g, k, include_rdf_types)[0][vertex])
+    return int(_hash_pass(g, k)[0][vertex])
 
 
-def summarize(
-    g: SnapshotGraph, model: str, include_rdf_types: bool = False
-) -> tuple[SummaryGraph, ExtensionMap]:
+def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, ExtensionMap]:
     """Summarize a snapshot; returns the summary graph and its extension map."""
     if model not in MODEL_HOPS:
         raise ValueError(f"unknown summary model {model!r}")
-    final, src, pairs = _hash_pass(g, MODEL_HOPS[model], include_rdf_types)
+    final, src, pairs = _hash_pass(g, MODEL_HOPS[model])
 
     # extension map: group vertex term ids by final hash; the same grouping
     # doubles as a dense class id per vertex for the summary-edge dedup
@@ -328,11 +317,9 @@ def summarize(
     return summary, ext
 
 
-def vertex_hashes(
-    g: SnapshotGraph, model: str, include_rdf_types: bool = False
-) -> np.ndarray:
+def vertex_hashes(g: SnapshotGraph, model: str) -> np.ndarray:
     """EQC hash per vertex position for the given model."""
-    return _hash_pass(g, MODEL_HOPS[model], include_rdf_types)[0]
+    return _hash_pass(g, MODEL_HOPS[model])[0]
 
 
 def write_eqc_tsv(path: str | Path, g: SnapshotGraph, ext: ExtensionMap) -> None:

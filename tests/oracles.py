@@ -192,6 +192,14 @@ def _reference_target_distribution(labels: np.ndarray, train_positions: np.ndarr
     return p / p.sum()
 
 
+def _considered_mask(g, include_rdf_types: bool) -> np.ndarray:
+    """Edges that count under the rdf:type setting, read off the predicate ids."""
+    type_id = g.terms.lookup("iri", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    if include_rdf_types or type_id is None:
+        return np.ones(len(g.edge_pred), dtype=bool)
+    return g.edge_pred != type_id
+
+
 def _reference_closure(g, start: int, k: int, mask: np.ndarray) -> list[int]:
     seen = {start}
     frontier = [start]
@@ -223,7 +231,7 @@ def reference_sample_batch(
     train_positions = np.flatnonzero(split == train)
     p = _reference_target_distribution(labels, train_positions)
     draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
-    mask = g.considered_mask(include_rdf_types)
+    mask = _considered_mask(g, include_rdf_types)
     batch: dict[int, int] = {}
     target_order: list[int] = []
     closure_extra: list[int] = []
@@ -271,7 +279,7 @@ def reference_sample_batch(
 def reference_full_graph_batch(g, labels, features, k: int, include_rdf_types: bool) -> dict:
     """The whole snapshot as one batch, its edges cut out of the CSR arrays by
     the considered-edge mask."""
-    mask = g.considered_mask(include_rdf_types)
+    mask = _considered_mask(g, include_rdf_types)
     n = g.num_vertices
     return {
         "vertices": np.arange(n, dtype=np.int64),

@@ -495,3 +495,65 @@ def test_every_config_key_coerces_to_its_annotated_type(tmp_path):
         else:
             assert type(value) in (get_args(kind) or (kind,)), key
     assert build_config(cfg_file, {}).to_dict() == expected
+
+
+MALFORMED_MATRICES = {
+    "not_square": b"trained_through,a\na,0.5\nb,0.5\n",
+    "empty": b"",
+    "no_tasks": b"trained_through\n",
+    "text_cell": b"trained_through,a\na,x\n",
+    "nan_cell": b"trained_through,a,b\na,nan,0.5\nb,0.5,0.5\n",
+    "ragged": b"trained_through,a,b\na,0.5,0.5\nb,0.5\n",
+    "latin1": "trained_through,é\né,0.5\n".encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_MATRICES)
+def test_report_malformed_matrix_exits_1(tmp_path, capsys, name):
+    matrix = tmp_path / f"{name}.csv"
+    matrix.write_bytes(MALFORMED_MATRICES[name])
+    assert main(["report", "--matrix", str(matrix), "--out", str(tmp_path / "o")]) == 1
+    assert name in _one_error_line(capsys)
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_eval_and_time_warp_refuse_extra_snapshots(tmp_path, snapshot_files, capsys):
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2"]) == 0
+    ckpt = str(out / "task00.gslc")
+    capsys.readouterr()
+    for argv in (["eval", "--ckpt", ckpt], ["lifelong", "--time-warp", ckpt, "--iterations", "2"]):
+        assert main([*argv, "--model", "ac1", "--in", *snapshot_files,
+                     "--out", str(tmp_path / "o")]) == 2, argv
+        assert "got 2" in _one_error_line(capsys)
+    # refused before anything was loaded or written
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("include_rdf_types", [False, True])
+def test_summarize_rdf_type_rule(tmp_path, include_rdf_types):
+    rdf_type = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+    snapshot = tmp_path / "typed.nt"
+    # http://s has only an rdf:type out-edge; http://C is only an rdf:type object
+    write_ntriples(snapshot, [
+        ("http://a", "http://p", "http://b"),
+        ("http://b", "http://p", "http://c"),
+        ("http://s", rdf_type, "http://C"),
+    ])
+    out = tmp_path / "o"
+    flag = ["--include-rdf-types"] if include_rdf_types else []
+    assert main(["summarize", "--model", "ac1", "--in", str(snapshot), "--out", str(out),
+                 *flag]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["vertices"] == 5 and stats["edges"] == 3
+    eqcs = dict(line.split("\t") for line in (out / "eqcs.tsv").read_text().splitlines())
+    summary_predicates = [line.split("\t")[1]
+                          for line in (out / "summary_edges.tsv").read_text().splitlines()]
+    if include_rdf_types:
+        assert stats["eqcs"] == 3 and eqcs["http://s"] != eqcs["http://C"]
+        assert sorted(summary_predicates) == ["http://p", rdf_type]
+    else:
+        # http://s is a sink like http://c and the class IRI
+        assert stats["eqcs"] == 2 and eqcs["http://s"] == eqcs["http://C"] == eqcs["http://c"]
+        assert summary_predicates == ["http://p"]

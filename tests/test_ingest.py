@@ -5,8 +5,10 @@ import pytest
 
 from sumlife.errors import IngestError
 from sumlife.ingest import (
+    RDF_TYPE_IRI,
     TermTable,
     build_snapshot,
+    drop_rdf_types,
     filter_high_degree,
     load_snapshot,
     parse_line,
@@ -250,6 +252,18 @@ def test_rdf_type_edges_flagged():
             ("http://a", "http://p", "http://b"),
         ],
     )
-    assert g.edge_is_type.sum() == 1
-    assert g.considered_mask().sum() == 1
-    assert g.considered_mask(include_rdf_types=True).sum() == 2
+    type_id = g.terms.lookup("iri", RDF_TYPE_IRI)
+    assert (g.edge_pred == type_id).sum() == 1
+    d = drop_rdf_types(g)
+    assert len(d.edge_pred) == 1 and len(g.edge_pred) == 2
+    assert d.out_pairs(d.position_of("http://a")) == [
+        (g.terms.lookup("iri", "http://p"), g.terms.lookup("iri", "http://b"))
+    ]
+    # every vertex stays: the class IRI becomes a sink with no in-edge
+    assert np.array_equal(d.vertex_ids, g.vertex_ids)
+    t = d.position_of("http://T")
+    assert d.out_degrees()[t] == 0 and d.in_degrees()[t] == 0
+    # the statement count still includes the rdf:type statement
+    assert d.edge_count == g.edge_count == 2
+    untyped = build_snapshot("t", [("http://a", "http://p", "http://b")])
+    assert drop_rdf_types(untyped) is untyped

@@ -3,7 +3,7 @@ import pytest
 
 import sumlife.lifelong as lifelong
 from sumlife.errors import TrainingDivergence
-from sumlife.ingest import RDF_TYPE_IRI, build_snapshot
+from sumlife.ingest import RDF_TYPE_IRI, build_snapshot, drop_rdf_types
 from sumlife.lifelong import (
     LifelongReport,
     acc,
@@ -249,8 +249,12 @@ def test_include_rdf_types_reaches_gcn_batches(monkeypatch):
 
     for name, seen in batches.items():
         monkeypatch.setattr(lifelong, name, recording(getattr(lifelong, name), seen))
-    seq = prepare_tasks([("t0", g)], "ac1", seed=1, include_rdf_types=True)
-    run_sequence(seq, "gcn", Hyper(hidden=[4]), "warm", seed=1, iterations=2, batch_cap=50)
-    for name, seen in batches.items():
-        assert seen, name
-        assert all((b.edge_pred == type_id).any() for b in seen), name
+    # the full graph feeds rdf:type edges to every batch, the dropped graph to none
+    for graph, typed in ((g, True), (drop_rdf_types(g), False)):
+        for seen in batches.values():
+            seen.clear()
+        seq = prepare_tasks([("t0", graph)], "ac1", seed=1)
+        run_sequence(seq, "gcn", Hyper(hidden=[4]), "warm", seed=1, iterations=2, batch_cap=50)
+        for name, seen in batches.items():
+            assert seen, name
+            assert all((b.edge_pred == type_id).any() == typed for b in seen), name

@@ -7,7 +7,7 @@ from oracles import (
     partition_of_hashes,
     reference_siphash24,
 )
-from sumlife.ingest import build_snapshot
+from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.summarize import (
     SIPHASH_KEY,
     eqc_hash,
@@ -129,10 +129,10 @@ def test_parallel_edges_no_xor_cancellation():
 
 
 def test_summarize_all_sinks():
-    g = build_snapshot(
+    g = drop_rdf_types(build_snapshot(
         "t", [("http://a", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", "http://T")]
-    )
-    # the only edge is rdf:type, skipped by default: everything is a sink
+    ))
+    # the only edge is rdf:type, dropped by default: everything is a sink
     summary, ext = summarize(g, "ac1")
     assert summary.eqcs == frozenset({0})
     assert ext.count(0) == g.num_vertices
@@ -228,8 +228,8 @@ def test_rdf_type_excluded_unless_requested():
         ],
     )
     a = g.position_of("http://a")
-    assert eqc_hash(g, a, 1) == HASH_P0
-    assert eqc_hash(g, a, 1, include_rdf_types=True) != HASH_P0
+    assert eqc_hash(drop_rdf_types(g), a, 1) == HASH_P0
+    assert eqc_hash(g, a, 1) != HASH_P0
 
 
 def test_summary_edge_structure():
