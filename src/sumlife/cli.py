@@ -7,13 +7,15 @@ checkpoint, snapshot or ``report --matrix`` file, an empty snapshot directory
 and a ``lifelong`` or ``eval`` snapshot whose 93/2/5 split has no test vertex,
 which is any snapshot of fewer than 9 vertices), 2 configuration (including
 ``gcn-edges`` with a model other than ac2, a checkpoint trained for another
-summary model, degree cap, degree mode or rdf:type setting, and more than one
-snapshot for ``eval`` or ``lifelong --time-warp``), 3 numerical failure.
+summary model, degree cap, degree mode or rdf:type setting, more than one
+snapshot for ``eval`` or ``lifelong --time-warp``, and ``lifelong`` snapshots
+whose timestamps are out of order or repeated), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import fields
@@ -30,6 +32,7 @@ from .lifelong import (
     evaluate_network,
     prepare_tasks,
     run_sequence,
+    strictly_increasing,
     time_warp,
 )
 from .measures import diff_report, meta_track, unary_stats
@@ -196,6 +199,11 @@ def cmd_diff(cfg: RunConfig) -> int:
 def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
     if time_warp_ckpt is not None:
         _one_snapshot(cfg, "lifelong --time-warp")
+    timestamps = cfg.effective_timestamps()
+    if not strictly_increasing(timestamps):
+        raise ConfigError(
+            f"snapshot timestamps must be strictly increasing, got {' '.join(timestamps)}"
+        )
     out = _out_dir(cfg)
     manifest = Manifest("lifelong", cfg.to_dict())
     hyper = _hyper(cfg)
@@ -343,8 +351,36 @@ def _parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
+# glibc mallopt parameters, and the largest mmap threshold it accepts on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc malloc keep freed memory for reuse: blocks of up to 32 MB,
+    and up to 64 MB free at the top of the heap.
+
+    By default glibc maps each block above its mmap threshold afresh, and
+    raises that threshold (and the trim threshold, to twice it) only as
+    large mapped blocks are freed.  A training step frees temporaries that
+    together exceed twice its largest array, so the heap top is trimmed and
+    faulted in again on every step: about 220 000 minor page faults per
+    benchmark ``lifelong`` command, against a few hundred with the
+    thresholds fixed at glibc's ceiling.  Elsewhere than glibc this does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     try:
         overrides = {k: getattr(args, k) for k in _CONFIG_KEYS if hasattr(args, k)}

@@ -30,7 +30,7 @@ from .features import (
 )
 from .ingest import SnapshotGraph
 from .nets import Hyper, Network
-from .sampling import edge_as_vertex_transform, full_graph_batch, sample_batch
+from .sampling import edge_as_vertex_transform, full_graph_batch, receptive_field, sample_batch
 from .summarize import MODEL_HOPS, vertex_hashes
 
 # how a task after the first starts: warm grows the previous network, cold reinitializes
@@ -60,6 +60,11 @@ class TaskSequence:
         return len(self.tasks)
 
 
+def strictly_increasing(timestamps: list[str]) -> bool:
+    """Whether snapshot labels are in task order: sorted, none repeated."""
+    return all(a < b for a, b in zip(timestamps, timestamps[1:]))
+
+
 def prepare_tasks(
     snapshots: list[tuple[str, SnapshotGraph]],
     model: str,
@@ -68,8 +73,7 @@ def prepare_tasks(
     class_vocab: ClassVocabulary | None = None,
 ) -> TaskSequence:
     """Summarize each snapshot, grow the vocabularies, attach splits/features."""
-    timestamps = [t for t, _ in snapshots]
-    if timestamps != sorted(timestamps) or len(set(timestamps)) != len(timestamps):
+    if not strictly_increasing([t for t, _ in snapshots]):
         raise ValueError("snapshot timestamps must be strictly increasing")
     pv = pred_vocab if pred_vocab is not None else PredicateVocabulary()
     cv = class_vocab if class_vocab is not None else ClassVocabulary()
@@ -109,7 +113,10 @@ def evaluate_network(
     """(accuracy, unseen-class fraction) on one split of a task.
 
     Unseen classes (index at or above the network's output width) cannot be
-    predicted and count as errors.
+    predicted and count as errors.  A message-passing network runs only on
+    the split rows' receptive field of the whole-snapshot batch (after the
+    edge-as-vertex transform for gcn-edges), which gives those rows the
+    same logits, bit for bit, as a pass over every vertex.
     """
     rows = np.flatnonzero(task.split == which)
     if len(rows) == 0:
@@ -124,8 +131,9 @@ def evaluate_network(
         batch = full_graph_batch(task.graph, task.labels, task.features, 2)
         if net.arch == "gcn-edges":
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+        batch = receptive_field(batch, rows, net.receptive_hops)
         logits = net.batch_logits(batch)
-        pred = np.argmax(logits[rows], axis=1)
+        pred = np.argmax(logits[batch.target_idx], axis=1)
     correct = (pred == labels) & ~unseen
     return float(correct.mean()), float(unseen.mean())
 
@@ -142,10 +150,12 @@ def _train_on_task(
     """Run the per-task iterations; returns validation accuracy per iteration."""
     adam = net.new_adam()
     k = MODEL_HOPS[seq.model]
+    closures: dict[int, list[int]] = {}  # each target's closure, walked once per task
     val_curve = []
     for step in range(iterations):
         batch = sample_batch(
-            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng
+            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng,
+            closures=closures,
         )
         if net.arch == "gcn-edges":
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)

@@ -2,7 +2,8 @@
 
 Message passing runs over the batch's edge list, never a dense n x n matrix,
 so memory grows with V + E: ``A @ H`` and ``A.T @ G`` are segment sums over
-the edges.  Each vertex aggregates its own row (an implicit self-loop, so
+the edges, done by the flat scatter-add ``ops.scatter_add``, which adds each
+row's terms in edge order, exactly as ``np.add.at`` does.  Each vertex aggregates its own row (an implicit self-loop, so
 isolated targets keep their own features) and its out-neighbours' rows.
 Parallel edges count once and self-loop edges are dropped, exactly as in an
 adjacency matrix with a unit diagonal.  Degree normalization
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, glorot_uniform, relu, relu_grad, widen
+from .ops import dropout_mask, glorot_uniform, relu, relu_grad, scatter_add, widen
 
 
 @dataclass
@@ -80,7 +81,7 @@ class EdgeList:
         msg = h[self.dst]
         if self.weight is not None:
             msg *= self.weight[:, None]
-        np.add.at(out, self.src, msg)
+        scatter_add(out, self.src, msg)
         return out
 
 
@@ -152,7 +153,8 @@ def gcn_backward(params: GcnParams, cache: dict, dlogits: np.ndarray) -> dict[st
         dp = dh * relu_grad(pre[l])
         m = a.T @ dp
         grads[f"w{l}"] = hs[l].T @ m
-        dh_next = m @ params.layers[l].T
+        if l > 0:  # the input features need no gradient
+            dh_next = m @ params.layers[l].T
     return grads
 
 

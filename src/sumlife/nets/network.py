@@ -19,7 +19,7 @@ from .gcn import batch_adjacency, gcn_backward, gcn_forward, grow_gcn, init_gcn
 from .graphmlp import graphmlp_backward, graphmlp_forward, grow_graphmlp, init_graphmlp
 from .losses import cross_entropy, ncontrast_loss
 from .mlp import MlpParams, grow_mlp, init_mlp, mlp_backward, mlp_forward
-from .ops import assert_finite
+from .ops import assert_finite, scatter_add
 
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
@@ -81,6 +81,13 @@ class Network:
     def n_classes(self) -> int:
         return self.params.n_classes
 
+    @property
+    def receptive_hops(self) -> int:
+        """Out-edge hops a message-passing logit reads: one per layer, plus
+        one under degree normalization, whose edge weights read the outer
+        ring's out-degrees."""
+        return len(self.params.layers) + int(self.hyper.normalize_adjacency)
+
     def clone(self) -> "Network":
         return Network(self.arch, copy.deepcopy(self.params), copy.deepcopy(self.hyper))
 
@@ -140,7 +147,7 @@ class Network:
             logits, cache = mlp_forward(self.params, x, True, hyper.dropout, rng)
             loss, dsel = cross_entropy(logits[targets], labels)
             dlogits = np.zeros_like(logits)
-            np.add.at(dlogits, targets, dsel)
+            scatter_add(dlogits, targets, dsel)
             grads = mlp_backward(self.params, cache, dlogits)
         elif self.arch == "graph-mlp":
             z, logits, cache = graphmlp_forward(self.params, x, True, hyper.dropout, rng)
@@ -155,7 +162,7 @@ class Network:
                 nc, dz_nc = 0.0, np.zeros_like(z)
             loss = ce + hyper.alpha * nc
             dlogits = np.zeros_like(logits)
-            np.add.at(dlogits, targets, dsel)
+            scatter_add(dlogits, targets, dsel)
             grads = graphmlp_backward(self.params, cache, dlogits, hyper.alpha * dz_nc)
         else:
             adj = batch_adjacency(
@@ -164,7 +171,7 @@ class Network:
             logits, cache = gcn_forward(self.params, x, adj, True, hyper.dropout, rng)
             loss, dsel = cross_entropy(logits[targets], labels)
             dlogits = np.zeros_like(logits)
-            np.add.at(dlogits, targets, dsel)
+            scatter_add(dlogits, targets, dsel)
             grads = gcn_backward(self.params, cache, dlogits)
         assert_finite("loss", loss)
         for name, g in grads.items():

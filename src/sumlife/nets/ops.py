@@ -73,6 +73,21 @@ def widen(
     return w.copy()
 
 
+def scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+    """``out[rows[i]] += vals[i]`` for every i in order, in place; ``out`` is 2-D.
+
+    Bit-identical to ``np.add.at(out, rows, vals)``: it runs ``np.add.at``
+    on the flat view of ``out`` with index ``row * d + col``, so each
+    element still receives its terms in the order of ``rows``, while numpy's
+    fast 1-D path does the work instead of its per-row 2-D loop.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous output")
+    d = out.shape[1]
+    idx = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    np.add.at(out.reshape(-1), idx, vals.ravel())
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)

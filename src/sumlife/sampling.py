@@ -10,9 +10,17 @@ exceeds the cap, so hub-heavy graphs still make progress.
 ``_induced_edges`` builds the edges of sampled and full-graph batches alike
 from CSR slices and one global-to-local position array.  The closure walk
 stays Python: 2-hop closures hold a few vertices, where a numpy gather per
-closure measured about 20x slower.  Closures and batches use every edge of
-the given graph; whether rdf:type edges are among them was decided when the
-graph was built (``ingest.drop_rdf_types``).
+closure measured about 20x slower.  A caller drawing many batches from one
+graph passes ``sample_batch`` a memo dict, so each target is walked once.
+
+``receptive_field`` cuts a batch down to what message passing needs for a
+subset of its targets: the vertices within a given number of hops, in their
+original order, so evaluation computes the same logits for those rows
+without a pass over the whole snapshot.
+
+Closures and batches use every edge of the given graph; whether rdf:type
+edges are among them was decided when the graph was built
+(``ingest.drop_rdf_types``).
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from .ingest import SnapshotGraph
 class Subgraph:
     """One sampled batch.
 
-    ``vertices`` holds unique global positions, accepted targets first.
+    ``vertices`` holds unique global positions, accepted targets first
+    (ascending instead in a ``receptive_field`` batch).
     ``target_idx`` are local indices of the drawn targets and may repeat;
     ``labels`` aligns with it.  Edges are the induced edges among batch
     vertices; ``edge_pred`` carries predicate term ids (-1 after the
@@ -123,8 +132,14 @@ def sample_batch(
     cap: int = 1000,
     *,
     rng: np.random.Generator,
+    closures: dict[int, list[int]] | None = None,
 ) -> Subgraph:
-    """Draw one class-balanced batch with at most ``cap`` vertices."""
+    """Draw one class-balanced batch with at most ``cap`` vertices.
+
+    ``closures`` memoizes each target's k-hop closure of ``g``; a caller
+    that draws many batches from one graph passes the same dict to every
+    call, so each target is walked once.
+    """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     if cap < 1:
@@ -135,13 +150,18 @@ def sample_batch(
     p = _target_distribution(labels, train_positions)
     draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
 
+    if closures is None:
+        closures = {}
     members: set[int] = set()
     targets: list[int] = []  # targets new to the batch, acceptance order
     extra: list[int] = []  # other closure vertices, discovery order
     accepted: list[int] = []  # drawn targets incl. repeats
     for d in draws:
         t = int(train_positions[d])
-        new = [v for v in _khop_closure(g, t, k) if v not in members]
+        closure = closures.get(t)
+        if closure is None:
+            closure = closures[t] = _khop_closure(g, t, k)
+        new = [v for v in closure if v not in members]
         if members and len(members) + len(new) > cap:
             break
         accepted.append(t)
@@ -185,6 +205,38 @@ def full_graph_batch(
         edge_pred=pred,
         features=features,
         k=k,
+    )
+
+
+def receptive_field(b: Subgraph, rows: np.ndarray, hops: int) -> Subgraph:
+    """The part of ``b`` that message passing needs to compute its targets ``rows``.
+
+    ``rows`` index ``b.target_idx``; they become the only targets.  Kept
+    are the vertices within ``hops`` out-edge hops of them over the batch's
+    own edges, in ascending order, and every edge among those vertices, in
+    its order.  A vertex closer than ``hops`` keeps all its out-edges, and
+    the relabelling keeps order, so its row sums the same terms in the same
+    order as in ``b``.
+    """
+    targets = b.target_idx[rows]
+    inside = np.zeros(b.num_vertices, dtype=bool)
+    inside[targets] = True
+    for _ in range(hops):
+        inside[b.edge_dst[inside[b.edge_src]]] = True
+    keep = np.flatnonzero(inside)
+    local = np.full(b.num_vertices, -1, dtype=np.int64)
+    local[keep] = np.arange(len(keep), dtype=np.int64)
+    edges = inside[b.edge_src] & inside[b.edge_dst]
+    return replace(
+        b,
+        vertices=b.vertices[keep],
+        n_targets=len(targets),
+        target_idx=local[targets],
+        labels=b.labels[rows],
+        edge_src=local[b.edge_src[edges]],
+        edge_dst=local[b.edge_dst[edges]],
+        edge_pred=b.edge_pred[edges],
+        features=b.features[keep],
     )
 
 

@@ -182,6 +182,18 @@ def dense_adjacency(n: int, src, dst, normalize: bool = False) -> np.ndarray:
     return a
 
 
+def reference_edge_matmul(adj, h: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``A @ h`` (or ``A.T @ h``) of an edge-list adjacency as a 2-D ``np.add.at``
+    segment sum: the self term first, then each edge's message in edge order."""
+    src, dst = (adj.dst, adj.src) if transpose else (adj.src, adj.dst)
+    out = adj.self_weight[:, None] * h
+    msg = h[dst]
+    if adj.weight is not None:
+        msg *= adj.weight[:, None]
+    np.add.at(out, src, msg)
+    return out
+
+
 def _reference_target_distribution(labels: np.ndarray, train_positions: np.ndarray) -> np.ndarray:
     train_labels = labels[train_positions]
     classes, counts = np.unique(train_labels, return_counts=True)

@@ -1,0 +1,149 @@
+"""Fast paths that must give bit-identical results to the computation they replace.
+
+Compared by raw bytes, so -0.0 against 0.0 or a last-bit rounding change
+fails.  CI runs this file a second time with two BLAS threads, because the
+receptive-field check relies on a row subset of a matrix product being
+bit-identical to the same rows of the full product.
+"""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from oracles import reference_edge_matmul
+from sumlife.features import TEST, TRAIN, VAL
+from sumlife.ingest import build_snapshot
+from sumlife.lifelong import evaluate_network, prepare_tasks
+from sumlife.nets import Hyper, Network
+from sumlife.nets.gcn import batch_adjacency
+from sumlife.nets.ops import scatter_add
+from sumlife.sampling import (
+    _khop_closure,
+    edge_as_vertex_transform,
+    full_graph_batch,
+    receptive_field,
+    sample_batch,
+)
+from synth import random_graph
+
+# -0.0 and exact zeros are drawn often; magnitudes far apart make the sum order show
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def scatter_cases(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 64))
+    hub = draw(st.integers(0, n - 1))
+    # many terms on one hub row, repeats elsewhere, and rows that receive nothing
+    rows = draw(st.lists(st.one_of(st.just(hub), st.integers(0, n - 1)), max_size=40))
+    rows = np.array(rows, dtype=np.int64)
+    out = draw(hnp.arrays(np.float64, (n, d), elements=VALUES))
+    vals = draw(hnp.arrays(np.float64, (len(rows), d), elements=VALUES))
+    return out, rows, vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_cases())
+def test_scatter_add_matches_2d_add_at(case):
+    out, rows, vals = case
+    want = out.copy()
+    np.add.at(want, rows, vals)
+    got = out.copy()
+    scatter_add(got, rows, vals)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scatter_add_refuses_a_strided_output():
+    out = np.zeros((4, 6))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        scatter_add(out, np.array([0]), np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_list_products_match_add_at_reference(seed, normalize):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    e = int(rng.integers(0, 4 * n))
+    # a hub row with in- and out-degree near n, parallel edges and self-loops
+    src = np.concatenate([rng.integers(0, n, size=e), np.zeros(n, dtype=np.int64), [0]])
+    dst = np.concatenate([rng.integers(0, n, size=e), np.arange(n), [0]])
+    adj = batch_adjacency(n, src, dst, normalize)
+    h = rng.normal(size=(n, int(rng.integers(1, 65))))
+    h[rng.random(h.shape) < 0.2] = -0.0
+    assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
+    assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
+
+
+def _task(seed: int):
+    g, _, _ = random_graph(np.random.default_rng(seed), max_vertices=150, max_edges=500)
+    seq = prepare_tasks([("t", g)], "ac2", seed=seed)
+    return seq, seq.tasks[0]
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("arch", ["gcn", "gcn-edges"])
+def test_receptive_field_logits_match_full_graph(arch, normalize, layers):
+    for seed in range(3):
+        seq, task = _task(seed)
+        rng = np.random.default_rng(seed)
+        hyper = Hyper(hidden=[8, 6, 5][:layers], normalize_adjacency=normalize)
+        net = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
+        batch = full_graph_batch(task.graph, task.labels, task.features, 2)
+        if arch == "gcn-edges":
+            batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+        full = net.batch_logits(batch)
+        for which in (TRAIN, VAL, TEST):
+            rows = np.flatnonzero(task.split == which)
+            part = receptive_field(batch, rows, net.receptive_hops)
+            assert np.array_equal(part.labels, task.labels[rows])
+            logits = net.batch_logits(part)[part.target_idx]
+            assert logits.tobytes() == full[rows].tobytes()
+            if len(rows):
+                correct = (np.argmax(full[rows], axis=1) == task.labels[rows]).mean()
+                assert evaluate_network(net, task, seq, which)[0] == correct
+
+
+def test_receptive_field_needs_the_extra_hop_under_normalization():
+    # chain a -> b -> c: one hop short, b loses its out-edge, so its degree
+    # and with it the weight of a's edge to b change
+    g = build_snapshot("t", [("http://a", "http://p", "http://b"), ("http://b", "http://p", "http://c")])
+    seq = prepare_tasks([("t", g)], "ac2", seed=0)
+    task = seq.tasks[0]
+    net = Network.create("gcn", task.pred_width, task.class_width,
+                         Hyper(hidden=[4], normalize_adjacency=True), np.random.default_rng(0))
+    batch = full_graph_batch(task.graph, task.labels, task.features, 2)
+    rows = np.array([g.position_of("http://a")])
+    full = net.batch_logits(batch)[rows]
+    for hops, same in ((net.receptive_hops, True), (net.receptive_hops - 1, False)):
+        part = receptive_field(batch, rows, hops)
+        assert (net.batch_logits(part)[part.target_idx].tobytes() == full.tobytes()) is same
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closure_memo_leaves_batches_unchanged(k):
+    for seed in range(3):
+        seq, task = _task(seed)
+        args = (task.graph, task.labels, task.split, k, task.features)
+        plain, memoized = np.random.default_rng(seed), np.random.default_rng(seed)
+        closures: dict[int, list[int]] = {}
+        for _ in range(5):
+            want = sample_batch(*args, cap=40, rng=plain)
+            got = sample_batch(*args, cap=40, rng=memoized, closures=closures)
+            for f in fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+                else:
+                    assert a is b or a == b, f.name
+        assert closures
+        assert all(c == _khop_closure(task.graph, t, k) for t, c in closures.items())

@@ -1,9 +1,12 @@
 import gzip
 import json
+import platform
+import resource
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 
 from sumlife.cli import _parser, main
@@ -557,3 +560,40 @@ def test_summarize_rdf_type_rule(tmp_path, include_rdf_types):
         # http://s is a sink like http://c and the class IRI
         assert stats["eqcs"] == 2 and eqcs["http://s"] == eqcs["http://C"] == eqcs["http://c"]
         assert summary_predicates == ["http://p"]
+
+
+def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot_files, capsys,
+                                                              monkeypatch):
+    import sumlife.cli as cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_snapshot", lambda *a: loaded.append(a))
+    # the second copy has the same default timestamp: the file name up to its first dot
+    twin = tmp_path / "copy" / Path(snapshot_files[0]).name
+    twin.parent.mkdir()
+    twin.write_bytes(Path(snapshot_files[0]).read_bytes())
+    for snapshots in (snapshot_files[::-1], [snapshot_files[0], str(twin)]):
+        assert main(["lifelong", "--model", "ac1", "--in", *snapshots, "--iterations", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "strictly increasing" in _one_error_line(capsys)
+    assert main(["lifelong", "--model", "ac1", "--in", *snapshot_files, "--timestamps", "b", "a",
+                 "--iterations", "2", "--out", str(tmp_path / "o")]) == 2
+    assert "b a" in _one_error_line(capsys)
+    assert not loaded and not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_freed_blocks_are_reused_without_page_faults():
+    import sumlife.cli as cli
+
+    cli._keep_freed_memory()
+    block = 4 << 20  # above glibc's default mmap threshold
+    for step in range(6):
+        if step == 1:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        # several blocks alive at once, as in a training step, then all freed:
+        # glibc's own thresholds would trim the freed heap top every time
+        arrays = [np.ones(block // 8) for _ in range(4)]
+        del arrays
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < block // 4096  # re-faulting would cost 4 blocks per step

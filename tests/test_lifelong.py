@@ -140,6 +140,16 @@ def test_threads_do_not_change_results():
     assert np.array_equal(r1, r2)
 
 
+@pytest.mark.parametrize("arch", ["gcn", "gcn-edges"])
+def test_threads_do_not_change_message_passing_results(arch):
+    seq = prepare_tasks(drift_sequence(2, 2, 3, 20), "ac2", seed=5)
+    runs = [run_sequence(seq, arch, Hyper(), "warm", seed=11, iterations=6, threads=threads)
+            for threads in (1, 3)]
+    (_, r1, d1), (_, r3, d3) = runs
+    assert r1.tobytes() == r3.tobytes() and d1 == d3
+    assert 0.0 < r1.max()
+
+
 def test_warm_cold_share_first_task_row():
     seq = quick_seq(2)
     _, rw, _ = run_sequence(seq, "mlp", Hyper(), "warm", seed=11, iterations=10)
