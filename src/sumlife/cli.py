@@ -1,15 +1,17 @@
 """Command-line entry points.
 
 Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
---out directory; reruns with equal configuration and seed produce
-byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an unreadable
+--out directory; reruns with equal configuration, seed and BLAS thread count
+produce byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an unreadable
 checkpoint, snapshot or ``report --matrix`` file, an empty snapshot directory
 and a ``lifelong`` or ``eval`` snapshot whose 93/2/5 split has no test vertex,
 which is any snapshot of fewer than 9 vertices), 2 configuration (including
 ``gcn-edges`` with a model other than ac2, a checkpoint trained for another
 summary model, degree cap, degree mode or rdf:type setting, more than one
-snapshot for ``eval`` or ``lifelong --time-warp``, and ``lifelong`` snapshots
-whose timestamps are out of order or repeated), 3 numerical failure.
+snapshot for ``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots
+whose timestamps are out of order or repeated, a degree cap below 1, a dropout
+outside [0, 1), a hidden size below 1 and more than one hidden size for mlp or
+graph-mlp), 3 numerical failure.
 """
 
 from __future__ import annotations

@@ -62,6 +62,18 @@ class RunConfig:
             )
         if self.iterations < 1 or self.batch_cap < 1 or self.threads < 1:
             raise ConfigError("iterations, batch_cap and threads must be >= 1")
+        if self.degree_cap is not None and self.degree_cap < 1:
+            raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
+        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        hidden = self.hidden_list()
+        if hidden is not None:
+            if not hidden or min(hidden) < 1:
+                raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_size!r}")
+            if len(hidden) > 1 and self.architecture in ("mlp", "graph-mlp"):
+                raise ConfigError(
+                    f"architecture {self.architecture} takes one hidden size, got {self.hidden_size!r}"
+                )
 
     def effective_degree_cap(self) -> int | None:
         if self.degree_cap is not None:

@@ -30,7 +30,7 @@ from .features import (
 )
 from .ingest import SnapshotGraph
 from .nets import Hyper, Network
-from .sampling import edge_as_vertex_transform, full_graph_batch, receptive_field, sample_batch
+from .sampling import edge_as_vertex_transform, receptive_field, sample_batch
 from .summarize import MODEL_HOPS, vertex_hashes
 
 # how a task after the first starts: warm grows the previous network, cold reinitializes
@@ -114,8 +114,8 @@ def evaluate_network(
 
     Unseen classes (index at or above the network's output width) cannot be
     predicted and count as errors.  A message-passing network runs only on
-    the split rows' receptive field of the whole-snapshot batch (after the
-    edge-as-vertex transform for gcn-edges), which gives those rows the
+    the split rows' receptive field of the snapshot, built and transformed
+    for gcn-edges as training builds its batches, which gives those rows the
     same logits, bit for bit, as a pass over every vertex.
     """
     rows = np.flatnonzero(task.split == which)
@@ -127,11 +127,12 @@ def evaluate_network(
         logits = net.feature_logits(task.features[rows])
         pred = np.argmax(logits, axis=1)
     else:
-        # k is batch metadata here; 2 keeps the edge-as-vertex path legal
-        batch = full_graph_batch(task.graph, task.labels, task.features, 2)
+        batch = receptive_field(
+            task.graph, task.labels, task.features, rows, net.receptive_hops,
+            MODEL_HOPS[seq.model],
+        )
         if net.arch == "gcn-edges":
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)
-        batch = receptive_field(batch, rows, net.receptive_hops)
         logits = net.batch_logits(batch)
         pred = np.argmax(logits[batch.target_idx], axis=1)
     correct = (pred == labels) & ~unseen
@@ -302,23 +303,14 @@ class LifelongReport:
     def from_matrix(cls, r: np.ndarray, diagnostics: list[dict] | None = None) -> "LifelongReport":
         t = _check_full(r)
         alpha_ideal = max(float(r[i, i]) for i in range(t))
-        if t >= 2:
-            ob, on, oa = omega(r) if alpha_ideal != 0.0 else (None, None, None)
-            report = cls(
-                acc=acc(r), bwt=bwt(r), fwt=fwt(r),
-                omega_base=ob, omega_new=on, omega_all=oa,
-                alpha_ideal=alpha_ideal,
-                forgetting={k: forgetting(r, k) for k in range(2, t + 1)},
-            )
-        else:
-            report = cls(
-                acc=acc(r), bwt=None, fwt=None,
-                omega_base=None, omega_new=None, omega_all=None,
-                alpha_ideal=alpha_ideal,
-            )
-        if diagnostics:
-            report.diagnostics = diagnostics
-        return report
+        ob, on, oa = omega(r) if t >= 2 and alpha_ideal != 0.0 else (None, None, None)
+        return cls(
+            acc=acc(r), bwt=bwt(r) if t >= 2 else None, fwt=fwt(r) if t >= 2 else None,
+            omega_base=ob, omega_new=on, omega_all=oa,
+            alpha_ideal=alpha_ideal,
+            forgetting={k: forgetting(r, k) for k in range(2, t + 1)},
+            diagnostics=diagnostics or [],
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -83,10 +83,15 @@ class Network:
 
     @property
     def receptive_hops(self) -> int:
-        """Out-edge hops a message-passing logit reads: one per layer, plus
-        one under degree normalization, whose edge weights read the outer
-        ring's out-degrees."""
-        return len(self.params.layers) + int(self.hyper.normalize_adjacency)
+        """Snapshot out-edge hops a message-passing logit reads.
+
+        A logit reads one batch hop per layer, plus one under degree
+        normalization, whose edge weights read the outer ring's out-degrees.
+        After the edge-as-vertex transform one snapshot hop is two batch hops,
+        so gcn-edges needs half as many snapshot hops, rounded up.
+        """
+        hops = len(self.params.layers) + int(self.hyper.normalize_adjacency)
+        return (hops + 1) // 2 if self.arch == "gcn-edges" else hops
 
     def clone(self) -> "Network":
         return Network(self.arch, copy.deepcopy(self.params), copy.deepcopy(self.hyper))

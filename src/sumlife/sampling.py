@@ -7,16 +7,16 @@ batch; drawing stops once the next closure would push the batch past the
 vertex cap.  The first target is always admitted even if its closure alone
 exceeds the cap, so hub-heavy graphs still make progress.
 
-``_induced_edges`` builds the edges of sampled and full-graph batches alike
+Evaluation batches come from ``receptive_field``: the given rows and every
+vertex within a given number of out-edge hops of them, in ascending order,
+cut straight from the snapshot graph.  A vertex closer than that keeps all
+its out-edges, so message passing computes the same logits for those rows as
+a pass over the whole snapshot.  Sampled and evaluation batches are built by
+one constructor, ``_batch``, whose ``_induced_edges`` takes a batch's edges
 from CSR slices and one global-to-local position array.  The closure walk
 stays Python: 2-hop closures hold a few vertices, where a numpy gather per
 closure measured about 20x slower.  A caller drawing many batches from one
 graph passes ``sample_batch`` a memo dict, so each target is walked once.
-
-``receptive_field`` cuts a batch down to what message passing needs for a
-subset of its targets: the vertices within a given number of hops, in their
-original order, so evaluation computes the same logits for those rows
-without a pass over the whole snapshot.
 
 Closures and batches use every edge of the given graph; whether rdf:type
 edges are among them was decided when the graph was built
@@ -123,6 +123,28 @@ def _induced_edges(
     return local, src[keep], dst[keep], g.edge_pred[edges[keep]].astype(np.int64, copy=False)
 
 
+def _batch(
+    g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray | list[int],
+    labels: np.ndarray, features: np.ndarray, k: int,
+) -> Subgraph:
+    """The batch of ``vertices`` and the edges among them; ``targets`` are
+    global positions, possibly repeated, that ``target_idx`` and ``labels``
+    follow."""
+    local, src, dst, pred = _induced_edges(g, vertices)
+    return Subgraph(
+        graph=g,
+        vertices=vertices,
+        n_targets=n_targets,
+        target_idx=local[targets],
+        labels=np.asarray(labels)[targets],
+        edge_src=src,
+        edge_dst=dst,
+        edge_pred=pred,
+        features=features[vertices],
+        k=k,
+    )
+
+
 def sample_batch(
     g: SnapshotGraph,
     labels: np.ndarray,
@@ -173,71 +195,27 @@ def sample_batch(
         extra.extend(new)
 
     vertices = np.array(targets + extra, dtype=np.int64)
-    local, src, dst, pred = _induced_edges(g, vertices)
-    return Subgraph(
-        graph=g,
-        vertices=vertices,
-        n_targets=len(targets),
-        target_idx=local[accepted],
-        labels=np.asarray(labels)[accepted],
-        edge_src=src,
-        edge_dst=dst,
-        edge_pred=pred,
-        features=features[vertices],
-        k=k,
-    )
+    return _batch(g, vertices, len(targets), accepted, labels, features, k)
 
 
-def full_graph_batch(
-    g: SnapshotGraph, labels: np.ndarray, features: np.ndarray, k: int
+def receptive_field(
+    g: SnapshotGraph, labels: np.ndarray, features: np.ndarray, rows: np.ndarray, hops: int, k: int
 ) -> Subgraph:
-    """The whole snapshot as one batch; used for evaluation."""
-    vertices = np.arange(g.num_vertices, dtype=np.int64)
-    _, src, dst, pred = _induced_edges(g, vertices)
-    return Subgraph(
-        graph=g,
-        vertices=vertices,
-        n_targets=len(vertices),
-        target_idx=vertices.copy(),
-        labels=np.asarray(labels),
-        edge_src=src,
-        edge_dst=dst,
-        edge_pred=pred,
-        features=features,
-        k=k,
-    )
+    """The batch message passing needs to compute the vertices ``rows`` of ``g``.
 
-
-def receptive_field(b: Subgraph, rows: np.ndarray, hops: int) -> Subgraph:
-    """The part of ``b`` that message passing needs to compute its targets ``rows``.
-
-    ``rows`` index ``b.target_idx``; they become the only targets.  Kept
-    are the vertices within ``hops`` out-edge hops of them over the batch's
-    own edges, in ascending order, and every edge among those vertices, in
-    its order.  A vertex closer than ``hops`` keeps all its out-edges, and
-    the relabelling keeps order, so its row sums the same terms in the same
-    order as in ``b``.
+    ``rows`` become the targets.  Kept are the vertices within ``hops``
+    out-edge hops of them, in ascending order, and every edge among those
+    vertices.  A vertex closer than ``hops`` keeps all its out-edges, and the
+    relabelling keeps order, so each of its rows sums the same terms in the
+    same order as in a batch of the whole graph, which is what all rows and
+    ``hops=0`` give.
     """
-    targets = b.target_idx[rows]
-    inside = np.zeros(b.num_vertices, dtype=bool)
-    inside[targets] = True
+    inside = np.zeros(g.num_vertices, dtype=bool)
+    inside[rows] = True
+    src = g.edge_sources()
     for _ in range(hops):
-        inside[b.edge_dst[inside[b.edge_src]]] = True
-    keep = np.flatnonzero(inside)
-    local = np.full(b.num_vertices, -1, dtype=np.int64)
-    local[keep] = np.arange(len(keep), dtype=np.int64)
-    edges = inside[b.edge_src] & inside[b.edge_dst]
-    return replace(
-        b,
-        vertices=b.vertices[keep],
-        n_targets=len(targets),
-        target_idx=local[targets],
-        labels=b.labels[rows],
-        edge_src=local[b.edge_src[edges]],
-        edge_dst=local[b.edge_dst[edges]],
-        edge_pred=b.edge_pred[edges],
-        features=b.features[keep],
-    )
+        inside[g.edge_obj[inside[src]]] = True
+    return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, features, k)
 
 
 def edge_as_vertex_transform(b: Subgraph, vocab: PredicateVocabulary) -> Subgraph:

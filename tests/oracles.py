@@ -304,3 +304,29 @@ def reference_full_graph_batch(g, labels, features, k: int, include_rdf_types: b
         "features": features,
         "k": k,
     }
+
+
+def reference_receptive_field(b: dict, rows, hops: int) -> dict:
+    """Cut the batch ``b`` (fields by name) down to its targets ``rows`` and
+    the vertices within ``hops`` out-edge hops of them over ``b``'s own edges,
+    in ascending order, with every edge among them in ``b``'s edge order."""
+    targets = b["target_idx"][rows]
+    n = len(b["vertices"])
+    inside = np.zeros(n, dtype=bool)
+    inside[targets] = True
+    for _ in range(hops):
+        inside[b["edge_dst"][inside[b["edge_src"]]]] = True
+    keep = np.flatnonzero(inside)
+    local = np.full(n, -1, dtype=np.int64)
+    local[keep] = np.arange(len(keep), dtype=np.int64)
+    edges = inside[b["edge_src"]] & inside[b["edge_dst"]]
+    return b | {
+        "vertices": b["vertices"][keep],
+        "n_targets": len(targets),
+        "target_idx": local[targets],
+        "labels": b["labels"][rows],
+        "edge_src": local[b["edge_src"][edges]],
+        "edge_dst": local[b["edge_dst"][edges]],
+        "edge_pred": b["edge_pred"][edges],
+        "features": b["features"][keep],
+    }

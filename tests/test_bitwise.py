@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import reference_edge_matmul
+from oracles import reference_edge_matmul, reference_full_graph_batch, reference_receptive_field
 from sumlife.features import TEST, TRAIN, VAL
-from sumlife.ingest import build_snapshot
+from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.gcn import batch_adjacency
@@ -24,11 +24,11 @@ from sumlife.nets.ops import scatter_add
 from sumlife.sampling import (
     _khop_closure,
     edge_as_vertex_transform,
-    full_graph_batch,
     receptive_field,
     sample_batch,
 )
 from synth import random_graph
+from test_sampling import assert_same_batch, oracle_task
 
 # -0.0 and exact zeros are drawn often; magnitudes far apart make the sum order show
 VALUES = st.one_of(
@@ -89,6 +89,26 @@ def _task(seed: int):
     return seq, seq.tasks[0]
 
 
+def _field(seq, task, net, rows, hops):
+    """The receptive-field batch of ``rows`` that ``net`` runs on, as evaluation builds it."""
+    batch = receptive_field(task.graph, task.labels, task.features, rows, hops, 2)
+    if net.arch == "gcn-edges":
+        batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+    return batch
+
+
+@pytest.mark.parametrize("hops", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2])
+def test_receptive_field_matches_cut_of_full_graph_batch(k, hops):
+    g, labels, split, x = oracle_task()
+    rows_sets = [np.arange(g.num_vertices)] + [np.flatnonzero(split == s) for s in (TRAIN, VAL, TEST)]
+    for run_graph, include_rdf_types in ((g, True), (drop_rdf_types(g), False)):
+        full = reference_full_graph_batch(g, labels, x, k, include_rdf_types)
+        for rows in rows_sets:
+            b = receptive_field(run_graph, labels, x, rows, hops, k)
+            assert_same_batch(b, reference_receptive_field(full, rows, hops))
+
+
 @pytest.mark.parametrize("layers", [1, 2, 3])
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("arch", ["gcn", "gcn-edges"])
@@ -98,13 +118,10 @@ def test_receptive_field_logits_match_full_graph(arch, normalize, layers):
         rng = np.random.default_rng(seed)
         hyper = Hyper(hidden=[8, 6, 5][:layers], normalize_adjacency=normalize)
         net = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
-        batch = full_graph_batch(task.graph, task.labels, task.features, 2)
-        if arch == "gcn-edges":
-            batch = edge_as_vertex_transform(batch, seq.pred_vocab)
-        full = net.batch_logits(batch)
+        full = net.batch_logits(_field(seq, task, net, np.arange(task.graph.num_vertices), 0))
         for which in (TRAIN, VAL, TEST):
             rows = np.flatnonzero(task.split == which)
-            part = receptive_field(batch, rows, net.receptive_hops)
+            part = _field(seq, task, net, rows, net.receptive_hops)
             assert np.array_equal(part.labels, task.labels[rows])
             logits = net.batch_logits(part)[part.target_idx]
             assert logits.tobytes() == full[rows].tobytes()
@@ -115,18 +132,20 @@ def test_receptive_field_logits_match_full_graph(arch, normalize, layers):
 
 def test_receptive_field_needs_the_extra_hop_under_normalization():
     # chain a -> b -> c: one hop short, b loses its out-edge, so its degree
-    # and with it the weight of a's edge to b change
+    # and with it the weight of a's edge to b change; for gcn-edges a
+    # snapshot hop is two batch hops, so three batch hops need two
     g = build_snapshot("t", [("http://a", "http://p", "http://b"), ("http://b", "http://p", "http://c")])
     seq = prepare_tasks([("t", g)], "ac2", seed=0)
     task = seq.tasks[0]
-    net = Network.create("gcn", task.pred_width, task.class_width,
-                         Hyper(hidden=[4], normalize_adjacency=True), np.random.default_rng(0))
-    batch = full_graph_batch(task.graph, task.labels, task.features, 2)
     rows = np.array([g.position_of("http://a")])
-    full = net.batch_logits(batch)[rows]
-    for hops, same in ((net.receptive_hops, True), (net.receptive_hops - 1, False)):
-        part = receptive_field(batch, rows, hops)
-        assert (net.batch_logits(part)[part.target_idx].tobytes() == full.tobytes()) is same
+    for arch, hidden in (("gcn", [4]), ("gcn-edges", [4, 4])):
+        net = Network.create(arch, task.pred_width, task.class_width,
+                             Hyper(hidden=hidden, normalize_adjacency=True), np.random.default_rng(0))
+        assert net.receptive_hops == 2
+        full = net.batch_logits(_field(seq, task, net, np.arange(g.num_vertices), 0))[rows]
+        for hops, same in ((net.receptive_hops, True), (net.receptive_hops - 1, False)):
+            part = _field(seq, task, net, rows, hops)
+            assert (net.batch_logits(part)[part.target_idx].tobytes() == full.tobytes()) is same
 
 
 @pytest.mark.parametrize("k", [1, 2])

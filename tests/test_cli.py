@@ -582,6 +582,29 @@ def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot
     assert not loaded and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("summarize", ["--degree-cap", "0"], "degree_cap"),
+    ("summarize", ["--degree-cap", "-2"], "degree_cap"),
+    ("lifelong", ["--dropout", "1.0"], "dropout"),
+    ("lifelong", ["--dropout", "-0.5"], "dropout"),
+    ("lifelong", ["--hidden-size=-3"], "hidden sizes"),
+    ("lifelong", ["--hidden-size", "0"], "hidden sizes"),
+    ("lifelong", ["--hidden-size", "8,8"], "mlp takes one hidden size"),
+    ("lifelong", ["--architecture", "graph-mlp", "--hidden-size", "8,8"], "graph-mlp takes one"),
+], ids=["cap_0", "cap_negative", "dropout_1", "dropout_negative", "hidden_negative", "hidden_0",
+        "mlp_two_sizes", "graph_mlp_two_sizes"])
+def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, capsys, monkeypatch,
+                                                     command, flags, named):
+    import sumlife.cli as cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_snapshot", lambda *a: loaded.append(a))
+    assert main([command, "--model", "ac1", "--in", snapshot_files[0], "--out", str(tmp_path / "o"),
+                 *flags]) == 2
+    assert named in _one_error_line(capsys)
+    assert not loaded and not (tmp_path / "o").exists()
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
 def test_freed_blocks_are_reused_without_page_faults():
     import sumlife.cli as cli

@@ -16,7 +16,8 @@ from sumlife.lifelong import (
     run_sequence,
     time_warp,
 )
-from sumlife.nets import Hyper
+from sumlife.features import TEST, TRAIN
+from sumlife.nets import Hyper, Network
 from sumlife.reporting import read_matrix_csv, write_matrix_csv
 from synth import drift_sequence, ring_snapshot, predicate_pool, distinct_recipes
 
@@ -150,6 +151,31 @@ def test_threads_do_not_change_message_passing_results(arch):
     assert 0.0 < r1.max()
 
 
+def test_gcn_edges_evaluation_transforms_only_the_test_rows_component(monkeypatch):
+    # two disjoint rings; every test row lies in the first
+    triples = [(f"http://{c}{i}", f"http://p{i % 3}", f"http://{c}{(i + 1) % 12}")
+               for c in "ab" for i in range(12)]
+    g = build_snapshot("t0", triples)
+    seq = prepare_tasks([("t0", g)], "ac2", seed=1)
+    task = seq.tasks[0]
+    first = np.array([g.position_of(f"http://a{i}") for i in range(12)])
+    task.split = np.full(g.num_vertices, TRAIN, dtype=task.split.dtype)
+    task.split[first[:3]] = TEST
+    net = Network.create("gcn-edges", task.pred_width, task.class_width, Hyper(),
+                         np.random.default_rng(1))
+    seen = []
+    transform = lifelong.edge_as_vertex_transform
+
+    def recording(batch, vocab):
+        seen.append(batch)
+        return transform(batch, vocab)
+
+    monkeypatch.setattr(lifelong, "edge_as_vertex_transform", recording)
+    evaluate_network(net, task, seq)
+    assert len(seen) == 1
+    assert seen[0].num_vertices > 3 and np.isin(seen[0].vertices, first).all()
+
+
 def test_warm_cold_share_first_task_row():
     seq = quick_seq(2)
     _, rw, _ = run_sequence(seq, "mlp", Hyper(), "warm", seed=11, iterations=10)
@@ -249,7 +275,7 @@ def test_include_rdf_types_reaches_gcn_batches(monkeypatch):
     triples += [(f"http://v{i}", RDF_TYPE_IRI, f"http://T{i % 2}") for i in range(12)]
     g = build_snapshot("t0", triples)
     type_id = g.terms.lookup("iri", RDF_TYPE_IRI)
-    batches = {"sample_batch": [], "full_graph_batch": []}
+    batches = {"sample_batch": [], "receptive_field": []}
 
     def recording(fn, seen):
         def wrapper(*args, **kwargs):

@@ -8,7 +8,7 @@ from sumlife.ingest import RDF_TYPE_IRI, build_snapshot, drop_rdf_types, filter_
 from sumlife.sampling import (
     class_weights,
     edge_as_vertex_transform,
-    full_graph_batch,
+    receptive_field,
     sample_batch,
 )
 from synth import ring_snapshot, predicate_pool, distinct_recipes
@@ -163,7 +163,7 @@ def test_edge_as_vertex_matches_per_edge_reference():
     g, labels, split, x, pv = setup_task(n_classes=6)
     batches = [
         sample_batch(g, labels, split, 2, x, cap=80, rng=np.random.default_rng(9)),
-        full_graph_batch(g, labels, x, 2),
+        receptive_field(g, labels, x, np.arange(g.num_vertices), 0, 2),
     ]
     for b in batches:
         assert len(np.unique(b.edge_pred)) > 1
@@ -174,7 +174,7 @@ def test_edge_as_vertex_matches_per_edge_reference():
 
 def test_edge_as_vertex_predicate_missing_from_vocabulary():
     g, labels, split, x, pv = setup_task()
-    b = full_graph_batch(g, labels, x, 2)
+    b = receptive_field(g, labels, x, np.arange(g.num_vertices), 0, 2)
     short = PredicateVocabulary(pv.entries[1:])
     with pytest.raises(ValueError, match="missing from vocabulary"):
         edge_as_vertex_transform(b, short)
@@ -182,7 +182,7 @@ def test_edge_as_vertex_predicate_missing_from_vocabulary():
 
 def test_edge_as_vertex_column_beyond_feature_width():
     g, labels, split, x, pv = setup_task()
-    b = full_graph_batch(g, labels, x[:, :1], 2)
+    b = receptive_field(g, labels, x[:, :1], np.arange(g.num_vertices), 0, 2)
     with pytest.raises(ValueError, match="no column in features of width 1"):
         edge_as_vertex_transform(b, pv)
 
@@ -193,22 +193,9 @@ def test_edge_as_vertex_no_edges_identity():
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
     x = encode_features(g, pv)
-    b = full_graph_batch(g, labels, x, 2)
-    # restrict to the sink vertex only: no induced edges
-    sink = g.position_of("http://b")
-    from dataclasses import replace
-
-    empty = replace(
-        b,
-        vertices=np.array([sink]),
-        n_targets=1,
-        target_idx=np.array([0]),
-        labels=np.array([0]),
-        edge_src=np.array([], dtype=np.int64),
-        edge_dst=np.array([], dtype=np.int64),
-        edge_pred=np.array([], dtype=np.int64),
-        features=x[[sink]],
-    )
+    # the sink vertex alone: no induced edges
+    empty = receptive_field(g, labels, x, np.array([g.position_of("http://b")]), 0, 2)
+    assert empty.num_vertices == 1 and empty.num_edges == 0
     tb = edge_as_vertex_transform(empty, pv)
     assert tb.num_vertices == 1 and tb.num_edges == 0
 
@@ -264,7 +251,6 @@ def test_batches_match_per_edge_reference(include_rdf_types):
                                              np.random.default_rng(seed), include_rdf_types)
                 assert_same_batch(b, ref)
                 reached_before_drawn |= bool((b.target_idx >= b.n_targets).any())
-        b = full_graph_batch(run_graph, labels, x, k)
+        b = receptive_field(run_graph, labels, x, np.arange(g.num_vertices), 0, k)
         assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types))
-        assert b.features is x and b.labels is labels
     assert reached_before_drawn
