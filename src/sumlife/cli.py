@@ -1,17 +1,22 @@
 """Command-line entry points.
 
-Commands: summarize, diff, lifelong, eval, report.  All outputs land in the
---out directory; reruns with equal configuration, seed and BLAS thread count
-produce byte-identical artifacts.  Exit codes: 0 ok, 1 I/O (including an unreadable
-checkpoint, snapshot or ``report --matrix`` file, an empty snapshot directory
-and a ``lifelong`` or ``eval`` snapshot whose 93/2/5 split has no test vertex,
-which is any snapshot of fewer than 9 vertices), 2 configuration (including
-``gcn-edges`` with a model other than ac2, a checkpoint trained for another
-summary model, degree cap, degree mode or rdf:type setting, more than one
-snapshot for ``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots
-whose timestamps are out of order or repeated, a degree cap below 1, a dropout
-outside [0, 1), a hidden size below 1 and more than one hidden size for mlp or
-graph-mlp), 3 numerical failure.
+Commands: summarize, diff, lifelong, eval, report.  Each setting flag is a
+``RunConfig`` field, ``--field-name`` for ``field_name`` (``--in`` for
+snapshots, ``--out`` for out_dir), and its value is read exactly like the
+same key in a ``--config`` file.  All outputs land in the --out directory;
+reruns with equal configuration, seed and BLAS thread count produce
+byte-identical artifacts.  Every failure prints one ``error:`` line.
+Exit codes: 0 ok, 1 I/O (including an unreadable checkpoint, snapshot or
+``report --matrix`` file, an empty snapshot directory and a ``lifelong`` or
+``eval`` snapshot whose 93/2/5 split has no test vertex, which is any snapshot
+of fewer than 9 vertices), 2 configuration (including an unknown or missing
+argument, a value of the wrong type or outside its choice list, ``gcn-edges``
+with a model other than ac2, a checkpoint trained for another summary model,
+degree cap, degree mode or rdf:type setting, more than one snapshot for
+``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots whose timestamps
+are out of order or repeated, a degree cap below 1, a dropout outside [0, 1),
+a hidden size below 1 and more than one hidden size for mlp or graph-mlp),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_origin
 
 from . import __version__
-from .config import SEED_ENV_VAR, RunConfig, build_config, parse_config_file
+from .config import CHOICES, FIELD_TYPES, SEED_ENV_VAR, RunConfig, build_config, parse_config_file
 from .errors import CheckpointError, ConfigError, IngestError, NumericalError
 from .features import TEST, split_sizes
-from .ingest import DEGREE_MODES, SnapshotGraph, drop_rdf_types, filter_high_degree, load_snapshot
+from .ingest import SnapshotGraph, drop_rdf_types, filter_high_degree, load_snapshot
 from .lifelong import (
-    RESTARTS,
     LifelongReport,
     evaluate_network,
     prepare_tasks,
@@ -40,7 +45,6 @@ from .lifelong import (
 from .measures import diff_report, meta_track, unary_stats
 from .nets import Hyper, load_checkpoint, save_checkpoint
 from .nets.checkpoint import RUN_FIELDS
-from .nets.network import ARCHITECTURES
 from .reporting import (
     Manifest,
     read_matrix_csv,
@@ -49,7 +53,7 @@ from .reporting import (
     write_json,
     write_matrix_csv,
 )
-from .summarize import MODEL_HOPS, summarize, write_eqc_tsv, write_summary_tsv
+from .summarize import summarize, write_eqc_tsv, write_summary_tsv
 # perfbench/tracing.py wraps sumlife.cli.vertex_hashes by name
 from .summarize import vertex_hashes  # noqa: F401
 
@@ -137,11 +141,14 @@ def cmd_summarize(cfg: RunConfig) -> int:
             "avg_edges": stats.avg_edges if stats else None,
         }
         write_json(out / "stats.json", payload)
-        if stats:
-            write_histogram_csv(out / "members_hist.csv", stats.dist_members_per_eqc)
-            write_histogram_csv(out / "attrs_hist.csv", stats.dist_attrs_per_eqc)
-            write_histogram_csv(out / "predicate_usage_hist.csv", stats.dist_predicate_usage)
-        for name in ("eqcs.tsv", "summary_edges.tsv", "stats.json"):
+        hists = {
+            "members_hist.csv": stats.dist_members_per_eqc,
+            "attrs_hist.csv": stats.dist_attrs_per_eqc,
+            "predicate_usage_hist.csv": stats.dist_predicate_usage,
+        } if stats else {}
+        for name, dist in hists.items():
+            write_histogram_csv(out / name, dist)
+        for name in ("eqcs.tsv", "summary_edges.tsv", "stats.json", *hists):
             manifest.record_output(out / name)
     manifest.write(out)
     return 0
@@ -297,61 +304,65 @@ def cmd_report(cfg: RunConfig, matrix_path: str) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# the flags not named ``--field-name`` or given a help line
+_FLAGS = {
+    "snapshots": ("--in", "snapshot files or directories"),
+    "timestamps": ("--timestamps", "one label per snapshot"),
+    "out_dir": ("--out", "output directory"),
+}
+
+
+def _add_settings(p: argparse.ArgumentParser, lifelong: bool) -> None:
+    """``--config`` and a flag per ``RunConfig`` field (``LIFELONG_ONLY`` ones for
+    ``lifelong`` alone), whose string ``build_config`` reads as a config-file value."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--in", dest="snapshots", nargs="+", help="snapshot files or directories")
-    p.add_argument("--timestamps", nargs="+", help="one label per snapshot")
-    p.add_argument("--model", choices=list(MODEL_HOPS))
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--degree-cap", dest="degree_cap", type=int)
-    p.add_argument("--degree-mode", dest="degree_mode", choices=DEGREE_MODES)
-    p.add_argument("--include-rdf-types", dest="include_rdf_types", action="store_const", const=True)
-    p.add_argument("--threads", type=int)
+    for f in fields(RunConfig):
+        if f.metadata.get("lifelong_only") and not lifelong:
+            continue
+        flag, help_ = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"), None))
+        kind = FIELD_TYPES[f.name]
+        if kind is bool:
+            p.add_argument(flag, dest=f.name, action="store_const", const=True, help=help_)
+        elif get_origin(kind) is list:
+            p.add_argument(flag, dest=f.name, nargs="+", help=help_)
+        else:
+            choices = CHOICES.get(f.name)
+            p.add_argument(flag, dest=f.name, help=help_,
+                           metavar="{" + ",".join(choices) + "}" if choices else None)
 
 
-def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--architecture", choices=ARCHITECTURES)
-    p.add_argument("--hidden-size", dest="hidden_size")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--normalize-adjacency", dest="normalize_adjacency", action="store_const", const=True)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-cap", dest="batch_cap", type=int)
-    p.add_argument("--restart", choices=RESTARTS)
-    p.add_argument("--zero-init-growth", dest="zero_init_growth", action="store_const", const=True)
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a ``ConfigError``: one ``error:`` line and exit 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sumlife", description=__doc__)
+    parser = _Parser(prog="sumlife", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sumlife {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("summarize", help="compute EQCs and summary stats for one snapshot")
-    _add_common(p)
+    _add_settings(p, lifelong=False)
 
     p = sub.add_parser("diff", help="pairwise and meta measures over a snapshot sequence")
-    _add_common(p)
+    _add_settings(p, lifelong=False)
 
     p = sub.add_parser("lifelong", help="incremental training and transfer measures")
-    _add_common(p)
-    _add_training(p)
+    _add_settings(p, lifelong=True)
     p.add_argument("--time-warp", dest="time_warp", metavar="OLD.CKPT",
                    help="run the frozen/retrained/from-scratch comparison instead")
 
     p = sub.add_parser("eval", help="apply a checkpoint to a snapshot")
-    _add_common(p)
+    _add_settings(p, lifelong=False)
     p.add_argument("--ckpt", required=True)
 
     p = sub.add_parser("report", help="recompute measures from an emitted R matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--out", dest="out_dir")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     return parser
 
-
-_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 # glibc mallopt parameters, and the largest mmap threshold it accepts on 64-bit
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -383,9 +394,9 @@ def _keep_freed_memory() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
-    args = _parser().parse_args(argv)
     try:
-        overrides = {k: getattr(args, k) for k in _CONFIG_KEYS if hasattr(args, k)}
+        args = _parser().parse_args(argv)
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = build_config(getattr(args, "config", None), overrides)
         if args.command == "summarize":
             return cmd_summarize(cfg)
@@ -400,9 +411,7 @@ def main(argv: list[str] | None = None) -> int:
                 or (args.config is not None and "seed" in parse_config_file(args.config))
             )
             return cmd_eval(cfg, args.ckpt, seed_explicit)
-        if args.command == "report":
-            return cmd_report(cfg, args.matrix)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_report(cfg, args.matrix)  # the parser allows no other command
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

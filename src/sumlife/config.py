@@ -4,14 +4,15 @@ Precedence: command-line flags beat the SUMLIFE_SEED environment variable,
 which beats the config file, which beats the documented defaults.  Unknown
 keys are rejected so typos fail loudly.
 
-Config-file values are coerced to their ``RunConfig`` field annotations.
-Choice lists are constants of the modules that implement them.
+A config-file value and a string override, such as a flag value, are coerced
+alike, to their ``RunConfig`` field annotations; a typed override is kept.
+Choice lists are constants of the modules that implement them, in ``CHOICES``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -23,43 +24,43 @@ from .summarize import MODEL_HOPS
 
 SEED_ENV_VAR = "SUMLIFE_SEED"
 
+# the allowed values of each setting that has a fixed choice list
+CHOICES = {"model": tuple(MODEL_HOPS), "architecture": ARCHITECTURES, "restart": RESTARTS,
+           "degree_mode": DEGREE_MODES}
+# marks a setting only ``lifelong`` takes: the network and its training
+LIFELONG_ONLY = {"lifelong_only": True}
+
 
 @dataclass
 class RunConfig:
     snapshots: list[str] = field(default_factory=list)
     timestamps: list[str] = field(default_factory=list)
-    model: str = "ac1"  # a MODEL_HOPS key
-    architecture: str = "mlp"  # one of ARCHITECTURES
-    hidden_size: str = ""  # e.g. "1024" or "32,32"; empty uses the architecture default
-    dropout: float | None = None
-    learning_rate: float | None = None
-    alpha: float = 1.0
-    tau: float = 2.0
-    normalize_adjacency: bool = False
-    iterations: int = 100
-    batch_cap: int = 1000
+    model: str = "ac1"
+    architecture: str = field(default="mlp", metadata=LIFELONG_ONLY)
+    hidden_size: str = field(default="", metadata=LIFELONG_ONLY)  # e.g. "32,32"; "": arch default
+    dropout: float | None = field(default=None, metadata=LIFELONG_ONLY)
+    learning_rate: float | None = field(default=None, metadata=LIFELONG_ONLY)
+    alpha: float = field(default=1.0, metadata=LIFELONG_ONLY)
+    tau: float = field(default=2.0, metadata=LIFELONG_ONLY)
+    normalize_adjacency: bool = field(default=False, metadata=LIFELONG_ONLY)
+    iterations: int = field(default=100, metadata=LIFELONG_ONLY)
+    batch_cap: int = field(default=1000, metadata=LIFELONG_ONLY)
     seed: int = 42
     degree_cap: int | None = None  # None: 100 for ac2, unlimited for ac1
-    degree_mode: str = "total"  # one of DEGREE_MODES
-    restart: str = "warm"  # one of RESTARTS
+    degree_mode: str = "total"
+    restart: str = field(default="warm", metadata=LIFELONG_ONLY)
     threads: int = 1
     include_rdf_types: bool = False
-    zero_init_growth: bool = False
+    zero_init_growth: bool = field(default=False, metadata=LIFELONG_ONLY)
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.model not in MODEL_HOPS:
-            raise ConfigError(f"unknown summary model {self.model!r}")
-        if self.architecture not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"{key} must be {'/'.join(allowed)}, got {value!r}")
         if self.architecture == "gcn-edges" and self.model != "ac2":
             raise ConfigError(f"architecture gcn-edges needs model ac2, not {self.model!r}")
-        if self.restart not in RESTARTS:
-            raise ConfigError(f"restart must be {'/'.join(RESTARTS)}, got {self.restart!r}")
-        if self.degree_mode not in DEGREE_MODES:
-            raise ConfigError(
-                f"degree_mode must be {'/'.join(DEGREE_MODES)}, got {self.degree_mode!r}"
-            )
         if self.iterations < 1 or self.batch_cap < 1 or self.threads < 1:
             raise ConfigError("iterations, batch_cap and threads must be >= 1")
         if self.degree_cap is not None and self.degree_cap < 1:
@@ -99,13 +100,13 @@ class RunConfig:
         return asdict(self)
 
 
-_FIELD_TYPES = get_type_hints(RunConfig)
+FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def _coerce(key: str, raw: str):
     """``raw`` as the type ``RunConfig`` annotates ``key`` with."""
     raw = raw.strip()
-    kind = _FIELD_TYPES[key]
+    kind = FIELD_TYPES[key]
     if get_origin(kind) is list:
         return [x.strip() for x in raw.split(",") if x.strip()]
     (kind,) = [t for t in get_args(kind) or (kind,) if t is not type(None)]
@@ -118,12 +119,12 @@ def _coerce(key: str, raw: str):
     try:
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Read ``key = value`` lines; '#' starts a comment."""
-    known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -136,7 +137,7 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in known:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw)
     return values
@@ -153,7 +154,8 @@ def build_config(file_path: str | Path | None, overrides: dict) -> RunConfig:
             values["seed"] = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from exc
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    values.update({k: _coerce(k, v) if isinstance(v, str) and k in FIELD_TYPES else v
+                   for k, v in overrides.items() if v is not None})
     try:
         return RunConfig(**values)
     except TypeError as exc:

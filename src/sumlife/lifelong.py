@@ -115,8 +115,10 @@ def evaluate_network(
     Unseen classes (index at or above the network's output width) cannot be
     predicted and count as errors.  A message-passing network runs only on
     the split rows' receptive field of the snapshot, built and transformed
-    for gcn-edges as training builds its batches, which gives those rows the
-    same logits, bit for bit, as a pass over every vertex.
+    for gcn-edges as training builds its batches.  Message passing gives
+    those rows the same sums as a pass over every vertex; the BLAS products
+    can round a row subset otherwise past about 256 output columns, so
+    logits may differ in their last bits, while predictions have matched.
     """
     rows = np.flatnonzero(task.split == which)
     if len(rows) == 0:

@@ -10,12 +10,14 @@ exceeds the cap, so hub-heavy graphs still make progress.
 Evaluation batches come from ``receptive_field``: the given rows and every
 vertex within a given number of out-edge hops of them, in ascending order,
 cut straight from the snapshot graph.  A vertex closer than that keeps all
-its out-edges, so message passing computes the same logits for those rows as
-a pass over the whole snapshot.  Sampled and evaluation batches are built by
-one constructor, ``_batch``, whose ``_induced_edges`` takes a batch's edges
-from CSR slices and one global-to-local position array.  The closure walk
-stays Python: 2-hop closures hold a few vertices, where a numpy gather per
-closure measured about 20x slower.  A caller drawing many batches from one
+its out-edges, so message passing sums the same terms for those rows as a
+pass over the whole snapshot; the BLAS products around it may still round a
+row subset otherwise in the last bits (see ``lifelong.evaluate_network``).
+Sampled and evaluation batches are built by one constructor, ``_batch``,
+whose ``_induced_edges`` takes a batch's edges from CSR slices and one
+global-to-local position array.  The closure walk stays Python: 2-hop
+closures hold a few vertices, where a numpy gather per closure measured
+about 20x slower.  A caller drawing many batches from one
 graph passes ``sample_batch`` a memo dict, so each target is walked once.
 
 Closures and batches use every edge of the given graph; whether rdf:type

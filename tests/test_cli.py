@@ -73,6 +73,14 @@ def test_config_validation_errors():
         build_config(None, {"restart": "tepid"})
     with pytest.raises(ConfigError):
         build_config(None, {"iterations": 0})
+    with pytest.raises(ConfigError, match="bogus"):
+        build_config(None, {"bogus": "x"})
+
+
+def assert_manifest_lists_every_output(out: Path) -> None:
+    """Every file a command wrote into ``out``, besides the manifest, has a digest in it."""
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert set(outputs) == {p.name for p in out.iterdir()} - {"manifest.json"}
 
 
 def test_cmd_summarize(tmp_path, snapshot_files):
@@ -85,7 +93,10 @@ def test_cmd_summarize(tmp_path, snapshot_files):
     assert stats["model"] == "ac1"
     assert stats["eqcs"] >= 4
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["outputs"]) >= {"eqcs.tsv", "summary_edges.tsv", "stats.json"}
+    assert set(manifest["outputs"]) >= {"eqcs.tsv", "summary_edges.tsv", "stats.json",
+                                        "members_hist.csv", "attrs_hist.csv",
+                                        "predicate_usage_hist.csv"}
+    assert_manifest_lists_every_output(out)
 
 
 def test_cmd_summarize_rerun_identical(tmp_path, snapshot_files):
@@ -121,6 +132,7 @@ def test_cmd_diff(tmp_path, snapshot_files):
     meta_lines = (out / "meta.csv").read_text().splitlines()
     assert meta_lines[0].startswith("index,timestamp,eqcs,")
     assert len(meta_lines) == 3
+    assert_manifest_lists_every_output(out)
 
 
 def test_cmd_diff_identical_snapshots(tmp_path, snapshot_files):
@@ -155,6 +167,7 @@ def test_cmd_lifelong_and_report(tmp_path, snapshot_files):
     assert (out / "task00.gslc").exists() and (out / "task01.gslc").exists()
     svg = (out / "heatmap.svg").read_text()
     assert svg.startswith("<svg") and svg.count("<rect") == 4
+    assert_manifest_lists_every_output(out)
 
     # R.csv cell text appears in the heatmap rounded to 2 decimals
     from sumlife.reporting import read_matrix_csv
@@ -167,6 +180,7 @@ def test_cmd_lifelong_and_report(tmp_path, snapshot_files):
     out2 = tmp_path / "re"
     rc = main(["report", "--matrix", str(out / "R.csv"), "--out", str(out2)])
     assert rc == 0
+    assert_manifest_lists_every_output(out2)
     rep1 = json.loads((out / "report.json").read_text())
     rep2 = json.loads((out2 / "report.json").read_text())
     for key in ("acc", "bwt", "fwt", "omega_base", "omega_new", "omega_all", "forgetting"):
@@ -187,6 +201,7 @@ def test_cmd_eval_checkpoint(tmp_path, snapshot_files):
     assert rc == 0
     payload = json.loads((out_eval / "eval.json").read_text())
     assert 0.0 <= payload["test_accuracy"] <= 1.0
+    assert_manifest_lists_every_output(out_eval)
 
 
 def test_cmd_eval_defaults_to_checkpoint_seed(tmp_path, snapshot_files):
@@ -225,6 +240,7 @@ def test_cmd_lifelong_time_warp(tmp_path, snapshot_files):
     assert set(tw) == {
         "frozen_accuracy", "frozen_unseen_fraction", "retrained_accuracy", "cold_accuracy"
     }
+    assert_manifest_lists_every_output(out_tw)
 
 
 def test_manifest_config_roundtrip(tmp_path, snapshot_files):
@@ -620,3 +636,99 @@ def test_freed_blocks_are_reused_without_page_faults():
         del arrays
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < block // 4096  # re-faulting would cost 4 blocks per step
+
+
+# every option string of each command: settings flags are generated from
+# RunConfig, so a field added, renamed or regrouped shows up here
+OPTION_STRINGS = {
+    "summarize": {"--config", "--degree-cap", "--degree-mode", "--help", "--in",
+                  "--include-rdf-types", "--model", "--out", "--seed", "--threads",
+                  "--timestamps", "-h"},
+    "lifelong": {"--alpha", "--architecture", "--batch-cap", "--config", "--degree-cap",
+                 "--degree-mode", "--dropout", "--help", "--hidden-size", "--in",
+                 "--include-rdf-types", "--iterations", "--learning-rate", "--model",
+                 "--normalize-adjacency", "--out", "--restart", "--seed", "--tau", "--threads",
+                 "--time-warp", "--timestamps", "--zero-init-growth", "-h"},
+    "eval": {"--ckpt", "--config", "--degree-cap", "--degree-mode", "--help", "--in",
+             "--include-rdf-types", "--model", "--out", "--seed", "--threads", "--timestamps",
+             "-h"},
+    "report": {"--help", "--matrix", "--out", "-h"},
+}
+OPTION_STRINGS["diff"] = OPTION_STRINGS["summarize"]
+
+
+def test_each_command_takes_its_option_strings():
+    sub = next(a for a in _parser()._actions if a.dest == "command")
+    got = {name: {s for a in p._actions for s in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == OPTION_STRINGS
+    settings = {f.name for f in fields(RunConfig)}
+    for p in sub.choices.values():
+        for action in p._actions:
+            if action.dest in settings:
+                assert action.type is None and action.choices is None, action.dest
+
+
+# (flag, value, config-file key): one bad value of every typed setting
+BAD_VALUES = [
+    ("--model", "ac3", "model"),
+    ("--architecture", "cnn", "architecture"),
+    ("--restart", "tepid", "restart"),
+    ("--degree-mode", "sideways", "degree_mode"),
+    ("--seed", "x", "seed"),
+    ("--iterations", "1.5", "iterations"),
+    ("--dropout", "x", "dropout"),
+    ("--degree-cap", "1e2", "degree_cap"),
+]
+
+
+@pytest.mark.parametrize("flag, value, key", BAD_VALUES, ids=[k for _, _, k in BAD_VALUES])
+def test_bad_value_exits_2_alike_from_flag_and_file(tmp_path, snapshot_files, capsys,
+                                                    monkeypatch, flag, value, key):
+    import sumlife.cli as cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_snapshot", lambda *a: loaded.append(a))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    messages = []
+    for setting in ([flag, value], ["--config", str(cfg_file)]):
+        assert main(["lifelong", "--in", snapshot_files[0], "--out", str(tmp_path / "o"),
+                     *setting]) == 2, setting
+        messages.append(_one_error_line(capsys))
+    assert messages[0] == messages[1]
+    assert key in messages[0] and repr(value) in messages[0]
+    assert not loaded and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["lifelong", "--in", "x", "--bogus"], "--bogus"),
+    (["lifelong", "--in", "x", "--seed"], "--seed"),
+    (["eval", "--in", "x"], "--ckpt"),
+    (["report"], "--matrix"),
+    ([], "command"),
+    (["train"], "train"),
+], ids=["unknown_flag", "missing_value", "missing_ckpt", "missing_matrix", "missing_command",
+        "unknown_command"])
+def test_argument_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, named):
+    import sumlife.cli as cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_snapshot", lambda *a: loaded.append(a))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert named in _one_error_line(capsys)
+    assert not loaded and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["lifelong", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "sumlife" in out
+    if argv[0] == "lifelong":
+        for text in ("--degree-cap", "--model {ac1,ac2}", "flat key = value config file",
+                     "snapshot files or directories", "output directory"):
+            assert text in out, text
