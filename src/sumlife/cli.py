@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_origin
 
 from . import __version__
-from .config import CHOICES, FIELD_TYPES, SEED_ENV_VAR, RunConfig, build_config, parse_config_file
+from .config import CHOICES, FIELD_TYPES, RunConfig, build_config
 from .errors import CheckpointError, ConfigError, IngestError, NumericalError
 from .features import TEST, split_sizes
 from .ingest import SnapshotGraph, drop_rdf_types, filter_high_degree, load_snapshot
@@ -260,7 +259,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int:
+def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
     _one_snapshot(cfg, "eval")
     out = _out_dir(cfg)
     manifest = Manifest("eval", cfg.to_dict())
@@ -270,8 +269,8 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str, seed_explicit: bool = False) -> int
     with manifest.stage("eval"):
         net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         # default to the checkpoint's recorded seed so the split matches the
-        # run that produced it; an explicit seed still wins
-        seed = cfg.seed if seed_explicit else header["seed"]
+        # run that produced it; a seed from a flag, SUMLIFE_SEED or --config wins
+        seed = cfg.seed if "seed" in cfg.explicit else header["seed"]
         seq = prepare_tasks(graphs, cfg.model, seed, pred_vocab=pv, class_vocab=cv)
         task = seq.tasks[0]
         test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
@@ -332,7 +331,12 @@ def _add_settings(p: argparse.ArgumentParser, lifelong: bool) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad argument as a ``ConfigError``: one ``error:`` line and exit 2."""
+    """Reports a bad argument as a ``ConfigError``: one ``error:`` line and exit 2.
+    Flags must be spelled in full, so ``--iter`` is an unknown flag, not ``--iterations``;
+    the sub-parsers are ``_Parser``s too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ConfigError(message)
@@ -405,12 +409,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lifelong":
             return cmd_lifelong(cfg, args.time_warp)
         if args.command == "eval":
-            seed_explicit = (
-                overrides.get("seed") is not None
-                or os.environ.get(SEED_ENV_VAR) is not None
-                or (args.config is not None and "seed" in parse_config_file(args.config))
-            )
-            return cmd_eval(cfg, args.ckpt, seed_explicit)
+            return cmd_eval(cfg, args.ckpt)
         return cmd_report(cfg, args.matrix)  # the parser allows no other command
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 from .errors import ConfigError
 from .ingest import DEGREE_MODES
 from .lifelong import RESTARTS
-from .nets.network import ARCHITECTURES
+from .nets.network import ARCHITECTURES, FEATURE_ONLY
 from .summarize import MODEL_HOPS
 
 SEED_ENV_VAR = "SUMLIFE_SEED"
@@ -53,6 +53,8 @@ class RunConfig:
     include_rdf_types: bool = False
     zero_init_growth: bool = field(default=False, metadata=LIFELONG_ONLY)
     out_dir: str = "out"
+    # the keys a config file, SUMLIFE_SEED or an override set (``build_config``)
+    explicit = frozenset()
 
     def __post_init__(self):
         for key, allowed in CHOICES.items():
@@ -71,7 +73,7 @@ class RunConfig:
         if hidden is not None:
             if not hidden or min(hidden) < 1:
                 raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_size!r}")
-            if len(hidden) > 1 and self.architecture in ("mlp", "graph-mlp"):
+            if len(hidden) > 1 and self.architecture in FEATURE_ONLY:
                 raise ConfigError(
                     f"architecture {self.architecture} takes one hidden size, got {self.hidden_size!r}"
                 )
@@ -144,7 +146,8 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def build_config(file_path: str | Path | None, overrides: dict) -> RunConfig:
-    """Merge defaults, config file, SUMLIFE_SEED and CLI overrides (in that order)."""
+    """Merge defaults, config file, SUMLIFE_SEED and CLI overrides (in that order);
+    the result's ``explicit`` names every key that was not left at its default."""
     values: dict = {}
     if file_path is not None:
         values.update(parse_config_file(file_path))
@@ -157,6 +160,8 @@ def build_config(file_path: str | Path | None, overrides: dict) -> RunConfig:
     values.update({k: _coerce(k, v) if isinstance(v, str) and k in FIELD_TYPES else v
                    for k, v in overrides.items() if v is not None})
     try:
-        return RunConfig(**values)
+        cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    cfg.explicit = frozenset(values)
+    return cfg

@@ -113,30 +113,25 @@ def evaluate_network(
     """(accuracy, unseen-class fraction) on one split of a task.
 
     Unseen classes (index at or above the network's output width) cannot be
-    predicted and count as errors.  A message-passing network runs only on
-    the split rows' receptive field of the snapshot, built and transformed
-    for gcn-edges as training builds its batches.  Message passing gives
-    those rows the same sums as a pass over every vertex; the BLAS products
-    can round a row subset otherwise past about 256 output columns, so
-    logits may differ in their last bits, while predictions have matched.
+    predicted and count as errors.  Every network runs on one batch: the
+    split rows' receptive field, ``net.receptive_hops`` out in the snapshot
+    (the rows alone for a feature-only network), transformed as training
+    transforms its batches.  Message passing gives those rows the same sums
+    as a pass over every vertex; the BLAS products can round a row subset
+    otherwise past about 256 output columns, so logits may differ in their
+    last bits, while predictions have matched.
     """
     rows = np.flatnonzero(task.split == which)
     if len(rows) == 0:
         return 0.0, 0.0
     labels = task.labels[rows]
     unseen = labels >= net.n_classes
-    if net.arch in ("mlp", "graph-mlp"):
-        logits = net.feature_logits(task.features[rows])
-        pred = np.argmax(logits, axis=1)
-    else:
-        batch = receptive_field(
-            task.graph, task.labels, task.features, rows, net.receptive_hops,
-            MODEL_HOPS[seq.model],
-        )
-        if net.arch == "gcn-edges":
-            batch = edge_as_vertex_transform(batch, seq.pred_vocab)
-        logits = net.batch_logits(batch)
-        pred = np.argmax(logits[batch.target_idx], axis=1)
+    batch = receptive_field(
+        task.graph, task.labels, task.features, rows, net.receptive_hops, MODEL_HOPS[seq.model]
+    )
+    if net.edges_as_vertices:
+        batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+    pred = np.argmax(net.batch_logits(batch)[batch.target_idx], axis=1)
     correct = (pred == labels) & ~unseen
     return float(correct.mean()), float(unseen.mean())
 
@@ -160,7 +155,7 @@ def _train_on_task(
             task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng,
             closures=closures,
         )
-        if net.arch == "gcn-edges":
+        if net.edges_as_vertices:
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)
         try:
             net.train_step(batch, adam, rng)

@@ -8,8 +8,9 @@ as little-endian row-major float64 bytes, so round-trips are bit-exact.
 ``RUN_FIELDS`` and ``_HYPER_FIELDS`` give the types a header field must have,
 because the header is outside input.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
-missing or ill-typed header field, a vocabulary that does not match its
-digest) raises ``CheckpointError``.
+missing or ill-typed header field, tensors whose shapes do not form the
+header's network, a vocabulary that does not match its digest or is
+narrower than the network) raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ import numpy as np
 
 from ..errors import CheckpointError
 from ..features import ClassVocabulary, PredicateVocabulary
-from .gcn import GcnParams
-from .graphmlp import GraphMlpParams
-from .mlp import MlpParams
 from .network import Hyper, Network
 
 MAGIC = b"GSLC"
@@ -106,7 +104,7 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
             return _from_header(fh, path, header)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(
-                f"{path}: missing or ill-typed checkpoint header field "
+                f"{path}: missing, ill-typed or inconsistent checkpoint header field "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
@@ -135,21 +133,17 @@ def _from_header(fh, path, header: dict):
             np.frombuffer(payload, dtype, count, offset).reshape(shape).astype(np.float64)
         )
         offset = end
-    arch = header["architecture"]
-    if arch == "mlp":
-        params = MlpParams(tensors["w0"], tensors["b0"], tensors["w_out"], tensors["b_out"])
-    elif arch == "graph-mlp":
-        params = GraphMlpParams(tensors["w0"], tensors["w1"], tensors["w2"])
-    else:
-        n_layers = sum(1 for k in tensors if k.startswith("w") and k != "w_cls" and k[1:].isdigit())
-        params = GcnParams(
-            layers=[tensors[f"w{i}"] for i in range(n_layers)], w_cls=tensors["w_cls"]
-        )
-    network = Network(arch, params, Hyper(**header["hyper"]))
+    network = Network.from_tensors(header["architecture"], tensors, Hyper(**header["hyper"]),
+                                   header["n_in"], header["n_classes"])
     pred_vocab = PredicateVocabulary.from_lines(header["predicate_vocab"])
     class_vocab = ClassVocabulary.from_lines(header["class_vocab"])
     digests = header["vocab_digests"]
-    for kind, vocab in (("predicates", pred_vocab), ("classes", class_vocab)):
+    for kind, vocab, width in (("predicates", pred_vocab, network.n_in),
+                               ("classes", class_vocab, network.n_classes)):
         if vocab.digest() != digests[kind]:
             raise CheckpointError(f"{path}: {kind} vocabulary does not match its digest")
+        if width > vocab.width:
+            raise CheckpointError(
+                f"{path}: the network takes {width} {kind}, its vocabulary holds {vocab.width}"
+            )
     return network, pred_vocab, class_vocab, header

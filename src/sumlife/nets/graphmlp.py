@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import ncontrast_loss
 from .ops import dropout_mask, gelu, gelu_grad, glorot_uniform, widen
 
 
@@ -83,6 +84,17 @@ def graphmlp_backward(
     dx1 = dz @ params.w1.T
     da0 = dx1 * cache["mask"] * gelu_grad(cache["a0"])
     return {"w0": cache["x"].T @ da0, "w1": dw1, "w2": dw2}
+
+
+def graphmlp_contrast(z: np.ndarray, src: np.ndarray, dst: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """Contrastive loss and gradient of a batch's embeddings ``z``, whose edges
+    (both ways) are the positive pairs; 0 and a zero gradient below 2 vertices."""
+    n = len(z)
+    if n < 2:
+        return 0.0, np.zeros_like(z)
+    gamma = np.zeros((n, n))
+    gamma[src, dst] = gamma[dst, src] = 1.0
+    return ncontrast_loss(z, gamma, tau)
 
 
 def grow_graphmlp(

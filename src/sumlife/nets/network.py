@@ -1,9 +1,13 @@
-"""Architecture dispatch: one object the training loop and evaluator drive.
+"""The one module that names the architectures: "mlp" (features only),
+"graph-mlp" (features + contrastive term over batch edges), "gcn" and
+"gcn-edges" (message passing; the edges variant takes edge-as-vertex batches).
 
-Architectures: "mlp" (features only), "graph-mlp" (features + contrastive
-term over batch edges), "gcn" and "gcn-edges" (message passing over the
-sampled batch; the edges variant expects edge-as-vertex batches and two
-hidden layers).
+Each per-architecture decision is a ``Network`` member: parameters in
+``create``, ``grow`` and ``from_tensors``, the batch a network reads in
+``receptive_hops`` and ``edges_as_vertices``, the forward pass in ``_forward``
+and the backward pass after ``train_step``'s one loss tail.  Both passes look
+their functions up in this module's globals at call time, so a wrapper put
+on a module name (as the benchmark's tracer does) sees every call.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import numpy as np
 
 from ..sampling import Subgraph
 from .adam import AdamState, adam_step
-from .gcn import batch_adjacency, gcn_backward, gcn_forward, grow_gcn, init_gcn
-from .graphmlp import graphmlp_backward, graphmlp_forward, grow_graphmlp, init_graphmlp
-from .losses import cross_entropy, ncontrast_loss
+from .gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward, grow_gcn, init_gcn
+from .graphmlp import GraphMlpParams, graphmlp_backward, graphmlp_contrast, graphmlp_forward
+from .graphmlp import grow_graphmlp, init_graphmlp
+from .losses import cross_entropy
 from .mlp import MlpParams, grow_mlp, init_mlp, mlp_backward, mlp_forward
 from .ops import assert_finite, scatter_add
 
@@ -29,6 +34,8 @@ ARCH_DEFAULTS = {
     "gcn-edges": ([32, 32], 0.0, 0.1),
 }
 ARCHITECTURES = tuple(ARCH_DEFAULTS)
+# the architectures that read feature rows alone, through one hidden size
+FEATURE_ONLY = ("mlp", "graph-mlp")
 
 
 @dataclass
@@ -52,6 +59,19 @@ class Hyper:
         )
 
 
+def _tensor_shapes(arch: str, n_in: int, hidden: list, n_classes: int) -> dict[str, tuple]:
+    """Each parameter tensor's shape, by name."""
+    if arch == "mlp":
+        (h,) = hidden
+        return {"w0": (n_in, h), "b0": (h,), "w_out": (h, n_classes), "b_out": (n_classes,)}
+    if arch == "graph-mlp":
+        (h,) = hidden
+        return {"w0": (n_in, h), "w1": (h, h), "w2": (h, n_classes)}
+    widths = [n_in, *hidden]
+    return {**{f"w{i}": tuple(widths[i : i + 2]) for i in range(len(hidden))},
+            "w_cls": (sum(hidden), n_classes)}
+
+
 class Network:
     """One classifier with its architecture and hyperparameters."""
 
@@ -65,12 +85,24 @@ class Network:
     @classmethod
     def create(cls, arch: str, n_in: int, n_classes: int, hyper: Hyper, rng: np.random.Generator) -> "Network":
         hyper = hyper.resolved(arch)
-        if arch == "mlp":
-            params = init_mlp(rng, n_in, hyper.hidden[0], n_classes)
-        elif arch == "graph-mlp":
-            params = init_graphmlp(rng, n_in, hyper.hidden[0], n_classes)
+        if arch in FEATURE_ONLY:
+            init = init_mlp if arch == "mlp" else init_graphmlp
+            return cls(arch, init(rng, n_in, hyper.hidden[0], n_classes), hyper)
+        return cls(arch, init_gcn(rng, n_in, hyper.hidden, n_classes), hyper)
+
+    @classmethod
+    def from_tensors(cls, arch: str, tensors: dict, hyper: Hyper, n_in: int, n_classes: int) -> "Network":
+        """The network whose ``params.tensors()`` are ``tensors``; ValueError
+        unless each has the shape ``arch`` gives it for ``n_in``, ``hyper.hidden``
+        and ``n_classes``, so layers chain and a GCN has a layer per hidden size."""
+        shapes = {name: t.shape for name, t in tensors.items()}
+        expected = _tensor_shapes(arch, n_in, hyper.hidden, n_classes)
+        if shapes != expected:
+            raise ValueError(f"{arch} tensor shapes {shapes} are not {expected}")
+        if arch in FEATURE_ONLY:
+            params = (MlpParams if arch == "mlp" else GraphMlpParams)(**tensors)
         else:
-            params = init_gcn(rng, n_in, hyper.hidden, n_classes)
+            params = GcnParams([tensors[f"w{i}"] for i in range(len(hyper.hidden))], tensors["w_cls"])
         return cls(arch, params, hyper)
 
     @property
@@ -82,105 +114,72 @@ class Network:
         return self.params.n_classes
 
     @property
-    def receptive_hops(self) -> int:
-        """Snapshot out-edge hops a message-passing logit reads.
+    def edges_as_vertices(self) -> bool:
+        """Whether batches reach this network through ``edge_as_vertex_transform``."""
+        return self.arch == "gcn-edges"
 
-        A logit reads one batch hop per layer, plus one under degree
-        normalization, whose edge weights read the outer ring's out-degrees.
-        After the edge-as-vertex transform one snapshot hop is two batch hops,
-        so gcn-edges needs half as many snapshot hops, rounded up.
-        """
+    @property
+    def receptive_hops(self) -> int:
+        """Snapshot out-edge hops a logit reads: 0 for feature-only networks.
+        A message-passing logit reads a batch hop per layer, plus one under
+        degree normalization (its weights read the outer ring's out-degrees);
+        an edge-as-vertex batch spends two per snapshot hop, so half as many, rounded up."""
+        if self.arch in FEATURE_ONLY:
+            return 0
         hops = len(self.params.layers) + int(self.hyper.normalize_adjacency)
-        return (hops + 1) // 2 if self.arch == "gcn-edges" else hops
+        return (hops + 1) // 2 if self.edges_as_vertices else hops
 
     def clone(self) -> "Network":
         return Network(self.arch, copy.deepcopy(self.params), copy.deepcopy(self.hyper))
 
     def grow(self, n_in: int, n_classes: int, rng: np.random.Generator, zero_init: bool = False) -> None:
-        if self.arch == "mlp":
-            self.params = grow_mlp(self.params, rng, n_in, n_classes, zero_init)
-        elif self.arch == "graph-mlp":
-            self.params = grow_graphmlp(self.params, rng, n_in, n_classes, zero_init)
-        else:
-            self.params = grow_gcn(self.params, rng, n_in, n_classes, zero_init)
+        grow = {"mlp": grow_mlp, "graph-mlp": grow_graphmlp}.get(self.arch, grow_gcn)
+        self.params = grow(self.params, rng, n_in, n_classes, zero_init)
 
     def new_adam(self) -> AdamState:
         return AdamState.init_like(self.params.tensors())
 
-    # -- forward passes ------------------------------------------------------
-
-    def _batch_inputs(self, batch: Subgraph) -> np.ndarray:
+    def _forward(self, batch: Subgraph, rng: np.random.Generator | None = None):
+        """(logits for every batch vertex, backward cache); train mode exactly
+        when ``rng`` is given, and the cache is None otherwise."""
         x = batch.features
         if x.shape[1] < self.n_in:
             raise ValueError("feature width below network input width")
-        return x[:, : self.n_in]
+        x, train, dropout = x[:, : self.n_in], rng is not None, self.hyper.dropout
+        if self.arch == "mlp":
+            return mlp_forward(self.params, x, train, dropout, rng)
+        if self.arch == "graph-mlp":
+            _, logits, cache = graphmlp_forward(self.params, x, train, dropout, rng)
+            return logits, cache
+        adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
+                              self.hyper.normalize_adjacency)
+        return gcn_forward(self.params, x, adj, train, dropout, rng)
 
     def batch_logits(self, batch: Subgraph) -> np.ndarray:
         """Eval-mode logits for every batch vertex."""
-        x = self._batch_inputs(batch)
-        if self.arch == "mlp":
-            logits, _ = mlp_forward(self.params, x)
-        elif self.arch == "graph-mlp":
-            _, logits, _ = graphmlp_forward(self.params, x)
-        else:
-            adj = batch_adjacency(
-                batch.num_vertices, batch.edge_src, batch.edge_dst, self.hyper.normalize_adjacency
-            )
-            logits, _ = gcn_forward(self.params, x, adj)
-        return logits
+        return self._forward(batch)[0]
 
-    def feature_logits(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode logits from raw feature rows (mlp / graph-mlp only)."""
-        x = x[:, : self.n_in]
-        if self.arch == "mlp":
-            logits, _ = mlp_forward(self.params, x)
-            return logits
-        if self.arch == "graph-mlp":
-            _, logits, _ = graphmlp_forward(self.params, x)
-            return logits
-        raise ValueError("message-passing networks need a batch, not bare features")
-
-    # -- training ------------------------------------------------------------
+    # nothing in sumlife calls this alias: the benchmark tracer wraps it by name
+    feature_logits = batch_logits
 
     def train_step(self, batch: Subgraph, adam: AdamState, rng: np.random.Generator) -> float:
-        """Forward, hand-derived backward, Adam update; returns the loss."""
-        x = self._batch_inputs(batch)
-        targets = batch.target_idx
-        labels = batch.labels
+        """Forward, hand-derived backward, Adam update; returns the loss.
+        Graph-MLP adds its contrastive term, whose gradient joins at the embeddings."""
         hyper = self.hyper
-        if self.arch == "mlp":
-            logits, cache = mlp_forward(self.params, x, True, hyper.dropout, rng)
-            loss, dsel = cross_entropy(logits[targets], labels)
-            dlogits = np.zeros_like(logits)
-            scatter_add(dlogits, targets, dsel)
-            grads = mlp_backward(self.params, cache, dlogits)
-        elif self.arch == "graph-mlp":
-            z, logits, cache = graphmlp_forward(self.params, x, True, hyper.dropout, rng)
-            ce, dsel = cross_entropy(logits[targets], labels)
-            if batch.num_vertices >= 2:
-                gamma = np.zeros((batch.num_vertices, batch.num_vertices))
-                if batch.num_edges:
-                    gamma[batch.edge_src, batch.edge_dst] = 1.0
-                    gamma[batch.edge_dst, batch.edge_src] = 1.0
-                nc, dz_nc = ncontrast_loss(z, gamma, hyper.tau)
-            else:
-                nc, dz_nc = 0.0, np.zeros_like(z)
-            loss = ce + hyper.alpha * nc
-            dlogits = np.zeros_like(logits)
-            scatter_add(dlogits, targets, dsel)
+        logits, cache = self._forward(batch, rng)
+        loss, dsel = cross_entropy(logits[batch.target_idx], batch.labels)
+        dlogits = np.zeros_like(logits)
+        scatter_add(dlogits, batch.target_idx, dsel)
+        if self.arch == "graph-mlp":
+            nc, dz_nc = graphmlp_contrast(cache["z"], batch.edge_src, batch.edge_dst, hyper.tau)
+            loss = loss + hyper.alpha * nc
             grads = graphmlp_backward(self.params, cache, dlogits, hyper.alpha * dz_nc)
+        elif self.arch == "mlp":
+            grads = mlp_backward(self.params, cache, dlogits)
         else:
-            adj = batch_adjacency(
-                batch.num_vertices, batch.edge_src, batch.edge_dst, hyper.normalize_adjacency
-            )
-            logits, cache = gcn_forward(self.params, x, adj, True, hyper.dropout, rng)
-            loss, dsel = cross_entropy(logits[targets], labels)
-            dlogits = np.zeros_like(logits)
-            scatter_add(dlogits, targets, dsel)
             grads = gcn_backward(self.params, cache, dlogits)
         assert_finite("loss", loss)
         for name, g in grads.items():
             assert_finite(f"grad {name}", g)
         adam_step(self.params.tensors(), grads, adam, hyper.learning_rate)
         return loss
-

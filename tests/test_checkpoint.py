@@ -1,12 +1,15 @@
 import json
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from sumlife.cli import main
 from sumlife.errors import CheckpointError
 from sumlife.features import ClassVocabulary, PredicateVocabulary
 from sumlife.nets import Hyper, Network, load_checkpoint, save_checkpoint
+from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 
 
 def make_net(arch="mlp", n_in=5, n_classes=4, seed=0):
@@ -17,8 +20,9 @@ RUN = {"model": "ac2", "include_rdf_types": False, "degree_cap": 100, "degree_mo
 
 
 def vocabs():
-    pv = PredicateVocabulary(["http://p", "http://q"])
-    cv = ClassVocabulary([0, 17, 2**63 + 5])
+    """As wide as ``make_net``'s input and output: 5 predicates, 4 classes."""
+    pv = PredicateVocabulary(["http://p", "http://q", "http://r", "http://s", "http://t"])
+    cv = ClassVocabulary([0, 17, 3, 2**63 + 5])
     return pv, cv
 
 
@@ -176,3 +180,108 @@ def test_empty_predicate_iri_survives_checkpoint(tmp_path):
     assert pv2.entries == pv.entries and cv2.entries == cv.entries
     pv2.serialize(tmp_path / "p.vocab")
     assert PredicateVocabulary.deserialize(tmp_path / "p.vocab").entries == pv.entries
+
+
+def rewrite_tensors(path, edit):
+    """Replace a checkpoint's tensors by ``edit(header, tensors)``; the header's
+    tensor list follows the new tensors, so only their shapes can be wrong."""
+    data = path.read_bytes()
+    header_len = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12 : 12 + header_len])
+    tensors, offset = {}, 12 + header_len
+    for spec in header["tensors"]:
+        count = math.prod(spec["shape"])
+        tensors[spec["name"]] = np.frombuffer(data, "<f8", count, offset).reshape(spec["shape"])
+        offset += 8 * count
+    tensors = edit(header, tensors)
+    header["tensors"] = [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()]
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = b"".join(np.ascontiguousarray(v, "<f8").tobytes() for v in tensors.values())
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + payload)
+
+
+def widened(header, tensors, key, name, rows, cols):
+    """``tensors`` with ``rows`` zero rows and ``cols`` zero columns added to
+    ``name``, and the header's ``key`` width grown to match."""
+    header[key] += rows + cols
+    t = tensors[name]
+    return {**tensors, name: np.pad(t, [(0, rows)] + [(0, cols)] * (t.ndim - 1))}
+
+
+def with_hidden(hidden):
+    def edit(header, tensors):
+        header["hyper"]["hidden"] = hidden
+        return tensors
+    return edit
+
+
+def with_header(key, delta):
+    def edit(header, tensors):
+        header[key] += delta
+        return tensors
+    return edit
+
+
+@pytest.mark.parametrize("arch, edit", [
+    ("mlp", lambda h, t: {**t, "w_out": t["w_out"][:-3]}),
+    ("mlp", lambda h, t: {**t, "b0": t["b0"][:-1]}),
+    ("graph-mlp", lambda h, t: {**t, "w1": t["w1"][:, :-1]}),
+    ("gcn", lambda h, t: {"w0": t["w0"], "w1": np.zeros((6, 6)), "w_cls": t["w_cls"]}),
+    ("gcn-edges", lambda h, t: {**t, "w1": t["w1"][:, :-1]}),
+    ("mlp", with_header("n_in", -1)),
+    ("gcn", with_header("n_classes", 1)),
+    ("gcn", with_hidden([6, 6])),
+    ("gcn-edges", with_hidden([3])),
+    ("graph-mlp", with_hidden([])),
+], ids=["mlp_w_out_rows_cut", "mlp_b0_short", "graph_mlp_w1_narrow", "gcn_extra_layer",
+        "gcn_edges_layers_do_not_chain", "header_n_in", "header_n_classes",
+        "gcn_fewer_layers_than_hidden", "gcn_edges_more_layers_than_hidden",
+        "graph_mlp_no_hidden_size"])
+def test_tensors_that_do_not_form_the_network_rejected(tmp_path, arch, edit):
+    p = saved(tmp_path, arch)
+    rewrite_tensors(p, edit)
+    with pytest.raises(CheckpointError, match="inconsistent checkpoint header field"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("arch, key, name, rows, cols", [
+    ("mlp", "n_in", "w0", 1, 0),
+    ("gcn", "n_in", "w0", 1, 0),
+    ("mlp", "n_classes", "w_out", 0, 1),
+    ("graph-mlp", "n_classes", "w2", 0, 1),
+])
+def test_network_wider_than_its_vocabulary_rejected(tmp_path, arch, key, name, rows, cols):
+    p = saved(tmp_path, arch)
+
+    def edit(header, tensors):
+        tensors = widened(header, tensors, key, name, rows, cols)
+        if arch == "mlp" and key == "n_classes":
+            tensors["b_out"] = np.append(tensors["b_out"], 0.0)
+        return tensors
+
+    rewrite_tensors(p, edit)
+    with pytest.raises(CheckpointError, match="vocabulary holds"):
+        load_checkpoint(p)
+
+
+def test_rewritten_tensors_of_the_same_shapes_load(tmp_path):
+    p = saved(tmp_path, "mlp")
+    rewrite_tensors(p, lambda h, t: {k: v + 1.0 for k, v in t.items()})
+    loaded, _, _, _ = load_checkpoint(p)
+    assert np.array_equal(loaded.params.b0, np.ones(6))
+
+
+def test_eval_of_a_cut_tensor_exits_1_with_one_line(tmp_path, capsys):
+    snapshot = tmp_path / "2012-05-06.nt"
+    write_ntriples(snapshot, ring_triples(distinct_recipes(predicate_pool(4), 4), 12))
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac1", "--in", str(snapshot), "--out", str(out),
+                 "--iterations", "2", "--hidden-size", "8"]) == 0
+    ckpt = out / "task00.gslc"
+    rewrite_tensors(ckpt, lambda h, t: {**t, "w_out": t["w_out"][:-3]})
+    capsys.readouterr()
+    assert main(["eval", "--model", "ac1", "--in", str(snapshot), "--ckpt", str(ckpt),
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "task00.gslc" in err and "tensor shapes" in err

@@ -708,8 +708,12 @@ def test_bad_value_exits_2_alike_from_flag_and_file(tmp_path, snapshot_files, ca
     (["report"], "--matrix"),
     ([], "command"),
     (["train"], "train"),
+    (["lifelong", "--in", "x", "--iter", "3"], "--iter"),
+    (["lifelong", "--in", "x", "--learn", "0.5"], "--learn"),
+    (["lifelong", "--in", "x", "--hidden", "8"], "--hidden"),
 ], ids=["unknown_flag", "missing_value", "missing_ckpt", "missing_matrix", "missing_command",
-        "unknown_command"])
+        "unknown_command", "abbreviated_iterations", "abbreviated_learning_rate",
+        "abbreviated_hidden_size"])
 def test_argument_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, named):
     import sumlife.cli as cli
 
@@ -732,3 +736,34 @@ def test_help_and_version_still_exit_0(capsys, argv):
         for text in ("--degree-cap", "--model {ac1,ac2}", "flat key = value config file",
                      "snapshot files or directories", "output directory"):
             assert text in out, text
+
+
+def test_eval_config_file_is_read_once_and_its_seed_wins(tmp_path, snapshot_files, monkeypatch):
+    import sumlife.cli as cli
+    import sumlife.config as config
+
+    out = tmp_path / "out"
+    assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
+                 "--iterations", "2", "--seed", "5"]) == 0
+    reads, seeds = [], []
+    parse = config.parse_config_file
+    prepare = cli.prepare_tasks
+
+    def counting(path):
+        reads.append(path)
+        return parse(path)
+
+    def recording(graphs, model, seed, **kwargs):
+        seeds.append(seed)
+        return prepare(graphs, model, seed, **kwargs)
+
+    monkeypatch.setattr(config, "parse_config_file", counting)
+    monkeypatch.setattr(cli, "parse_config_file", counting, raising=False)
+    monkeypatch.setattr(cli, "prepare_tasks", recording)
+    cfg_file = tmp_path / "run.cfg"
+    for text, seed in (("model = ac1\nseed = 6\n", 6), ("model = ac1\n", 5)):
+        cfg_file.write_text(text)
+        reads.clear()
+        assert main(["eval", "--config", str(cfg_file), "--ckpt", str(out / "task00.gslc"),
+                     "--in", snapshot_files[0], "--out", str(tmp_path / "eval")]) == 0
+        assert len(reads) == 1 and seeds[-1] == seed, text

@@ -17,7 +17,11 @@ from sumlife.lifelong import (
     time_warp,
 )
 from sumlife.features import TEST, TRAIN
+from sumlife.sampling import receptive_field
 from sumlife.nets import Hyper, Network
+from sumlife.nets.graphmlp import graphmlp_forward
+from sumlife.nets.mlp import mlp_forward
+from sumlife.nets.ops import gelu, relu
 from sumlife.reporting import read_matrix_csv, write_matrix_csv
 from synth import drift_sequence, ring_snapshot, predicate_pool, distinct_recipes
 
@@ -294,3 +298,42 @@ def test_include_rdf_types_reaches_gcn_batches(monkeypatch):
         for name, seen in batches.items():
             assert seen, name
             assert all((b.edge_pred == type_id).any() == typed for b in seen), name
+
+
+def _by_hand_logits(net, x):
+    """Eval-mode logits of a feature-only network, written out from its parameters."""
+    p = net.params
+    x = x[:, : net.n_in]
+    if net.arch == "mlp":
+        return relu(x @ p.w0 + p.b0) @ p.w_out + p.b_out
+    return gelu(x @ p.w0) @ p.w1 @ p.w2
+
+
+@pytest.mark.parametrize("arch", ["mlp", "graph-mlp"])
+def test_feature_only_networks_read_no_hop(arch):
+    seq = quick_seq(2)
+    nets, r, diag = run_sequence(seq, arch, Hyper(hidden=[8]), "warm", seed=3, iterations=6)
+    assert [net.receptive_hops for net in nets] == [0, 0]
+    for i, net in enumerate(nets):
+        for task in seq.tasks:
+            rows = np.flatnonzero(task.split == TEST)
+            labels = task.labels[rows]
+            logits = _by_hand_logits(net, task.features[rows])
+            unseen = labels >= logits.shape[1]
+            correct = (np.argmax(logits, axis=1) == labels) & ~unseen
+            assert evaluate_network(net, task, seq) == (float(correct.mean()), float(unseen.mean()))
+            assert r[i, task.index] == correct.mean()
+            assert diag[i]["unseen_fraction"][task.index] == unseen.mean()
+
+
+@pytest.mark.parametrize("arch", ["mlp", "graph-mlp"])
+def test_zero_hop_batch_logits_are_the_feature_rows_logits(arch):
+    seq = quick_seq(1)
+    task = seq.tasks[0]
+    net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=[8]),
+                         np.random.default_rng(2))
+    rows = np.flatnonzero(task.split == TEST)
+    batch = receptive_field(task.graph, task.labels, task.features, rows, 0, 1)
+    x = task.features[rows][:, : net.n_in]
+    bare = mlp_forward(net.params, x)[0] if arch == "mlp" else graphmlp_forward(net.params, x)[1]
+    assert net.batch_logits(batch)[batch.target_idx].tobytes() == bare.tobytes()
