@@ -48,6 +48,7 @@ from .reporting import (
     Manifest,
     read_matrix_csv,
     svg_heatmap,
+    write_csv,
     write_histogram_csv,
     write_json,
     write_matrix_csv,
@@ -186,18 +187,13 @@ def cmd_diff(cfg: RunConfig) -> int:
             records.append(rec)
     with manifest.stage("emit"):
         write_json(out / "diff.json", records)
-        with open(out / "meta.csv", "w", encoding="utf-8") as fh:
-            fh.write(
-                "index,timestamp,eqcs,new_vs_first,new_vs_prev,deleted_vs_prev,"
-                "recurring,reappearing,disappeared,cumulative_seen\n"
-            )
-            for i, (ts, _) in enumerate(graphs):
-                fh.write(
-                    f"{i},{ts},{track.sizes[i]},{track.new_vs_first[i]},"
-                    f"{track.new_vs_prev[i]},{track.deleted_vs_prev[i]},"
-                    f"{track.recurring[i]},{track.reappearing[i]},"
-                    f"{track.disappeared[i]},{track.cumulative_seen[i]}\n"
-                )
+        write_csv(out / "meta.csv", [
+            ("index", "timestamp", "eqcs", "new_vs_first", "new_vs_prev", "deleted_vs_prev",
+             "recurring", "reappearing", "disappeared", "cumulative_seen"),
+            *((i, ts, track.sizes[i], track.new_vs_first[i], track.new_vs_prev[i],
+               track.deleted_vs_prev[i], track.recurring[i], track.reappearing[i],
+               track.disappeared[i], track.cumulative_seen[i]) for i, (ts, _) in enumerate(graphs)),
+        ])
         manifest.record_output(out / "diff.json")
         manifest.record_output(out / "meta.csv")
     manifest.write(out)

@@ -10,7 +10,8 @@ adjacency matrix with a unit diagonal.  Degree normalization
 (``Hyper.normalize_adjacency``) is applied once, when ``batch_adjacency``
 builds a batch's edge list: entry (u, v) is scaled by 1/sqrt(d_u * d_v),
 with d = 1 + the distinct out-degree.  The hidden layers' outputs are
-concatenated before the linear classifier.
+concatenated before the linear classifier.  The parameter layout lives
+in ``network._tensor_shapes``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, glorot_uniform, relu, relu_grad, scatter_add, widen
+from .ops import dropout_mask, relu, relu_grad, scatter_add
 
 
 @dataclass
@@ -39,18 +40,6 @@ class GcnParams:
     @property
     def n_classes(self) -> int:
         return self.w_cls.shape[1]
-
-
-def init_gcn(
-    rng: np.random.Generator, n_in: int, hidden: list[int], n_classes: int
-) -> GcnParams:
-    layers = []
-    prev = n_in
-    for h in hidden:
-        layers.append(glorot_uniform(rng, prev, h, (prev, h)))
-        prev = h
-    jk = sum(hidden)
-    return GcnParams(layers=layers, w_cls=glorot_uniform(rng, jk, n_classes, (jk, n_classes)))
 
 
 @dataclass(frozen=True)
@@ -156,18 +145,3 @@ def gcn_backward(params: GcnParams, cache: dict, dlogits: np.ndarray) -> dict[st
         if l > 0:  # the input features need no gradient
             dh_next = m @ params.layers[l].T
     return grads
-
-
-def grow_gcn(
-    params: GcnParams,
-    rng: np.random.Generator,
-    new_in: int,
-    new_classes: int,
-    zero_init: bool = False,
-) -> GcnParams:
-    if new_in < params.n_in or new_classes < params.n_classes:
-        raise ValueError("layers can only grow")
-    first, *rest = params.layers
-    layers = [widen(rng, first, new_in, first.shape[1], zero_init)] + [w.copy() for w in rest]
-    w_cls = widen(rng, params.w_cls, params.w_cls.shape[0], new_classes, zero_init)
-    return GcnParams(layers=layers, w_cls=w_cls)

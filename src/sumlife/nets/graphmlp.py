@@ -1,7 +1,8 @@
 """Contrastive MLP: GELU layer, linear embedding layer, linear classifier.
 
 The embedding layer's output feeds the neighbor-contrastive loss during
-training; inference uses features alone, no adjacency.
+training; inference uses features alone, no adjacency.  The parameter
+layout lives in ``network._tensor_shapes``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import ncontrast_loss
-from .ops import dropout_mask, gelu, gelu_grad, glorot_uniform, widen
+from .ops import dropout_mask, gelu, gelu_grad
 
 
 @dataclass
@@ -30,16 +31,6 @@ class GraphMlpParams:
     @property
     def n_classes(self) -> int:
         return self.w2.shape[1]
-
-
-def init_graphmlp(
-    rng: np.random.Generator, n_in: int, hidden: int, n_classes: int
-) -> GraphMlpParams:
-    return GraphMlpParams(
-        w0=glorot_uniform(rng, n_in, hidden, (n_in, hidden)),
-        w1=glorot_uniform(rng, hidden, hidden, (hidden, hidden)),
-        w2=glorot_uniform(rng, hidden, n_classes, (hidden, n_classes)),
-    )
 
 
 def graphmlp_forward(
@@ -95,20 +86,3 @@ def graphmlp_contrast(z: np.ndarray, src: np.ndarray, dst: np.ndarray, tau: floa
     gamma = np.zeros((n, n))
     gamma[src, dst] = gamma[dst, src] = 1.0
     return ncontrast_loss(z, gamma, tau)
-
-
-def grow_graphmlp(
-    params: GraphMlpParams,
-    rng: np.random.Generator,
-    new_in: int,
-    new_classes: int,
-    zero_init: bool = False,
-) -> GraphMlpParams:
-    if new_in < params.n_in or new_classes < params.n_classes:
-        raise ValueError("layers can only grow")
-    hidden = params.w0.shape[1]
-    return GraphMlpParams(
-        widen(rng, params.w0, new_in, hidden, zero_init),
-        params.w1.copy(),
-        widen(rng, params.w2, hidden, new_classes, zero_init),
-    )

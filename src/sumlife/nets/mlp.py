@@ -1,4 +1,7 @@
-"""Single-hidden-layer MLP baseline: ReLU, dropout, biases."""
+"""Single-hidden-layer MLP baseline: ReLU, dropout, biases.
+
+Its parameter layout lives in ``network._tensor_shapes``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, glorot_uniform, relu, relu_grad, widen
+from .ops import dropout_mask, relu, relu_grad
 
 
 @dataclass
@@ -26,15 +29,6 @@ class MlpParams:
     @property
     def n_classes(self) -> int:
         return self.w_out.shape[1]
-
-
-def init_mlp(rng: np.random.Generator, n_in: int, hidden: int, n_classes: int) -> MlpParams:
-    return MlpParams(
-        w0=glorot_uniform(rng, n_in, hidden, (n_in, hidden)),
-        b0=np.zeros(hidden),
-        w_out=glorot_uniform(rng, hidden, n_classes, (hidden, n_classes)),
-        b_out=np.zeros(n_classes),
-    )
 
 
 def mlp_forward(
@@ -72,20 +66,3 @@ def mlp_backward(params: MlpParams, cache: dict, dlogits: np.ndarray) -> dict[st
         "w_out": dw_out,
         "b_out": db_out,
     }
-
-
-def grow_mlp(
-    params: MlpParams,
-    rng: np.random.Generator,
-    new_in: int,
-    new_classes: int,
-    zero_init: bool = False,
-) -> MlpParams:
-    """Widen input rows and output columns; existing weights are copied bit-exactly."""
-    if new_in < params.n_in or new_classes < params.n_classes:
-        raise ValueError("layers can only grow")
-    hidden = params.w0.shape[1]
-    w0 = widen(rng, params.w0, new_in, hidden, zero_init)
-    w_out = widen(rng, params.w_out, hidden, new_classes, zero_init)
-    b_out = np.concatenate([params.b_out, np.zeros(new_classes - params.n_classes)])
-    return MlpParams(w0, params.b0.copy(), w_out, b_out)

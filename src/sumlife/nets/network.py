@@ -2,8 +2,10 @@
 "graph-mlp" (features + contrastive term over batch edges), "gcn" and
 "gcn-edges" (message passing; the edges variant takes edge-as-vertex batches).
 
-Each per-architecture decision is a ``Network`` member: parameters in
-``create``, ``grow`` and ``from_tensors``, the batch a network reads in
+Each per-architecture decision is made here.  ``_tensor_shapes`` is the one
+statement of each architecture's parameter layout: ``Network.create`` draws
+it, ``Network.grow`` widens to it and ``Network.from_tensors`` checks it and
+builds the ``*Params`` record.  The batch a network reads is decided in
 ``receptive_hops`` and ``edges_as_vertices``, the forward pass in ``_forward``
 and the backward pass after ``train_step``'s one loss tail.  Both passes look
 their functions up in this module's globals at call time, so a wrapper put
@@ -19,12 +21,11 @@ import numpy as np
 
 from ..sampling import Subgraph
 from .adam import AdamState, adam_step
-from .gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward, grow_gcn, init_gcn
+from .gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import GraphMlpParams, graphmlp_backward, graphmlp_contrast, graphmlp_forward
-from .graphmlp import grow_graphmlp, init_graphmlp
 from .losses import cross_entropy
-from .mlp import MlpParams, grow_mlp, init_mlp, mlp_backward, mlp_forward
-from .ops import assert_finite, scatter_add
+from .mlp import MlpParams, mlp_backward, mlp_forward
+from .ops import assert_finite, glorot_uniform, scatter_add, widen
 
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
@@ -60,7 +61,9 @@ class Hyper:
 
 
 def _tensor_shapes(arch: str, n_in: int, hidden: list, n_classes: int) -> dict[str, tuple]:
-    """Each parameter tensor's shape, by name."""
+    """Each parameter tensor's shape, by name: the one statement of an
+    architecture's parameter layout.  ``Network.create`` and ``Network.grow``
+    draw the tensors in this order, so reordering it changes every checkpoint."""
     if arch == "mlp":
         (h,) = hidden
         return {"w0": (n_in, h), "b0": (h,), "w_out": (h, n_classes), "b_out": (n_classes,)}
@@ -84,11 +87,12 @@ class Network:
 
     @classmethod
     def create(cls, arch: str, n_in: int, n_classes: int, hyper: Hyper, rng: np.random.Generator) -> "Network":
+        """A fresh network: each weight drawn Glorot-uniform in layout order, each bias zero."""
         hyper = hyper.resolved(arch)
-        if arch in FEATURE_ONLY:
-            init = init_mlp if arch == "mlp" else init_graphmlp
-            return cls(arch, init(rng, n_in, hyper.hidden[0], n_classes), hyper)
-        return cls(arch, init_gcn(rng, n_in, hyper.hidden, n_classes), hyper)
+        shapes = _tensor_shapes(arch, n_in, hyper.hidden, n_classes)
+        tensors = {name: glorot_uniform(rng, *shape, shape) if len(shape) == 2 else np.zeros(shape)
+                   for name, shape in shapes.items()}
+        return cls.from_tensors(arch, tensors, hyper, n_in, n_classes)
 
     @classmethod
     def from_tensors(cls, arch: str, tensors: dict, hyper: Hyper, n_in: int, n_classes: int) -> "Network":
@@ -133,8 +137,17 @@ class Network:
         return Network(self.arch, copy.deepcopy(self.params), copy.deepcopy(self.hyper))
 
     def grow(self, n_in: int, n_classes: int, rng: np.random.Generator, zero_init: bool = False) -> None:
-        grow = {"mlp": grow_mlp, "graph-mlp": grow_graphmlp}.get(self.arch, grow_gcn)
-        self.params = grow(self.params, rng, n_in, n_classes, zero_init)
+        """Widen to ``n_in`` inputs and ``n_classes`` outputs in layout order:
+        existing entries are kept bit-exactly, new weights come from ``ops.widen``
+        and new bias entries are zero."""
+        if n_in < self.n_in or n_classes < self.n_classes:
+            raise ValueError("layers can only grow")
+        old = self.params.tensors()
+        shapes = _tensor_shapes(self.arch, n_in, self.hyper.hidden, n_classes)
+        tensors = {name: widen(rng, old[name], *shape, zero_init) if len(shape) == 2
+                   else np.concatenate([old[name], np.zeros(shape[0] - len(old[name]))])
+                   for name, shape in shapes.items()}
+        self.params = self.from_tensors(self.arch, tensors, self.hyper, n_in, n_classes).params
 
     def new_adam(self) -> AdamState:
         return AdamState.init_like(self.params.tensors())

@@ -8,6 +8,7 @@ RSS, and a sha256 digest of each output file.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import resource
@@ -45,28 +46,35 @@ def write_json(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
+def write_csv(path: str | Path, rows) -> None:
+    """One line per row, each ending in a bare newline; a field holding a
+    comma, a quote or a line break is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_matrix_csv(path: str | Path, r: np.ndarray, labels: list[str]) -> None:
     """Rows are trained-through tasks, columns evaluated tasks."""
-    t = r.shape[0]
-    if len(labels) != t:
+    if len(labels) != r.shape[0]:
         raise ValueError("label count does not match matrix size")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trained_through," + ",".join(labels) + "\n")
-        for i in range(t):
-            fh.write(labels[i] + "," + ",".join(repr(float(x)) for x in r[i]) + "\n")
+    write_csv(path, [["trained_through", *labels],
+                     *([label, *(repr(float(x)) for x in row)] for label, row in zip(labels, r))])
 
 
 def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
     """Inverse of ``write_matrix_csv``; a file that is not a square matrix
     of finite numbers raises ``IngestError`` naming it."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = [line for line in csv.reader(fh) if line]
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise IngestError(f"{path}: {exc}") from exc
     if not lines:
         raise IngestError(f"{path}: empty matrix file")
-    labels = lines[0].split(",")[1:]
-    rows = [line.split(",")[1:] for line in lines[1:] if line]
+    labels = lines[0][1:]
+    rows = [line[1:] for line in lines[1:]]
     widths = [len(row) for row in rows]
     if not labels or widths != [len(labels)] * len(labels):
         raise IngestError(f"{path}: matrix is not square: {len(labels)} labels, row widths {widths}")
@@ -80,10 +88,7 @@ def read_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
 
 
 def write_histogram_csv(path: str | Path, hist: list[tuple[int, int]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("value,count\n")
-        for value, count in hist:
-            fh.write(f"{value},{count}\n")
+    write_csv(path, [("value", "count"), *hist])
 
 
 def _heat_color(value: float) -> str:
@@ -95,9 +100,17 @@ def _heat_color(value: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _xml_text(text: str) -> str:
+    """``text`` escaped for an XML text node.  ``xml.sax.saxutils.escape`` does
+    the same, but importing it pulls in ``urllib.request`` (about 30 ms)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_heatmap(r: np.ndarray, labels: list[str], title: str = "") -> str:
-    """Self-contained SVG accuracy heatmap; cell text is the value to 2 decimals."""
+    """Self-contained SVG accuracy heatmap; cell text is the value to 2 decimals,
+    and the labels and title are escaped as XML text."""
     t = r.shape[0]
+    labels, title = [_xml_text(lab) for lab in labels], _xml_text(title)
     cell, margin = 64, 110
     width = margin + t * cell + 20
     height = margin + t * cell + 20

@@ -33,11 +33,11 @@ from sumlife.lifelong import (
     time_warp,
 )
 from sumlife.measures import jaccard_dist, js_divergence
-from sumlife.nets import Hyper
-from sumlife.nets.gcn import batch_adjacency, gcn_backward, gcn_forward, init_gcn
-from sumlife.nets.graphmlp import graphmlp_backward, graphmlp_forward, init_graphmlp
+from sumlife.nets import Hyper, Network
+from sumlife.nets.gcn import batch_adjacency, gcn_backward, gcn_forward
+from sumlife.nets.graphmlp import graphmlp_backward, graphmlp_forward
 from sumlife.nets.losses import cross_entropy, ncontrast_loss
-from sumlife.nets.mlp import init_mlp, mlp_backward, mlp_forward
+from sumlife.nets.mlp import mlp_backward, mlp_forward
 from sumlife.reporting import read_matrix_csv
 from sumlife.summarize import summarize, vertex_hashes
 from synth import (
@@ -128,7 +128,8 @@ def test_criterion_04_gradient_checks():
             x, labels, src, dst = small_problem(seed)
             b = x.shape[0]
 
-            params = init_mlp(np.random.default_rng(seed + 1000), x.shape[1], 4, 3)
+            params = Network.create("mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                                    np.random.default_rng(seed + 1000)).params
 
             def mlp_loss():
                 logits, cache = mlp_forward(params, x, True, 0.5, np.random.default_rng(7))
@@ -137,7 +138,8 @@ def test_criterion_04_gradient_checks():
 
             assert max_rel_error(mlp_loss, params.tensors()) < tol
 
-            gparams = init_graphmlp(np.random.default_rng(seed + 2000), x.shape[1], 4, 3)
+            gparams = Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                                     np.random.default_rng(seed + 2000)).params
             gamma = np.zeros((b, b))
             gamma[src, dst] = 1.0
             gamma[dst, src] = 1.0
@@ -154,7 +156,8 @@ def test_criterion_04_gradient_checks():
 
             for normalize in (False, True):
                 adj = batch_adjacency(b, src, dst, normalize)
-                cparams = init_gcn(np.random.default_rng(seed + 3000), x.shape[1], [4, 3], 3)
+                cparams = Network.create("gcn", x.shape[1], 3, Hyper(hidden=[4, 3]),
+                                         np.random.default_rng(seed + 3000)).params
 
                 def gcn_loss():
                     logits, cache = gcn_forward(

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import platform
@@ -5,6 +6,7 @@ import resource
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -185,6 +187,28 @@ def test_cmd_lifelong_and_report(tmp_path, snapshot_files):
     rep2 = json.loads((out2 / "report.json").read_text())
     for key in ("acc", "bwt", "fwt", "omega_base", "omega_new", "omega_all", "forgetting"):
         assert rep1[key] == rep2[key]
+
+
+def test_labels_with_csv_and_xml_characters_round_trip(tmp_path, snapshot_files):
+    """A label holding a comma, a quote, ``&`` or ``<`` is quoted in every CSV
+    and escaped in the heatmap, so ``report --matrix`` reads the R.csv back."""
+    labels = ["a,1", 'b&"<2']
+    out, out2, out3 = tmp_path / "run", tmp_path / "re", tmp_path / "diff"
+    assert main(["lifelong", "--model", "ac1", "--in", *snapshot_files, "--timestamps", *labels,
+                 "--out", str(out), "--iterations", "2"]) == 0
+    assert main(["report", "--matrix", str(out / "R.csv"), "--out", str(out2)]) == 0
+    assert json.loads((out2 / "report.json").read_text())["acc"] == json.loads(
+        (out / "report.json").read_text())["acc"]
+    title = "mlp / ac1"
+    for svg, texts in ((out / "heatmap.svg", [title, *labels]), (out2 / "heatmap.svg", labels)):
+        root = ElementTree.parse(svg).getroot()
+        assert set(texts) <= {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert main(["diff", "--model", "ac1", "--in", *snapshot_files, "--timestamps", *labels,
+                 "--out", str(out3)]) == 0
+    with open(out3 / "meta.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [len(row) for row in rows] == [len(header)] * 2 == [10, 10]
+    assert [row[1] for row in rows] == labels
 
 
 def test_cmd_eval_checkpoint(tmp_path, snapshot_files):

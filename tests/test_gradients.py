@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from gradcheck import max_rel_error, small_problem
-from sumlife.nets.gcn import batch_adjacency, gcn_backward, gcn_forward, init_gcn
-from sumlife.nets.graphmlp import graphmlp_backward, graphmlp_forward, init_graphmlp
+from sumlife.nets.gcn import batch_adjacency, gcn_backward, gcn_forward
+from sumlife.nets.graphmlp import graphmlp_backward, graphmlp_forward
 from sumlife.nets.losses import cross_entropy, ncontrast_loss
-from sumlife.nets.mlp import init_mlp, mlp_backward, mlp_forward
+from sumlife.nets.mlp import mlp_backward, mlp_forward
+from sumlife.nets.network import Hyper, Network
 
 TOL = 1e-4
 
@@ -20,7 +21,8 @@ TOL = 1e-4
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_mlp_gradients(seed, dropout):
     x, labels, _, _ = small_problem(seed)
-    params = init_mlp(np.random.default_rng(seed + 100), x.shape[1], 4, 3)
+    params = Network.create("mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                            np.random.default_rng(seed + 100)).params
 
     def loss_fn():
         logits, cache = mlp_forward(params, x, True, dropout, np.random.default_rng(7))
@@ -34,7 +36,8 @@ def test_mlp_gradients(seed, dropout):
 def test_graphmlp_combined_gradients(seed):
     x, labels, src, dst = small_problem(seed)
     b = x.shape[0]
-    params = init_graphmlp(np.random.default_rng(seed + 200), x.shape[1], 4, 3)
+    params = Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                            np.random.default_rng(seed + 200)).params
     gamma = np.zeros((b, b))
     gamma[src, dst] = 1.0
     gamma[dst, src] = 1.0
@@ -55,7 +58,8 @@ def test_graphmlp_combined_gradients(seed):
 @pytest.mark.parametrize("hidden", [[4], [4, 3]])
 def test_gcn_gradients(seed, normalize, hidden):
     x, labels, src, dst = small_problem(seed)
-    params = init_gcn(np.random.default_rng(seed + 300), x.shape[1], hidden, 3)
+    params = Network.create("gcn", x.shape[1], 3, Hyper(hidden=hidden),
+                            np.random.default_rng(seed + 300)).params
     adj = batch_adjacency(x.shape[0], src, dst, normalize)
 
     def loss_fn():

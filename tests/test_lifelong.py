@@ -104,6 +104,18 @@ def test_matrix_csv_roundtrip_bit_exact(tmp_path):
     assert rep1.to_dict() == rep2.to_dict()
 
 
+def test_matrix_csv_quotes_only_labels_that_need_it(tmp_path):
+    r = np.array([[0.5, 0.25], [1.0, 0.125]])
+    path = tmp_path / "R.csv"
+    write_matrix_csv(path, r, ["t0", "t1"])
+    assert path.read_bytes() == b"trained_through,t0,t1\nt0,0.5,0.25\nt1,1.0,0.125\n"
+    labels = ["a,1", 'b"2\nc']
+    write_matrix_csv(path, r, labels)
+    assert path.read_bytes().startswith(b'trained_through,"a,1","b""2\nc"\n"a,1",0.5,0.25\n')
+    r2, labels2 = read_matrix_csv(path)
+    assert labels2 == labels and np.array_equal(r, r2)
+
+
 def quick_seq(n_tasks=2, members=20):
     snaps = drift_sequence(n_tasks, 2, 3, members)
     return prepare_tasks(snaps, "ac1", seed=5)

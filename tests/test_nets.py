@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,29 +8,23 @@ import pytest
 from oracles import dense_adjacency
 from sumlife.errors import NumericalError
 from sumlife.nets.adam import AdamState, adam_step
-from sumlife.nets.gcn import (
-    GcnParams,
-    batch_adjacency,
-    gcn_backward,
-    gcn_forward,
-    init_gcn,
-)
-from sumlife.nets.graphmlp import graphmlp_forward, grow_graphmlp, init_graphmlp
+from sumlife.nets.gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward
+from sumlife.nets.graphmlp import graphmlp_forward
 from sumlife.nets.losses import cross_entropy, ncontrast_loss
-from sumlife.nets.mlp import grow_mlp, init_mlp, mlp_backward, mlp_forward
-from sumlife.nets.network import Hyper, Network
+from sumlife.nets.mlp import mlp_backward, mlp_forward
+from sumlife.nets.network import ARCHITECTURES, Hyper, Network
 from sumlife.nets.ops import assert_finite, dropout_mask, gelu, softmax_rows
 from sumlife.sampling import Subgraph
 
 
 def test_zero_input_zero_bias_zero_logits():
-    p = init_mlp(np.random.default_rng(0), 4, 8, 3)
+    p = Network.create("mlp", 4, 3, Hyper(hidden=[8]), np.random.default_rng(0)).params
     logits, _ = mlp_forward(p, np.zeros((2, 4)))
     assert np.allclose(logits, 0.0)
 
 
 def test_dropout_zero_train_equals_eval():
-    p = init_mlp(np.random.default_rng(0), 4, 8, 3)
+    p = Network.create("mlp", 4, 3, Hyper(hidden=[8]), np.random.default_rng(0)).params
     x = np.random.default_rng(1).normal(size=(5, 4))
     train, _ = mlp_forward(p, x, True, 0.0, np.random.default_rng(2))
     eval_, _ = mlp_forward(p, x)
@@ -47,9 +42,9 @@ def test_dropout_mask_deterministic():
 def test_train_mode_needs_an_rng():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 4))
-    mlp = init_mlp(rng, 4, 8, 3)
-    graphmlp = init_graphmlp(rng, 4, 8, 3)
-    gcn = init_gcn(rng, 4, [8], 3)
+    mlp = Network.create("mlp", 4, 3, Hyper(hidden=[8]), rng).params
+    graphmlp = Network.create("graph-mlp", 4, 3, Hyper(hidden=[8]), rng).params
+    gcn = Network.create("gcn", 4, 3, Hyper(hidden=[8]), rng).params
     adj = batch_adjacency(3, np.array([0, 1]), np.array([1, 2]))
     for forward in (
         lambda *a: mlp_forward(mlp, x, *a),
@@ -64,7 +59,7 @@ def test_train_mode_needs_an_rng():
 
 
 def test_shape_mismatch_errors():
-    p = init_mlp(np.random.default_rng(0), 4, 8, 3)
+    p = Network.create("mlp", 4, 3, Hyper(hidden=[8]), np.random.default_rng(0)).params
     with pytest.raises(ValueError):
         mlp_forward(p, np.zeros((2, 5)))
 
@@ -113,7 +108,7 @@ def test_normalize_adjacency_rows():
 def test_gcn_permutation_invariance():
     rng = np.random.default_rng(8)
     n, n_in, c = 7, 4, 3
-    params = init_gcn(rng, n_in, [5, 4], c)
+    params = Network.create("gcn", n_in, c, Hyper(hidden=[5, 4]), rng).params
     x = rng.normal(size=(n, n_in))
     src = np.array([0, 1, 2, 5, 6])
     dst = np.array([1, 2, 3, 4, 0])
@@ -156,7 +151,7 @@ def test_sparse_propagation_matches_dense(case, normalize):
     np.testing.assert_allclose(adj @ h, dense @ h, rtol=0, atol=1e-12)
     np.testing.assert_allclose(adj.T @ h, dense.T @ h, rtol=0, atol=1e-12)
 
-    params = init_gcn(rng, 5, [4, 3], 3)
+    params = Network.create("gcn", 5, 3, Hyper(hidden=[4, 3]), rng).params
     x = rng.normal(size=(n, 5))
     dlogits = rng.normal(size=(n, 3))
     logits, cache = gcn_forward(params, x, adj, True, 0.0, np.random.default_rng(1))
@@ -254,51 +249,125 @@ def test_adam_deterministic():
     assert np.array_equal(run(), run())
 
 
+GROW_HIDDEN = {"mlp": [6], "graph-mlp": [6], "gcn": [6], "gcn-edges": [6, 4]}
+
+
+def created_and_grown(arch, rng, n_in, n_classes, new_in, new_classes, zero_init=False):
+    """The tensors of a fresh ``arch`` network, and that network grown to the new widths."""
+    net = Network.create(arch, n_in, n_classes, Hyper(hidden=GROW_HIDDEN[arch]), rng)
+    old = net.params.tensors()
+    net.grow(new_in, new_classes, rng, zero_init)
+    return old, net
+
+
 def test_grow_identity_when_equal():
-    rng = np.random.default_rng(0)
-    p = init_mlp(rng, 5, 6, 3)
-    grown = grow_mlp(p, rng, 5, 3)
-    for a, b in zip(p.tensors().values(), grown.tensors().values()):
-        assert np.array_equal(a, b)
+    for arch in ARCHITECTURES:
+        old, net = created_and_grown(arch, np.random.default_rng(0), 5, 3, 5, 3)
+        for a, b in zip(old.values(), net.params.tensors().values()):
+            assert np.array_equal(a, b), arch
 
 
 def test_grow_preserves_old_columns():
-    rng = np.random.default_rng(0)
-    p = init_mlp(rng, 5, 6, 5)
-    grown = grow_mlp(p, rng, 5, 8)
-    assert np.array_equal(grown.w_out[:, :5], p.w_out)
-    assert np.array_equal(grown.b_out[:5], p.b_out)
-    assert grown.w_out.shape[1] == 8
+    for arch in ARCHITECTURES:
+        old, net = created_and_grown(arch, np.random.default_rng(0), 5, 5, 5, 8)
+        for name, t in net.params.tensors().items():
+            assert np.array_equal(t[tuple(slice(n) for n in old[name].shape)], old[name]), (arch, name)
+        assert net.n_classes == 8, arch
 
 
 def test_grow_shrink_errors():
-    rng = np.random.default_rng(0)
-    p = init_mlp(rng, 5, 6, 5)
-    with pytest.raises(ValueError):
-        grow_mlp(p, rng, 4, 5)
+    for arch in ARCHITECTURES:
+        rng = np.random.default_rng(0)
+        net = Network.create(arch, 5, 5, Hyper(hidden=GROW_HIDDEN[arch]), rng)
+        for n_in, n_classes in ((4, 5), (5, 4)):
+            with pytest.raises(ValueError, match="only grow"):
+                net.grow(n_in, n_classes, rng)
 
 
 def test_grow_old_logits_unchanged():
-    rng = np.random.default_rng(1)
-    p = init_mlp(rng, 5, 6, 4)
     x = np.random.default_rng(2).normal(size=(7, 5))
-    before, _ = mlp_forward(p, x)
-    grown = grow_mlp(p, rng, 5, 9)
-    after, _ = mlp_forward(grown, np.hstack([x, np.zeros((7, 0))]))
-    assert np.array_equal(after[:, :4], before)
+    src, dst = np.array([0, 1, 2, 3, 5]), np.array([1, 2, 0, 4, 6])
+
+    def batch(features):
+        return Subgraph(
+            graph=None, vertices=np.arange(7), n_targets=7, target_idx=np.arange(7),
+            labels=np.zeros(7, dtype=np.int64), edge_src=src, edge_dst=dst,
+            edge_pred=np.full(5, -1, dtype=np.int64), features=features, k=2,
+        )
+
+    for arch in ARCHITECTURES:
+        rng = np.random.default_rng(1)
+        net = Network.create(arch, 5, 4, Hyper(hidden=GROW_HIDDEN[arch]), rng)
+        before = net.batch_logits(batch(x))
+        net.grow(5, 9, rng)
+        after = net.batch_logits(batch(np.hstack([x, np.zeros((7, 0))])))
+        assert np.array_equal(after[:, :4], before), arch
 
 
 def test_grow_graphmlp_zero_init_flag():
     rng = np.random.default_rng(3)
-    p = init_graphmlp(rng, 4, 6, 3)
-    grown = grow_graphmlp(p, rng, 6, 5, zero_init=True)
-    assert np.allclose(grown.w0[4:], 0.0)
-    assert np.allclose(grown.w2[:, 3:], 0.0)
+    net = Network.create("graph-mlp", 4, 3, Hyper(hidden=[6]), rng)
+    net.grow(6, 5, rng, zero_init=True)
+    assert np.allclose(net.params.w0[4:], 0.0)
+    assert np.allclose(net.params.w2[:, 3:], 0.0)
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_grow_zero_init_pads_every_tensor_with_zeros(arch):
+    old, net = created_and_grown(arch, np.random.default_rng(3), 4, 3, 6, 5, zero_init=True)
+    for name, t in net.params.tensors().items():
+        block = tuple(slice(n) for n in old[name].shape)
+        assert np.array_equal(t[block], old[name]), name
+        t = t.copy()
+        t[block] = 0.0
+        assert not t.any(), name
+
+
+# sha256 of each tensor's name, shape and bytes in layout order after ``create``,
+# after ``grow`` and after a ``zero_init`` ``grow`` of a clone: a change of layout
+# order or draw order changes every checkpoint, and must show here
+LAYOUT_DIGESTS = {
+    "mlp": ("d2ba7e3585f0d5db8ad8add03553b6a5e91ae2e41a30ac13cfeb1727e7c9d347",
+            "39f649c3f705cd9296911529c8a990ad39f240fb8aec042f436927062ec6754e",
+            "fb22d331b460db1cb7ed245fc9228651680520d21dc0bfcebc2bf08282a97756"),
+    "graph-mlp": ("efa563d2653aba7ecfc808186e8e0acb6d7d2fe61e81dbeed10358a3842b7b9f",
+                  "91ed30e53455c830597a68119bebb3e0376be46366b893b5bf074b04761803a9",
+                  "0a55b6fa1437f5ad4a34f7253fbbf4209d0e33f76430b5a95f960afc7959fac4"),
+    "gcn": ("5f733219da298c01978ce6c6296571643a07d24dc5ef8983d430b4b8945ef586",
+            "f51c52c4966725c77873af57b0d7fc9ac667c1245cfda856706944e3c19d112d",
+            "0a481a9a2c01fb896c8b328c7607be868286d3883bf661fde67ba9e965557c75"),
+    "gcn-edges": ("da6d54cd22001a4d3735ab7a58d67da01a3ea0d8de7633dd0ccdb638e3ff6e63",
+                  "9f938bca3de028593303eccd0c6c73e20087c4adfb04bc73ef68ca866c45f6f5",
+                  "1adf8316153c32f4f20942e13cd919d4e0ec99df0bc04ba1c5c14065a905faae"),
+}
+LAYOUT_HIDDEN = {"mlp": [6], "graph-mlp": [6], "gcn": [4, 3], "gcn-edges": [3, 3, 2]}
+# the rng's next draw after the three steps: create and grow consume it exactly so far
+LAYOUT_NEXT_DRAW = {"mlp": 394592991, "graph-mlp": 721854972, "gcn": 1039383462, "gcn-edges": 1067509136}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_parameter_layout_is_pinned(arch):
+    def digest(net):
+        h = hashlib.sha256()
+        for name, t in net.params.tensors().items():
+            h.update(name.encode())
+            h.update(repr(t.shape).encode())
+            h.update(np.ascontiguousarray(t).tobytes())
+        return h.hexdigest()
+
+    rng = np.random.default_rng(12)
+    net = Network.create(arch, 5, 3, Hyper(hidden=LAYOUT_HIDDEN[arch]), rng)
+    created = digest(net)
+    zero = net.clone()
+    net.grow(7, 5, rng)
+    zero.grow(7, 5, rng, zero_init=True)
+    assert (created, digest(net), digest(zero)) == LAYOUT_DIGESTS[arch]
+    assert rng.integers(1 << 30) == LAYOUT_NEXT_DRAW[arch]
 
 
 def test_zero_classifier_gradient_closed_form():
     rng = np.random.default_rng(4)
-    p = init_mlp(rng, 5, 6, 3)
+    p = Network.create("mlp", 5, 3, Hyper(hidden=[6]), rng).params
     p.w_out[:] = 0.0
     p.b_out[:] = 0.0
     x = rng.normal(size=(4, 5))
@@ -314,7 +383,7 @@ def test_zero_classifier_gradient_closed_form():
 
 def test_duplicate_rows_add_linearly():
     rng = np.random.default_rng(6)
-    p = init_mlp(rng, 5, 6, 3)
+    p = Network.create("mlp", 5, 3, Hyper(hidden=[6]), rng).params
     x = rng.normal(size=(2, 5))
     a, b = x[0:1], x[1:2]
 
@@ -348,7 +417,7 @@ def test_loss_decreases_on_separable_toy():
     n = 40
     x = np.vstack([rng.normal(-2.0, 0.5, size=(n, 2)), rng.normal(2.0, 0.5, size=(n, 2))])
     labels = np.array([0] * n + [1] * n)
-    p = init_mlp(rng, 2, 16, 2)
+    p = Network.create("mlp", 2, 2, Hyper(hidden=[16]), rng).params
     state = AdamState.init_like(p.tensors())
     losses = []
     for _ in range(50):
@@ -363,7 +432,7 @@ def test_loss_decreases_on_separable_toy():
 
 
 def test_graphmlp_forward_shapes():
-    p = init_graphmlp(np.random.default_rng(0), 4, 8, 3)
+    p = Network.create("graph-mlp", 4, 3, Hyper(hidden=[8]), np.random.default_rng(0)).params
     x = np.random.default_rng(1).normal(size=(5, 4))
     z, logits, cache = graphmlp_forward(p, x, True, 0.2, np.random.default_rng(2))
     assert z.shape == (5, 8) and logits.shape == (5, 3)

@@ -11,7 +11,7 @@ import pytest
 
 from sumlife.lifelong import prepare_tasks
 from sumlife.nets import Hyper, Network
-from sumlife.nets.network import batch_adjacency
+from sumlife.nets.network import ARCHITECTURES, batch_adjacency
 from sumlife.sampling import edge_as_vertex_transform, sample_batch
 from synth import drift_sequence
 
@@ -69,3 +69,26 @@ def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
         expected.add("nets.adjacency")
     assert expected <= names, expected - names
     assert Network.train_step.__name__ == "train_step"  # the tracer is uninstalled
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_one_unnested_span_per_create_and_grow(monkeypatch, arch):
+    """``lifelong.task_s_p50`` cuts tasks at the starts of ``nets.create`` and
+    ``nets.grow`` spans, so each call must record exactly one, never inside the other."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    rng = np.random.default_rng(0)
+    tracer = tracing.Tracer({})
+    tracer.install()
+    try:
+        net = Network.create(arch, 3, 2, Hyper(hidden=[4]), rng)
+        net.grow(5, 2, rng)
+        net.grow(5, 4, rng, zero_init=True)
+        Network.create(arch, 5, 4, Hyper(hidden=[4]), rng)
+        net.clone().grow(6, 4, rng)
+    finally:
+        tracer.uninstall()
+    parents = {name: [s[tracing.PARENT] for s in tracer.spans if s[tracing.NAME] == name]
+               for name in ("nets.create", "nets.grow")}
+    assert parents == {"nets.create": [-1, -1], "nets.grow": [-1, -1, -1]}
