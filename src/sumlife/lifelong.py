@@ -30,7 +30,7 @@ from .features import (
 )
 from .ingest import SnapshotGraph
 from .nets import Hyper, Network
-from .sampling import edge_as_vertex_transform, receptive_field, sample_batch
+from .sampling import edge_as_vertex_transform, receptive_field, sample_batch, target_distribution
 from .summarize import MODEL_HOPS, vertex_hashes
 
 # how a task after the first starts: warm grows the previous network, cold reinitializes
@@ -116,10 +116,11 @@ def evaluate_network(
     predicted and count as errors.  Every network runs on one batch: the
     split rows' receptive field, ``net.receptive_hops`` out in the snapshot
     (the rows alone for a feature-only network), transformed as training
-    transforms its batches.  Message passing gives those rows the same sums
-    as a pass over every vertex; the BLAS products can round a row subset
-    otherwise past about 256 output columns, so logits may differ in their
-    last bits, while predictions have matched.
+    transforms its batches.  Logits are computed for the split rows only.
+    Message passing gives those rows the same sums as a pass over every
+    vertex; the BLAS products can round a row subset otherwise past about 256
+    output columns, so logits may differ in their last bits, while
+    predictions have matched.
     """
     rows = np.flatnonzero(task.split == which)
     if len(rows) == 0:
@@ -131,7 +132,7 @@ def evaluate_network(
     )
     if net.edges_as_vertices:
         batch = edge_as_vertex_transform(batch, seq.pred_vocab)
-    pred = np.argmax(net.batch_logits(batch)[batch.target_idx], axis=1)
+    pred = np.argmax(net.batch_logits(batch, batch.target_idx), axis=1)
     correct = (pred == labels) & ~unseen
     return float(correct.mean()), float(unseen.mean())
 
@@ -148,12 +149,14 @@ def _train_on_task(
     """Run the per-task iterations; returns validation accuracy per iteration."""
     adam = net.new_adam()
     k = MODEL_HOPS[seq.model]
-    closures: dict[int, list[int]] = {}  # each target's closure, walked once per task
+    # per-task sampling state: each target's closure, walked once, and the draw distribution
+    closures: dict[int, list[int]] = {}
+    distribution = target_distribution(task.labels, task.split)
     val_curve = []
     for step in range(iterations):
         batch = sample_batch(
             task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng,
-            closures=closures,
+            closures=closures, distribution=distribution,
         )
         if net.edges_as_vertices:
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)

@@ -10,8 +10,9 @@ adjacency matrix with a unit diagonal.  Degree normalization
 (``Hyper.normalize_adjacency``) is applied once, when ``batch_adjacency``
 builds a batch's edge list: entry (u, v) is scaled by 1/sqrt(d_u * d_v),
 with d = 1 + the distinct out-degree.  The hidden layers' outputs are
-concatenated before the linear classifier.  The parameter layout lives
-in ``network._tensor_shapes``.
+concatenated before the linear classifier, which runs only on the rows
+asked for, while message passing covers every row.  The parameter layout
+lives in ``network._tensor_shapes``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, relu, relu_grad, scatter_add
+from .ops import dropout_mask, relu, relu_grad, scatter_add, scatter_rows
 
 
 @dataclass
@@ -102,8 +103,13 @@ def gcn_forward(
     train_mode: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
-    """Logits via jumping-knowledge concatenation of all hidden layers."""
+    """Logits of the rows ``rows`` (every row when None), in that order, via
+    jumping-knowledge concatenation of all hidden layers.
+
+    Message passing needs every row, so only the classifier is cut to ``rows``.
+    """
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
     hs = [x]
@@ -119,17 +125,20 @@ def gcn_forward(
             masks.append(mask)
         pre.append(p)
         hs.append(h)
-    jk = np.hstack(hs[1:])
+    jk = np.hstack(hs[1:])[slice(None) if rows is None else rows]
     logits = jk @ params.w_cls
-    cache = {"a": adj, "hs": hs, "pre": pre, "masks": masks, "jk": jk} if train_mode else None
+    cache = ({"a": adj, "hs": hs, "pre": pre, "masks": masks, "jk": jk, "rows": rows}
+             if train_mode else None)
     return logits, cache
 
 
 def gcn_backward(params: GcnParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients from ``dlogits``, the loss gradient of the rows the
+    forward pass computed; the other rows' classifier gradient is zero."""
     a = cache["a"]
     hs, pre, masks = cache["hs"], cache["pre"], cache["masks"]
     grads: dict[str, np.ndarray] = {"w_cls": cache["jk"].T @ dlogits}
-    djk = dlogits @ params.w_cls.T
+    djk = scatter_rows(dlogits @ params.w_cls.T, cache["rows"], len(hs[0]))
     # split the jumping-knowledge gradient back onto each layer's output
     widths = [w.shape[1] for w in params.layers]
     offsets = np.cumsum([0] + widths)

@@ -1,8 +1,9 @@
 """Contrastive MLP: GELU layer, linear embedding layer, linear classifier.
 
 The embedding layer's output feeds the neighbor-contrastive loss during
-training; inference uses features alone, no adjacency.  The parameter
-layout lives in ``network._tensor_shapes``.
+training; inference uses features alone, no adjacency.  The contrastive
+term reads every row's embedding, so only the classifier is cut to the rows
+asked for.  The parameter layout lives in ``network._tensor_shapes``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import ncontrast_loss
-from .ops import dropout_mask, gelu, gelu_grad
+from .ops import dropout_mask, gelu, gelu_grad, scatter_rows
 
 
 @dataclass
@@ -39,8 +40,13 @@ def graphmlp_forward(
     train_mode: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict | None]:
-    """Returns (embeddings z, logits, cache)."""
+    """Returns (embeddings z of every row, logits of the rows ``rows``, cache).
+
+    ``rows`` (every row when None) cuts the classifier only: the contrastive
+    term reads the embeddings of every row.
+    """
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
     a0 = x @ params.w0
@@ -51,8 +57,8 @@ def graphmlp_forward(
         mask = 1.0
     x1 = g * mask
     z = x1 @ params.w1
-    logits = z @ params.w2
-    cache = {"x": x, "a0": a0, "mask": mask, "x1": x1, "z": z} if train_mode else None
+    logits = z[slice(None) if rows is None else rows] @ params.w2
+    cache = {"x": x, "a0": a0, "mask": mask, "x1": x1, "z": z, "rows": rows} if train_mode else None
     return z, logits, cache
 
 
@@ -64,11 +70,13 @@ def graphmlp_backward(
 ) -> dict[str, np.ndarray]:
     """Gradients for the combined objective.
 
-    ``dz_extra`` is the contrastive gradient on the embeddings (already
-    weighted); it joins the classifier path at z.
+    ``dlogits`` is the loss gradient of the rows the forward pass computed
+    logits for.  ``dz_extra`` is the contrastive gradient on the embeddings
+    of every row (already weighted); it joins the classifier path at z.
     """
-    dw2 = cache["z"].T @ dlogits
-    dz = dlogits @ params.w2.T
+    z, rows = cache["z"], cache["rows"]
+    dw2 = z[slice(None) if rows is None else rows].T @ dlogits
+    dz = scatter_rows(dlogits @ params.w2.T, rows, len(z))
     if dz_extra is not None:
         dz = dz + dz_extra
     dw1 = cache["x1"].T @ dz

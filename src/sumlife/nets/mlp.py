@@ -1,6 +1,8 @@
 """Single-hidden-layer MLP baseline: ReLU, dropout, biases.
 
-Its parameter layout lives in ``network._tensor_shapes``.
+A row's logits read that feature row alone, so ``mlp_forward`` computes only
+the rows it is asked for.  Its parameter layout lives in
+``network._tensor_shapes``.
 """
 
 from __future__ import annotations
@@ -37,18 +39,26 @@ def mlp_forward(
     train_mode: bool = False,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
-    """Logits plus, in train mode, the cache needed for the backward pass.
+    """Logits of the rows ``rows`` of ``x`` (every row when None), in that
+    order, plus, in train mode, the cache needed for the backward pass.
 
+    Each row's logits read that row alone, so only ``x[rows]`` is computed.
     Dropout (inverted scaling) is applied to the hidden activation only in
-    train mode; eval mode needs no rescale.
+    train mode; eval mode needs no rescale.  The mask is drawn for every row
+    of ``x`` and then cut to ``rows``, so the rng advances as for a pass
+    over every row.
     """
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
+    if train_mode:
+        mask = dropout_mask(rng, (len(x), params.w0.shape[1]), dropout, rows)
+    if rows is not None:
+        x = x[rows]
     a = x @ params.w0 + params.b0
     h = relu(a)
     if train_mode:
-        mask = dropout_mask(rng, h.shape, dropout)
         hd = h * mask
         logits = hd @ params.w_out + params.b_out
         return logits, {"x": x, "a": a, "mask": mask, "hd": hd}
@@ -56,6 +66,8 @@ def mlp_forward(
 
 
 def mlp_backward(params: MlpParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients from ``dlogits``, the loss gradient of the rows
+    the forward pass computed; rows it left out have an exact zero gradient."""
     dw_out = cache["hd"].T @ dlogits
     db_out = dlogits.sum(axis=0)
     dhd = dlogits @ params.w_out.T

@@ -25,7 +25,7 @@ from .gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import GraphMlpParams, graphmlp_backward, graphmlp_contrast, graphmlp_forward
 from .losses import cross_entropy
 from .mlp import MlpParams, mlp_backward, mlp_forward
-from .ops import assert_finite, glorot_uniform, scatter_add, widen
+from .ops import assert_finite, glorot_uniform, scatter_rows, widen
 
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
@@ -152,37 +152,48 @@ class Network:
     def new_adam(self) -> AdamState:
         return AdamState.init_like(self.params.tensors())
 
-    def _forward(self, batch: Subgraph, rng: np.random.Generator | None = None):
-        """(logits for every batch vertex, backward cache); train mode exactly
-        when ``rng`` is given, and the cache is None otherwise."""
+    def _forward(self, batch: Subgraph, rng: np.random.Generator | None = None,
+                 rows: np.ndarray | None = None):
+        """(logits of the batch vertices ``rows``, in that order, backward
+        cache); every vertex when ``rows`` is None.  Train mode exactly when
+        ``rng`` is given, and the cache is None otherwise.  Only what those
+        logits read is computed: the MLP runs on those feature rows alone,
+        while message passing and Graph-MLP's embeddings still cover every row."""
         x = batch.features
         if x.shape[1] < self.n_in:
             raise ValueError("feature width below network input width")
         x, train, dropout = x[:, : self.n_in], rng is not None, self.hyper.dropout
         if self.arch == "mlp":
-            return mlp_forward(self.params, x, train, dropout, rng)
+            return mlp_forward(self.params, x, train, dropout, rng, rows)
         if self.arch == "graph-mlp":
-            _, logits, cache = graphmlp_forward(self.params, x, train, dropout, rng)
+            _, logits, cache = graphmlp_forward(self.params, x, train, dropout, rng, rows)
             return logits, cache
         adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
                               self.hyper.normalize_adjacency)
-        return gcn_forward(self.params, x, adj, train, dropout, rng)
+        return gcn_forward(self.params, x, adj, train, dropout, rng, rows)
 
-    def batch_logits(self, batch: Subgraph) -> np.ndarray:
-        """Eval-mode logits for every batch vertex."""
-        return self._forward(batch)[0]
+    def batch_logits(self, batch: Subgraph, rows: np.ndarray | None = None) -> np.ndarray:
+        """Eval-mode logits of the batch vertices ``rows``, in that order;
+        of every batch vertex when ``rows`` is None."""
+        return self._forward(batch, rows=rows)[0]
 
     # nothing in sumlife calls this alias: the benchmark tracer wraps it by name
     feature_logits = batch_logits
 
     def train_step(self, batch: Subgraph, adam: AdamState, rng: np.random.Generator) -> float:
         """Forward, hand-derived backward, Adam update; returns the loss.
-        Graph-MLP adds its contrastive term, whose gradient joins at the embeddings."""
+
+        Logits are computed once per distinct target row, ``rows``: a target
+        may repeat, and may sit past ``n_targets`` when an earlier closure
+        brought it in.  Each draw's loss gradient is summed back onto its
+        row, so the gradients equal those of a pass over every batch vertex,
+        in which the other rows get exact zeros.  Graph-MLP adds its
+        contrastive term, whose gradient joins at the embeddings."""
         hyper = self.hyper
-        logits, cache = self._forward(batch, rng)
-        loss, dsel = cross_entropy(logits[batch.target_idx], batch.labels)
-        dlogits = np.zeros_like(logits)
-        scatter_add(dlogits, batch.target_idx, dsel)
+        rows, inv = np.unique(batch.target_idx, return_inverse=True)
+        logits, cache = self._forward(batch, rng, rows)
+        loss, dsel = cross_entropy(logits[inv], batch.labels)
+        dlogits = scatter_rows(dsel, inv, len(rows))
         if self.arch == "graph-mlp":
             nc, dz_nc = graphmlp_contrast(cache["z"], batch.edge_src, batch.edge_dst, hyper.tau)
             loss = loss + hyper.alpha * nc

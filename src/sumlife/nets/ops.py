@@ -36,15 +36,22 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
 
 
-def dropout_mask(rng: np.random.Generator | None, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate)."""
+def dropout_mask(
+    rng: np.random.Generator | None, shape: tuple[int, ...], rate: float, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate).
+
+    The draw always covers ``shape``; ``rows`` (every row when None) keeps
+    only those rows of it, so the rng advances alike either way.
+    """
     if rng is None:  # every train-mode forward pass draws here: never unseeded
         raise ValueError("train mode needs a seeded rng for its dropout mask")
+    sel = slice(None) if rows is None else rows
     if rate <= 0.0:
-        return np.ones(shape, dtype=np.float64)
+        return np.ones(shape, dtype=np.float64)[sel]
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    keep = rng.random(shape) >= rate
+    keep = rng.random(shape)[sel] >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 
@@ -86,6 +93,17 @@ def scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     d = out.shape[1]
     idx = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
     np.add.at(out.reshape(-1), idx, vals.ravel())
+
+
+def scatter_rows(d: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
+    """The n-row array whose row ``r`` sums the rows of ``d`` that ``rows``
+    sends to ``r`` and is zero where none does: a gradient over every row from
+    that of the computed rows.  ``d`` itself when ``rows`` is None (all rows)."""
+    if rows is None:
+        return d
+    out = np.zeros((n, d.shape[1]))
+    scatter_add(out, rows, d)
+    return out
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ whose ``_induced_edges`` takes a batch's edges from CSR slices and one
 global-to-local position array.  The closure walk stays Python: 2-hop
 closures hold a few vertices, where a numpy gather per closure measured
 about 20x slower.  A caller drawing many batches from one
-graph passes ``sample_batch`` a memo dict, so each target is walked once.
+task passes ``sample_batch`` a memo dict, so each target is walked once, and
+the task's ``target_distribution``, so it is computed once.
 
 Closures and batches use every edge of the given graph; whether rdf:type
 edges are among them was decided when the graph was built
@@ -78,17 +79,22 @@ def class_weights(labels: np.ndarray) -> dict[int, float]:
     return {int(c): float(w) for c, w in zip(classes, inv)}
 
 
-def _target_distribution(labels: np.ndarray, train_positions: np.ndarray) -> np.ndarray:
-    """Per-train-vertex draw probability, proportional to its class weight.
+def target_distribution(labels: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(train positions, the draw probability of each): what ``sample_batch``
+    draws targets from, which depends on the task alone.
 
-    Summing over a class gives the same total for every class, which is what
+    A vertex's probability is proportional to its class weight, so summing
+    over a class gives the same total for every class, which is what
     balances the expected class frequency of the drawn targets.
     """
+    train_positions = np.flatnonzero(split == TRAIN)
+    if len(train_positions) == 0:
+        raise ValueError("train split is empty")
     train_labels = labels[train_positions]
     classes, inverse = np.unique(train_labels, return_inverse=True)
     weights = class_weights(train_labels)
     p = np.array([weights[int(c)] for c in classes], dtype=np.float64)[inverse]
-    return p / p.sum()
+    return train_positions, p / p.sum()
 
 
 def _khop_closure(g: SnapshotGraph, start: int, k: int) -> list[int]:
@@ -157,21 +163,22 @@ def sample_batch(
     *,
     rng: np.random.Generator,
     closures: dict[int, list[int]] | None = None,
+    distribution: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Subgraph:
     """Draw one class-balanced batch with at most ``cap`` vertices.
 
-    ``closures`` memoizes each target's k-hop closure of ``g``; a caller
-    that draws many batches from one graph passes the same dict to every
-    call, so each target is walked once.
+    A caller that draws many batches from one task passes the same state to
+    every call: ``closures`` memoizes each target's k-hop closure of ``g``,
+    so each target is walked once, and ``distribution`` is the task's
+    ``target_distribution(labels, split)``, computed once.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    train_positions = np.flatnonzero(split == TRAIN)
-    if len(train_positions) == 0:
-        raise ValueError("train split is empty")
-    p = _target_distribution(labels, train_positions)
+    if distribution is None:
+        distribution = target_distribution(labels, split)
+    train_positions, p = distribution
     draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
 
     if closures is None:
