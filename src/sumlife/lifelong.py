@@ -155,8 +155,8 @@ def _train_on_task(
     val_curve = []
     for step in range(iterations):
         batch = sample_batch(
-            task.graph, task.labels, task.split, k, task.features, cap=batch_cap, rng=rng,
-            closures=closures, distribution=distribution,
+            task.graph, task.labels, distribution, k, task.features, cap=batch_cap, rng=rng,
+            closures=closures,
         )
         if net.edges_as_vertices:
             batch = edge_as_vertex_transform(batch, seq.pred_vocab)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, relu, relu_grad, scatter_add, scatter_rows
+from .ops import dropout_mask, matrix_product, relu, relu_grad, scatter_add, scatter_rows
 
 
 @dataclass
@@ -109,6 +109,8 @@ def gcn_forward(
     jumping-knowledge concatenation of all hidden layers.
 
     Message passing needs every row, so only the classifier is cut to ``rows``.
+    It runs as a matrix product even for one row, so a row's logits round as
+    they would among many (see ``ops.matrix_product``).
     """
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
@@ -126,7 +128,7 @@ def gcn_forward(
         pre.append(p)
         hs.append(h)
     jk = np.hstack(hs[1:])[slice(None) if rows is None else rows]
-    logits = jk @ params.w_cls
+    logits = matrix_product(jk, params.w_cls)
     cache = ({"a": adj, "hs": hs, "pre": pre, "masks": masks, "jk": jk, "rows": rows}
              if train_mode else None)
     return logits, cache

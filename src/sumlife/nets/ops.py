@@ -106,6 +106,18 @@ def scatter_rows(d: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
     return out
 
 
+def matrix_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` through BLAS's matrix-matrix product, a one-row ``a`` included.
+
+    numpy hands a one-row product to a vector kernel, which rounds otherwise
+    than the matrix kernel does for the same row among many, so a single row
+    is computed twice in one product instead.
+    """
+    if len(a) == 1:
+        return (np.vstack([a, a]) @ b)[:1]
+    return a @ b
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)

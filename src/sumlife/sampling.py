@@ -17,9 +17,9 @@ Sampled and evaluation batches are built by one constructor, ``_batch``,
 whose ``_induced_edges`` takes a batch's edges from CSR slices and one
 global-to-local position array.  The closure walk stays Python: 2-hop
 closures hold a few vertices, where a numpy gather per closure measured
-about 20x slower.  A caller drawing many batches from one
-task passes ``sample_batch`` a memo dict, so each target is walked once, and
-the task's ``target_distribution``, so it is computed once.
+about 20x slower.  ``sample_batch`` draws from the task's
+``target_distribution``, which a caller computes once per task, and takes a
+memo dict, so each target is walked once per task.
 
 Closures and batches use every edge of the given graph; whether rdf:type
 edges are among them was decided when the graph was built
@@ -156,28 +156,26 @@ def _batch(
 def sample_batch(
     g: SnapshotGraph,
     labels: np.ndarray,
-    split: np.ndarray,
+    distribution: tuple[np.ndarray, np.ndarray],
     k: int,
     features: np.ndarray,
     cap: int = 1000,
     *,
     rng: np.random.Generator,
     closures: dict[int, list[int]] | None = None,
-    distribution: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Subgraph:
     """Draw one class-balanced batch with at most ``cap`` vertices.
 
-    A caller that draws many batches from one task passes the same state to
-    every call: ``closures`` memoizes each target's k-hop closure of ``g``,
-    so each target is walked once, and ``distribution`` is the task's
-    ``target_distribution(labels, split)``, computed once.
+    Targets are drawn from ``distribution``, the task's
+    ``target_distribution(labels, split)``.  A caller that draws many
+    batches from one task computes it once and passes it, and one
+    ``closures`` dict, to every call; ``closures`` memoizes each target's
+    k-hop closure of ``g``, so each target is walked once.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if distribution is None:
-        distribution = target_distribution(labels, split)
     train_positions, p = distribution
     draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
 

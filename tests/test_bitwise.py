@@ -28,6 +28,7 @@ from sumlife.sampling import (
     edge_as_vertex_transform,
     receptive_field,
     sample_batch,
+    target_distribution,
 )
 from synth import random_graph
 from test_sampling import assert_same_batch, oracle_task
@@ -154,7 +155,7 @@ def test_receptive_field_needs_the_extra_hop_under_normalization():
 def test_closure_memo_leaves_batches_unchanged(k):
     for seed in range(3):
         seq, task = _task(seed)
-        args = (task.graph, task.labels, task.split, k, task.features)
+        args = (task.graph, task.labels, target_distribution(task.labels, task.split), k, task.features)
         plain, memoized = np.random.default_rng(seed), np.random.default_rng(seed)
         closures: dict[int, list[int]] = {}
         for _ in range(5):

@@ -5,8 +5,10 @@ batch and ``evaluate_network`` asks for the target rows' logits alone.  The
 gradients must still be those of a pass over every batch vertex, the dropout
 masks must still be drawn at the full batch shape (so the rng stream, and
 with it every later batch, is unchanged), and evaluation memory must not
-grow with batch vertices x classes.  CI also runs this file with two BLAS
-threads.
+grow with batch vertices x classes.  The target rows' logits must be the
+same rows of a whole-snapshot pass: bit for bit at narrow outputs, within a
+few units in the last place past about 256 output columns.  CI also runs this
+file with two BLAS threads.
 """
 
 import tracemalloc
@@ -15,13 +17,14 @@ import numpy as np
 import pytest
 
 from gradcheck import max_rel_error, small_problem
-from sumlife.features import TEST
+from sumlife.features import TEST, TRAIN, VAL
 from sumlife.ingest import build_snapshot
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network, network
 from sumlife.nets.losses import cross_entropy
 from sumlife.nets.ops import scatter_add
 from sumlife.sampling import Subgraph
+from test_bitwise import _field, _task
 
 HIDDEN = {"mlp": [4], "graph-mlp": [4], "gcn": [4], "gcn-edges": [3, 3]}
 FORWARDS = {"mlp": "mlp_forward", "graph-mlp": "graphmlp_forward",
@@ -156,3 +159,32 @@ def test_evaluation_builds_logits_for_the_target_rows_only(monkeypatch, arch):
     finally:
         tracemalloc.stop()
     assert peak < batch_vertices * n_classes * 8
+
+
+@pytest.mark.parametrize("n_classes", [None, 300, 476])
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("arch", ["gcn", "gcn-edges"])
+def test_target_row_logits_match_a_whole_snapshot_pass(arch, normalize, n_classes):
+    """The logits evaluation reads, ``batch_logits(part, part.target_idx)``,
+    against the same rows of a pass over every vertex; None is the task's own
+    narrow class count."""
+    for layers in (1, 2, 3):
+        for seed in range(3):
+            seq, task = _task(seed)
+            hyper = Hyper(hidden=[8, 6, 5][:layers], normalize_adjacency=normalize)
+            net = Network.create(arch, task.pred_width, n_classes or task.class_width, hyper,
+                                 np.random.default_rng(seed))
+            full = net.batch_logits(_field(seq, task, net, np.arange(task.graph.num_vertices), 0))
+            for which in (TRAIN, VAL, TEST):
+                rows = np.flatnonzero(task.split == which)
+                if not len(rows):
+                    continue
+                part = _field(seq, task, net, rows, net.receptive_hops)
+                logits, want = net.batch_logits(part, part.target_idx), full[rows]
+                if n_classes is None:
+                    assert net.n_classes < 256
+                    assert logits.tobytes() == want.tobytes()
+                else:
+                    assert np.array_equal(np.argmax(logits, axis=1), np.argmax(want, axis=1))
+                    ulp = np.spacing(np.abs(want).max(axis=1, keepdims=True))
+                    assert (np.abs(logits - want) <= 8 * ulp).all()

@@ -10,6 +10,7 @@ from sumlife.sampling import (
     edge_as_vertex_transform,
     receptive_field,
     sample_batch,
+    target_distribution,
 )
 from synth import ring_snapshot, predicate_pool, distinct_recipes
 
@@ -49,7 +50,7 @@ def setup_task(n_classes=4, members=25):
 
 def test_batch_within_cap_small_graph():
     g, labels, split, x, _ = setup_task()
-    b = sample_batch(g, labels, split, 1, x, cap=1000, rng=np.random.default_rng(0))
+    b = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=1000, rng=np.random.default_rng(0))
     assert b.num_vertices <= min(1000, g.num_vertices)
     assert b.n_targets >= 1
     assert len(b.target_idx) == len(b.labels)
@@ -57,7 +58,7 @@ def test_batch_within_cap_small_graph():
 
 def test_batch_respects_cap():
     g, labels, split, x, _ = setup_task(members=40)
-    b = sample_batch(g, labels, split, 2, x, cap=10, rng=np.random.default_rng(0))
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=10, rng=np.random.default_rng(0))
     assert b.num_vertices <= 10 or b.n_targets == 1
 
 
@@ -70,7 +71,7 @@ def test_oversize_single_target_rule():
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
     x = encode_features(g, pv)
-    b = sample_batch(g, labels, split, 2, x, cap=1, rng=np.random.default_rng(1))
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=1, rng=np.random.default_rng(1))
     assert b.n_targets == 1
     # its full closure is present even though it exceeds the cap
     t = int(b.vertices[0])
@@ -86,8 +87,8 @@ def test_oversize_single_target_rule():
 
 def test_batch_deterministic_with_seed():
     g, labels, split, x, _ = setup_task()
-    b1 = sample_batch(g, labels, split, 1, x, cap=50, rng=np.random.default_rng(9))
-    b2 = sample_batch(g, labels, split, 1, x, cap=50, rng=np.random.default_rng(9))
+    b1 = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=50, rng=np.random.default_rng(9))
+    b2 = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=50, rng=np.random.default_rng(9))
     assert (b1.vertices == b2.vertices).all()
     assert (b1.target_idx == b2.target_idx).all()
     assert (b1.features == b2.features).all()
@@ -97,12 +98,12 @@ def test_batch_empty_train_errors():
     g, labels, _, x, _ = setup_task()
     split = np.full(g.num_vertices, 2, dtype=np.int8)
     with pytest.raises(ValueError):
-        sample_batch(g, labels, split, 1, x, rng=np.random.default_rng(0))
+        sample_batch(g, labels, target_distribution(labels, split), 1, x, rng=np.random.default_rng(0))
 
 
 def test_target_closure_present():
     g, labels, split, x, _ = setup_task()
-    b = sample_batch(g, labels, split, 2, x, cap=200, rng=np.random.default_rng(2))
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=200, rng=np.random.default_rng(2))
     members = set(int(v) for v in b.vertices)
     for t_local in b.target_idx:
         v = int(b.vertices[t_local])
@@ -119,7 +120,7 @@ def test_expected_class_frequency_uniform():
     counts = np.zeros(4, dtype=np.int64)
     draws = 0
     while draws < 10_000:
-        b = sample_batch(g, labels, split, 1, x, cap=1000, rng=rng)
+        b = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=1000, rng=rng)
         for c in b.labels:
             counts[int(c)] += 1
         draws += len(b.labels)
@@ -129,14 +130,14 @@ def test_expected_class_frequency_uniform():
 
 def test_edge_as_vertex_requires_two_hops():
     g, labels, split, x, pv = setup_task()
-    b = sample_batch(g, labels, split, 1, x, cap=50, rng=np.random.default_rng(0))
+    b = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=50, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         edge_as_vertex_transform(b, pv)
 
 
 def test_edge_as_vertex_shape_and_features():
     g, labels, split, x, pv = setup_task()
-    b = sample_batch(g, labels, split, 2, x, cap=60, rng=np.random.default_rng(4))
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=60, rng=np.random.default_rng(4))
     v, e = b.num_vertices, b.num_edges
     tb = edge_as_vertex_transform(b, pv)
     assert tb.num_vertices == v + e
@@ -162,7 +163,7 @@ def per_edge_features(b, vocab):
 def test_edge_as_vertex_matches_per_edge_reference():
     g, labels, split, x, pv = setup_task(n_classes=6)
     batches = [
-        sample_batch(g, labels, split, 2, x, cap=80, rng=np.random.default_rng(9)),
+        sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=80, rng=np.random.default_rng(9)),
         receptive_field(g, labels, x, np.arange(g.num_vertices), 0, 2),
     ]
     for b in batches:
@@ -245,7 +246,7 @@ def test_batches_match_per_edge_reference(include_rdf_types):
     for k in (1, 2):
         for cap in (1, 7, 1000):
             for seed in range(3):
-                b = sample_batch(run_graph, labels, split, k, x, cap=cap,
+                b = sample_batch(run_graph, labels, target_distribution(labels, split), k, x, cap=cap,
                                  rng=np.random.default_rng(seed))
                 ref = reference_sample_batch(g, labels, split, k, x, cap,
                                              np.random.default_rng(seed), include_rdf_types)

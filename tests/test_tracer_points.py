@@ -12,7 +12,7 @@ import pytest
 from sumlife.lifelong import prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.network import ARCHITECTURES, batch_adjacency
-from sumlife.sampling import edge_as_vertex_transform, sample_batch
+from sumlife.sampling import edge_as_vertex_transform, sample_batch, target_distribution
 from synth import drift_sequence
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,7 +52,8 @@ def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
     seq = prepare_tasks(drift_sequence(1, 2, 3, 10), "ac2", seed=1)
     task = seq.tasks[0]
     rng = np.random.default_rng(0)
-    batch = sample_batch(task.graph, task.labels, task.split, 2, task.features, cap=40, rng=rng)
+    distribution = target_distribution(task.labels, task.split)
+    batch = sample_batch(task.graph, task.labels, distribution, 2, task.features, cap=40, rng=rng)
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=hidden), rng)
     if net.edges_as_vertices:
         batch = edge_as_vertex_transform(batch, seq.pred_vocab)
