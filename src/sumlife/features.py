@@ -109,8 +109,9 @@ class PredicateVocabulary(_Vocabulary):
 class ClassVocabulary(_Vocabulary):
     """EQC hash -> class index; width is the cumulative distinct EQCs seen."""
 
-    def extend(self, hashes: Iterable[int]) -> int:
-        return self._extend(sorted(set(int(x) for x in hashes)))
+    def extend(self, hashes: np.ndarray | Sequence[int]) -> int:
+        """Append the unseen hashes in ascending order."""
+        return self._extend(np.unique(np.asarray(hashes, dtype=np.uint64)).tolist())
 
     _format = staticmethod("{:016x}".format)
     _parse = staticmethod(lambda line: int(line, 16))
@@ -119,7 +120,7 @@ class ClassVocabulary(_Vocabulary):
 
 def extend_vocabularies(
     g: SnapshotGraph,
-    eqc_hashes: Iterable[int],
+    eqc_hashes: np.ndarray | Sequence[int],
     pred_vocab: PredicateVocabulary,
     class_vocab: ClassVocabulary,
 ) -> tuple[PredicateVocabulary, ClassVocabulary]:

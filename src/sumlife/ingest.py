@@ -1,16 +1,21 @@
-"""Streaming N-Triples / N-Quads ingestion into an interned snapshot graph.
+"""N-Triples / N-Quads ingestion into an interned snapshot graph.
 
-A snapshot is one file or one directory of files (plain or ``.gz``).  Parsing
-is line-local and never aborts on bad statements: malformed lines (including
-lines that are not valid UTF-8) are counted and skipped.  The loader only
-appends each statement's term ids to three id columns, so its memory grows
-with the number of statement lines, duplicates included; duplicates are
-dropped and counted once, when the columns are sorted into the graph.
+A snapshot is one file or one directory of files (plain or ``.gz``).  Each
+file is read in blocks of ``BLOCK_BYTES``, cut at the block's last newline and
+decoded once as strict UTF-8; one pattern picks every statement line out of a
+block.  Parsing is line-local and never aborts on bad statements: malformed
+lines (including lines that are not valid UTF-8) are counted and skipped.  The
+loader only appends each statement's term ids to three id columns, so its
+memory grows with the number of statement lines, duplicates included;
+duplicates are dropped and counted once, when the columns are sorted into the
+graph.
 
-Terms are interned into a dense, append-only :class:`TermTable`.  Blank node
-labels have document scope, so each file in a directory snapshot gets its own
-blank namespace.  Literals are interned by their full lexical token (including
-datatype/language suffix) and behave as sink vertices.
+Terms are interned into a dense, append-only :class:`TermTable` through a
+dict keyed by the raw token, so a term's kind and lexical form are worked out
+once per snapshot.  Blank node labels have document scope, so each file in a
+directory snapshot gets its own blank namespace.  Literals are interned by
+their full lexical token (including datatype/language suffix) and behave as
+sink vertices.
 
 The finished :class:`SnapshotGraph` is immutable: edges live in CSR arrays
 keyed by vertex *position* (0..n-1), with each vertex's out-edges sorted by
@@ -30,7 +35,7 @@ import zlib
 from array import array
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -47,40 +52,62 @@ LITERAL = "literal"
 
 _IRI_PAT = r"<[^<>\"{}|^`\\\x00-\x20]*>"
 _BLANK_PAT = r"_:[A-Za-z0-9][A-Za-z0-9_.\-]*"
-_LITERAL_PAT = r'"(?:[^"\\]|\\.)*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
+_LITERAL_PAT = r'"(?:[^"\\\n]|\\.)*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
 
+# One statement line.  MULTILINE, so ``^`` and ``$`` are the ends of a line
+# in a block of many: whitespace and a literal body never cross ``\n``, and
+# the final ``\n?`` takes the line's newline, so what lies between two
+# matches is whole lines.  The three groups are the subject, predicate and
+# object tokens; a quad's context is matched but not captured.
+_WS = r"[^\S\n]"
 _STATEMENT_RE = re.compile(
-    rf"^({_IRI_PAT}|{_BLANK_PAT})\s+({_IRI_PAT})\s+"
+    rf"^{_WS}*({_IRI_PAT}|{_BLANK_PAT}){_WS}+({_IRI_PAT}){_WS}+"
     rf"({_IRI_PAT}|{_BLANK_PAT}|{_LITERAL_PAT})"
-    rf"(?:\s+({_IRI_PAT}|{_BLANK_PAT}))?\s*\.\s*(?:#.*)?$"
+    rf"(?:{_WS}+(?:{_IRI_PAT}|{_BLANK_PAT}))?{_WS}*\.{_WS}*(?:#.*)?$\n?",
+    re.MULTILINE,
 )
+
+# bytes read from a snapshot file at a time; a block is parsed up to its last
+# newline and the rest carried into the next.  Larger blocks read no faster,
+# and the memory they touch stays with the process after the load.
+BLOCK_BYTES = 64 * 1024
 
 
 class TermTable:
-    """Append-only intern table mapping (kind, lexical form) <-> dense id."""
+    """Append-only intern table mapping (kind, lexical form) <-> dense id.
+
+    A term is keyed by its token: ``<lexical>`` for an IRI, and the lexical
+    form itself for a literal (its whole token, from the opening ``"``) or a
+    blank node (``_:`` and its label), so one string names both a term and its
+    kind.
+    """
 
     __slots__ = ("kinds", "lexicals", "_index")
 
     def __init__(self) -> None:
         self.kinds: list[str] = []
         self.lexicals: list[str] = []
-        self._index: dict[tuple[str, str], int] = {}
+        self._index: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.lexicals)
 
-    def intern(self, kind: str, lexical: str) -> int:
-        key = (kind, lexical)
+    def intern(self, kind: str, lexical: str, token: str | None = None) -> int:
+        """Id of the term, added if new; a caller holding its token passes it."""
+        key = _token(kind, lexical) if token is None else token
         tid = self._index.get(key)
         if tid is None:
             tid = len(self.lexicals)
             self.kinds.append(kind)
             self.lexicals.append(lexical)
             self._index[key] = tid
+        elif self.kinds[tid] != kind:
+            raise ValueError(f"{kind} {lexical!r} has the token of a {self.kinds[tid]}")
         return tid
 
     def lookup(self, kind: str, lexical: str) -> Optional[int]:
-        return self._index.get((kind, lexical))
+        tid = self._index.get(_token(kind, lexical))
+        return tid if tid is not None and self.kinds[tid] == kind else None
 
     def lexical(self, term_id: int) -> str:
         return self.lexicals[term_id]
@@ -89,13 +116,25 @@ class TermTable:
         return self.kinds[term_id]
 
 
-def _intern_token(token: str, table: TermTable, blank_scope: str) -> int:
+def _token(kind: str, lexical: str) -> str:
+    return f"<{lexical}>" if kind == IRI else lexical
+
+
+def _term(token: str, blank_scope: str) -> tuple[str, str]:
+    """(kind, lexical form) of a raw token; a blank label is prefixed with its scope."""
     if token[0] == "<":
-        return table.intern(IRI, token[1:-1])
+        return IRI, token[1:-1]
     if token[0] == "_":
-        label = token[2:]
-        return table.intern(BLANK, f"_:{blank_scope}.{label}" if blank_scope else token)
-    return table.intern(LITERAL, token)
+        return BLANK, f"_:{blank_scope}.{token[2:]}" if blank_scope else token
+    return LITERAL, token
+
+
+def _skip_reason(line: str) -> str:
+    """Why a line that is not a statement is skipped."""
+    stripped = line.strip()
+    if not stripped:
+        return "blank"
+    return "comment" if stripped[0] == "#" else "malformed"
 
 
 def parse_line(
@@ -105,22 +144,13 @@ def parse_line(
 
     Returns the statement's (subject, predicate, object) term ids (the context
     term of quads is discarded) or the skip reason ``"comment"``, ``"blank"``
-    or ``"malformed"``.  Never raises on bad input.
+    or ``"malformed"``.  A string holding more than one line is malformed.
+    Never raises on bad input.
     """
-    stripped = line.strip()
-    if not stripped:
-        return "blank"
-    if stripped.startswith("#"):
-        return "comment"
-    m = _STATEMENT_RE.match(stripped)
+    m = _STATEMENT_RE.fullmatch(line.strip())
     if m is None:
-        return "malformed"
-    s_tok, p_tok, o_tok = m.group(1), m.group(2), m.group(3)
-    return (
-        _intern_token(s_tok, table, blank_scope),
-        _intern_token(p_tok, table, blank_scope),
-        _intern_token(o_tok, table, blank_scope),
-    )
+        return _skip_reason(line)
+    return tuple(table.intern(*_term(token, blank_scope)) for token in m.groups())
 
 
 class SnapshotGraph:
@@ -282,42 +312,95 @@ def _snapshot_files(path: Path) -> list[Path]:
     return [path]
 
 
-def _iter_lines(path: Path) -> Iterator[tuple[bytes, int]]:
-    """Yield (raw line, byte offset of line start) from a plain or gzip file."""
-    opener = gzip.open if path.name.endswith(".gz") else open
-    offset = 0
-    with opener(path, "rb") as fh:
-        for raw in fh:
-            yield raw, offset
-            offset += len(raw)
+class _TermIds(dict):
+    """Raw token -> term id for one snapshot; a token is interned when first looked up.
+
+    IRI and literal tokens are kept here for every file.  A blank label's
+    scope is its file, so blank tokens are kept in ``blanks``, which
+    :meth:`open_file` replaces.
+    """
+
+    def __init__(self, table: TermTable) -> None:
+        super().__init__()
+        self.table = table
+        self.open_file("")
+
+    def open_file(self, scope: str) -> None:
+        self.scope = scope
+        self.blanks: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        if token[0] == "_":
+            tid = self.blanks.get(token)
+            if tid is None:
+                tid = self.blanks[token] = self.table.intern(*_term(token, self.scope))
+            return tid
+        tid = self[token] = self.table.intern(*_term(token, self.scope), token)
+        return tid
+
+
+def _decode(raw: bytes, skips: Counter) -> str:
+    """``raw`` as strict UTF-8.  If that fails, each line that is not valid
+    UTF-8 is dropped and counted as malformed."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        pass
+    good = []
+    for line in raw.split(b"\n"):
+        try:
+            good.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            skips["malformed"] += 1
+    return "\n".join(good)
 
 
 def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
-    """Load, clean and deduplicate one snapshot (file or directory)."""
+    """Load, clean and deduplicate one snapshot (file or directory).
+
+    Each file is read in blocks of ``BLOCK_BYTES``, each cut at its last
+    newline.  A read failure raises :class:`IngestError` naming the file and
+    the byte offset, in the decompressed stream, where the block that failed
+    starts.
+    """
     path = Path(path)
     table = TermTable()
+    term_ids = _TermIds(table)
     subjects, preds, objects = array("q"), array("q"), array("q")
     skips: Counter = Counter()
+
+    def parse(text: str) -> None:
+        # split yields [skipped lines, s, p, o, skipped lines, s, p, o, ...]
+        parts = _STATEMENT_RE.split(text)
+        other = "".join(parts[::4]).split("\n")
+        del parts[::4]
+        ids = array("q", map(term_ids.__getitem__, parts))
+        subjects.extend(ids[0::3])
+        preds.extend(ids[1::3])
+        objects.extend(ids[2::3])
+        if not other[-1]:
+            other.pop()
+        skips.update(map(_skip_reason, other))
+
     offset = 0
     current: Path | None = None
     try:
         for file_index, file_path in enumerate(_snapshot_files(path)):
             current = file_path
-            scope = f"f{file_index}"
-            for raw, offset in _iter_lines(file_path):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    skips["malformed"] += 1
-                    continue
-                parsed = parse_line(line, table, scope)
-                if isinstance(parsed, str):
-                    skips[parsed] += 1
-                    continue
-                s, p, o = parsed
-                subjects.append(s)
-                preds.append(p)
-                objects.append(o)
+            term_ids.open_file(f"f{file_index}")
+            opener = gzip.open if file_path.name.endswith(".gz") else open
+            offset = 0
+            tail = b""
+            with opener(file_path, "rb") as fh:
+                while block := fh.read(BLOCK_BYTES):
+                    offset += len(block)
+                    block = tail + block
+                    cut = block.rfind(b"\n") + 1
+                    tail = block[cut:]
+                    if cut:
+                        parse(_decode(block[:cut], skips))
+            if tail:
+                parse(_decode(tail, skips))
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
     return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)

@@ -79,12 +79,12 @@ def prepare_tasks(
     cv = class_vocab if class_vocab is not None else ClassVocabulary()
     staged = []
     for index, (timestamp, g) in enumerate(snapshots):
-        hashes = vertex_hashes(g, model)
-        extend_vocabularies(g, hashes, pv, cv)
-        staged.append((index, timestamp, g, hashes, pv.width, cv.width))
+        classes, inverse = np.unique(vertex_hashes(g, model), return_inverse=True)
+        extend_vocabularies(g, classes, pv, cv)
+        staged.append((index, timestamp, g, classes, inverse, pv.width, cv.width))
     tasks = []
-    for index, timestamp, g, hashes, pw, cw in staged:
-        labels = np.array([cv.index(int(h)) for h in hashes], dtype=np.int64)
+    for index, timestamp, g, classes, inverse, pw, cw in staged:
+        labels = np.array([cv.index(h) for h in classes.tolist()], dtype=np.int64)[inverse]
         tasks.append(
             Task(
                 index=index,

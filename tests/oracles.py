@@ -6,10 +6,18 @@ the point is that these paths are derived separately from the code they check.
 
 from __future__ import annotations
 
+import gzip
+import re
 import struct
-from collections import defaultdict
+import zlib
+from array import array
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
+
+from sumlife.errors import IngestError
+from sumlife.ingest import SnapshotGraph, TermTable
 
 
 def _rotl(x: int, b: int) -> int:
@@ -330,3 +338,87 @@ def reference_receptive_field(b: dict, rows, hops: int) -> dict:
         "edge_pred": b["edge_pred"][edges],
         "features": b["features"][keep],
     }
+
+
+# The line-at-a-time snapshot loader, kept as the reference for the block
+# loader in sumlife.ingest: each physical line is decoded, stripped and
+# matched on its own, with the original single-line statement grammar.
+_REF_IRI = r"<[^<>\"{}|^`\\\x00-\x20]*>"
+_REF_BLANK = r"_:[A-Za-z0-9][A-Za-z0-9_.\-]*"
+_REF_LITERAL = r'"(?:[^"\\]|\\.)*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
+_REF_STATEMENT_RE = re.compile(
+    rf"^({_REF_IRI}|{_REF_BLANK})\s+({_REF_IRI})\s+"
+    rf"({_REF_IRI}|{_REF_BLANK}|{_REF_LITERAL})"
+    rf"(?:\s+({_REF_IRI}|{_REF_BLANK}))?\s*\.\s*(?:#.*)?$"
+)
+
+
+def _ref_intern_token(token: str, table: TermTable, blank_scope: str) -> int:
+    if token[0] == "<":
+        return table.intern("iri", token[1:-1])
+    if token[0] == "_":
+        label = token[2:]
+        return table.intern("blank", f"_:{blank_scope}.{label}" if blank_scope else token)
+    return table.intern("literal", token)
+
+
+def reference_parse_line(line: str, table: TermTable, blank_scope: str = ""):
+    stripped = line.strip()
+    if not stripped:
+        return "blank"
+    if stripped.startswith("#"):
+        return "comment"
+    m = _REF_STATEMENT_RE.match(stripped)
+    if m is None:
+        return "malformed"
+    s_tok, p_tok, o_tok = m.group(1), m.group(2), m.group(3)
+    return (
+        _ref_intern_token(s_tok, table, blank_scope),
+        _ref_intern_token(p_tok, table, blank_scope),
+        _ref_intern_token(o_tok, table, blank_scope),
+    )
+
+
+def _ref_snapshot_files(path: Path) -> list[Path]:
+    return sorted(p for p in path.iterdir() if p.is_file()) if path.is_dir() else [path]
+
+
+def _ref_iter_lines(path: Path):
+    """Yield (raw line, byte offset of line start) from a plain or gzip file."""
+    opener = gzip.open if path.name.endswith(".gz") else open
+    offset = 0
+    with opener(path, "rb") as fh:
+        for raw in fh:
+            yield raw, offset
+            offset += len(raw)
+
+
+def reference_load_snapshot(path, timestamp: str) -> SnapshotGraph:
+    """Load one snapshot (file or directory) a line at a time."""
+    path = Path(path)
+    table = TermTable()
+    subjects, preds, objects = array("q"), array("q"), array("q")
+    skips: Counter = Counter()
+    offset = 0
+    current = None
+    try:
+        for file_index, file_path in enumerate(_ref_snapshot_files(path)):
+            current = file_path
+            scope = f"f{file_index}"
+            for raw, offset in _ref_iter_lines(file_path):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    skips["malformed"] += 1
+                    continue
+                parsed = reference_parse_line(line, table, scope)
+                if isinstance(parsed, str):
+                    skips[parsed] += 1
+                    continue
+                s, p, o = parsed
+                subjects.append(s)
+                preds.append(p)
+                objects.append(o)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
+    return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)

@@ -49,6 +49,14 @@ def test_vocab_extension_idempotent():
     assert (list(pv.entries), list(cv.entries)) == before
 
 
+def test_class_vocab_extension_sorts_as_unsigned_ints():
+    cv = ClassVocabulary([7])
+    added = cv.extend(np.array([2**64 - 1, 5, 2**63, 7, 5], dtype=np.uint64))
+    assert added == 3
+    assert cv.entries == [7, 5, 2**63, 2**64 - 1]
+    assert all(type(e) is int for e in cv.entries)
+
+
 def test_vocab_no_new_predicates_keeps_width():
     g = small_graph()
     pv = PredicateVocabulary()

@@ -1,8 +1,13 @@
 import gzip
+import re
+import zlib
 
 import numpy as np
 import pytest
 
+from oracles import reference_load_snapshot
+from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
+from sumlife import ingest
 from sumlife.errors import IngestError
 from sumlife.ingest import (
     RDF_TYPE_IRI,
@@ -267,3 +272,95 @@ def test_rdf_type_edges_flagged():
     assert d.edge_count == g.edge_count == 2
     untyped = build_snapshot("t", [("http://a", "http://p", "http://b")])
     assert drop_rdf_types(untyped) is untyped
+
+
+def test_parse_line_reads_one_line():
+    t = TermTable()
+    two = "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> ."
+    assert parse_line(two, t) == "malformed"
+    assert len(t) == 0
+
+
+# Lines the block loader must treat exactly as the line loader does.  The
+# whitespace characters other than "\n" are str.isspace() whitespace, which
+# the statement grammar accepts between terms and str.strip() removes.
+_EDGE_LINES = [
+    "<http://a> <http://p> \"caf\xe9 \u4e2d\u6587 \U0001f600\" .\n".encode(),
+    b"<http://a> <http://p> <http://b> .\r\n",
+    b"# comment with CRLF\r\n",
+    b"\r\n",
+    b"\n",
+    b"<http://a> <http://p> <http://b\xff> .\n",
+    b"<http://b> <http://q> \"say \\\"hi\\\" # not a comment\" .\n",
+    b"<http://b> <http://q> \"tagged\"@en-GB . # trailing comment\n",
+    b"<http://b> <http://q> \"7\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+    b"<http://c> <http://q> <http://a> <http://graph> .\n",
+    b"_:n <http://q> _:m <http://graph> .\n",
+    "\x0b<http://c>\x0c<http://p>\u3000<http://d>\x85.\u2028\n".encode(),
+    "\u2028<http://d> <http://p> _:n .\u3000\n".encode(),
+    "\x85\n".encode(),
+    "\u2028\n".encode(),
+    "\u3000\x0b\x0c\x1c\n".encode(),
+    "\x85# comment after whitespace\n".encode(),
+    b"<http://a> <http://p> .\n",
+    b"<http://a> <http://p> \"unterminated .\n",
+    b"<http://a> <http://p> \"a literal does not\n",
+    b"span two lines\" .\n",
+    b"<http://a> <http://p> <http://b> .\r<http://c> <http://p> <http://d> .\n",
+    b"<http://a> <http://p> <http://b> .\n",
+    b"<http://e> <http://p> \"no final newline\" .",
+]
+
+
+def _assert_same_snapshot(got, expected):
+    assert got.terms.kinds == expected.terms.kinds
+    assert got.terms.lexicals == expected.terms.lexicals
+    for name in ("vertex_ids", "indptr", "edge_pred", "edge_obj"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert got.skip_reasons == expected.skip_reasons
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, ingest.BLOCK_BYTES])
+def test_block_loader_matches_line_loader(tmp_path, monkeypatch, block):
+    d = tmp_path / "snap"
+    d.mkdir()
+    (d / "a.nt").write_bytes(b"".join(_EDGE_LINES))
+    # the same blank label in a second, gzipped file, which ends without "\n"
+    with gzip.open(d / "b.nt.gz", "wb") as fh:
+        fh.write(b"_:n <http://q> <http://a> .\n<http://a> <http://q> _:n .")
+    write_ntriples(d / "c.nt", ring_triples(distinct_recipes(predicate_pool(5), 6), 7))
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
+    expected = reference_load_snapshot(d, "t")
+    assert set(expected.skip_reasons) == {"blank", "comment", "malformed", "duplicate"}
+    assert len([k for k in expected.terms.kinds if k == "blank"]) == 3
+    _assert_same_snapshot(load_snapshot(d, "t"), expected)
+    for one in sorted(d.iterdir()):
+        _assert_same_snapshot(load_snapshot(one, "t"), reference_load_snapshot(one, "t"))
+
+
+def test_truncated_gzip_names_file_and_block_offset(tmp_path, monkeypatch):
+    d = tmp_path / "snap"
+    d.mkdir()
+    (d / "a.nt").write_text("<http://a> <http://p> <http://b> .\n")
+    text = "".join(f"<http://x/v{i}> <http://x/p{i % 7}> \"{i * 7919}\" .\n" for i in range(20_000))
+    whole = gzip.compress(text.encode())
+    truncated = whole[: len(whole) // 2]
+    (d / "b.nt.gz").write_bytes(truncated)
+    readable = len(zlib.decompressobj(wbits=31).decompress(truncated))
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 4096)
+    with pytest.raises(IngestError) as info:
+        load_snapshot(d, "t")
+    m = re.search(r"read failed at byte offset (\d+)", str(info.value))
+    assert str(info.value).startswith(f"{d / 'b.nt.gz'}: ") and m is not None
+    offset = int(m.group(1))
+    assert 0 < offset <= readable and offset % 4096 == 0
+
+
+def test_term_table_keys_name_the_kind():
+    t = TermTable()
+    iri = t.intern("iri", "http://a")
+    lit = t.intern("literal", '"http://a"')
+    assert iri != lit and t.intern("iri", "http://a", "<http://a>") == iri
+    assert t.lookup("literal", "<http://a>") is None
+    with pytest.raises(ValueError):
+        t.intern("literal", "<http://a>")
