@@ -12,8 +12,9 @@ graph.
 
 Terms are interned into a dense, append-only :class:`TermTable` through a
 dict keyed by the raw token, so a term's kind and lexical form are worked out
-once per snapshot.  Blank node labels have document scope, so each file in a
-directory snapshot gets its own blank namespace.  Literals are interned by
+once per snapshot (once per file for a blank label).  Blank node labels have
+document scope, so each file in a directory snapshot gets its own blank
+namespace.  Literals are interned by
 their full lexical token (including datatype/language suffix) and behave as
 sink vertices.
 
@@ -93,7 +94,8 @@ class TermTable:
         return len(self.lexicals)
 
     def intern(self, kind: str, lexical: str, token: str | None = None) -> int:
-        """Id of the term, added if new; a caller holding its token passes it."""
+        """Id of the term, added if new.  A caller holding the term's token
+        passes it, and the table keeps that string as the key."""
         key = _token(kind, lexical) if token is None else token
         tid = self._index.get(key)
         if tid is None:
@@ -396,11 +398,9 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
                     offset += len(block)
                     block = tail + block
                     cut = block.rfind(b"\n") + 1
+                    parse(_decode(block[:cut], skips))
                     tail = block[cut:]
-                    if cut:
-                        parse(_decode(block[:cut], skips))
-            if tail:
-                parse(_decode(tail, skips))
+            parse(_decode(tail, skips))
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
     return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)

@@ -81,10 +81,10 @@ def prepare_tasks(
     for index, (timestamp, g) in enumerate(snapshots):
         classes, inverse = np.unique(vertex_hashes(g, model), return_inverse=True)
         extend_vocabularies(g, classes, pv, cv)
-        staged.append((index, timestamp, g, classes, inverse, pv.width, cv.width))
-    tasks = []
-    for index, timestamp, g, classes, inverse, pw, cw in staged:
         labels = np.array([cv.index(h) for h in classes.tolist()], dtype=np.int64)[inverse]
+        staged.append((index, timestamp, g, labels, pv.width, cv.width))
+    tasks = []
+    for index, timestamp, g, labels, pw, cw in staged:
         tasks.append(
             Task(
                 index=index,
