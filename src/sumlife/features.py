@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import SnapshotGraph, TermTable
+from .ingest import SnapshotGraph, TermTable, distinct
 from .summarize import SIPHASH_KEY, siphash24
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -75,11 +75,6 @@ class _Vocabulary:
     def serialize(self, path: str | Path) -> None:
         Path(path).write_bytes(self._bytes())
 
-    @classmethod
-    def deserialize(cls, path: str | Path):
-        text = Path(path).read_bytes().decode("utf-8")
-        return cls.from_lines(text.removesuffix("\n").split("\n") if text else [])
-
     def digest(self) -> str:
         """SHA-256 of the serialized file."""
         return hashlib.sha256(self._bytes()).hexdigest()
@@ -90,7 +85,7 @@ class PredicateVocabulary(_Vocabulary):
 
     def extend_from_graph(self, g: SnapshotGraph) -> int:
         """Append this snapshot's unseen predicates in sorted IRI order."""
-        return self._extend(sorted(g.terms.lexical(int(p)) for p in np.unique(g.edge_pred)))
+        return self._extend(sorted(g.terms.lexical(int(p)) for p in distinct(g.edge_pred)))
 
     def columns(self, terms: TermTable, preds: np.ndarray) -> np.ndarray:
         """Feature column of each predicate term id, looking up each distinct one once."""
@@ -111,7 +106,7 @@ class ClassVocabulary(_Vocabulary):
 
     def extend(self, hashes: np.ndarray | Sequence[int]) -> int:
         """Append the unseen hashes in ascending order."""
-        return self._extend(np.unique(np.asarray(hashes, dtype=np.uint64)).tolist())
+        return self._extend(distinct(np.asarray(hashes, dtype=np.uint64)).tolist())
 
     _format = staticmethod("{:016x}".format)
     _parse = staticmethod(lambda line: int(line, 16))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ingest import distinct
 from .ops import dropout_mask, matrix_product, relu, relu_grad, scatter_add, scatter_rows
 
 
@@ -86,7 +87,7 @@ def batch_adjacency(
     """
     src = np.asarray(edge_src, dtype=np.int64)
     dst = np.asarray(edge_dst, dtype=np.int64)
-    keys = np.unique(src * n + dst)
+    keys = distinct(src * n + dst)
     src, dst = np.divmod(keys, n)
     keep = src != dst
     src, dst = src[keep], dst[keep]

@@ -7,10 +7,18 @@ Set semantics matter: XOR would silently cancel a pair contributed twice.
 
 The pass is bottom-up dynamic programming over CSR edge arrays: one level for
 the whole graph at a time, O(k * |E| log |E|) total, instead of per-vertex
-recursion.  Pair hashing is SipHash-2-4 under a fixed key so runs are
-reproducible; each level hashes its distinct (predicate, child) pairs in one
-call of the batched numpy kernel ``siphash24``, which also ranks the vertex
-splits in ``features``.
+recursion.  A level groups by one rule, rank -> pack -> unique: it ranks the
+previous level's hashes, packs each edge's (predicate id, child rank) into one
+int64 key and numbers the distinct pairs with ``np.unique``; (source, pair)
+and, for the summary edges, (class, pair) keys are packed the same way and
+deduplicated by ``ingest.distinct``.  At depth 0 every hash is 0, so the base
+level is the same code with a single rank.  Keys stay below |terms| * V and
+V * E, far from 2**63 for any graph that fits in memory.
+
+Pair hashing is SipHash-2-4 under a fixed key so runs are reproducible; each
+level hashes its distinct (predicate, child) pairs in one call of the batched
+numpy kernel ``siphash24``, which also ranks the vertex splits in
+``features``.
 
 Summary model "ac1" uses one recursion level (outgoing label sets), "ac2" two
 (labels of the vertex and of its neighbours).  Every edge of the given graph
@@ -26,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import SnapshotGraph
+from .ingest import SnapshotGraph, distinct
 
 AC1 = "ac1"
 AC2 = "ac2"
@@ -70,7 +78,7 @@ def siphash24(key: bytes, messages: Sequence[bytes]) -> np.ndarray:
     k1 = int.from_bytes(key[8:], "little")
     lengths = np.fromiter(map(len, messages), dtype=np.int64, count=len(messages))
     n_blocks = lengths // 8 + 1
-    for nb in np.unique(n_blocks).tolist():
+    for nb in distinct(n_blocks).tolist():
         idx = np.flatnonzero(n_blocks == nb)
         width = 8 * nb
         raw = bytearray(b"".join(messages[i].ljust(width, b"\x00") for i in idx.tolist()))
@@ -149,107 +157,38 @@ class ExtensionMap:
         return len(self.members)
 
 
-def _group_rows(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Deduplicate rows given as parallel columns, using native-integer sorts.
-
-    Returns (unique columns, inverse) like np.unique(axis=0) would, but
-    avoids its slow byte-comparison path on wide void dtypes.
-    """
-    order = np.lexsort(tuple(reversed(columns)))
-    sorted_cols = [c[order] for c in columns]
-    n = len(order)
-    if n == 0:
-        return list(sorted_cols), np.empty(0, dtype=np.int64)
-    changed = np.zeros(n, dtype=bool)
-    changed[0] = True
-    for c in sorted_cols:
-        changed[1:] |= c[1:] != c[:-1]
-    gid_sorted = np.cumsum(changed) - 1
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = gid_sorted
-    starts = np.flatnonzero(changed)
-    return [c[starts] for c in sorted_cols], inverse
-
-
-def _factorize_pairs(
-    pred: np.ndarray, children: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ids for distinct (predicate, child hash) pairs.
-
-    Returns (unique preds, unique children, per-edge pair id).  When children
-    is None every child hash is zero (the base recursion level), and the
-    factorization reduces to a linear table lookup over predicate ids.
-    """
-    if children is None:
-        table = np.full(int(pred.max()) + 1, -1, dtype=np.int64)
-        present = np.zeros(len(table), dtype=bool)
-        present[pred] = True
-        uniq = np.flatnonzero(present)
-        table[uniq] = np.arange(len(uniq))
-        return uniq.astype(np.uint64), np.zeros(len(uniq), np.uint64), table[pred]
-    (u_pred, u_child), pair_id = _group_rows(pred.astype(np.uint64), children)
-    return u_pred, u_child, pair_id
-
-
-def _dedup_key_pairs(major: np.ndarray, minor_id: np.ndarray, n_minor: int):
-    """Unique (major, minor id) combos, sorted by major.
-
-    Packs both into one integer key so a single linear-time integer sort
-    suffices; falls back to a two-key grouping if the product could overflow.
-    """
-    hi = int(major.max()) + 1 if len(major) else 0
-    if n_minor and hi < (1 << 62) // max(n_minor, 1):
-        combo = major * n_minor + minor_id
-        combo = np.sort(combo, kind="stable")
-        keep = np.ones(len(combo), dtype=bool)
-        keep[1:] = combo[1:] != combo[:-1]
-        cu = combo[keep]
-        return cu // n_minor, cu % n_minor
-    (m_u, i_u), _ = _group_rows(major.astype(np.int64), minor_id)
-    return m_u, i_u
-
-
-class _LevelPairs:
-    """Pair bookkeeping for one recursion level (reused by summary edges)."""
-
-    __slots__ = ("u_pred", "u_child", "pair_id")
-
-    def __init__(self, u_pred, u_child, pair_id):
-        self.u_pred = u_pred
-        self.u_child = u_child
-        self.pair_id = pair_id
-
-
 def _level_up(
     g: SnapshotGraph, src: np.ndarray, h_prev: np.ndarray
-) -> tuple[np.ndarray, _LevelPairs | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One recursion level of the bottom-up pass.
 
-    Hashes the level's distinct (predicate, child hash) pairs in one kernel
-    call, then XOR-folds the deduplicated set of pair hashes per source
-    vertex; vertices with no out-edges keep hash 0.
+    Numbers the level's distinct (predicate, child hash) pairs, hashes them
+    in one kernel call, then XOR-folds the deduplicated set of pair hashes
+    per source vertex; vertices with no out-edges keep hash 0.  Also returns
+    the level's pairs as (predicate ids, child hashes, per-edge pair id).
     """
-    new_h = np.zeros(g.num_vertices, dtype=np.uint64)
-    if len(src) == 0:
-        return new_h, None
-    children = h_prev[g.edge_obj] if h_prev.any() else None
-    u_pred, u_child, pair_id = _factorize_pairs(g.edge_pred, children)
+    child_hash, child_rank = np.unique(h_prev, return_inverse=True)
+    keys = g.edge_pred * len(child_hash) + child_rank[g.edge_obj]
+    pair_keys, pair_id = np.unique(keys, return_inverse=True)
+    n_pairs = len(pair_keys)
+    u_pred, u_rank = np.divmod(pair_keys, len(child_hash))
+    u_child = child_hash[u_rank]
     lex = g.terms.lexical
     pair_hash = siphash24(
         SIPHASH_KEY,
         [_pair_message(lex(p), c) for p, c in zip(u_pred.tolist(), u_child.tolist())],
     )
-    src_u, pid_u = _dedup_key_pairs(src, pair_id, len(u_pred))
-    ph_u = pair_hash[pid_u.astype(np.int64)]
-    starts = np.flatnonzero(np.concatenate(([True], src_u[1:] != src_u[:-1])))
-    if len(src_u):
-        new_h[src_u[starts].astype(np.int64)] = np.bitwise_xor.reduceat(ph_u, starts)
-    return new_h, _LevelPairs(u_pred, u_child, pair_id)
+    src_u, pid_u = np.divmod(distinct(src * n_pairs + pair_id), n_pairs)
+    new_h = np.zeros(g.num_vertices, dtype=np.uint64)
+    if n_pairs:
+        starts = np.flatnonzero(np.diff(src_u, prepend=-1))
+        new_h[src_u[starts]] = np.bitwise_xor.reduceat(pair_hash[pid_u], starts)
+    return new_h, (u_pred, u_child, pair_id)
 
 
-def _hash_pass(g: SnapshotGraph, k: int) -> tuple[np.ndarray, np.ndarray, _LevelPairs | None]:
-    """The level loop: (depth-k hash per vertex position, edge sources, pair
-    bookkeeping of the last level).  Depth 0 is all zeros."""
+def _hash_pass(g: SnapshotGraph, k: int) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """The level loop: (depth-k hash per vertex position, edge sources, pairs
+    of the last level).  Depth 0 is all zeros."""
     src = g.edge_sources()
     h = np.zeros(g.num_vertices, dtype=np.uint64)
     pairs = None
@@ -271,50 +210,33 @@ def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, ExtensionMap]
     """Summarize a snapshot; returns the summary graph and its extension map."""
     if model not in MODEL_HOPS:
         raise ValueError(f"unknown summary model {model!r}")
-    final, src, pairs = _hash_pass(g, MODEL_HOPS[model])
+    final, src, (u_pred, u_child, pair_id) = _hash_pass(g, MODEL_HOPS[model])
 
-    # extension map: group vertex term ids by final hash; the same grouping
-    # doubles as a dense class id per vertex for the summary-edge dedup
-    members: dict[int, list[int]] = {}
-    cls_of_vertex = np.zeros(g.num_vertices, dtype=np.int64)
-    cls_hash = np.empty(0, dtype=np.uint64)
-    if g.num_vertices:
-        order = np.argsort(final, kind="stable")
-        sorted_h = final[order]
-        sorted_ids = g.vertex_ids[order]
-        changed = np.concatenate(([True], sorted_h[1:] != sorted_h[:-1]))
-        cls_of_vertex[order] = np.cumsum(changed) - 1
-        starts = np.flatnonzero(changed)
-        cls_hash = sorted_h[starts]
-        bounds = np.append(starts, len(sorted_h))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            members[int(sorted_h[a])] = sorted_ids[a:b].tolist()
-    ext = ExtensionMap(members)
+    # extension map: vertex term ids grouped by final hash, in position order
+    cls_hash, cls_of_vertex, sizes = np.unique(final, return_inverse=True, return_counts=True)
+    order = np.argsort(cls_of_vertex, kind="stable")
+    groups = np.split(g.vertex_ids[order], np.cumsum(sizes)[:-1])
+    members = {h: ids.tolist() for h, ids in zip(cls_hash.tolist(), groups)}
 
-    # summary edges: one per distinct (source eqc, predicate, child hash)
-    edges: set[tuple[int, str, int]] = set()
-    secondary: set[tuple[str, int]] = set()
+    # summary edges: one per distinct (source class, pair)
+    n_pairs = len(u_pred)
+    cls_u, pid_u = np.divmod(distinct(cls_of_vertex[src] * n_pairs + pair_id), n_pairs)
+    iris = [g.terms.lexical(p) for p in u_pred.tolist()]
+    children = u_child.tolist()
+    hashes = cls_hash.tolist()
+    edges = {(hashes[c], iris[p], children[p]) for c, p in zip(cls_u.tolist(), pid_u.tolist())}
     usage: dict[str, int] = {}
-    if pairs is not None:
-        cls_u, pid_u = _dedup_key_pairs(cls_of_vertex[src], pairs.pair_id, len(pairs.u_pred))
-        for c_id, p_id in zip(cls_u, pid_u):
-            p_iri = g.terms.lexical(int(pairs.u_pred[p_id]))
-            child_hash = int(pairs.u_child[p_id])
-            edges.add((int(cls_hash[c_id]), p_iri, child_hash))
-            secondary.add((p_iri, child_hash))
-        pair_counts = np.bincount(pairs.pair_id, minlength=len(pairs.u_pred))
-        for p_id, count in enumerate(pair_counts):
-            iri = g.terms.lexical(int(pairs.u_pred[p_id]))
-            usage[iri] = usage.get(iri, 0) + int(count)
+    for iri, count in zip(iris, np.bincount(pair_id, minlength=n_pairs).tolist()):
+        usage[iri] = usage.get(iri, 0) + count
     summary = SummaryGraph(
         timestamp=g.timestamp,
         model=model,
         eqcs=frozenset(members),
-        secondary=frozenset(secondary),
+        secondary=frozenset((p, c) for _, p, c in edges),
         summary_edges=frozenset(edges),
         predicate_usage=usage,
     )
-    return summary, ext
+    return summary, ExtensionMap(members)
 
 
 def vertex_hashes(g: SnapshotGraph, model: str) -> np.ndarray:

@@ -175,6 +175,65 @@ def partition_of_hashes(hashes) -> set[frozenset[int]]:
     return {frozenset(g) for g in groups.values()}
 
 
+def out_pairs(g: SnapshotGraph, position: int) -> list[tuple[int, int]]:
+    """(predicate id, object term id) of a vertex's out-edges, in CSR order."""
+    lo, hi = int(g.indptr[position]), int(g.indptr[position + 1])
+    return [(int(g.edge_pred[e]), int(g.vertex_ids[g.edge_obj[e]])) for e in range(lo, hi)]
+
+
+def read_vocabulary(cls, path):
+    """A serialized vocabulary read back, one entry per line, through ``cls.from_lines``."""
+    text = Path(path).read_bytes().decode("utf-8")
+    return cls.from_lines(text.removesuffix("\n").split("\n") if text else [])
+
+
+def reference_summary(g: SnapshotGraph, k: int) -> dict:
+    """The k-hop summary of ``g`` computed edge by edge in plain Python.
+
+    Each depth's hash of a vertex is the XOR of the distinct textbook-SipHash
+    pair hashes of its out-edges (0 at depth 0 and for a vertex without
+    out-edges).  Returns the final hash per position, the summary edges
+    (h_k[v], p, h_{k-1}[o]) and secondary pairs (p, h_{k-1}[o]) of every edge,
+    the predicate usage (one count per edge) and the member term ids of each
+    class in position order.
+    """
+    key = bytes(range(16))
+    cache: dict[tuple[str, int], int] = {}
+
+    def pair_hash(iri: str, child: int) -> int:
+        if (iri, child) not in cache:
+            msg = iri.encode("utf-8") + b"\x00" + child.to_bytes(8, "little")
+            cache[iri, child] = reference_siphash24(key, msg)
+        return cache[iri, child]
+
+    n = len(g.vertex_ids)
+    edges = [
+        (v, g.terms.lexical(int(g.edge_pred[e])), int(g.edge_obj[e]))
+        for v in range(n)
+        for e in range(int(g.indptr[v]), int(g.indptr[v + 1]))
+    ]
+    h = [0] * n
+    prev = h
+    for _ in range(k):
+        pairs = defaultdict(set)
+        for v, p, o in edges:
+            pairs[v].add(pair_hash(p, h[o]))
+        prev, h = h, [0] * n
+        for v, hashes in pairs.items():
+            for x in hashes:
+                h[v] ^= x
+    members = defaultdict(list)
+    for v in range(n):
+        members[h[v]].append(int(g.vertex_ids[v]))
+    return {
+        "hashes": h,
+        "summary_edges": {(h[v], p, prev[o]) for v, p, o in edges},
+        "secondary": {(p, prev[o]) for _, p, o in edges},
+        "predicate_usage": dict(Counter(p for _, p, _ in edges)),
+        "members": dict(members),
+    }
+
+
 def dense_adjacency(n: int, src, dst, normalize: bool = False) -> np.ndarray:
     """Dense n x n out-neighbour adjacency with a unit diagonal.
 

@@ -5,6 +5,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from oracles import read_vocabulary
 from sumlife.cli import main
 from sumlife.errors import CheckpointError
 from sumlife.features import ClassVocabulary, PredicateVocabulary
@@ -179,7 +180,7 @@ def test_empty_predicate_iri_survives_checkpoint(tmp_path):
     _, pv2, cv2, _ = load_checkpoint(p)
     assert pv2.entries == pv.entries and cv2.entries == cv.entries
     pv2.serialize(tmp_path / "p.vocab")
-    assert PredicateVocabulary.deserialize(tmp_path / "p.vocab").entries == pv.entries
+    assert read_vocabulary(PredicateVocabulary, tmp_path / "p.vocab").entries == pv.entries
 
 
 def rewrite_tensors(path, edit):

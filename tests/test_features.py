@@ -13,7 +13,7 @@ from sumlife.features import (
     split_vertices,
 )
 import sumlife.features as features
-from oracles import reference_siphash24
+from oracles import read_vocabulary, reference_siphash24
 from sumlife.features import SPLIT_FRACTIONS, _largest_remainder
 from sumlife.ingest import build_snapshot
 from sumlife.summarize import SIPHASH_KEY, vertex_hashes
@@ -78,8 +78,8 @@ def test_vocab_serialization_prefix_property(tmp_path):
     text1 = (tmp_path / "p1.vocab").read_text()
     text2 = (tmp_path / "p2.vocab").read_text()
     assert text2.startswith(text1)
-    assert PredicateVocabulary.deserialize(tmp_path / "p2.vocab").entries == pv.entries
-    assert ClassVocabulary.deserialize(tmp_path / "c1.vocab").entries == cv.entries[: len(ClassVocabulary.deserialize(tmp_path / 'c1.vocab').entries)]
+    assert read_vocabulary(PredicateVocabulary, tmp_path / "p2.vocab").entries == pv.entries
+    assert read_vocabulary(ClassVocabulary, tmp_path / "c1.vocab").entries == cv.entries[: len(read_vocabulary(ClassVocabulary, tmp_path / 'c1.vocab').entries)]
 
 
 def test_encode_rows():
@@ -180,13 +180,13 @@ def test_vocabulary_file_keeps_empty_lines(tmp_path):
     pv = PredicateVocabulary(["http://p", "", "http://q"])
     pv.serialize(tmp_path / "p.vocab")
     assert (tmp_path / "p.vocab").read_bytes() == b"http://p\n\nhttp://q\n"
-    back = PredicateVocabulary.deserialize(tmp_path / "p.vocab")
+    back = read_vocabulary(PredicateVocabulary, tmp_path / "p.vocab")
     assert back.entries == ["http://p", "", "http://q"]
     assert back.digest() == pv.digest()
     assert PredicateVocabulary.from_lines(pv.lines()).entries == pv.entries
     for vocab in (PredicateVocabulary(), PredicateVocabulary([""]), ClassVocabulary([0, 2**64 - 1])):
         vocab.serialize(tmp_path / "v.vocab")
-        assert type(vocab).deserialize(tmp_path / "v.vocab").entries == vocab.entries
+        assert read_vocabulary(type(vocab), tmp_path / "v.vocab").entries == vocab.entries
 
 
 def _oracle_split(g, seed, coarsen=0):

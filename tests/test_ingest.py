@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import reference_load_snapshot
+from oracles import out_pairs, reference_load_snapshot
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 from sumlife import ingest
 from sumlife.errors import IngestError
@@ -118,7 +118,7 @@ def test_load_invalid_utf8_is_malformed(tmp_path):
     g = load_snapshot(f, "t0")
     assert dict(g.skip_reasons) == {"malformed": 2}
     assert g.edge_count == 1
-    assert [g.vertex_lexical(i) for i in range(g.num_vertices)] == ["http://c", "http://b"]
+    assert [g.terms.lexical(int(g.vertex_ids[i])) for i in range(g.num_vertices)] == ["http://c", "http://b"]
     assert g.terms.lookup("iri", "http://a\ufffd") is None
 
 
@@ -168,12 +168,23 @@ def test_line_order_irrelevant(tmp_path):
     def canonical(g):
         edges = set()
         for v in range(g.num_vertices):
-            src = g.vertex_lexical(v)
-            for p, o in g.out_pairs(v):
+            src = g.terms.lexical(int(g.vertex_ids[v]))
+            for p, o in out_pairs(g, v):
                 edges.add((src, g.terms.lexical(p), g.terms.lexical(o)))
         return edges
 
     assert canonical(load_snapshot(f1, "t")) == canonical(load_snapshot(f2, "t"))
+
+
+def test_distinct_matches_np_unique():
+    cases = [[], [7], [3, 3, 3], [5, -2, 9, -2, 0, 5, 1]]
+    for values in cases:
+        for dtype in (np.int64, np.uint64):
+            a = np.array([v % 2**64 for v in values] if dtype is np.uint64 else values, dtype=dtype)
+            got, want = ingest.distinct(a), np.unique(a)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    high = np.array([2**64 - 1, 2**63, 5, 2**63, 2**63 + 1, 0, 2**64 - 1], dtype=np.uint64)
+    assert ingest.distinct(high).tolist() == np.unique(high).tolist() == [0, 5, 2**63, 2**63 + 1, 2**64 - 1]
 
 
 def test_out_pairs_sorted_unique():
@@ -186,7 +197,7 @@ def test_out_pairs_sorted_unique():
             ("http://a", "http://p", "http://c"),
         ],
     )
-    pairs = g.out_pairs(g.position_of("http://a"))
+    pairs = out_pairs(g, g.position_of("http://a"))
     assert pairs == sorted(set(pairs))
     assert len(pairs) == 3
 
@@ -202,7 +213,7 @@ def test_literals_are_shared_sink_vertices():
     # one literal vertex, reachable from both subjects
     assert g.num_vertices == 3
     lit = g.position_of('"v"', kind="literal")
-    assert g.out_pairs(lit) == []
+    assert out_pairs(g, lit) == []
 
 
 def test_filter_star_removes_center():
@@ -261,7 +272,7 @@ def test_rdf_type_edges_flagged():
     assert (g.edge_pred == type_id).sum() == 1
     d = drop_rdf_types(g)
     assert len(d.edge_pred) == 1 and len(g.edge_pred) == 2
-    assert d.out_pairs(d.position_of("http://a")) == [
+    assert out_pairs(d, d.position_of("http://a")) == [
         (g.terms.lookup("iri", "http://p"), g.terms.lookup("iri", "http://b"))
     ]
     # every vertex stays: the class IRI becomes a sink with no in-edge

@@ -6,6 +6,7 @@ from oracles import (
     kbisim_partition,
     partition_of_hashes,
     reference_siphash24,
+    reference_summary,
 )
 from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.summarize import (
@@ -189,6 +190,38 @@ def test_oracle_equivalence_small():
                 for grp in kbisim_partition(len(present), oedges, k)
             }
             assert partition_of_hashes(vertex_hashes(g, model)) == oracle
+
+
+def assert_summary_matches_reference(g):
+    for k, model in ((1, "ac1"), (2, "ac2")):
+        ref = reference_summary(g, k)
+        summary, ext = summarize(g, model)
+        assert vertex_hashes(g, model).tolist() == ref["hashes"]
+        assert summary.summary_edges == ref["summary_edges"]
+        assert summary.secondary == ref["secondary"]
+        assert summary.predicate_usage == ref["predicate_usage"]
+        assert ext.members == ref["members"]
+        assert summary.eqcs == set(ref["members"])
+
+
+def test_summary_matches_per_edge_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        g, _, _ = random_graph(rng, 60, 200, 5)
+        assert_summary_matches_reference(g)
+
+
+def test_summary_matches_reference_on_edge_cases():
+    high = chain()
+    assert max(reference_summary(high, 1)["hashes"]) >= 2**63
+    edgeless = drop_rdf_types(build_snapshot(
+        "t", [("http://a", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", "http://T")]
+    ))
+    assert edgeless.num_vertices == 2 and len(edgeless.edge_pred) == 0
+    empty = build_snapshot("t", [])
+    assert empty.num_vertices == 0
+    for g in (high, edgeless, empty):
+        assert_summary_matches_reference(g)
 
 
 def test_ac2_refines_ac1():
