@@ -1,10 +1,12 @@
-"""Growable vocabularies, multi-hot features and deterministic splits.
+"""Growable vocabularies, per-edge feature columns and deterministic splits.
 
 Vocabulary indices are append-only and never reassigned, so feature columns
 and class indices stay valid across snapshots; serialized vocabularies from
 an earlier task are always a prefix of later ones.  Predicates and features
 come from every edge of the given graph: a run without rdf:type edges gets a
-graph that ``ingest.drop_rdf_types`` has already cut.
+graph that ``ingest.drop_rdf_types`` has already cut.  A snapshot's features
+are held as one column per edge, so they take V + E memory; ``sampling``
+writes the multi-hot rows of a batch's vertices from them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import SnapshotGraph, TermTable, distinct
+from .ingest import SnapshotGraph, distinct
 from .summarize import SIPHASH_KEY, siphash24
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -87,15 +89,6 @@ class PredicateVocabulary(_Vocabulary):
         """Append this snapshot's unseen predicates in sorted IRI order."""
         return self._extend(sorted(g.terms.lexical(int(p)) for p in distinct(g.edge_pred)))
 
-    def columns(self, terms: TermTable, preds: np.ndarray) -> np.ndarray:
-        """Feature column of each predicate term id, looking up each distinct one once."""
-        uniq, inverse = np.unique(preds, return_inverse=True)
-        iris = [terms.lexical(p) for p in uniq.tolist()]
-        missing = [iri for iri in iris if iri not in self]
-        if missing:
-            raise ValueError(f"predicate {missing[0]!r} missing from vocabulary")
-        return np.array([self.index(iri) for iri in iris], dtype=np.int64)[inverse]
-
     _format = _parse = staticmethod(str)
     # perfbench/tracing.py wraps each vocabulary class's own serialize
     serialize = _Vocabulary.serialize
@@ -126,14 +119,19 @@ def extend_vocabularies(
 
 
 def encode_features(g: SnapshotGraph, vocab: PredicateVocabulary) -> np.ndarray:
-    """Multi-hot outgoing-predicate matrix, one row per vertex position.
+    """Feature column of each edge's predicate, in CSR order.
 
-    Multiplicity is ignored; sinks get zero rows.  Every predicate must
-    already be in the vocabulary.
+    A vertex's feature row is multi-hot over the columns of its out-edges,
+    multiplicity ignored, so sinks get zero rows; ``sampling`` writes the
+    rows of a batch's vertices.  Every predicate must already be in the
+    vocabulary; each distinct predicate is looked up once.
     """
-    x = np.zeros((g.num_vertices, vocab.width), dtype=np.float64)
-    x[g.edge_sources(), vocab.columns(g.terms, g.edge_pred)] = 1.0
-    return x
+    uniq, inverse = np.unique(g.edge_pred, return_inverse=True)
+    iris = [g.terms.lexical(p) for p in uniq.tolist()]
+    missing = [iri for iri in iris if iri not in vocab]
+    if missing:
+        raise ValueError(f"predicate {missing[0]!r} missing from vocabulary")
+    return np.array([vocab.index(iri) for iri in iris], dtype=np.int64)[inverse]
 
 
 def _largest_remainder(n: int, fractions: Sequence[float]) -> list[int]:

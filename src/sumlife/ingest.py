@@ -218,19 +218,6 @@ class SnapshotGraph:
         """Count of malformed plus duplicate input lines."""
         return self.skip_reasons.get("malformed", 0) + self.skip_reasons.get("duplicate", 0)
 
-    def position(self, term_id: int) -> int:
-        """Dense position of a vertex term id; raises KeyError if absent."""
-        i = int(np.searchsorted(self.vertex_ids, term_id))
-        if i >= len(self.vertex_ids) or self.vertex_ids[i] != term_id:
-            raise KeyError(f"term id {term_id} is not a vertex")
-        return i
-
-    def position_of(self, lexical: str, kind: str = IRI) -> int:
-        tid = self.terms.lookup(kind, lexical)
-        if tid is None:
-            raise KeyError(f"unknown term {lexical!r}")
-        return self.position(tid)
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 

@@ -7,6 +7,10 @@ including future ones, filling one row of the T x T result matrix that all
 measures are computed from.  Test vertices whose class the network has never
 seen count as errors, and their fraction is reported separately.
 
+A task holds its features as each edge's feature column, at the final
+vocabulary width, in V + E memory; the batches that sampling and evaluation
+build write their vertices' rows from them.
+
 Per-task randomness derives from (run seed, task index), so extending a
 sequence never perturbs earlier tasks' batches.
 """
@@ -21,7 +25,6 @@ import numpy as np
 from .errors import NumericalError, TrainingDivergence
 from .features import (
     TEST,
-    VAL,
     ClassVocabulary,
     PredicateVocabulary,
     encode_features,
@@ -39,6 +42,9 @@ RESTARTS = ("warm", "cold")
 
 @dataclass
 class Task:
+    """One snapshot of the sequence.  Its features are held as each edge's
+    feature column, from which every batch writes its vertices' rows."""
+
     index: int
     timestamp: str
     graph: SnapshotGraph
@@ -46,7 +52,8 @@ class Task:
     split: np.ndarray
     pred_width: int  # vocabulary widths once this task is reached
     class_width: int
-    features: np.ndarray  # encoded at the final vocabulary width
+    edge_col: np.ndarray  # each edge's feature column, CSR order (encode_features)
+    feature_width: int  # the final predicate vocabulary width, every batch row's width
 
 
 @dataclass
@@ -72,7 +79,8 @@ def prepare_tasks(
     pred_vocab: PredicateVocabulary | None = None,
     class_vocab: ClassVocabulary | None = None,
 ) -> TaskSequence:
-    """Summarize each snapshot, grow the vocabularies, attach splits/features."""
+    """Summarize each snapshot, grow the vocabularies, attach splits and the
+    per-edge feature columns."""
     if not strictly_increasing([t for t, _ in snapshots]):
         raise ValueError("snapshot timestamps must be strictly increasing")
     pv = pred_vocab if pred_vocab is not None else PredicateVocabulary()
@@ -94,7 +102,8 @@ def prepare_tasks(
                 split=split_vertices(g, seed),
                 pred_width=pw,
                 class_width=cw,
-                features=encode_features(g, pv),
+                edge_col=encode_features(g, pv),
+                feature_width=pv.width,
             )
         )
     return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model)
@@ -127,11 +136,10 @@ def evaluate_network(
         return 0.0, 0.0
     labels = task.labels[rows]
     unseen = labels >= net.n_classes
-    batch = receptive_field(
-        task.graph, task.labels, task.features, rows, net.receptive_hops, MODEL_HOPS[seq.model]
-    )
+    batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows,
+                            net.receptive_hops, MODEL_HOPS[seq.model])
     if net.edges_as_vertices:
-        batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+        batch = edge_as_vertex_transform(batch)
     pred = np.argmax(net.batch_logits(batch, batch.target_idx), axis=1)
     correct = (pred == labels) & ~unseen
     return float(correct.mean()), float(unseen.mean())
@@ -144,30 +152,26 @@ def _train_on_task(
     iterations: int,
     batch_cap: int,
     rng: np.random.Generator,
-    track_val: bool = True,
 ) -> list[float]:
-    """Run the per-task iterations; returns validation accuracy per iteration."""
+    """Run the per-task iterations; returns the training loss of each."""
     adam = net.new_adam()
     k = MODEL_HOPS[seq.model]
     # per-task sampling state: each target's closure, walked once, and the draw distribution
     closures: dict[int, list[int]] = {}
     distribution = target_distribution(task.labels, task.split)
-    val_curve = []
+    losses = []
     for step in range(iterations):
         batch = sample_batch(
-            task.graph, task.labels, distribution, k, task.features, cap=batch_cap, rng=rng,
-            closures=closures,
+            task.graph, task.labels, distribution, k, task.edge_col, task.feature_width,
+            cap=batch_cap, rng=rng, closures=closures,
         )
         if net.edges_as_vertices:
-            batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+            batch = edge_as_vertex_transform(batch)
         try:
-            net.train_step(batch, adam, rng)
+            losses.append(float(net.train_step(batch, adam, rng)))
         except NumericalError as exc:
             raise TrainingDivergence(task.index, step, str(exc)) from exc
-        if track_val:
-            val_acc, _ = evaluate_network(net, task, seq, which=VAL)
-            val_curve.append(val_acc)
-    return val_curve
+    return losses
 
 
 def run_sequence(
@@ -179,7 +183,6 @@ def run_sequence(
     iterations: int = 100,
     batch_cap: int = 1000,
     zero_init_growth: bool = False,
-    track_val: bool = False,
     threads: int = 1,
 ) -> tuple[list[Network], np.ndarray, list[dict]]:
     """Train through the sequence; returns (checkpoints, R, per-task diagnostics).
@@ -201,7 +204,7 @@ def run_sequence(
             net = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
         else:
             net.grow(task.pred_width, task.class_width, rng, zero_init_growth)
-        val_curve = _train_on_task(net, task, seq, iterations, batch_cap, rng, track_val)
+        losses = _train_on_task(net, task, seq, iterations, batch_cap, rng)
         checkpoints.append(net.clone())
         frozen = checkpoints[-1]
         if threads > 1:
@@ -222,7 +225,7 @@ def run_sequence(
                 "input_width": task.pred_width,
                 "class_width": task.class_width,
                 "unseen_fraction": unseen_row,
-                "val_accuracy": val_curve,
+                "train_loss": losses,
             }
         )
     return checkpoints, r, diagnostics
@@ -349,12 +352,12 @@ def time_warp(
     warm = old_net.clone()
     rng = _task_rng(seed, 0)
     warm.grow(task.pred_width, task.class_width, rng)
-    _train_on_task(warm, task, seq, iterations, batch_cap, rng, track_val=False)
+    _train_on_task(warm, task, seq, iterations, batch_cap, rng)
     warm_acc, _ = evaluate_network(warm, task, seq)
 
     rng = _task_rng(seed, 0)
     cold = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
-    _train_on_task(cold, task, seq, iterations, batch_cap, rng, track_val=False)
+    _train_on_task(cold, task, seq, iterations, batch_cap, rng)
     cold_acc, _ = evaluate_network(cold, task, seq)
 
     return {

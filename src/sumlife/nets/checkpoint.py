@@ -8,9 +8,10 @@ as little-endian row-major float64 bytes, so round-trips are bit-exact.
 ``RUN_FIELDS`` and ``_HYPER_FIELDS`` give the types a header field must have,
 because the header is outside input.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
-missing or ill-typed header field, tensors whose shapes do not form the
-header's network, a vocabulary that does not match its digest or is
-narrower than the network) raises ``CheckpointError``.
+missing or ill-typed header field, a negative tensor dimension, tensors
+whose shapes do not form the header's network, bytes after the last
+tensor, a vocabulary that does not match its digest or is narrower than
+the network) raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def _from_header(fh, path, header: dict):
     offset = 0
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
+        if any(d < 0 for d in shape):
+            raise ValueError(f"negative dimension in the shape of {spec['name']}")
         count = math.prod(shape)
         end = offset + count * dtype.itemsize
         if end > len(payload):
@@ -133,6 +136,8 @@ def _from_header(fh, path, header: dict):
             np.frombuffer(payload, dtype, count, offset).reshape(shape).astype(np.float64)
         )
         offset = end
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} bytes after the last tensor")
     network = Network.from_tensors(header["architecture"], tensors, Hyper(**header["hyper"]),
                                    header["n_in"], header["n_classes"])
     pred_vocab = PredicateVocabulary.from_lines(header["predicate_vocab"])

@@ -14,12 +14,14 @@ its out-edges, so message passing sums the same terms for those rows as a
 pass over the whole snapshot; the BLAS products around it may still round a
 row subset otherwise in the last bits (see ``lifelong.evaluate_network``).
 Sampled and evaluation batches are built by one constructor, ``_batch``,
-whose ``_induced_edges`` takes a batch's edges from CSR slices and one
-global-to-local position array.  The closure walk stays Python: 2-hop
-closures hold a few vertices, where a numpy gather per closure measured
-about 20x slower.  ``sample_batch`` draws from the task's
-``target_distribution``, which a caller computes once per task, and takes a
-memo dict, so each target is walked once per task.
+whose ``_induced_edges`` gathers the out-edges of a batch's vertices from
+CSR slices: it writes the vertices' multi-hot feature rows from the task's
+per-edge feature columns (``features.encode_features``) and keeps the
+edges that one global-to-local position array maps inside the batch.  The
+closure walk stays Python: 2-hop closures hold a few vertices, where a
+numpy gather per closure measured about 20x slower.  ``sample_batch``
+draws from the task's ``target_distribution``, which a caller computes once
+per task, and takes a memo dict, so each target is walked once per task.
 
 Closures and batches use every edge of the given graph; whether rdf:type
 edges are among them was decided when the graph was built
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .features import TRAIN, PredicateVocabulary
+from .features import TRAIN
 from .ingest import SnapshotGraph
 
 
@@ -44,18 +46,19 @@ class Subgraph:
     (ascending instead in a ``receptive_field`` batch).
     ``target_idx`` are local indices of the drawn targets and may repeat;
     ``labels`` aligns with it.  Edges are the induced edges among batch
-    vertices; ``edge_pred`` carries predicate term ids (-1 after the
+    vertices; ``edge_col`` carries each edge's feature column (-1 after the
     edge-as-vertex transform, where predicates become vertices).
+    ``features`` holds the vertices' multi-hot out-predicate rows at the
+    task's feature width, every out-edge of a vertex counted.
     """
 
-    graph: SnapshotGraph
     vertices: np.ndarray
     n_targets: int
     target_idx: np.ndarray
     labels: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_pred: np.ndarray
+    edge_col: np.ndarray
     features: np.ndarray
     k: int
 
@@ -114,10 +117,12 @@ def _khop_closure(g: SnapshotGraph, start: int, k: int) -> list[int]:
 
 
 def _induced_edges(
-    g: SnapshotGraph, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(local, src, dst, pred)``: the edges among ``vertices`` in
-    local indices, ordered by source as listed, then by CSR position; ``local``
+    g: SnapshotGraph, vertices: np.ndarray, edge_col: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(local, src, dst, col, x)`` from one gather of the out-edges of
+    ``vertices``, whose feature column ``edge_col`` gives.  ``x`` holds their
+    multi-hot rows of ``width`` columns; the edges among them, in local
+    indices, are ordered by source as listed, then by CSR position; ``local``
     maps each global position to its index in ``vertices`` (-1 outside)."""
     local = np.full(g.num_vertices, -1, dtype=np.int64)
     local[vertices] = np.arange(len(vertices), dtype=np.int64)
@@ -126,29 +131,30 @@ def _induced_edges(
     src = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts  # where each vertex's edges begin in the gather
     edges = np.repeat(lo - starts, counts) + np.arange(len(src), dtype=np.int64)
+    x = np.zeros((len(vertices), width), dtype=np.float64)
+    x[src, edge_col[edges]] = 1.0
     dst = local[g.edge_obj[edges]]
     keep = dst >= 0
-    return local, src[keep], dst[keep], g.edge_pred[edges[keep]].astype(np.int64, copy=False)
+    return local, src[keep], dst[keep], edge_col[edges[keep]], x
 
 
 def _batch(
     g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray | list[int],
-    labels: np.ndarray, features: np.ndarray, k: int,
+    labels: np.ndarray, edge_col: np.ndarray, width: int, k: int,
 ) -> Subgraph:
     """The batch of ``vertices`` and the edges among them; ``targets`` are
     global positions, possibly repeated, that ``target_idx`` and ``labels``
     follow."""
-    local, src, dst, pred = _induced_edges(g, vertices)
+    local, src, dst, col, x = _induced_edges(g, vertices, edge_col, width)
     return Subgraph(
-        graph=g,
         vertices=vertices,
         n_targets=n_targets,
         target_idx=local[targets],
         labels=np.asarray(labels)[targets],
         edge_src=src,
         edge_dst=dst,
-        edge_pred=pred,
-        features=features[vertices],
+        edge_col=col,
+        features=x,
         k=k,
     )
 
@@ -158,7 +164,8 @@ def sample_batch(
     labels: np.ndarray,
     distribution: tuple[np.ndarray, np.ndarray],
     k: int,
-    features: np.ndarray,
+    edge_col: np.ndarray,
+    width: int,
     cap: int = 1000,
     *,
     rng: np.random.Generator,
@@ -167,7 +174,8 @@ def sample_batch(
     """Draw one class-balanced batch with at most ``cap`` vertices.
 
     Targets are drawn from ``distribution``, the task's
-    ``target_distribution(labels, split)``.  A caller that draws many
+    ``target_distribution(labels, split)``; ``edge_col`` and ``width`` are
+    the task's feature columns and width.  A caller that draws many
     batches from one task computes it once and passes it, and one
     ``closures`` dict, to every call; ``closures`` memoizes each target's
     k-hop closure of ``g``, so each target is walked once.
@@ -202,11 +210,12 @@ def sample_batch(
         extra.extend(new)
 
     vertices = np.array(targets + extra, dtype=np.int64)
-    return _batch(g, vertices, len(targets), accepted, labels, features, k)
+    return _batch(g, vertices, len(targets), accepted, labels, edge_col, width, k)
 
 
 def receptive_field(
-    g: SnapshotGraph, labels: np.ndarray, features: np.ndarray, rows: np.ndarray, hops: int, k: int
+    g: SnapshotGraph, labels: np.ndarray, edge_col: np.ndarray, width: int, rows: np.ndarray,
+    hops: int, k: int,
 ) -> Subgraph:
     """The batch message passing needs to compute the vertices ``rows`` of ``g``.
 
@@ -222,34 +231,29 @@ def receptive_field(
     src = g.edge_sources()
     for _ in range(hops):
         inside[g.edge_obj[inside[src]]] = True
-    return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, features, k)
+    return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, edge_col, width, k)
 
 
-def edge_as_vertex_transform(b: Subgraph, vocab: PredicateVocabulary) -> Subgraph:
+def edge_as_vertex_transform(b: Subgraph) -> Subgraph:
     """Replace each edge (u, p, v) by u -> e_upv -> v.
 
-    The new vertex's feature row is the one-hot of p, so two message-passing
-    layers recover the original one-hop label information.  Requires a k=2
-    batch; targets and labels are untouched.
+    The new vertex's feature row is the one-hot of p's column, ``edge_col``,
+    so two message-passing layers recover the original one-hop label
+    information.  Requires a k=2 batch; targets and labels are untouched.
     """
     if b.k != 2:
         raise ValueError("edge-as-vertex transform requires a 2-hop batch")
     n, e = b.num_vertices, b.num_edges
     if e == 0:
         return b
-    width = b.features.shape[1]
-    cols = vocab.columns(b.graph.terms, b.edge_pred)
-    if cols.max() >= width:
-        iri = vocab.entries[cols.max()]
-        raise ValueError(f"predicate {iri!r} has no column in features of width {width}")
-    edge_feats = np.zeros((e, width), dtype=b.features.dtype)
-    edge_feats[np.arange(e), cols] = 1.0
+    edge_feats = np.zeros((e, b.features.shape[1]), dtype=b.features.dtype)
+    edge_feats[np.arange(e), b.edge_col] = 1.0
     edge_ids = n + np.arange(e, dtype=np.int64)
     return replace(
         b,
         vertices=np.concatenate([b.vertices, -1 - np.arange(e, dtype=np.int64)]),
         edge_src=np.concatenate([b.edge_src, edge_ids]),
         edge_dst=np.concatenate([edge_ids, b.edge_dst]),
-        edge_pred=np.full(2 * e, -1, dtype=np.int64),
+        edge_col=np.full(2 * e, -1, dtype=np.int64),
         features=np.vstack([b.features, edge_feats]),
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from sumlife.errors import IngestError
-from sumlife.ingest import SnapshotGraph, TermTable
+from sumlife.ingest import IRI, SnapshotGraph, TermTable
 
 
 def _rotl(x: int, b: int) -> int:
@@ -179,6 +179,24 @@ def out_pairs(g: SnapshotGraph, position: int) -> list[tuple[int, int]]:
     """(predicate id, object term id) of a vertex's out-edges, in CSR order."""
     lo, hi = int(g.indptr[position]), int(g.indptr[position + 1])
     return [(int(g.edge_pred[e]), int(g.vertex_ids[g.edge_obj[e]])) for e in range(lo, hi)]
+
+
+def position_of(g: SnapshotGraph, lexical: str, kind: str = IRI) -> int:
+    """Position of the vertex whose term is ``lexical`` of ``kind``; KeyError if none."""
+    tid = g.terms.lookup(kind, lexical)
+    hits = np.flatnonzero(g.vertex_ids == tid) if tid is not None else []
+    if len(hits) != 1:
+        raise KeyError(f"{lexical!r} is not a vertex")
+    return int(hits[0])
+
+
+def reference_features(g: SnapshotGraph, vocab) -> np.ndarray:
+    """The dense multi-hot encoder: one row per vertex position, with a 1 at
+    the vocabulary column of each out-edge's predicate."""
+    x = np.zeros((g.num_vertices, vocab.width), dtype=np.float64)
+    for e, v in enumerate(g.edge_sources().tolist()):
+        x[v, vocab.index(g.terms.lexical(int(g.edge_pred[e])))] = 1.0
+    return x
 
 
 def read_vocabulary(cls, path):

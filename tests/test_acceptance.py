@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from gradcheck import max_rel_error, small_problem
-from oracles import kbisim_partition, partition_of_hashes
+from oracles import kbisim_partition, partition_of_hashes, position_of
 from sumlife.cli import main as cli_main
 from sumlife.ingest import build_snapshot, load_snapshot
 from sumlife.features import TRAIN, TEST
@@ -69,7 +69,7 @@ def test_criterion_01_summarizer_oracle_equivalence():
             g, present, edges = random_graph(rng, 200, 1000, 8)
             remap = {v: i for i, v in enumerate(present)}
             oedges = [(remap[s], p, remap[o]) for s, p, o in edges]
-            pos = {remap[v]: g.position_of(f"http://x/v{v}") for v in present}
+            pos = {remap[v]: position_of(g, f"http://x/v{v}") for v in present}
             for k, model in ((1, "ac1"), (2, "ac2")):
                 oracle = {
                     frozenset(pos[v] for v in grp)
@@ -91,8 +91,8 @@ def test_criterion_02_xor_set_semantics():
         )
         simple = build_snapshot("t", [("http://v", "http://p", "http://y")])
         for model in ("ac1", "ac2"):
-            hd = int(vertex_hashes(doubled, model)[doubled.position_of("http://v")])
-            hs = int(vertex_hashes(simple, model)[simple.position_of("http://v")])
+            hd = int(vertex_hashes(doubled, model)[position_of(doubled, "http://v")])
+            hs = int(vertex_hashes(simple, model)[position_of(simple, "http://v")])
             assert hd == hs != 0
         sd, _ = summarize(doubled, "ac1")
         ss, _ = summarize(simple, "ac1")

@@ -16,8 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import reference_edge_matmul, reference_full_graph_batch, reference_receptive_field
-from sumlife.features import TEST, TRAIN, VAL
+from oracles import (
+    position_of,
+    reference_edge_matmul,
+    reference_features,
+    reference_full_graph_batch,
+    reference_receptive_field,
+)
+from sumlife.features import TEST, TRAIN, VAL, encode_features
 from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network
@@ -94,22 +100,23 @@ def _task(seed: int):
 
 def _field(seq, task, net, rows, hops):
     """The receptive-field batch of ``rows`` that ``net`` runs on, as evaluation builds it."""
-    batch = receptive_field(task.graph, task.labels, task.features, rows, hops, 2)
+    batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows, hops, 2)
     if net.arch == "gcn-edges":
-        batch = edge_as_vertex_transform(batch, seq.pred_vocab)
+        batch = edge_as_vertex_transform(batch)
     return batch
 
 
 @pytest.mark.parametrize("hops", [0, 1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2])
 def test_receptive_field_matches_cut_of_full_graph_batch(k, hops):
-    g, labels, split, x = oracle_task()
+    g, labels, split, pv = oracle_task()
     rows_sets = [np.arange(g.num_vertices)] + [np.flatnonzero(split == s) for s in (TRAIN, VAL, TEST)]
     for run_graph, include_rdf_types in ((g, True), (drop_rdf_types(g), False)):
+        x = reference_features(run_graph, pv)
         full = reference_full_graph_batch(g, labels, x, k, include_rdf_types)
         for rows in rows_sets:
-            b = receptive_field(run_graph, labels, x, rows, hops, k)
-            assert_same_batch(b, reference_receptive_field(full, rows, hops))
+            b = receptive_field(run_graph, labels, encode_features(run_graph, pv), pv.width, rows, hops, k)
+            assert_same_batch(b, reference_receptive_field(full, rows, hops), g, pv)
 
 
 @pytest.mark.parametrize("layers", [1, 2, 3])
@@ -140,7 +147,7 @@ def test_receptive_field_needs_the_extra_hop_under_normalization():
     g = build_snapshot("t", [("http://a", "http://p", "http://b"), ("http://b", "http://p", "http://c")])
     seq = prepare_tasks([("t", g)], "ac2", seed=0)
     task = seq.tasks[0]
-    rows = np.array([g.position_of("http://a")])
+    rows = np.array([position_of(g, "http://a")])
     for arch, hidden in (("gcn", [4]), ("gcn-edges", [4, 4])):
         net = Network.create(arch, task.pred_width, task.class_width,
                              Hyper(hidden=hidden, normalize_adjacency=True), np.random.default_rng(0))
@@ -155,7 +162,8 @@ def test_receptive_field_needs_the_extra_hop_under_normalization():
 def test_closure_memo_leaves_batches_unchanged(k):
     for seed in range(3):
         seq, task = _task(seed)
-        args = (task.graph, task.labels, target_distribution(task.labels, task.split), k, task.features)
+        args = (task.graph, task.labels, target_distribution(task.labels, task.split), k,
+                task.edge_col, task.feature_width)
         plain, memoized = np.random.default_rng(seed), np.random.default_rng(seed)
         closures: dict[int, list[int]] = {}
         for _ in range(5):

@@ -117,6 +117,12 @@ def setting(key, value):
     return edit
 
 
+def last_tensor_rows_unknown(header):
+    # numpy would read the rest of the payload into rows given as -1
+    header["tensors"][-1]["shape"][0] = -1
+    return header
+
+
 @pytest.mark.parametrize("edit", [
     lambda h: {},
     lambda h: [],
@@ -130,6 +136,7 @@ def setting(key, value):
     setting("architecture", "rnn"),
     lambda h: {**h, "hyper": {**h["hyper"], "dropout": "0.5"}},
     setting("class_vocab", ["not hex"]),
+    last_tensor_rows_unknown,
 ])
 def test_missing_or_ill_typed_header_field_rejected(tmp_path, edit):
     p = saved(tmp_path)
@@ -155,6 +162,13 @@ def test_tensor_shape_beyond_payload_rejected(tmp_path):
     p = saved(tmp_path)
     rewrite_header(p, setting("tensors", [{"name": "w0", "shape": [2**62]}]))
     with pytest.raises(CheckpointError, match="truncated payload"):
+        load_checkpoint(p)
+
+
+def test_bytes_after_the_last_tensor_rejected(tmp_path):
+    p = saved(tmp_path)
+    p.write_bytes(p.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="8 bytes after the last tensor"):
         load_checkpoint(p)
 
 

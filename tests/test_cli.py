@@ -211,20 +211,28 @@ def test_labels_with_csv_and_xml_characters_round_trip(tmp_path, snapshot_files)
     assert [row[1] for row in rows] == labels
 
 
-def test_cmd_eval_checkpoint(tmp_path, snapshot_files):
+@pytest.mark.parametrize("arch, model", [("mlp", "ac1"), ("graph-mlp", "ac1"), ("gcn", "ac1"),
+                                         ("gcn-edges", "ac2")],
+                         ids=["mlp", "graph-mlp", "gcn", "gcn-edges"])
+def test_cmd_eval_checkpoint(tmp_path, snapshot_files, arch, model):
     out = tmp_path / "out"
     assert main(
-        ["lifelong", "--model", "ac1", "--in", *snapshot_files, "--out", str(out),
-         "--iterations", "12", "--seed", "5"]
+        ["lifelong", "--model", model, "--architecture", arch, "--in", *snapshot_files,
+         "--out", str(out), "--iterations", "12", "--seed", "5"]
     ) == 0
     out_eval = tmp_path / "eval"
     rc = main(
-        ["eval", "--ckpt", str(out / "task01.gslc"), "--model", "ac1",
+        ["eval", "--ckpt", str(out / "task01.gslc"), "--model", model,
          "--in", snapshot_files[1], "--out", str(out_eval), "--seed", "5"]
     )
     assert rc == 0
     payload = json.loads((out_eval / "eval.json").read_text())
     assert 0.0 <= payload["test_accuracy"] <= 1.0
+    # the same split seed, so eval scores the cell lifelong wrote
+    from sumlife.reporting import read_matrix_csv
+
+    r, _ = read_matrix_csv(out / "R.csv")
+    assert payload["test_accuracy"] == r[1, 1]
     assert_manifest_lists_every_output(out_eval)
 
 

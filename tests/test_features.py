@@ -13,9 +13,10 @@ from sumlife.features import (
     split_vertices,
 )
 import sumlife.features as features
-from oracles import read_vocabulary, reference_siphash24
+from oracles import position_of, read_vocabulary, reference_features, reference_siphash24
 from sumlife.features import SPLIT_FRACTIONS, _largest_remainder
 from sumlife.ingest import build_snapshot
+from sumlife.sampling import receptive_field
 from sumlife.summarize import SIPHASH_KEY, vertex_hashes
 from synth import random_graph
 
@@ -82,12 +83,20 @@ def test_vocab_serialization_prefix_property(tmp_path):
     assert read_vocabulary(ClassVocabulary, tmp_path / "c1.vocab").entries == cv.entries[: len(read_vocabulary(ClassVocabulary, tmp_path / 'c1.vocab').entries)]
 
 
+def feature_rows(g, vocab):
+    """Every vertex's feature row, as a batch of the whole snapshot holds it."""
+    labels = np.zeros(g.num_vertices, dtype=np.int64)
+    everyone = np.arange(g.num_vertices)
+    return receptive_field(g, labels, encode_features(g, vocab), vocab.width, everyone, 0, 1).features
+
+
 def test_encode_rows():
     g = small_graph()
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    x = encode_features(g, pv)
-    a, b, c = (g.position_of(f"http://{v}") for v in "abc")
+    assert encode_features(g, pv).tolist() == [0, 0, 1, 1]  # p p q from a, q from b
+    x = feature_rows(g, pv)
+    a, b, c = (position_of(g, f"http://{v}") for v in "abc")
     assert x[a].tolist() == [1.0, 1.0]  # p and q, multiplicity ignored
     assert x[b].tolist() == [0.0, 1.0]
     assert x[c].tolist() == [0.0, 0.0]  # sink row is zero
@@ -109,8 +118,8 @@ def test_encode_equal_predicate_sets_equal_rows():
     )
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    x = encode_features(g, pv)
-    assert (x[g.position_of("http://u")] == x[g.position_of("http://v")]).all()
+    x = feature_rows(g, pv)
+    assert (x[position_of(g, "http://u")] == x[position_of(g, "http://v")]).all()
 
 
 def test_feature_rows_determine_ac1_class():
@@ -119,7 +128,8 @@ def test_feature_rows_determine_ac1_class():
         g, _, _ = random_graph(rng, 80, 300, 6)
         pv = PredicateVocabulary()
         pv.extend_from_graph(g)
-        x = encode_features(g, pv)
+        x = feature_rows(g, pv)
+        assert np.array_equal(x, reference_features(g, pv))
         h = vertex_hashes(g, "ac1")
         by_row = {}
         for i in range(g.num_vertices):

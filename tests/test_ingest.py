@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import out_pairs, reference_load_snapshot
+from oracles import out_pairs, position_of, reference_load_snapshot
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 from sumlife import ingest
 from sumlife.errors import IngestError
@@ -197,7 +197,7 @@ def test_out_pairs_sorted_unique():
             ("http://a", "http://p", "http://c"),
         ],
     )
-    pairs = out_pairs(g, g.position_of("http://a"))
+    pairs = out_pairs(g, position_of(g, "http://a"))
     assert pairs == sorted(set(pairs))
     assert len(pairs) == 3
 
@@ -212,7 +212,7 @@ def test_literals_are_shared_sink_vertices():
     )
     # one literal vertex, reachable from both subjects
     assert g.num_vertices == 3
-    lit = g.position_of('"v"', kind="literal")
+    lit = position_of(g, '"v"', kind="literal")
     assert out_pairs(g, lit) == []
 
 
@@ -272,12 +272,12 @@ def test_rdf_type_edges_flagged():
     assert (g.edge_pred == type_id).sum() == 1
     d = drop_rdf_types(g)
     assert len(d.edge_pred) == 1 and len(g.edge_pred) == 2
-    assert out_pairs(d, d.position_of("http://a")) == [
+    assert out_pairs(d, position_of(d, "http://a")) == [
         (g.terms.lookup("iri", "http://p"), g.terms.lookup("iri", "http://b"))
     ]
     # every vertex stays: the class IRI becomes a sink with no in-edge
     assert np.array_equal(d.vertex_ids, g.vertex_ids)
-    t = d.position_of("http://T")
+    t = position_of(d, "http://T")
     assert d.out_degrees()[t] == 0 and d.in_degrees()[t] == 0
     # the statement count still includes the rdf:type statement
     assert d.edge_count == g.edge_count == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from sumlife.nets.graphmlp import graphmlp_forward
 from sumlife.nets.mlp import mlp_forward
 from sumlife.nets.ops import gelu, relu
 from sumlife.reporting import read_matrix_csv, write_matrix_csv
+from oracles import position_of, reference_features
 from synth import drift_sequence, ring_snapshot, predicate_pool, distinct_recipes
 
 R3 = np.array([[0.9, 0.4, 0.3], [0.8, 0.85, 0.5], [0.7, 0.6, 0.8]])
@@ -174,7 +177,7 @@ def test_gcn_edges_evaluation_transforms_only_the_test_rows_component(monkeypatc
     g = build_snapshot("t0", triples)
     seq = prepare_tasks([("t0", g)], "ac2", seed=1)
     task = seq.tasks[0]
-    first = np.array([g.position_of(f"http://a{i}") for i in range(12)])
+    first = np.array([position_of(g, f"http://a{i}") for i in range(12)])
     task.split = np.full(g.num_vertices, TRAIN, dtype=task.split.dtype)
     task.split[first[:3]] = TEST
     net = Network.create("gcn-edges", task.pred_width, task.class_width, Hyper(),
@@ -182,9 +185,9 @@ def test_gcn_edges_evaluation_transforms_only_the_test_rows_component(monkeypatc
     seen = []
     transform = lifelong.edge_as_vertex_transform
 
-    def recording(batch, vocab):
+    def recording(batch):
         seen.append(batch)
-        return transform(batch, vocab)
+        return transform(batch)
 
     monkeypatch.setattr(lifelong, "edge_as_vertex_transform", recording)
     evaluate_network(net, task, seq)
@@ -239,10 +242,15 @@ def test_divergence_reported_with_task_and_step():
     assert exc_info.value.task_index == 0
 
 
-def test_val_accuracy_curve_exposed():
+def test_train_loss_curve_exposed():
     seq = quick_seq(1)
-    _, _, diag = run_sequence(seq, "mlp", Hyper(), "warm", seed=1, iterations=6, track_val=True)
-    assert len(diag[0]["val_accuracy"]) == 6
+    (_, _, d1), (_, _, d3) = [
+        run_sequence(seq, "mlp", Hyper(), "warm", seed=1, iterations=6, threads=threads)
+        for threads in (1, 3)]
+    curve = d1[0]["train_loss"]
+    assert len(curve) == 6 and np.isfinite(curve).all()
+    assert "val_accuracy" not in d1[0]
+    assert d1 == d3
 
 
 @pytest.mark.parametrize("arch", ["graph-mlp", "gcn", "gcn-edges"])
@@ -290,7 +298,6 @@ def test_include_rdf_types_reaches_gcn_batches(monkeypatch):
     triples = [(f"http://v{i}", "http://p", f"http://v{(i + 1) % 12}") for i in range(12)]
     triples += [(f"http://v{i}", RDF_TYPE_IRI, f"http://T{i % 2}") for i in range(12)]
     g = build_snapshot("t0", triples)
-    type_id = g.terms.lookup("iri", RDF_TYPE_IRI)
     batches = {"sample_batch": [], "receptive_field": []}
 
     def recording(fn, seen):
@@ -306,10 +313,12 @@ def test_include_rdf_types_reaches_gcn_batches(monkeypatch):
         for seen in batches.values():
             seen.clear()
         seq = prepare_tasks([("t0", graph)], "ac1", seed=1)
+        assert (RDF_TYPE_IRI in seq.pred_vocab) == typed
+        type_col = seq.pred_vocab.index(RDF_TYPE_IRI) if typed else -1
         run_sequence(seq, "gcn", Hyper(hidden=[4]), "warm", seed=1, iterations=2, batch_cap=50)
         for name, seen in batches.items():
             assert seen, name
-            assert all((b.edge_pred == type_id).any() == typed for b in seen), name
+            assert all((b.edge_col == type_col).any() == typed for b in seen), name
 
 
 def _by_hand_logits(net, x):
@@ -330,7 +339,7 @@ def test_feature_only_networks_read_no_hop(arch):
         for task in seq.tasks:
             rows = np.flatnonzero(task.split == TEST)
             labels = task.labels[rows]
-            logits = _by_hand_logits(net, task.features[rows])
+            logits = _by_hand_logits(net, reference_features(task.graph, seq.pred_vocab)[rows])
             unseen = labels >= logits.shape[1]
             correct = (np.argmax(logits, axis=1) == labels) & ~unseen
             assert evaluate_network(net, task, seq) == (float(correct.mean()), float(unseen.mean()))
@@ -345,7 +354,24 @@ def test_zero_hop_batch_logits_are_the_feature_rows_logits(arch):
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=[8]),
                          np.random.default_rng(2))
     rows = np.flatnonzero(task.split == TEST)
-    batch = receptive_field(task.graph, task.labels, task.features, rows, 0, 1)
-    x = task.features[rows][:, : net.n_in]
+    batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows, 0, 1)
+    x = reference_features(task.graph, seq.pred_vocab)[rows][:, : net.n_in]
     bare = mlp_forward(net.params, x)[0] if arch == "mlp" else graphmlp_forward(net.params, x)[1]
     assert net.batch_logits(batch)[batch.target_idx].tobytes() == bare.tobytes()
+
+
+@pytest.mark.parametrize("model", ["ac1", "ac2"])
+def test_prepare_tasks_memory_grows_with_vertices_and_edges(model):
+    rng = np.random.default_rng(0)
+    n, e, p = 3000, 6000, 2000
+    ends = zip(rng.integers(0, n, e), rng.integers(0, p, e), rng.integers(0, n, e))
+    g = build_snapshot("t0", [(f"http://v{s}", f"http://p{q}", f"http://v{o}") for s, q, o in ends])
+    tracemalloc.start()
+    try:
+        seq = prepare_tasks([("t0", g)], model, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.pred_vocab.width > 1800
+    # a dense V x P float64 feature matrix alone would take 45 MB, 600 x this budget
+    assert peak < 64 * (g.num_vertices + len(g.edge_obj)) * 8, peak

@@ -180,9 +180,9 @@ def test_full_graph_gcn_logits_memory_linear():
     src, dst = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
     everyone = np.arange(n, dtype=np.int64)
     batch = Subgraph(
-        graph=None, vertices=everyone, n_targets=n, target_idx=everyone,
+        vertices=everyone, n_targets=n, target_idx=everyone,
         labels=np.zeros(n, dtype=np.int64), edge_src=src, edge_dst=dst,
-        edge_pred=np.full(e, -1, dtype=np.int64), features=rng.normal(size=(n, n_in)), k=2,
+        edge_col=np.full(e, -1, dtype=np.int64), features=rng.normal(size=(n, n_in)), k=2,
     )
     net = Network.create("gcn", n_in, n_classes, Hyper(hidden=[16]), rng)
     tracemalloc.start()
@@ -290,9 +290,9 @@ def test_grow_old_logits_unchanged():
 
     def batch(features):
         return Subgraph(
-            graph=None, vertices=np.arange(7), n_targets=7, target_idx=np.arange(7),
+            vertices=np.arange(7), n_targets=7, target_idx=np.arange(7),
             labels=np.zeros(7, dtype=np.int64), edge_src=src, edge_dst=dst,
-            edge_pred=np.full(5, -1, dtype=np.int64), features=features, k=2,
+            edge_col=np.full(5, -1, dtype=np.int64), features=features, k=2,
         )
 
     for arch in ARCHITECTURES:

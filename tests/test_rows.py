@@ -39,9 +39,9 @@ def _batch(seed: int) -> Subgraph:
     x, _, src, dst = small_problem(seed, b=7)
     target_idx = np.array([1, 0, 5, 1, 2, 5, 5])
     vertex_labels = np.random.default_rng(seed).integers(0, N_CLASSES, size=7)
-    return Subgraph(graph=None, vertices=np.arange(7), n_targets=3, target_idx=target_idx,
+    return Subgraph(vertices=np.arange(7), n_targets=3, target_idx=target_idx,
                     labels=vertex_labels[target_idx], edge_src=src, edge_dst=dst,
-                    edge_pred=np.full(len(src), -1), features=x, k=2)
+                    edge_col=np.full(len(src), -1), features=x, k=2)
 
 
 def _net(arch: str, seed: int, dropout: float) -> Network:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import reference_full_graph_batch, reference_sample_batch
+from oracles import position_of, reference_features, reference_full_graph_batch, reference_sample_batch
 from sumlife.features import PredicateVocabulary, encode_features, split_vertices
 from sumlife.ingest import RDF_TYPE_IRI, build_snapshot, drop_rdf_types, filter_high_degree
 from sumlife.sampling import (
@@ -38,27 +38,27 @@ def setup_task(n_classes=4, members=25):
     g = ring_snapshot("t", recipes, members)
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    x = encode_features(g, pv)
+    cols = encode_features(g, pv)
     from sumlife.summarize import vertex_hashes
 
     hashes = vertex_hashes(g, "ac1")
     classes = {h: i for i, h in enumerate(sorted(set(int(v) for v in hashes)))}
     labels = np.array([classes[int(h)] for h in hashes])
     split = split_vertices(g, 3)
-    return g, labels, split, x, pv
+    return g, labels, split, cols, pv
 
 
 def test_batch_within_cap_small_graph():
-    g, labels, split, x, _ = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=1000, rng=np.random.default_rng(0))
+    g, labels, split, cols, pv = setup_task()
+    b = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=1000, rng=np.random.default_rng(0))
     assert b.num_vertices <= min(1000, g.num_vertices)
     assert b.n_targets >= 1
     assert len(b.target_idx) == len(b.labels)
 
 
 def test_batch_respects_cap():
-    g, labels, split, x, _ = setup_task(members=40)
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=10, rng=np.random.default_rng(0))
+    g, labels, split, cols, pv = setup_task(members=40)
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=10, rng=np.random.default_rng(0))
     assert b.num_vertices <= 10 or b.n_targets == 1
 
 
@@ -70,8 +70,8 @@ def test_oversize_single_target_rule():
     split = np.zeros(g.num_vertices, dtype=np.int8)  # everything train
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    x = encode_features(g, pv)
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=1, rng=np.random.default_rng(1))
+    cols = encode_features(g, pv)
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=1, rng=np.random.default_rng(1))
     assert b.n_targets == 1
     # its full closure is present even though it exceeds the cap
     t = int(b.vertices[0])
@@ -86,24 +86,24 @@ def test_oversize_single_target_rule():
 
 
 def test_batch_deterministic_with_seed():
-    g, labels, split, x, _ = setup_task()
-    b1 = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=50, rng=np.random.default_rng(9))
-    b2 = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=50, rng=np.random.default_rng(9))
+    g, labels, split, cols, pv = setup_task()
+    b1 = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=50, rng=np.random.default_rng(9))
+    b2 = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=50, rng=np.random.default_rng(9))
     assert (b1.vertices == b2.vertices).all()
     assert (b1.target_idx == b2.target_idx).all()
     assert (b1.features == b2.features).all()
 
 
 def test_batch_empty_train_errors():
-    g, labels, _, x, _ = setup_task()
+    g, labels, _, cols, pv = setup_task()
     split = np.full(g.num_vertices, 2, dtype=np.int8)
     with pytest.raises(ValueError):
-        sample_batch(g, labels, target_distribution(labels, split), 1, x, rng=np.random.default_rng(0))
+        sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, rng=np.random.default_rng(0))
 
 
 def test_target_closure_present():
-    g, labels, split, x, _ = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=200, rng=np.random.default_rng(2))
+    g, labels, split, cols, pv = setup_task()
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=200, rng=np.random.default_rng(2))
     members = set(int(v) for v in b.vertices)
     for t_local in b.target_idx:
         v = int(b.vertices[t_local])
@@ -113,14 +113,14 @@ def test_target_closure_present():
 
 
 def test_expected_class_frequency_uniform():
-    g, labels, split, x, _ = setup_task(n_classes=4, members=30)
+    g, labels, split, cols, pv = setup_task(n_classes=4, members=30)
     # skew the training pool so inverse weighting has something to correct:
     # the ring construction already yields equal classes, so drop most of one
     rng = np.random.default_rng(12)
     counts = np.zeros(4, dtype=np.int64)
     draws = 0
     while draws < 10_000:
-        b = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=1000, rng=rng)
+        b = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=1000, rng=rng)
         for c in b.labels:
             counts[int(c)] += 1
         draws += len(b.labels)
@@ -129,63 +129,53 @@ def test_expected_class_frequency_uniform():
 
 
 def test_edge_as_vertex_requires_two_hops():
-    g, labels, split, x, pv = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 1, x, cap=50, rng=np.random.default_rng(0))
+    g, labels, split, cols, pv = setup_task()
+    b = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=50, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        edge_as_vertex_transform(b, pv)
+        edge_as_vertex_transform(b)
 
 
 def test_edge_as_vertex_shape_and_features():
-    g, labels, split, x, pv = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=60, rng=np.random.default_rng(4))
+    g, labels, split, cols, pv = setup_task()
+    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=60, rng=np.random.default_rng(4))
     v, e = b.num_vertices, b.num_edges
-    tb = edge_as_vertex_transform(b, pv)
+    tb = edge_as_vertex_transform(b)
     assert tb.num_vertices == v + e
     assert tb.num_edges == 2 * e
     # each edge vertex row is a one-hot at its predicate's column
     for i in range(e):
         row = tb.features[v + i]
         assert row.sum() == 1.0
-        col = int(np.argmax(row))
-        assert pv.entries[col] == b.graph.terms.lexical(int(b.edge_pred[i]))
+        assert int(np.argmax(row)) == b.edge_col[i]
     assert (tb.target_idx == b.target_idx).all()
     assert (tb.labels == b.labels).all()
 
 
-def per_edge_features(b, vocab):
+def per_edge_features(b):
     """Edge-vertex feature rows built one edge at a time."""
     rows = np.zeros((b.num_edges, b.features.shape[1]))
     for i in range(b.num_edges):
-        rows[i, vocab.index(b.graph.terms.lexical(int(b.edge_pred[i])))] = 1.0
+        rows[i, b.edge_col[i]] = 1.0
     return rows
 
 
 def test_edge_as_vertex_matches_per_edge_reference():
-    g, labels, split, x, pv = setup_task(n_classes=6)
+    g, labels, split, cols, pv = setup_task(n_classes=6)
     batches = [
-        sample_batch(g, labels, target_distribution(labels, split), 2, x, cap=80, rng=np.random.default_rng(9)),
-        receptive_field(g, labels, x, np.arange(g.num_vertices), 0, 2),
+        sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=80, rng=np.random.default_rng(9)),
+        receptive_field(g, labels, cols, pv.width, np.arange(g.num_vertices), 0, 2),
     ]
     for b in batches:
-        assert len(np.unique(b.edge_pred)) > 1
-        tb = edge_as_vertex_transform(b, pv)
-        assert np.array_equal(tb.features[: b.num_vertices], b.features)
-        assert np.array_equal(tb.features[b.num_vertices :], per_edge_features(b, pv))
+        assert len(np.unique(b.edge_col)) > 1
+        assert_edge_rows(b)
 
 
 def test_edge_as_vertex_predicate_missing_from_vocabulary():
-    g, labels, split, x, pv = setup_task()
-    b = receptive_field(g, labels, x, np.arange(g.num_vertices), 0, 2)
+    g, labels, split, cols, pv = setup_task()
+    # the refusal comes before any batch: an edge takes its column when encoded
     short = PredicateVocabulary(pv.entries[1:])
     with pytest.raises(ValueError, match="missing from vocabulary"):
-        edge_as_vertex_transform(b, short)
-
-
-def test_edge_as_vertex_column_beyond_feature_width():
-    g, labels, split, x, pv = setup_task()
-    b = receptive_field(g, labels, x[:, :1], np.arange(g.num_vertices), 0, 2)
-    with pytest.raises(ValueError, match="no column in features of width 1"):
-        edge_as_vertex_transform(b, pv)
+        encode_features(g, short)
 
 
 def test_edge_as_vertex_no_edges_identity():
@@ -193,11 +183,11 @@ def test_edge_as_vertex_no_edges_identity():
     labels = np.zeros(2, dtype=np.int64)
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    x = encode_features(g, pv)
+    cols = encode_features(g, pv)
     # the sink vertex alone: no induced edges
-    empty = receptive_field(g, labels, x, np.array([g.position_of("http://b")]), 0, 2)
+    empty = receptive_field(g, labels, cols, pv.width, np.array([position_of(g, "http://b")]), 0, 2)
     assert empty.num_vertices == 1 and empty.num_edges == 0
-    tb = edge_as_vertex_transform(empty, pv)
+    tb = edge_as_vertex_transform(empty)
     assert tb.num_vertices == 1 and tb.num_edges == 0
 
 
@@ -221,20 +211,34 @@ def oracle_task():
     n = g.num_vertices
     labels = np.arange(n, dtype=np.int64) % 4
     split = rng.choice(np.array([0, 0, 0, 0, 1, 2], dtype=np.int8), size=n)
-    return g, labels, split, rng.standard_normal((n, 3))
+    pv = PredicateVocabulary()
+    pv.extend_from_graph(g)
+    return g, labels, split, pv
 
 
-def assert_same_batch(b, ref):
+def assert_same_batch(b, ref, g, vocab):
+    """``b`` equals the oracle batch ``ref`` of ``g``, whose edges carry
+    predicate term ids that ``vocab`` gives the columns of."""
+    cols = [vocab.index(g.terms.lexical(p)) for p in ref["edge_pred"].tolist()]
+    ref = ref | {"edge_col": np.array(cols, dtype=np.int64)}
     assert b.n_targets == ref["n_targets"] and b.k == ref["k"]
-    for name in ("vertices", "target_idx", "labels", "edge_src", "edge_dst", "edge_pred", "features"):
+    for name in ("vertices", "target_idx", "labels", "edge_src", "edge_dst", "edge_col", "features"):
         got, want = getattr(b, name), ref[name]
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
 
+def assert_edge_rows(b):
+    """The edge-as-vertex batch of ``b`` keeps its vertex rows and gives each
+    edge vertex the one-hot row of the edge's column."""
+    tb = edge_as_vertex_transform(b)
+    assert np.array_equal(tb.features[: b.num_vertices], b.features)
+    assert np.array_equal(tb.features[b.num_vertices :], per_edge_features(b))
+
+
 @pytest.mark.parametrize("include_rdf_types", [False, True])
 def test_batches_match_per_edge_reference(include_rdf_types):
-    g, labels, split, x = oracle_task()
+    g, labels, split, pv = oracle_task()
     isolated = np.flatnonzero((g.out_degrees() == 0) & (g.in_degrees() == 0))
     assert len(isolated) == 20
     assert (g.edge_sources() == g.edge_obj).any()
@@ -242,16 +246,21 @@ def test_batches_match_per_edge_reference(include_rdf_types):
     # the sampler sees the graph a run with this setting builds; the oracle
     # masks the full graph itself
     run_graph = g if include_rdf_types else drop_rdf_types(g)
+    cols, x = encode_features(run_graph, pv), reference_features(run_graph, pv)
     reached_before_drawn = False
     for k in (1, 2):
         for cap in (1, 7, 1000):
             for seed in range(3):
-                b = sample_batch(run_graph, labels, target_distribution(labels, split), k, x, cap=cap,
-                                 rng=np.random.default_rng(seed))
+                b = sample_batch(run_graph, labels, target_distribution(labels, split), k, cols,
+                                 pv.width, cap=cap, rng=np.random.default_rng(seed))
                 ref = reference_sample_batch(g, labels, split, k, x, cap,
                                              np.random.default_rng(seed), include_rdf_types)
-                assert_same_batch(b, ref)
+                assert_same_batch(b, ref, g, pv)
+                if k == 2:
+                    assert_edge_rows(b)
                 reached_before_drawn |= bool((b.target_idx >= b.n_targets).any())
-        b = receptive_field(run_graph, labels, x, np.arange(g.num_vertices), 0, k)
-        assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types))
+        b = receptive_field(run_graph, labels, cols, pv.width, np.arange(g.num_vertices), 0, k)
+        assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types), g, pv)
+        if k == 2:
+            assert_edge_rows(b)
     assert reached_before_drawn
