@@ -33,7 +33,11 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> dict[str, np.ndarray]:
-    """One in-place Adam update over all tensors; returns them for chaining."""
+    """One in-place Adam update over all tensors; returns them for chaining.
+
+    Two scratch arrays per tensor take every temporary, in the textbook
+    operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)."""
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
@@ -41,9 +45,17 @@ def adam_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        step, den = np.empty_like(theta), np.empty_like(theta)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=step)
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - BETA2, out=step)
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += EPS
+        step /= den
+        theta -= step
     return tensors

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ingest import distinct
-from .ops import dropout_mask, matrix_product, relu, relu_grad, scatter_add, scatter_rows
+from .ops import apply_dropout, dropout_mask, matrix_product, relu, scatter_add, scatter_rows
 
 
 @dataclass
@@ -116,21 +116,16 @@ def gcn_forward(
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
     hs = [x]
-    pre = []
-    masks = []
     h = x
     for w in params.layers:
-        p = adj @ (h @ w)
-        h = relu(p)
+        h = adj @ (h @ w)
+        relu(h, out=h)
         if train_mode:
-            mask = dropout_mask(rng, h.shape, dropout)
-            h = h * mask
-            masks.append(mask)
-        pre.append(p)
+            apply_dropout(h, dropout_mask(rng, h.shape, dropout), dropout)
         hs.append(h)
     jk = np.hstack(hs[1:])[slice(None) if rows is None else rows]
     logits = matrix_product(jk, params.w_cls)
-    cache = ({"a": adj, "hs": hs, "pre": pre, "masks": masks, "jk": jk, "rows": rows}
+    cache = ({"a": adj, "hs": hs, "jk": jk, "rows": rows, "dropout": dropout}
              if train_mode else None)
     return logits, cache
 
@@ -138,8 +133,7 @@ def gcn_forward(
 def gcn_backward(params: GcnParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients from ``dlogits``, the loss gradient of the rows the
     forward pass computed; the other rows' classifier gradient is zero."""
-    a = cache["a"]
-    hs, pre, masks = cache["hs"], cache["pre"], cache["masks"]
+    a, hs = cache["a"], cache["hs"]
     grads: dict[str, np.ndarray] = {"w_cls": cache["jk"].T @ dlogits}
     djk = scatter_rows(dlogits @ params.w_cls.T, cache["rows"], len(hs[0]))
     # split the jumping-knowledge gradient back onto each layer's output
@@ -148,10 +142,8 @@ def gcn_backward(params: GcnParams, cache: dict, dlogits: np.ndarray) -> dict[st
     dh_jk = [djk[:, offsets[i] : offsets[i + 1]] for i in range(len(widths))]
     dh_next = np.zeros_like(hs[-1])
     for l in range(len(params.layers) - 1, -1, -1):
-        dh = dh_next + dh_jk[l]
-        if masks:
-            dh = dh * masks[l]
-        dp = dh * relu_grad(pre[l])
+        # through dropout and ReLU: a unit passes gradient when its output is positive
+        dp = apply_dropout(dh_next + dh_jk[l], hs[l + 1] > 0.0, cache["dropout"])
         m = a.T @ dp
         grads[f"w{l}"] = hs[l].T @ m
         if l > 0:  # the input features need no gradient

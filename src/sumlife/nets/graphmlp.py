@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import ncontrast_loss
-from .ops import dropout_mask, gelu, gelu_grad, scatter_rows
+from .ops import apply_dropout, dropout_mask, gelu, gelu_grad, scatter_rows
 
 
 @dataclass
@@ -50,15 +50,14 @@ def graphmlp_forward(
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
     a0 = x @ params.w0
-    g = gelu(a0)
+    x1 = gelu(a0)
     if train_mode:
-        mask = dropout_mask(rng, g.shape, dropout)
-    else:
-        mask = 1.0
-    x1 = g * mask
+        keep = dropout_mask(rng, x1.shape, dropout)
+        apply_dropout(x1, keep, dropout)
     z = x1 @ params.w1
     logits = z[slice(None) if rows is None else rows] @ params.w2
-    cache = {"x": x, "a0": a0, "mask": mask, "x1": x1, "z": z, "rows": rows} if train_mode else None
+    cache = ({"x": x, "a0": a0, "keep": keep, "dropout": dropout, "x1": x1, "z": z, "rows": rows}
+             if train_mode else None)
     return z, logits, cache
 
 
@@ -81,7 +80,7 @@ def graphmlp_backward(
         dz = dz + dz_extra
     dw1 = cache["x1"].T @ dz
     dx1 = dz @ params.w1.T
-    da0 = dx1 * cache["mask"] * gelu_grad(cache["a0"])
+    da0 = apply_dropout(dx1, cache["keep"], cache["dropout"]) * gelu_grad(cache["a0"])
     return {"w0": cache["x"].T @ da0, "w1": dw1, "w2": dw2}
 
 

@@ -10,23 +10,28 @@ import warnings
 
 import numpy as np
 
-from .ops import softmax_rows
-
 _NORM_EPS = 1e-12
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over rows; returns (loss, dloss/dlogits)."""
+    """Mean softmax cross-entropy over rows; returns (loss, dloss/dlogits).
+
+    One exponential serves both: the shifted logits are exponentiated in
+    place, their row sums give the log-sum-exp, and dividing by those sums
+    turns the same array into the softmax the gradient starts from."""
     n = len(labels)
     if n == 0:
         raise ValueError("cross entropy over zero rows")
-    z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(n), labels]
-    loss = float(np.mean(logsumexp - picked))
-    grad = softmax_rows(logits)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    idx = np.arange(n)
+    grad = logits - logits.max(axis=1, keepdims=True)
+    picked = grad[idx, labels]
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=1)
+    loss = float(np.mean(np.log(total) - picked))
+    grad /= total[:, None]
+    grad[idx, labels] -= 1.0
+    grad /= n
+    return loss, grad
 
 
 def ncontrast_loss(

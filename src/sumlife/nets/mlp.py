@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import dropout_mask, relu, relu_grad
+from .ops import apply_dropout, dropout_mask, relu
 
 
 @dataclass
@@ -44,34 +44,38 @@ def mlp_forward(
     """Logits of the rows ``rows`` of ``x`` (every row when None), in that
     order, plus, in train mode, the cache needed for the backward pass.
 
-    Each row's logits read that row alone, so only ``x[rows]`` is computed.
-    Dropout (inverted scaling) is applied to the hidden activation only in
-    train mode; eval mode needs no rescale.  The mask is drawn for every row
-    of ``x`` and then cut to ``rows``, so the rng advances as for a pass
-    over every row.
+    Each row's logits read that row alone, so only ``x[rows]`` is computed,
+    and ``rows`` must then be sorted and distinct.  Dropout (inverted
+    scaling) is applied to the hidden activation only in train mode; eval
+    mode needs no rescale.  The mask holds only those rows, but the rng
+    advances as for a mask over every row of ``x``.  The hidden activation
+    is computed, rectified and dropped out in place, and the cache keeps it
+    as its one rows x hidden array.
     """
     if x.shape[1] != params.n_in:
         raise ValueError(f"feature width {x.shape[1]} != input width {params.n_in}")
     if train_mode:
-        mask = dropout_mask(rng, (len(x), params.w0.shape[1]), dropout, rows)
+        keep = dropout_mask(rng, (len(x), params.w0.shape[1]), dropout, rows)
     if rows is not None:
         x = x[rows]
-    a = x @ params.w0 + params.b0
-    h = relu(a)
+    hd = x @ params.w0
+    hd += params.b0
+    relu(hd, out=hd)
     if train_mode:
-        hd = h * mask
-        logits = hd @ params.w_out + params.b_out
-        return logits, {"x": x, "a": a, "mask": mask, "hd": hd}
-    return h @ params.w_out + params.b_out, None
+        apply_dropout(hd, keep, dropout)
+    logits = hd @ params.w_out + params.b_out
+    return logits, ({"x": x, "hd": hd, "dropout": dropout} if train_mode else None)
 
 
 def mlp_backward(params: MlpParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients from ``dlogits``, the loss gradient of the rows
-    the forward pass computed; rows it left out have an exact zero gradient."""
-    dw_out = cache["hd"].T @ dlogits
+    the forward pass computed; rows it left out have an exact zero gradient.
+    A hidden unit passes gradient exactly when its output ``hd`` is positive:
+    rectified and kept."""
+    hd = cache["hd"]
+    dw_out = hd.T @ dlogits
     db_out = dlogits.sum(axis=0)
-    dhd = dlogits @ params.w_out.T
-    da = dhd * cache["mask"] * relu_grad(cache["a"])
+    da = apply_dropout(dlogits @ params.w_out.T, hd > 0.0, cache["dropout"])
     return {
         "w0": cache["x"].T @ da,
         "b0": da.sum(axis=0),

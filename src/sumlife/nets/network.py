@@ -183,12 +183,14 @@ class Network:
     def train_step(self, batch: Subgraph, adam: AdamState, rng: np.random.Generator) -> float:
         """Forward, hand-derived backward, Adam update; returns the loss.
 
-        Logits are computed once per distinct target row, ``rows``: a target
-        may repeat, and may sit past ``n_targets`` when an earlier closure
-        brought it in.  Each draw's loss gradient is summed back onto its
-        row, so the gradients equal those of a pass over every batch vertex,
-        in which the other rows get exact zeros.  Graph-MLP adds its
-        contrastive term, whose gradient joins at the embeddings."""
+        Logits are computed once per distinct target row, ``rows`` (sorted):
+        a target may repeat, and may sit past ``n_targets`` when an earlier
+        closure brought it in.  Each draw's loss gradient is summed back onto
+        its row, so the gradients equal those of a pass over every batch
+        vertex, in which the other rows get exact zeros.  The MLP draws
+        dropout for those rows alone, and the rng skips the rest, so every
+        later draw is as after a mask over every batch vertex.  Graph-MLP
+        adds its contrastive term, whose gradient joins at the embeddings."""
         hyper = self.hyper
         rows, inv = np.unique(batch.target_idx, return_inverse=True)
         logits, cache = self._forward(batch, rng, rows)

@@ -16,13 +16,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative mask of relu at pre-activation x (0 at the kink)."""
-    return (x > 0.0).astype(x.dtype)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); ``out=x`` applies it in place.  Its derivative is the gate
+    ``relu(x) > 0``, which a backward pass reads off the output."""
+    return np.maximum(x, 0.0, out=out)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -37,22 +34,54 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(
-    rng: np.random.Generator | None, shape: tuple[int, ...], rate: float, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate).
+    rng: np.random.Generator | None, shape: tuple[int, int], rate: float, rows: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Boolean keep mask of inverted dropout over ``shape``: False with
+    probability ``rate``; None at rate 0, where nothing is dropped.
 
-    The draw always covers ``shape``; ``rows`` (every row when None) keeps
-    only those rows of it, so the rng advances alike either way.
+    The mask is ``rng.random(shape) >= rate`` cut to the sorted, distinct
+    ``rows`` (every row when None), and the rng is left where that full draw
+    leaves it, so the stream does not depend on ``rows``.  Only those rows
+    are drawn: a PCG64 stream skips each gap with ``advance``, one step per
+    double, and gets back the buffered 32-bit half that ``advance`` clears.
     """
     if rng is None:  # every train-mode forward pass draws here: never unseeded
         raise ValueError("train mode needs a seeded rng for its dropout mask")
-    sel = slice(None) if rows is None else rows
     if rate <= 0.0:
-        return np.ones(shape, dtype=np.float64)[sel]
+        return None
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    keep = rng.random(shape)[sel] >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    if rows is None:
+        return rng.random(shape) >= rate
+    n, width = shape
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any()):
+        raise ValueError("dropout rows must be sorted, distinct and below the row count")
+    bits = rng.bit_generator  # PCG64 (default_rng): one advance step per double
+    before = bits.state
+    drawn = np.empty((len(rows), width))
+    done = 0  # rows of the full draw consumed so far
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # runs of consecutive rows
+    for a, b in zip(starts, [*starts[1:], len(rows)]):
+        first = int(rows[a])
+        bits.advance((first - done) * width)
+        rng.random(out=drawn[a:b])
+        done = first + b - a
+    bits.advance((n - done) * width)
+    bits.state = {**bits.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
+    return drawn >= rate
+
+
+def apply_dropout(h: np.ndarray, keep: np.ndarray | None, rate: float) -> np.ndarray:
+    """Inverted dropout in place: ``h *= keep``, then ``h *= 1/(1-rate)``;
+    returns ``h``.  A dropped unit becomes a zero of its own sign, and ``h`` is
+    left as it is at rate 0.  The backward pass of ReLU then dropout is this
+    same call on the output gradient, with the gate ``output > 0`` as ``keep``."""
+    if keep is not None:
+        h *= keep
+    if rate > 0.0:
+        h *= 1.0 / (1.0 - rate)
+    return h
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,12 +145,6 @@ def matrix_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) == 1:
         return (np.vstack([a, a]) @ b)[:1]
     return a @ b
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def assert_finite(name: str, arr: np.ndarray | float) -> None:

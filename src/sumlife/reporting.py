@@ -159,13 +159,20 @@ class Manifest:
 
     @contextmanager
     def stage(self, name: str):
+        """Record the stage's wall time and memory.  ``peak_rss_kb`` is the
+        process-wide peak resident set (``ru_maxrss``) when the stage ends, so
+        it includes every earlier stage; ``rss_growth_kb`` is how far this
+        stage raised that peak, 0 when it stayed under an earlier one."""
         start = time.perf_counter()
+        peak_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         try:
             yield
         finally:
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             self.data["stages"][name] = {
                 "wall_seconds": time.perf_counter() - start,
-                "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+                "peak_rss_kb": peak,
+                "rss_growth_kb": peak - peak_before,
             }
 
     def record_output(self, path: str | Path) -> None:

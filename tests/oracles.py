@@ -18,6 +18,9 @@ import numpy as np
 
 from sumlife.errors import IngestError
 from sumlife.ingest import IRI, SnapshotGraph, TermTable
+from sumlife.nets.gcn import batch_adjacency
+from sumlife.nets.graphmlp import graphmlp_contrast
+from sumlife.nets.ops import gelu, gelu_grad, matrix_product, scatter_rows
 
 
 def _rotl(x: int, b: int) -> int:
@@ -499,3 +502,107 @@ def reference_load_snapshot(path, timestamp: str) -> SnapshotGraph:
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
     return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)
+
+
+def reference_dropout_mask(rng, shape: tuple[int, int], rate: float, rows=None) -> np.ndarray:
+    """Float inverted-dropout mask of one full ``rng.random(shape)`` draw cut
+    to ``rows`` (every row when None): 0 with probability ``rate``, else
+    1/(1-rate); all ones, drawing nothing, at rate 0."""
+    sel = slice(None) if rows is None else rows
+    if rate <= 0.0:
+        return np.ones(shape)[sel]
+    return (rng.random(shape)[sel] >= rate).astype(np.float64) / (1.0 - rate)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and its gradient, from two exponentials."""
+    n = len(labels)
+    z = logits - logits.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(n), labels]))
+    grad = softmax_rows(logits)
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+def reference_adam_step(tensors: dict, grads: dict, state, lr: float) -> None:
+    """Adam with bias correction, one fresh array per operation."""
+    state.t += 1
+    bc1 = 1.0 - 0.9**state.t
+    bc2 = 1.0 - 0.999**state.t
+    for name, theta in tensors.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+def reference_train_step(net, batch, adam, rng) -> float:
+    """``Network.train_step`` with float dropout masks drawn for every batch
+    row, a cached pre-activation per layer, ``relu'`` read off it, a
+    two-exponential loss and Adam without scratch arrays; updates ``net`` and
+    ``adam`` in place and returns the loss.  The adjacency, the contrastive
+    term, GELU, the row scatter and the one-row product are the package's own:
+    the parts re-derived here are the ones the lean step rewrote."""
+
+    def relu_grad(a):
+        return (a > 0.0).astype(np.float64)
+
+    p, hyper = net.params, net.hyper
+    rate = hyper.dropout
+    rows, inv = np.unique(batch.target_idx, return_inverse=True)
+    x = batch.features[:, : net.n_in]
+    if net.arch == "mlp":
+        mask = reference_dropout_mask(rng, (len(x), p.w0.shape[1]), rate, rows)
+        x = x[rows]
+        a = x @ p.w0 + p.b0
+        hd = np.maximum(a, 0.0) * mask
+        logits = hd @ p.w_out + p.b_out
+    elif net.arch == "graph-mlp":
+        a0 = x @ p.w0
+        g = gelu(a0)
+        mask = reference_dropout_mask(rng, g.shape, rate)
+        x1 = g * mask
+        z = x1 @ p.w1
+        logits = z[rows] @ p.w2
+    else:
+        adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
+                              hyper.normalize_adjacency)
+        hs, pre, masks = [x], [], []
+        for w in p.layers:
+            pre.append(adj @ (hs[-1] @ w))
+            masks.append(reference_dropout_mask(rng, pre[-1].shape, rate))
+            hs.append(np.maximum(pre[-1], 0.0) * masks[-1])
+        jk = np.hstack(hs[1:])[rows]
+        logits = matrix_product(jk, p.w_cls)
+    loss, dsel = reference_cross_entropy(logits[inv], batch.labels)
+    dlogits = scatter_rows(dsel, inv, len(rows))
+    if net.arch == "mlp":
+        da = dlogits @ p.w_out.T * mask * relu_grad(a)
+        grads = {"w0": x.T @ da, "b0": da.sum(axis=0), "w_out": hd.T @ dlogits,
+                 "b_out": dlogits.sum(axis=0)}
+    elif net.arch == "graph-mlp":
+        nc, dz_nc = graphmlp_contrast(z, batch.edge_src, batch.edge_dst, hyper.tau)
+        loss = loss + hyper.alpha * nc
+        dz = scatter_rows(dlogits @ p.w2.T, rows, len(z)) + hyper.alpha * dz_nc
+        da0 = dz @ p.w1.T * mask * gelu_grad(a0)
+        grads = {"w0": x.T @ da0, "w1": x1.T @ dz, "w2": z[rows].T @ dlogits}
+    else:
+        grads = {"w_cls": jk.T @ dlogits}
+        djk = scatter_rows(dlogits @ p.w_cls.T, rows, len(x))
+        offsets = np.cumsum([0] + [w.shape[1] for w in p.layers])
+        dh_next = np.zeros_like(hs[-1])
+        for l in range(len(p.layers) - 1, -1, -1):
+            dp = (dh_next + djk[:, offsets[l] : offsets[l + 1]]) * masks[l] * relu_grad(pre[l])
+            m = adj.T @ dp
+            grads[f"w{l}"] = hs[l].T @ m
+            dh_next = m @ p.layers[l].T
+    reference_adam_step(p.tensors(), grads, adam, hyper.learning_rate)
+    return loss

@@ -1,8 +1,11 @@
 import csv
 import gzip
 import json
+import os
 import platform
 import resource
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -11,6 +14,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import sumlife
 from sumlife.cli import _parser, main
 from sumlife.config import RunConfig, build_config, parse_config_file
 from sumlife.errors import ConfigError
@@ -109,6 +113,37 @@ def test_cmd_summarize_rerun_identical(tmp_path, snapshot_files):
     m2 = json.loads((out2 / "manifest.json").read_text())["outputs"]
     assert m1 == m2
     assert (out1 / "eqcs.tsv").read_bytes() == (out2 / "eqcs.tsv").read_bytes()
+
+
+# run as a grandchild: on Linux a process's ru_maxrss starts at the peak of
+# the process that spawned it, so a direct child would start at this test
+# process's peak and a 64 MiB stage would not raise it
+_STAGE_RSS_SCRIPT = """
+import sys
+import numpy as np
+from sumlife.reporting import Manifest
+manifest = Manifest("probe", {})
+with manifest.stage("touch"):
+    np.ones(8 << 20)  # 64 MiB, every page written
+with manifest.stage("idle"):
+    pass
+manifest.write(sys.argv[1])
+"""
+
+
+def test_manifest_stage_records_how_far_it_raised_the_peak(tmp_path):
+    """``peak_rss_kb`` is process-wide, so a stage after a large one reads the
+    same peak; ``rss_growth_kb`` tells them apart."""
+    src = str(Path(sumlife.__file__).parents[1])
+    spawn = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    subprocess.run([sys.executable, "-c", spawn, "-c", _STAGE_RSS_SCRIPT, str(tmp_path)],
+                   check=True, env={**os.environ, "PYTHONPATH": src})
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    touch, idle = stages["touch"], stages["idle"]
+    # KiB on Linux; the stage may start below the peak the imports left
+    assert (32 << 10) <= touch["rss_growth_kb"] <= (64 << 10) + 4096
+    assert idle["rss_growth_kb"] == 0
+    assert idle["peak_rss_kb"] == touch["peak_rss_kb"]
 
 
 def test_cmd_summarize_missing_input(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_adjacency
+from oracles import dense_adjacency, softmax_rows
 from sumlife.errors import NumericalError
 from sumlife.nets.adam import AdamState, adam_step
 from sumlife.nets.gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward
@@ -13,7 +13,7 @@ from sumlife.nets.graphmlp import graphmlp_forward
 from sumlife.nets.losses import cross_entropy, ncontrast_loss
 from sumlife.nets.mlp import mlp_backward, mlp_forward
 from sumlife.nets.network import ARCHITECTURES, Hyper, Network
-from sumlife.nets.ops import assert_finite, dropout_mask, gelu, softmax_rows
+from sumlife.nets.ops import apply_dropout, assert_finite, dropout_mask, gelu
 from sumlife.sampling import Subgraph
 
 
@@ -35,8 +35,9 @@ def test_dropout_mask_deterministic():
     m1 = dropout_mask(np.random.default_rng(5), (4, 6), 0.5)
     m2 = dropout_mask(np.random.default_rng(5), (4, 6), 0.5)
     assert np.array_equal(m1, m2)
-    kept = m1[m1 > 0]
-    assert np.allclose(kept, 2.0)  # inverted scaling at rate 0.5
+    assert m1.dtype == bool
+    dropped = apply_dropout(np.ones((4, 6)), m1, 0.5)
+    assert np.array_equal(dropped, np.where(m1, 2.0, 0.0))  # inverted scaling at rate 0.5
 
 
 def test_train_mode_needs_an_rng():

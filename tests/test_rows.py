@@ -2,10 +2,13 @@
 
 ``Network.train_step`` runs the classifier on the distinct target rows of a
 batch and ``evaluate_network`` asks for the target rows' logits alone.  The
-gradients must still be those of a pass over every batch vertex, the dropout
-masks must still be drawn at the full batch shape (so the rng stream, and
-with it every later batch, is unchanged), and evaluation memory must not
-grow with batch vertices x classes.  The target rows' logits must be the
+gradients must still be those of a pass over every batch vertex.  The MLP
+draws dropout for its rows alone, but the rng must end where a mask over the
+full batch shape leaves it (so the stream, and with it every later batch, is
+unchanged), and a step must leave the very bytes of the reference step in
+``oracles.py``, which draws full-batch float masks.  An MLP step must not
+hold memory that grows with batch vertices x hidden units, nor an evaluation
+with batch vertices x classes.  The target rows' logits must be the
 same rows of a whole-snapshot pass: bit for bit at narrow outputs, within a
 few units in the last place past about 256 output columns.  CI also runs this
 file with two BLAS threads.
@@ -17,12 +20,13 @@ import numpy as np
 import pytest
 
 from gradcheck import max_rel_error, small_problem
+from oracles import reference_train_step
 from sumlife.features import TEST, TRAIN, VAL
 from sumlife.ingest import build_snapshot
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network, network
 from sumlife.nets.losses import cross_entropy
-from sumlife.nets.ops import scatter_add
+from sumlife.nets.ops import dropout_mask, scatter_add
 from sumlife.sampling import Subgraph
 from test_bitwise import _field, _task
 
@@ -188,3 +192,96 @@ def test_target_row_logits_match_a_whole_snapshot_pass(arch, normalize, n_classe
                     assert np.array_equal(np.argmax(logits, axis=1), np.argmax(want, axis=1))
                     ulp = np.spacing(np.abs(want).max(axis=1, keepdims=True))
                     assert (np.abs(logits - want) <= 8 * ulp).all()
+
+
+def _drawn(rows, buffered: bool, n: int = 9, width: int = 5):
+    """(mask of ``rows``, rng state after it, next uint32) from one seeded rng;
+    a 32-bit draw first leaves half a 64-bit word buffered when ``buffered``."""
+    rng = np.random.default_rng(21)
+    if buffered:
+        rng.integers(0, 1 << 31, dtype=np.uint32)
+    mask = dropout_mask(rng, (n, width), 0.5, rows)
+    return mask, rng.bit_generator.state, rng.integers(0, 1 << 31, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("rows", [[], [4], [0], [8], [2, 3, 4], [0, 1, 5, 7, 8], list(range(9))],
+                         ids=["empty", "single", "first", "last", "consecutive", "runs", "all"])
+def test_row_dropout_mask_is_the_full_draw_cut_to_its_rows(rows, buffered):
+    """Drawing only ``rows`` skips the others: the mask equals those rows of
+    the full draw, and the rng state after it, buffered 32-bit half included,
+    equals the full draw's."""
+    mask, state, after = _drawn(np.array(rows, dtype=np.int64), buffered)
+    full, full_state, full_after = _drawn(None, buffered)
+    assert mask.dtype == bool and mask.shape == (len(rows), 5)
+    assert np.array_equal(mask, full[rows])
+    assert state == full_state
+    assert after == full_after
+
+
+@pytest.mark.parametrize("rows", [[3, 1], [2, 2], [-1, 4], [8, 9]])
+def test_row_dropout_mask_refuses_unsorted_repeated_or_outside_rows(rows):
+    with pytest.raises(ValueError, match="rows"):
+        dropout_mask(np.random.default_rng(0), (9, 5), 0.5, np.array(rows))
+
+
+def _random_batch(rng: np.random.Generator, n_in: int, n_classes: int) -> Subgraph:
+    """A batch of 30-80 multi-hot vertices, random edges and repeated targets."""
+    n = int(rng.integers(30, 80))
+    n_edges = int(rng.integers(n, 3 * n))
+    src, dst = rng.integers(0, n, n_edges), rng.integers(0, n, n_edges)
+    target_idx = rng.integers(0, n, int(rng.integers(5, n)))
+    return Subgraph(vertices=np.arange(n), n_targets=len(target_idx) // 2, target_idx=target_idx,
+                    labels=rng.integers(0, n_classes, len(target_idx)), edge_src=src, edge_dst=dst,
+                    edge_col=np.full(n_edges, -1), features=(rng.random((n, n_in)) < 0.3) * 1.0, k=2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("arch, hyper", [
+    ("mlp", Hyper(hidden=[16], dropout=0.5)),
+    ("graph-mlp", Hyper(hidden=[16])),
+    ("gcn", Hyper(hidden=[16])),
+    ("gcn-edges", Hyper(hidden=[8, 6], dropout=0.3, normalize_adjacency=True)),
+], ids=["mlp", "graph-mlp", "gcn", "gcn-edges"])
+def test_train_steps_are_bit_identical_to_the_reference_step(arch, hyper, seed):
+    """Five steps sharing one rng leave the same parameter and Adam-moment
+    bytes, and the same losses, as the step with full-batch float masks."""
+    net = Network.create(arch, 12, 5, hyper, np.random.default_rng(seed))
+    ref = net.clone()
+    adam, ref_adam = net.new_adam(), ref.new_adam()
+    rng, ref_rng = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+    batches = np.random.default_rng(seed + 20)
+    for _ in range(5):
+        batch = _random_batch(batches, 12, 5)
+        assert net.train_step(batch, adam, rng) == reference_train_step(ref, batch, ref_adam, ref_rng)
+    for name, t in net.params.tensors().items():
+        assert t.tobytes() == ref.params.tensors()[name].tobytes(), name
+        assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), name
+        assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), name
+    assert adam.t == ref_adam.t == 5
+    assert rng.random() == ref_rng.random()
+
+
+def test_mlp_train_step_memory_holds_only_the_target_rows():
+    """A 1 000-vertex batch with 100 distinct targets at 1 024 hidden units:
+    the step holds target rows x hidden arrays, never a mask or an activation
+    over every batch vertex."""
+    rng = np.random.default_rng(3)
+    n, hidden, n_in, n_classes = 1000, 1024, 40, 30
+    targets = rng.choice(n, 100, replace=False)
+    target_idx = np.concatenate([targets, rng.choice(targets, 200)])
+    batch = Subgraph(vertices=np.arange(n), n_targets=100, target_idx=target_idx,
+                     labels=rng.integers(0, n_classes, len(target_idx)),
+                     edge_src=np.zeros(0, dtype=np.int64), edge_dst=np.zeros(0, dtype=np.int64),
+                     edge_col=np.zeros(0, dtype=np.int64),
+                     features=(rng.random((n, n_in)) < 0.1) * 1.0, k=2)
+    net = Network.create("mlp", n_in, n_classes, Hyper(hidden=[hidden]), rng)
+    adam = net.new_adam()
+    net.train_step(batch, adam, rng)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        net.train_step(batch, adam, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * hidden * 8 / 2, f"{peak / 2**20:.1f} MiB"
