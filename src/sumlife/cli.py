@@ -26,7 +26,7 @@ import ctypes
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_origin
+from typing import Iterator, get_origin
 
 from . import __version__
 from .config import CHOICES, FIELD_TYPES, RunConfig, build_config
@@ -79,34 +79,31 @@ def _load_checkpoint_for(cfg: RunConfig, path: str):
     return net, pv, cv, header
 
 
-def _load_graphs(cfg: RunConfig) -> list[tuple[str, SnapshotGraph]]:
-    """Load and cap each snapshot, then drop its rdf:type edges unless the run includes them."""
+def _snapshots(cfg: RunConfig, need_test: bool = False) -> Iterator[tuple[str, SnapshotGraph]]:
+    """(timestamp, graph) of each snapshot, loaded and capped when it is
+    drawn, without its rdf:type edges unless the run includes them, and let
+    go of before the next is loaded.  With ``need_test``, a snapshot whose
+    split has no test vertex is refused: its accuracy would read as 0.0."""
     if not cfg.snapshots:
         raise ConfigError("no snapshots given")
     cap = cfg.effective_degree_cap()
-    out = []
     for path, ts in zip(cfg.snapshots, cfg.effective_timestamps()):
         g = load_snapshot(path, ts)
         g = filter_high_degree(g, cap, cfg.degree_mode)
         if not cfg.include_rdf_types:
             g = drop_rdf_types(g)
-        out.append((ts, g))
-    return out
+        if need_test and split_sizes(g.num_vertices)[TEST] == 0:
+            raise IngestError(
+                f"{path}: snapshot {ts} has no test vertices ({g.num_vertices} vertices)"
+            )
+        yield ts, g
+        del g
 
 
 def _one_snapshot(cfg: RunConfig, command: str) -> None:
     """Refuse snapshots that ``command`` would load and then ignore."""
     if cfg.snapshots and len(cfg.snapshots) > 1:
         raise ConfigError(f"{command} takes one snapshot, got {len(cfg.snapshots)}")
-
-
-def _require_test_vertices(cfg: RunConfig, graphs: list[tuple[str, SnapshotGraph]]) -> None:
-    """Refuse a snapshot whose split has no test vertex: its accuracy would read as 0.0."""
-    for path, (ts, g) in zip(cfg.snapshots, graphs):
-        if split_sizes(g.num_vertices)[TEST] == 0:
-            raise IngestError(
-                f"{path}: snapshot {ts} has no test vertices ({g.num_vertices} vertices)"
-            )
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -119,7 +116,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     manifest = Manifest("summarize", cfg.to_dict())
     with manifest.stage("ingest"):
-        graphs = _load_graphs(cfg)
+        graphs = list(_snapshots(cfg))
     ts, g = graphs[0]
     with manifest.stage("summarize"):
         summary, ext = summarize(g, cfg.model)
@@ -160,7 +157,7 @@ def cmd_diff(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     manifest = Manifest("diff", cfg.to_dict())
     with manifest.stage("ingest"):
-        graphs = _load_graphs(cfg)
+        graphs = list(_snapshots(cfg))
     with manifest.stage("summarize"):
         summaries = [summarize(g, cfg.model) for _, g in graphs]
     with manifest.stage("measure"):
@@ -211,15 +208,14 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
     out = _out_dir(cfg)
     manifest = Manifest("lifelong", cfg.to_dict())
     hyper = _hyper(cfg)
-    with manifest.stage("ingest"):
-        graphs = _load_graphs(cfg)
-    _require_test_vertices(cfg, graphs)
 
     if time_warp_ckpt is not None:
+        with manifest.stage("ingest"):
+            (snapshot,) = _snapshots(cfg, need_test=True)
         with manifest.stage("time_warp"):
             old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
             result = time_warp(
-                old_net, old_pv, old_cv, graphs[0], cfg.model, cfg.architecture,
+                old_net, old_pv, old_cv, snapshot, cfg.model, cfg.architecture,
                 hyper, cfg.seed, cfg.iterations, cfg.batch_cap,
             )
             write_json(out / "timewarp.json", result)
@@ -227,20 +223,23 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
         manifest.write(out)
         return 0
 
+    # each snapshot is loaded, capped and prepared before the next is read
     with manifest.stage("prepare"):
-        seq = prepare_tasks(graphs, cfg.model, cfg.seed)
+        seq = prepare_tasks(_snapshots(cfg, need_test=True), cfg.model, cfg.seed)
+
+    def save(task, net) -> None:  # each checkpoint is written as its task finishes
+        path = out / f"task{task.index:02d}.gslc"
+        save_checkpoint(path, net, seq.pred_vocab, seq.class_vocab, cfg.seed, _run_fields(cfg))
+        manifest.record_output(path)
+
     with manifest.stage("train"):
-        checkpoints, r, diagnostics = run_sequence(
+        _, r, diagnostics = run_sequence(
             seq, cfg.architecture, hyper, cfg.restart, cfg.seed,
             cfg.iterations, cfg.batch_cap, cfg.zero_init_growth,
-            threads=cfg.threads,
+            threads=cfg.threads, on_task=save,
         )
     with manifest.stage("emit"):
-        labels = [t for t, _ in graphs]
-        for i, net in enumerate(checkpoints):
-            path = out / f"task{i:02d}.gslc"
-            save_checkpoint(path, net, seq.pred_vocab, seq.class_vocab, cfg.seed, _run_fields(cfg))
-            manifest.record_output(path)
+        labels = [task.timestamp for task in seq.tasks]
         write_matrix_csv(out / "R.csv", r, labels)
         report = LifelongReport.from_matrix(r, diagnostics)
         write_json(out / "report.json", report.to_dict())
@@ -260,14 +259,14 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
     out = _out_dir(cfg)
     manifest = Manifest("eval", cfg.to_dict())
     with manifest.stage("ingest"):
-        graphs = _load_graphs(cfg)
-    _require_test_vertices(cfg, graphs)
+        graphs = list(_snapshots(cfg, need_test=True))
     with manifest.stage("eval"):
         net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         # default to the checkpoint's recorded seed so the split matches the
         # run that produced it; a seed from a flag, SUMLIFE_SEED or --config wins
         seed = cfg.seed if "seed" in cfg.explicit else header["seed"]
         seq = prepare_tasks(graphs, cfg.model, seed, pred_vocab=pv, class_vocab=cv)
+        del graphs
         task = seq.tasks[0]
         test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
         write_json(

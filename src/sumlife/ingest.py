@@ -29,6 +29,7 @@ includes them, so every consumer downstream uses all edges it is given.
 
 from __future__ import annotations
 
+import copy
 import gzip
 import math
 import re
@@ -175,6 +176,7 @@ class SnapshotGraph:
     Vertices are the term ids appearing in subject or object position; edge
     endpoints are stored as positions into the sorted ``vertex_ids`` array.
     ``edge_count`` counts statements, rdf:type included (see :func:`drop_rdf_types`).
+    ``terms`` is None in a graph from :meth:`without_terms`.
     """
 
     __slots__ = (
@@ -229,6 +231,13 @@ class SnapshotGraph:
         return np.repeat(
             np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
         )
+
+    def without_terms(self) -> "SnapshotGraph":
+        """This graph with its arrays but no term table (``terms`` is None):
+        what sampling reads, without the strings of every term."""
+        out = copy.copy(self)
+        out.terms = None
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -418,7 +427,7 @@ def filter_high_degree(
     if keep_vertex.all():
         return g
     keep_edge = keep_vertex[g.edge_sources()] & keep_vertex[g.edge_obj]
-    return _keep_edges(g, keep_edge, g.vertex_ids[keep_vertex])
+    return _keep_edges(g, keep_edge, keep_vertex)
 
 
 def drop_rdf_types(g: SnapshotGraph) -> SnapshotGraph:
@@ -431,15 +440,29 @@ def drop_rdf_types(g: SnapshotGraph) -> SnapshotGraph:
     type_id = g.terms.lookup(IRI, RDF_TYPE_IRI)
     if type_id is None:
         return g
-    out = _keep_edges(g, g.edge_pred != type_id, g.vertex_ids)
+    out = _keep_edges(g, g.edge_pred != type_id)
     out.edge_count = g.edge_count
     return out
 
 
-def _keep_edges(g: SnapshotGraph, keep: np.ndarray, vertex_ids: np.ndarray) -> SnapshotGraph:
-    """``g`` rebuilt from the edges ``keep`` marks, over ``vertex_ids``."""
-    subjects, objects = g.vertex_ids[g.edge_sources()[keep]], g.vertex_ids[g.edge_obj[keep]]
-    return SnapshotGraph.from_term_edges(
-        g.timestamp, g.terms, subjects, g.edge_pred[keep], objects, Counter(g.skip_reasons),
-        vertex_ids=vertex_ids,
-    )
+def _keep_edges(
+    g: SnapshotGraph, keep: np.ndarray, keep_vertex: np.ndarray | None = None
+) -> SnapshotGraph:
+    """``g`` with the edges ``keep`` marks, over the vertices ``keep_vertex``
+    marks (every vertex when None); a kept edge's ends must be kept vertices.
+
+    Nothing is sorted again: the kept edges stay in CSR order, each source's
+    count of them gives the new ``indptr``, and objects move to their new
+    positions by the monotone old-to-new position map."""
+    before = np.zeros(len(keep) + 1, dtype=np.int64)  # kept edges before each edge
+    np.cumsum(keep, out=before[1:])
+    counts = np.diff(before[g.indptr])
+    edge_obj = g.edge_obj[keep]
+    vertex_ids = g.vertex_ids
+    if keep_vertex is not None:
+        counts, vertex_ids = counts[keep_vertex], vertex_ids[keep_vertex]
+        edge_obj = (np.cumsum(keep_vertex) - 1)[edge_obj]
+    indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return SnapshotGraph(g.timestamp, g.terms, vertex_ids, indptr, g.edge_pred[keep], edge_obj,
+                         Counter(g.skip_reasons))

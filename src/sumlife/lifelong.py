@@ -9,7 +9,9 @@ seen count as errors, and their fraction is reported separately.
 
 A task holds its features as each edge's feature column, at the final
 vocabulary width, in V + E memory; the batches that sampling and evaluation
-build write their vertices' rows from them.
+build write their vertices' rows from them.  Snapshots are prepared one at a
+time as they are drawn, and a task keeps its snapshot's CSR arrays but not
+its term table, so a run holds one term table at a time.
 
 Per-task randomness derives from (run seed, task index), so extending a
 sequence never perturbs earlier tasks' batches.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .features import (
 )
 from .ingest import SnapshotGraph
 from .nets import Hyper, Network
+from .nets.ops import assert_finite
 from .sampling import edge_as_vertex_transform, receptive_field, sample_batch, target_distribution
 from .summarize import MODEL_HOPS, vertex_hashes
 
@@ -42,8 +46,10 @@ RESTARTS = ("warm", "cold")
 
 @dataclass
 class Task:
-    """One snapshot of the sequence.  Its features are held as each edge's
-    feature column, from which every batch writes its vertices' rows."""
+    """One snapshot of the sequence.  ``graph`` is the snapshot's CSR arrays,
+    with no term table (``SnapshotGraph.without_terms``): what sampling and
+    evaluation read.  Its features are held as each edge's feature column,
+    from which every batch writes its vertices' rows."""
 
     index: int
     timestamp: str
@@ -73,39 +79,47 @@ def strictly_increasing(timestamps: list[str]) -> bool:
 
 
 def prepare_tasks(
-    snapshots: list[tuple[str, SnapshotGraph]],
+    snapshots: Iterable[tuple[str, SnapshotGraph]],
     model: str,
     seed: int,
     pred_vocab: PredicateVocabulary | None = None,
     class_vocab: ClassVocabulary | None = None,
 ) -> TaskSequence:
-    """Summarize each snapshot, grow the vocabularies, attach splits and the
-    per-edge feature columns."""
-    if not strictly_increasing([t for t, _ in snapshots]):
-        raise ValueError("snapshot timestamps must be strictly increasing")
+    """Turn each (timestamp, snapshot) into a task as it is drawn from
+    ``snapshots``, which may be a generator: summarize it, grow the
+    vocabularies, then attach its labels, split and per-edge feature columns.
+
+    Vocabulary indices are append-only, so a task's columns are final when it
+    is prepared; only ``feature_width``, the final predicate width, is set
+    after the last snapshot.  A task keeps the snapshot's CSR arrays but not
+    its term table, and this function lets go of each snapshot before it
+    draws the next.  Timestamps must be strictly increasing: ValueError at
+    the first one that is not."""
     pv = pred_vocab if pred_vocab is not None else PredicateVocabulary()
     cv = class_vocab if class_vocab is not None else ClassVocabulary()
-    staged = []
-    for index, (timestamp, g) in enumerate(snapshots):
+    tasks: list[Task] = []
+    for timestamp, g in snapshots:
+        if tasks and not tasks[-1].timestamp < timestamp:
+            raise ValueError("snapshot timestamps must be strictly increasing")
         classes, inverse = np.unique(vertex_hashes(g, model), return_inverse=True)
         extend_vocabularies(g, classes, pv, cv)
         labels = np.array([cv.index(h) for h in classes.tolist()], dtype=np.int64)[inverse]
-        staged.append((index, timestamp, g, labels, pv.width, cv.width))
-    tasks = []
-    for index, timestamp, g, labels, pw, cw in staged:
         tasks.append(
             Task(
-                index=index,
+                index=len(tasks),
                 timestamp=timestamp,
-                graph=g,
+                graph=g.without_terms(),
                 labels=labels,
                 split=split_vertices(g, seed),
-                pred_width=pw,
-                class_width=cw,
+                pred_width=pv.width,
+                class_width=cv.width,
                 edge_col=encode_features(g, pv),
-                feature_width=pv.width,
+                feature_width=-1,  # set below, at the final width
             )
         )
+        del g  # the term table goes before the next snapshot is drawn
+    for task in tasks:
+        task.feature_width = pv.width
     return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model)
 
 
@@ -129,7 +143,8 @@ def evaluate_network(
     Message passing gives those rows the same sums as a pass over every
     vertex; the BLAS products can round a row subset otherwise past about 256
     output columns, so logits may differ in their last bits, while
-    predictions have matched.
+    predictions have matched.  Non-finite logits, which only a diverged
+    network gives, raise ``NumericalError``.
     """
     rows = np.flatnonzero(task.split == which)
     if len(rows) == 0:
@@ -140,7 +155,9 @@ def evaluate_network(
                             net.receptive_hops, MODEL_HOPS[seq.model])
     if net.edges_as_vertices:
         batch = edge_as_vertex_transform(batch)
-    pred = np.argmax(net.batch_logits(batch, batch.target_idx), axis=1)
+    logits = net.batch_logits(batch, batch.target_idx)
+    assert_finite(f"the logits of task {task.index}", logits)
+    pred = np.argmax(logits, axis=1)
     correct = (pred == labels) & ~unseen
     return float(correct.mean()), float(unseen.mean())
 
@@ -174,6 +191,11 @@ def _train_on_task(
     return losses
 
 
+def _clone(task: Task, net: Network) -> Network:
+    """``run_sequence``'s default ``on_task``: a frozen copy of the trained network."""
+    return net.clone()
+
+
 def run_sequence(
     seq: TaskSequence,
     arch: str,
@@ -184,18 +206,23 @@ def run_sequence(
     batch_cap: int = 1000,
     zero_init_growth: bool = False,
     threads: int = 1,
-) -> tuple[list[Network], np.ndarray, list[dict]]:
-    """Train through the sequence; returns (checkpoints, R, per-task diagnostics).
+    on_task: Callable[[Task, Network], object] = _clone,
+) -> tuple[list, np.ndarray, list[dict]]:
+    """Train through the sequence; returns (the per-task results of
+    ``on_task``, R, per-task diagnostics).
 
+    ``on_task(task, net)`` gets each task's trained network before anything
+    changes it again; by default it returns ``net.clone()``, so the results
+    are the checkpoints.  The R row is then evaluated on ``net`` itself.
     Tasks are strictly sequential; the per-row evaluations run on up to
-    ``threads`` workers over frozen checkpoints, so results do not depend on
-    the worker count.
+    ``threads`` workers, which only read the network, so results do not
+    depend on the worker count.
     """
     if restart not in RESTARTS:
         raise ValueError(f"restart must be one of {RESTARTS}, got {restart!r}")
     t_count = len(seq)
     r = np.zeros((t_count, t_count), dtype=np.float64)
-    checkpoints: list[Network] = []
+    results: list = []
     diagnostics: list[dict] = []
     net: Network | None = None
     for task in seq.tasks:
@@ -205,17 +232,14 @@ def run_sequence(
         else:
             net.grow(task.pred_width, task.class_width, rng, zero_init_growth)
         losses = _train_on_task(net, task, seq, iterations, batch_cap, rng)
-        checkpoints.append(net.clone())
-        frozen = checkpoints[-1]
+        results.append(on_task(task, net))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda o: evaluate_network(frozen, o, seq), seq.tasks)
-                )
+                row = list(pool.map(lambda o: evaluate_network(net, o, seq), seq.tasks))
         else:
-            results = [evaluate_network(frozen, o, seq) for o in seq.tasks]
+            row = [evaluate_network(net, o, seq) for o in seq.tasks]
         unseen_row = []
-        for other, (acc_ij, unseen) in zip(seq.tasks, results):
+        for other, (acc_ij, unseen) in zip(seq.tasks, row):
             r[task.index, other.index] = acc_ij
             unseen_row.append(unseen)
         diagnostics.append(
@@ -228,7 +252,7 @@ def run_sequence(
                 "train_loss": losses,
             }
         )
-    return checkpoints, r, diagnostics
+    return results, r, diagnostics
 
 
 # -- measures over the result matrix ------------------------------------------

@@ -35,27 +35,30 @@ def adam_step(
 ) -> dict[str, np.ndarray]:
     """One in-place Adam update over all tensors; returns them for chaining.
 
-    Two scratch arrays per tensor take every temporary, in the textbook
-    operation order: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    theta -= lr*(m/bc1) / (sqrt(v/bc2) + eps)."""
+    The gradients are consumed: each one's array becomes its tensor's step,
+    so one scratch array per tensor takes the other temporaries.  Every
+    element sees the textbook operations in their order: m = b1*m +
+    (1-b1)*g, v = b2*v + (1-b2)*g*g and theta -= lr*(m/bc1) / (sqrt(v/bc2)
+    + eps)."""
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
     for name, theta in tensors.items():
-        g = grads[name]
+        step = grads[name]
         m = state.m[name]
         v = state.v[name]
-        step, den = np.empty_like(theta), np.empty_like(theta)
+        scratch = np.empty_like(theta)
         m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=step)
+        m += np.multiply(step, 1.0 - BETA1, out=scratch)
         v *= BETA2
-        np.multiply(g, g, out=step)
-        v += np.multiply(step, 1.0 - BETA2, out=step)
+        step *= step
+        step *= 1.0 - BETA2
+        v += step
         np.divide(m, bc1, out=step)
         step *= lr
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += EPS
-        step /= den
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += EPS
+        step /= scratch
         theta -= step
     return tensors

@@ -13,17 +13,24 @@ import numpy as np
 _NORM_EPS = 1e-12
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over rows; returns (loss, dloss/dlogits).
+def cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the rows ``logits[rows]`` (every row
+    when ``rows`` is None), row i labelled ``labels[i]``; returns (loss,
+    dloss/d(logits[rows])).
 
-    One exponential serves both: the shifted logits are exponentiated in
-    place, their row sums give the log-sum-exp, and dividing by those sums
-    turns the same array into the softmax the gradient starts from."""
+    One array of those rows serves both: it is gathered from ``logits``
+    (which is left unchanged), shifted and exponentiated in place, its row
+    sums give the log-sum-exp, and dividing by those sums turns it into the
+    softmax the gradient starts from.  A row drawn twice is a row of the
+    gradient twice."""
     n = len(labels)
     if n == 0:
         raise ValueError("cross entropy over zero rows")
     idx = np.arange(n)
-    grad = logits - logits.max(axis=1, keepdims=True)
+    grad = logits.copy() if rows is None else logits[rows]
+    grad -= grad.max(axis=1, keepdims=True)
     picked = grad[idx, labels]
     np.exp(grad, out=grad)
     total = grad.sum(axis=1)

@@ -63,7 +63,8 @@ def mlp_forward(
     relu(hd, out=hd)
     if train_mode:
         apply_dropout(hd, keep, dropout)
-    logits = hd @ params.w_out + params.b_out
+    logits = hd @ params.w_out
+    logits += params.b_out
     return logits, ({"x": x, "hd": hd, "dropout": dropout} if train_mode else None)
 
 
@@ -71,11 +72,16 @@ def mlp_backward(params: MlpParams, cache: dict, dlogits: np.ndarray) -> dict[st
     """Parameter gradients from ``dlogits``, the loss gradient of the rows
     the forward pass computed; rows it left out have an exact zero gradient.
     A hidden unit passes gradient exactly when its output ``hd`` is positive:
-    rectified and kept."""
+    rectified and kept.
+
+    The cache is consumed: once ``w_out``'s gradient and that gate are read
+    off ``cache["hd"]``, its buffer takes the hidden layer's gradient, so the
+    step holds one rows x hidden array.  Read ``cache["hd"]`` before calling."""
     hd = cache["hd"]
     dw_out = hd.T @ dlogits
     db_out = dlogits.sum(axis=0)
-    da = apply_dropout(dlogits @ params.w_out.T, hd > 0.0, cache["dropout"])
+    gate = hd > 0.0
+    da = apply_dropout(np.matmul(dlogits, params.w_out.T, out=hd), gate, cache["dropout"])
     return {
         "w0": cache["x"].T @ da,
         "b0": da.sum(axis=0),

@@ -172,6 +172,7 @@ class Network:
                               self.hyper.normalize_adjacency)
         return gcn_forward(self.params, x, adj, train, dropout, rng, rows)
 
+    @np.errstate(all="ignore")  # a divergence shows as non-finite logits, not as warnings
     def batch_logits(self, batch: Subgraph, rows: np.ndarray | None = None) -> np.ndarray:
         """Eval-mode logits of the batch vertices ``rows``, in that order;
         of every batch vertex when ``rows`` is None."""
@@ -180,6 +181,7 @@ class Network:
     # nothing in sumlife calls this alias: the benchmark tracer wraps it by name
     feature_logits = batch_logits
 
+    @np.errstate(all="ignore")  # assert_finite reports a divergence, once
     def train_step(self, batch: Subgraph, adam: AdamState, rng: np.random.Generator) -> float:
         """Forward, hand-derived backward, Adam update; returns the loss.
 
@@ -190,12 +192,21 @@ class Network:
         vertex, in which the other rows get exact zeros.  The MLP draws
         dropout for those rows alone, and the rng skips the rest, so every
         later draw is as after a mask over every batch vertex.  Graph-MLP
-        adds its contrastive term, whose gradient joins at the embeddings."""
+        adds its contrastive term, whose gradient joins at the embeddings.
+
+        Each array is dropped once nothing later reads it: the logits and
+        the per-draw gradient once the row gradient exists, the forward
+        cache and the row gradient once the backward pass returns, and the
+        gradients in Adam, which uses them as its step buffers.  numpy's
+        floating-point warnings are silenced: a non-finite loss or gradient
+        raises ``NumericalError``."""
         hyper = self.hyper
         rows, inv = np.unique(batch.target_idx, return_inverse=True)
         logits, cache = self._forward(batch, rng, rows)
-        loss, dsel = cross_entropy(logits[inv], batch.labels)
+        loss, dsel = cross_entropy(logits, batch.labels, rows=inv)
+        del logits
         dlogits = scatter_rows(dsel, inv, len(rows))
+        del dsel
         if self.arch == "graph-mlp":
             nc, dz_nc = graphmlp_contrast(cache["z"], batch.edge_src, batch.edge_dst, hyper.tau)
             loss = loss + hyper.alpha * nc
@@ -204,6 +215,7 @@ class Network:
             grads = mlp_backward(self.params, cache, dlogits)
         else:
             grads = gcn_backward(self.params, cache, dlogits)
+        del cache, dlogits
         assert_finite("loss", loss)
         for name, g in grads.items():
             assert_finite(f"grad {name}", g)

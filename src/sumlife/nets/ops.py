@@ -109,19 +109,29 @@ def widen(
     return w.copy()
 
 
+# flat-index entries scatter_add builds at a time (128 KiB of int64)
+_SCATTER_BLOCK = 1 << 14
+
+
 def scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     """``out[rows[i]] += vals[i]`` for every i in order, in place; ``out`` is 2-D.
 
     Bit-identical to ``np.add.at(out, rows, vals)``: it runs ``np.add.at``
     on the flat view of ``out`` with index ``row * d + col``, so each
     element still receives its terms in the order of ``rows``, while numpy's
-    fast 1-D path does the work instead of its per-row 2-D loop.
+    fast 1-D path does the work instead of its per-row 2-D loop.  The index
+    is built for a block of ``rows`` at a time, in order, so it never takes
+    the size of ``vals`` again.
     """
     if not out.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous output")
     d = out.shape[1]
-    idx = (np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
-    np.add.at(out.reshape(-1), idx, vals.ravel())
+    flat, cols = out.reshape(-1), np.arange(d)
+    rows = np.asarray(rows, dtype=np.int64)
+    step = max(1, _SCATTER_BLOCK // max(d, 1))
+    for start in range(0, len(rows), step):
+        idx = rows[start : start + step, None] * d + cols
+        np.add.at(flat, idx.ravel(), vals[start : start + step].ravel())
 
 
 def scatter_rows(d: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:

@@ -143,6 +143,20 @@ def svg_heatmap(r: np.ndarray, labels: list[str], title: str = "") -> str:
     return "\n".join(p for p in parts if p)
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak resident set in KiB: ``VmHWM`` of /proc/self/status
+    where it exists, which starts afresh in every program, else ``ru_maxrss``,
+    which Linux carries over from the process that started this one."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 class Manifest:
     """Collects stage timings and output digests for one run."""
 
@@ -160,15 +174,15 @@ class Manifest:
     @contextmanager
     def stage(self, name: str):
         """Record the stage's wall time and memory.  ``peak_rss_kb`` is the
-        process-wide peak resident set (``ru_maxrss``) when the stage ends, so
+        process's peak resident set (``_peak_rss_kb``) when the stage ends, so
         it includes every earlier stage; ``rss_growth_kb`` is how far this
         stage raised that peak, 0 when it stayed under an earlier one."""
         start = time.perf_counter()
-        peak_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        peak_before = _peak_rss_kb()
         try:
             yield
         finally:
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak = _peak_rss_kb()
             self.data["stages"][name] = {
                 "wall_seconds": time.perf_counter() - start,
                 "peak_rss_kb": peak,

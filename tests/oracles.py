@@ -504,6 +504,16 @@ def reference_load_snapshot(path, timestamp: str) -> SnapshotGraph:
     return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)
 
 
+def reference_keep_edges(g: SnapshotGraph, keep: np.ndarray, vertex_ids: np.ndarray) -> SnapshotGraph:
+    """``g`` rebuilt from the term ids of the edges ``keep`` marks, over the
+    sorted term ids ``vertex_ids``, through the sorting constructor."""
+    subjects, objects = g.vertex_ids[g.edge_sources()[keep]], g.vertex_ids[g.edge_obj[keep]]
+    return SnapshotGraph.from_term_edges(
+        g.timestamp, g.terms, subjects, g.edge_pred[keep], objects, Counter(g.skip_reasons),
+        vertex_ids=vertex_ids,
+    )
+
+
 def reference_dropout_mask(rng, shape: tuple[int, int], rate: float, rows=None) -> np.ndarray:
     """Float inverted-dropout mask of one full ``rng.random(shape)`` draw cut
     to ``rows`` (every row when None): 0 with probability ``rate``, else

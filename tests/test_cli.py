@@ -6,6 +6,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import sumlife
+import sumlife.lifelong as lifelong
 from sumlife.cli import _parser, main
 from sumlife.config import RunConfig, build_config, parse_config_file
-from sumlife.errors import ConfigError
+from sumlife.errors import ConfigError, TrainingDivergence
+from sumlife.ingest import load_snapshot
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 
 
@@ -115,9 +118,9 @@ def test_cmd_summarize_rerun_identical(tmp_path, snapshot_files):
     assert (out1 / "eqcs.tsv").read_bytes() == (out2 / "eqcs.tsv").read_bytes()
 
 
-# run as a grandchild: on Linux a process's ru_maxrss starts at the peak of
-# the process that spawned it, so a direct child would start at this test
-# process's peak and a 64 MiB stage would not raise it
+# run as a direct child of this test process, after this process has peaked
+# above anything the child reaches: on Linux the child's ru_maxrss starts at
+# that peak, so the manifest must read the child's own peak (VmHWM)
 _STAGE_RSS_SCRIPT = """
 import sys
 import numpy as np
@@ -135,8 +138,8 @@ def test_manifest_stage_records_how_far_it_raised_the_peak(tmp_path):
     """``peak_rss_kb`` is process-wide, so a stage after a large one reads the
     same peak; ``rss_growth_kb`` tells them apart."""
     src = str(Path(sumlife.__file__).parents[1])
-    spawn = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
-    subprocess.run([sys.executable, "-c", spawn, "-c", _STAGE_RSS_SCRIPT, str(tmp_path)],
+    np.ones(16 << 20)  # 128 MiB, so this process's peak is above the child's
+    subprocess.run([sys.executable, "-c", _STAGE_RSS_SCRIPT, str(tmp_path)],
                    check=True, env={**os.environ, "PYTHONPATH": src})
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     touch, idle = stages["touch"], stages["idle"]
@@ -445,6 +448,72 @@ def test_lifelong_snapshot_without_vertices_exits_1(tmp_path, snapshot_files, ca
         ):
             assert main([*argv, *extra, "--iterations", "2", "--out", str(tmp_path / "o")]) == 1
             assert str(path) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("iterations, message, left", [
+    ("16", "divergence at task 0, step 1: non-finite values in loss", []),
+    # one step leaves finite weights whose logits overflow: no accuracy is read off them
+    ("1", "non-finite values in the logits of task 0", ["task00.gslc"]),
+], ids=["train", "eval"])
+def test_lifelong_divergence_prints_one_line(tmp_path, snapshot_files, iterations, message, left):
+    """A diverging run exits 3 with one stderr line and no numpy warnings,
+    which would reach stderr outside pytest, so it runs as its own process.
+    A checkpoint is written as soon as its task is trained."""
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumlife.cli", "lifelong", "--model", "ac1", "--in", *snapshot_files,
+         "--learning-rate", "1e300", "--iterations", iterations, "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(sumlife.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
+def test_lifelong_divergence_at_task_1_leaves_task_0_checkpoint(tmp_path, snapshot_files,
+                                                                 monkeypatch, capsys):
+    """Checkpoints are written as tasks finish, and the manifest last: a run
+    that diverges at task 1 leaves task00.gslc and no manifest."""
+    train = lifelong._train_on_task
+
+    def diverging(net, task, *args):
+        if task.index == 1:
+            raise TrainingDivergence(1, 0, "non-finite values in loss")
+        return train(net, task, *args)
+
+    monkeypatch.setattr(lifelong, "_train_on_task", diverging)
+    out = tmp_path / "o"
+    assert main(["lifelong", "--model", "ac1", "--in", *snapshot_files, "--iterations", "2",
+                 "--out", str(out)]) == 3
+    assert "divergence at task 1" in _one_error_line(capsys)
+    assert sorted(p.name for p in out.iterdir()) == ["task00.gslc"]
+
+
+def test_lifelong_holds_one_term_table_at_a_time(tmp_path):
+    """Three snapshots of many long terms, as the web snapshots have, and a
+    small network: a ``lifelong`` run prepares each snapshot as it loads and
+    keeps no term table in its tasks, so its peak stays under 2.5 times that
+    of loading one snapshot; three tables at once took well over 3 times."""
+    rng = np.random.default_rng(0)
+    n = 6000
+    paths = []
+    for t in range(3):
+        path = tmp_path / f"2012-05-0{6 + t}.nt"
+        v = [f"http://example.org/a/rather/long/resource/path/t{t}/v{i}" for i in range(n)]
+        write_ntriples(path, [(v[i], f"http://example.org/p{rng.integers(8)}", v[rng.integers(n)])
+                              for i in range(n)])
+        paths.append(str(path))
+    argv = ["lifelong", "--model", "ac1", "--in", *paths, "--iterations", "1", "--hidden-size", "8"]
+    tracemalloc.start()
+    try:
+        load_snapshot(paths[0], "t")
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * one, (peak, one)
 
 
 def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):

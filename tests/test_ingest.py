@@ -5,12 +5,13 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import out_pairs, position_of, reference_load_snapshot
-from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
+from oracles import out_pairs, position_of, reference_keep_edges, reference_load_snapshot
+from synth import distinct_recipes, predicate_pool, random_graph, ring_triples, write_ntriples
 from sumlife import ingest
 from sumlife.errors import IngestError
 from sumlife.ingest import (
     RDF_TYPE_IRI,
+    SnapshotGraph,
     TermTable,
     build_snapshot,
     drop_rdf_types,
@@ -185,6 +186,35 @@ def test_distinct_matches_np_unique():
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
     high = np.array([2**64 - 1, 2**63, 5, 2**63, 2**63 + 1, 0, 2**64 - 1], dtype=np.uint64)
     assert ingest.distinct(high).tolist() == np.unique(high).tolist() == [0, 5, 2**63, 2**63 + 1, 2**64 - 1]
+
+
+def _same_graph(got, want):
+    for name in ("vertex_ids", "indptr", "edge_pred", "edge_obj"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.terms is want.terms and got.timestamp == want.timestamp
+    assert got.edge_count == want.edge_count and got.skip_reasons == want.skip_reasons
+
+
+def test_keep_edges_matches_the_sorting_rebuild():
+    """The filters cut CSR arrays without sorting again; the result equals a
+    rebuild from term ids, for random vertex and edge masks, every vertex
+    removed, no edge kept and a graph with no edges at all."""
+    rng = np.random.default_rng(3)
+    empty = np.array([], dtype=np.int64)
+    graphs = [random_graph(rng)[0] for _ in range(30)]
+    graphs.append(SnapshotGraph.from_term_edges("t", TermTable(), empty, empty, empty))
+    for g in graphs:
+        n, src = g.num_vertices, g.edge_sources()
+        masks = [rng.random(n) < q for q in (0.0, 0.3, 0.8, 1.0)]
+        for keep_vertex in masks:
+            ends_kept = keep_vertex[src] & keep_vertex[g.edge_obj]
+            for keep in (ends_kept, ends_kept & (rng.random(len(src)) < 0.5), np.zeros(len(src), bool)):
+                want = reference_keep_edges(g, keep, g.vertex_ids[keep_vertex])
+                _same_graph(ingest._keep_edges(g, keep, keep_vertex), want)
+            if keep_vertex.all():  # as drop_rdf_types calls it
+                keep = rng.random(len(src)) < 0.5
+                _same_graph(ingest._keep_edges(g, keep), reference_keep_edges(g, keep, g.vertex_ids))
 
 
 def test_out_pairs_sorted_unique():

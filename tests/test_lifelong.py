@@ -1,11 +1,12 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import sumlife.lifelong as lifelong
 from sumlife.errors import TrainingDivergence
-from sumlife.ingest import RDF_TYPE_IRI, build_snapshot, drop_rdf_types
+from sumlife.ingest import RDF_TYPE_IRI, SnapshotGraph, TermTable, build_snapshot, drop_rdf_types
 from sumlife.lifelong import (
     LifelongReport,
     acc,
@@ -128,6 +129,36 @@ def test_prepare_rejects_unsorted_timestamps():
     snaps = drift_sequence(2, 1, 2, 10)
     with pytest.raises(ValueError):
         prepare_tasks(list(reversed(snaps)), "ac1", seed=1)
+
+
+class _WeakTermTable(TermTable):
+    """A term table that takes weak references (``TermTable`` has slots)."""
+
+
+def test_prepare_tasks_lets_go_of_each_term_table_before_the_next_snapshot():
+    """Fed a generator, ``prepare_tasks`` holds one snapshot's term table at
+    a time: each is gone before the next snapshot is drawn, and no task keeps one."""
+    tables = []
+
+    def snapshots():
+        for timestamp, g in drift_sequence(3, 2, 3, 10):
+            assert [ref() for ref in tables] == [None] * len(tables), "a term table is still held"
+            table = _WeakTermTable()
+            for kind, lexical in zip(g.terms.kinds, g.terms.lexicals):
+                table.intern(kind, lexical)
+            tables.append(weakref.ref(table))
+            yield timestamp, SnapshotGraph(timestamp, table, g.vertex_ids, g.indptr, g.edge_pred,
+                                           g.edge_obj)
+            del table
+
+    seq = prepare_tasks(snapshots(), "ac1", seed=5)
+    assert len(tables) == 3 and tables[-1]() is None
+    assert all(task.graph.terms is None for task in seq.tasks)
+    want = quick_seq(3, 10)
+    for task, other in zip(seq.tasks, want.tasks):
+        assert task.labels.tolist() == other.labels.tolist()
+        assert task.edge_col.tolist() == other.edge_col.tolist()
+        assert task.feature_width == other.feature_width == want.pred_vocab.width
 
 
 def test_vocab_widths_monotone_and_match_tasks():
@@ -332,6 +363,8 @@ def _by_hand_logits(net, x):
 
 @pytest.mark.parametrize("arch", ["mlp", "graph-mlp"])
 def test_feature_only_networks_read_no_hop(arch):
+    # a task keeps no term table, so the reference encoder reads the snapshots
+    graphs = dict(drift_sequence(2, 2, 3, 20))
     seq = quick_seq(2)
     nets, r, diag = run_sequence(seq, arch, Hyper(hidden=[8]), "warm", seed=3, iterations=6)
     assert [net.receptive_hops for net in nets] == [0, 0]
@@ -339,7 +372,8 @@ def test_feature_only_networks_read_no_hop(arch):
         for task in seq.tasks:
             rows = np.flatnonzero(task.split == TEST)
             labels = task.labels[rows]
-            logits = _by_hand_logits(net, reference_features(task.graph, seq.pred_vocab)[rows])
+            x = reference_features(graphs[task.timestamp], seq.pred_vocab)[rows]
+            logits = _by_hand_logits(net, x)
             unseen = labels >= logits.shape[1]
             correct = (np.argmax(logits, axis=1) == labels) & ~unseen
             assert evaluate_network(net, task, seq) == (float(correct.mean()), float(unseen.mean()))
@@ -349,13 +383,14 @@ def test_feature_only_networks_read_no_hop(arch):
 
 @pytest.mark.parametrize("arch", ["mlp", "graph-mlp"])
 def test_zero_hop_batch_logits_are_the_feature_rows_logits(arch):
+    ((_, g),) = drift_sequence(1, 2, 3, 20)
     seq = quick_seq(1)
     task = seq.tasks[0]
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=[8]),
                          np.random.default_rng(2))
     rows = np.flatnonzero(task.split == TEST)
     batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows, 0, 1)
-    x = reference_features(task.graph, seq.pred_vocab)[rows][:, : net.n_in]
+    x = reference_features(g, seq.pred_vocab)[rows][:, : net.n_in]
     bare = mlp_forward(net.params, x)[0] if arch == "mlp" else graphmlp_forward(net.params, x)[1]
     assert net.batch_logits(batch)[batch.target_idx].tobytes() == bare.tobytes()
 
