@@ -13,10 +13,10 @@ of fewer than 9 vertices), 2 configuration (including an unknown or missing
 argument, a value of the wrong type or outside its choice list, ``gcn-edges``
 with a model other than ac2, a checkpoint trained for another summary model,
 degree cap, degree mode or rdf:type setting, more than one snapshot for
-``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots whose timestamps
-are out of order or repeated, a degree cap below 1, a dropout outside [0, 1),
-a hidden size below 1 and more than one hidden size for mlp or graph-mlp),
-3 numerical failure.
+``summarize``, ``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots
+whose timestamps are out of order or repeated, a degree cap below 1, a
+dropout outside [0, 1), a hidden size below 1 and more than one hidden size
+for mlp or graph-mlp), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -113,11 +113,11 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
+    _one_snapshot(cfg, "summarize")
     out = _out_dir(cfg)
     manifest = Manifest("summarize", cfg.to_dict())
     with manifest.stage("ingest"):
-        graphs = list(_snapshots(cfg))
-    ts, g = graphs[0]
+        ((ts, g),) = _snapshots(cfg)
     with manifest.stage("summarize"):
         summary, ext = summarize(g, cfg.model)
     with manifest.stage("emit"):

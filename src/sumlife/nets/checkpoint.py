@@ -58,7 +58,6 @@ def save_checkpoint(
     run: dict,
 ) -> None:
     """Write a checkpoint; ``run`` maps every ``RUN_FIELDS`` key to its value."""
-    tensors = network.params.tensors()
     dtype = "<f8"
     header = {
         "format_version": FORMAT_VERSION,
@@ -69,7 +68,7 @@ def save_checkpoint(
         "seed": seed,
         **{k: run[k] for k in RUN_FIELDS},
         "dtype": dtype,
-        "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
+        "tensors": [{"name": k, "shape": list(v.shape)} for k, v in network.params.items()],
         "predicate_vocab": pred_vocab.lines(),
         "class_vocab": class_vocab.lines(),
         "vocab_digests": {
@@ -82,7 +81,7 @@ def save_checkpoint(
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for value in tensors.values():
+        for value in network.params.values():
             fh.write(np.ascontiguousarray(value).astype(dtype, copy=False).tobytes())
 
 

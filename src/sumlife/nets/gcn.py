@@ -11,8 +11,9 @@ adjacency matrix with a unit diagonal.  Degree normalization
 builds a batch's edge list: entry (u, v) is scaled by 1/sqrt(d_u * d_v),
 with d = 1 + the distinct out-degree.  The hidden layers' outputs are
 concatenated before the linear classifier, which runs only on the rows
-asked for, while message passing covers every row.  The parameter layout
-lives in ``network._tensor_shapes``.
+asked for, while message passing covers every row.  Its parameters come as
+one ``ops.Params`` record, laid out by ``network._tensor_shapes``: a layer
+``w<i>`` per hidden size (``params.layers``), then the classifier ``w_cls``.
 """
 
 from __future__ import annotations
@@ -22,26 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ingest import distinct
-from .ops import apply_dropout, dropout_mask, matrix_product, relu, scatter_add, scatter_rows
-
-
-@dataclass
-class GcnParams:
-    layers: list[np.ndarray]  # layer l: width_{l-1} x width_l
-    w_cls: np.ndarray  # sum of hidden widths x classes
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {f"w{i}": w for i, w in enumerate(self.layers)}
-        out["w_cls"] = self.w_cls
-        return out
-
-    @property
-    def n_in(self) -> int:
-        return self.layers[0].shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.w_cls.shape[1]
+from .ops import Params, apply_dropout, dropout_mask, matrix_product, relu, scatter_add, scatter_rows
 
 
 @dataclass(frozen=True)
@@ -98,7 +80,7 @@ def batch_adjacency(
 
 
 def gcn_forward(
-    params: GcnParams,
+    params: Params,
     x: np.ndarray,
     adj: EdgeList,
     train_mode: bool = False,
@@ -130,7 +112,7 @@ def gcn_forward(
     return logits, cache
 
 
-def gcn_backward(params: GcnParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+def gcn_backward(params: Params, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients from ``dlogits``, the loss gradient of the rows the
     forward pass computed; the other rows' classifier gradient is zero."""
     a, hs = cache["a"], cache["hs"]

@@ -3,39 +3,20 @@
 The embedding layer's output feeds the neighbor-contrastive loss during
 training; inference uses features alone, no adjacency.  The contrastive
 term reads every row's embedding, so only the classifier is cut to the rows
-asked for.  The parameter layout lives in ``network._tensor_shapes``.
+asked for.  Its parameters ``w0``, ``w1`` (the embedding layer) and ``w2``
+come as one ``ops.Params`` record, laid out by ``network._tensor_shapes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .losses import ncontrast_loss
-from .ops import apply_dropout, dropout_mask, gelu, gelu_grad, scatter_rows
-
-
-@dataclass
-class GraphMlpParams:
-    w0: np.ndarray  # input x hidden
-    w1: np.ndarray  # hidden x hidden, embedding layer
-    w2: np.ndarray  # hidden x classes
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"w0": self.w0, "w1": self.w1, "w2": self.w2}
-
-    @property
-    def n_in(self) -> int:
-        return self.w0.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.w2.shape[1]
+from .ops import Params, apply_dropout, dropout_mask, gelu, gelu_grad, scatter_rows
 
 
 def graphmlp_forward(
-    params: GraphMlpParams,
+    params: Params,
     x: np.ndarray,
     train_mode: bool = False,
     dropout: float = 0.0,
@@ -62,7 +43,7 @@ def graphmlp_forward(
 
 
 def graphmlp_backward(
-    params: GraphMlpParams,
+    params: Params,
     cache: dict,
     dlogits: np.ndarray,
     dz_extra: np.ndarray | None = None,

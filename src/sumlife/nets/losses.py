@@ -6,8 +6,6 @@ training never touches numeric differentiation.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 _NORM_EPS = 1e-12
@@ -60,7 +58,6 @@ def ncontrast_loss(
     has_pos = gamma.sum(axis=1) > 0
     retained = int(has_pos.sum())
     if retained == 0:
-        warnings.warn("no positive pairs in batch; contrastive loss skipped")
         return 0.0, np.zeros_like(z)
 
     norms = np.sqrt((z * z).sum(axis=1) + _NORM_EPS)

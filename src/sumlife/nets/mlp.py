@@ -1,40 +1,20 @@
 """Single-hidden-layer MLP baseline: ReLU, dropout, biases.
 
 A row's logits read that feature row alone, so ``mlp_forward`` computes only
-the rows it is asked for.  Its parameter layout lives in
+the rows it is asked for.  Its parameters ``w0``, ``b0``, ``w_out`` and
+``b_out`` come as one ``ops.Params`` record, laid out by
 ``network._tensor_shapes``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ops import apply_dropout, dropout_mask, relu
-
-
-@dataclass
-class MlpParams:
-    w0: np.ndarray  # input x hidden
-    b0: np.ndarray
-    w_out: np.ndarray  # hidden x classes
-    b_out: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"w0": self.w0, "b0": self.b0, "w_out": self.w_out, "b_out": self.b_out}
-
-    @property
-    def n_in(self) -> int:
-        return self.w0.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.w_out.shape[1]
+from .ops import Params, apply_dropout, dropout_mask, relu
 
 
 def mlp_forward(
-    params: MlpParams,
+    params: Params,
     x: np.ndarray,
     train_mode: bool = False,
     dropout: float = 0.0,
@@ -68,7 +48,7 @@ def mlp_forward(
     return logits, ({"x": x, "hd": hd, "dropout": dropout} if train_mode else None)
 
 
-def mlp_backward(params: MlpParams, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+def mlp_backward(params: Params, cache: dict, dlogits: np.ndarray) -> dict[str, np.ndarray]:
     """Parameter gradients from ``dlogits``, the loss gradient of the rows
     the forward pass computed; rows it left out have an exact zero gradient.
     A hidden unit passes gradient exactly when its output ``hd`` is positive:

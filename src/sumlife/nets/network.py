@@ -5,7 +5,8 @@
 Each per-architecture decision is made here.  ``_tensor_shapes`` is the one
 statement of each architecture's parameter layout: ``Network.create`` draws
 it, ``Network.grow`` widens to it and ``Network.from_tensors`` checks it and
-builds the ``*Params`` record.  The batch a network reads is decided in
+keeps the tensors, in its order, as one ``ops.Params`` record, the same type
+for every architecture.  The batch a network reads is decided in
 ``receptive_hops`` and ``edges_as_vertices``, the forward pass in ``_forward``
 and the backward pass after ``train_step``'s one loss tail.  Both passes look
 their functions up in this module's globals at call time, so a wrapper put
@@ -21,11 +22,11 @@ import numpy as np
 
 from ..sampling import Subgraph
 from .adam import AdamState, adam_step
-from .gcn import GcnParams, batch_adjacency, gcn_backward, gcn_forward
-from .graphmlp import GraphMlpParams, graphmlp_backward, graphmlp_contrast, graphmlp_forward
+from .gcn import batch_adjacency, gcn_backward, gcn_forward
+from .graphmlp import graphmlp_backward, graphmlp_contrast, graphmlp_forward
 from .losses import cross_entropy
-from .mlp import MlpParams, mlp_backward, mlp_forward
-from .ops import assert_finite, glorot_uniform, scatter_rows, widen
+from .mlp import mlp_backward, mlp_forward
+from .ops import Params, assert_finite, glorot_uniform, scatter_rows, widen
 
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
@@ -78,7 +79,7 @@ def _tensor_shapes(arch: str, n_in: int, hidden: list, n_classes: int) -> dict[s
 class Network:
     """One classifier with its architecture and hyperparameters."""
 
-    def __init__(self, arch: str, params, hyper: Hyper):
+    def __init__(self, arch: str, params: Params, hyper: Hyper):
         if arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {arch!r}")
         self.arch = arch
@@ -96,18 +97,15 @@ class Network:
 
     @classmethod
     def from_tensors(cls, arch: str, tensors: dict, hyper: Hyper, n_in: int, n_classes: int) -> "Network":
-        """The network whose ``params.tensors()`` are ``tensors``; ValueError
-        unless each has the shape ``arch`` gives it for ``n_in``, ``hyper.hidden``
-        and ``n_classes``, so layers chain and a GCN has a layer per hidden size."""
+        """The network whose parameters are ``tensors``, in layout order;
+        ValueError unless each has the shape ``arch`` gives it for ``n_in``,
+        ``hyper.hidden`` and ``n_classes``, so layers chain and a GCN has a
+        layer per hidden size."""
         shapes = {name: t.shape for name, t in tensors.items()}
         expected = _tensor_shapes(arch, n_in, hyper.hidden, n_classes)
         if shapes != expected:
             raise ValueError(f"{arch} tensor shapes {shapes} are not {expected}")
-        if arch in FEATURE_ONLY:
-            params = (MlpParams if arch == "mlp" else GraphMlpParams)(**tensors)
-        else:
-            params = GcnParams([tensors[f"w{i}"] for i in range(len(hyper.hidden))], tensors["w_cls"])
-        return cls(arch, params, hyper)
+        return cls(arch, Params({name: tensors[name] for name in expected}), hyper)
 
     @property
     def n_in(self) -> int:
@@ -130,7 +128,7 @@ class Network:
         an edge-as-vertex batch spends two per snapshot hop, so half as many, rounded up."""
         if self.arch in FEATURE_ONLY:
             return 0
-        hops = len(self.params.layers) + int(self.hyper.normalize_adjacency)
+        hops = len(self.hyper.hidden) + int(self.hyper.normalize_adjacency)
         return (hops + 1) // 2 if self.edges_as_vertices else hops
 
     def clone(self) -> "Network":
@@ -142,7 +140,7 @@ class Network:
         and new bias entries are zero."""
         if n_in < self.n_in or n_classes < self.n_classes:
             raise ValueError("layers can only grow")
-        old = self.params.tensors()
+        old = self.params
         shapes = _tensor_shapes(self.arch, n_in, self.hyper.hidden, n_classes)
         tensors = {name: widen(rng, old[name], *shape, zero_init) if len(shape) == 2
                    else np.concatenate([old[name], np.zeros(shape[0] - len(old[name]))])
@@ -150,7 +148,7 @@ class Network:
         self.params = self.from_tensors(self.arch, tensors, self.hyper, n_in, n_classes).params
 
     def new_adam(self) -> AdamState:
-        return AdamState.init_like(self.params.tensors())
+        return AdamState.init_like(self.params)
 
     def _forward(self, batch: Subgraph, rng: np.random.Generator | None = None,
                  rows: np.ndarray | None = None):
@@ -219,5 +217,5 @@ class Network:
         assert_finite("loss", loss)
         for name, g in grads.items():
             assert_finite(f"grad {name}", g)
-        adam_step(self.params.tensors(), grads, adam, hyper.learning_rate)
+        adam_step(self.params, grads, adam, hyper.learning_rate)
         return loss

@@ -16,6 +16,36 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+class Params(dict):
+    """A network's parameter tensors by name, in the layout order of
+    ``network._tensor_shapes``; ``params.w0`` reads ``params["w0"]``.
+
+    A missing name raises ``AttributeError`` (``copy.deepcopy`` and
+    ``hasattr`` rely on it).  The first tensor's rows are the input width and
+    the last tensor's last dimension is the class count."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    @property
+    def n_in(self) -> int:
+        return next(iter(self.values())).shape[0]
+
+    @property
+    def n_classes(self) -> int:
+        return next(reversed(self.values())).shape[-1]
+
+    @property
+    def layers(self) -> list[np.ndarray]:
+        """The ``w<i>`` tensors, in order: a GCN's message-passing layers."""
+        return [t for name, t in self.items() if name[0] == "w" and name[1:].isdigit()]
+
+
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0); ``out=x`` applies it in place.  Its derivative is the gate
     ``relu(x) > 0``, which a backward pass reads off the output."""

@@ -614,5 +614,5 @@ def reference_train_step(net, batch, adam, rng) -> float:
             m = adj.T @ dp
             grads[f"w{l}"] = hs[l].T @ m
             dh_next = m @ p.layers[l].T
-    reference_adam_step(p.tensors(), grads, adam, hyper.learning_rate)
+    reference_adam_step(p, grads, adam, hyper.learning_rate)
     return loss

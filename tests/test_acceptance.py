@@ -136,7 +136,7 @@ def test_criterion_04_gradient_checks():
                 loss, dlogits = cross_entropy(logits, labels)
                 return loss, mlp_backward(params, cache, dlogits)
 
-            assert max_rel_error(mlp_loss, params.tensors()) < tol
+            assert max_rel_error(mlp_loss, params) < tol
 
             gparams = Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
                                      np.random.default_rng(seed + 2000)).params
@@ -152,7 +152,7 @@ def test_criterion_04_gradient_checks():
                 nc, dz = ncontrast_loss(z, gamma, 2.0)
                 return ce + 1.0 * nc, graphmlp_backward(gparams, cache, dlogits, 1.0 * dz)
 
-            assert max_rel_error(gm_loss, gparams.tensors()) < tol
+            assert max_rel_error(gm_loss, gparams) < tol
 
             for normalize in (False, True):
                 adj = batch_adjacency(b, src, dst, normalize)
@@ -166,7 +166,7 @@ def test_criterion_04_gradient_checks():
                     loss, dlogits = cross_entropy(logits, labels)
                     return loss, gcn_backward(cparams, cache, dlogits)
 
-                assert max_rel_error(gcn_loss, cparams.tensors()) < tol
+                assert max_rel_error(gcn_loss, cparams) < tol
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
 

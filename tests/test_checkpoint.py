@@ -35,7 +35,7 @@ def test_roundtrip_bit_exact(tmp_path, arch):
     save_checkpoint(path, net, pv, cv, seed=42, run=RUN)
     loaded, pv2, cv2, header = load_checkpoint(path)
     assert loaded.arch == arch
-    for (ka, a), (kb, b) in zip(net.params.tensors().items(), loaded.params.tensors().items()):
+    for (ka, a), (kb, b) in zip(net.params.items(), loaded.params.items()):
         assert ka == kb
         assert a.dtype == b.dtype == np.float64
         assert np.array_equal(a, b)

@@ -470,6 +470,24 @@ def test_lifelong_divergence_prints_one_line(tmp_path, snapshot_files, iteration
     assert sorted(p.name for p in out.iterdir()) == left
 
 
+def test_graph_mlp_batches_without_edges_leave_stderr_empty(tmp_path):
+    """A Graph-MLP batch without edges has no positive pairs: its contrastive
+    term is 0, which a successful run does not warn about on stderr."""
+    paths = []
+    for i in range(2):
+        path = tmp_path / f"2012-05-0{6 + i}.nt"
+        write_ntriples(path, [(f"http://x/s{j}", "http://p", f'"v{j}"') for j in range(40)])
+        paths.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumlife.cli", "lifelong", "--model", "ac1", "--architecture",
+         "graph-mlp", "--iterations", "10", "--batch-cap", "3", "--in", *paths,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(sumlife.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_lifelong_divergence_at_task_1_leaves_task_0_checkpoint(tmp_path, snapshot_files,
                                                                  monkeypatch, capsys):
     """Checkpoints are written as tasks finish, and the manifest last: a run
@@ -672,16 +690,20 @@ def test_report_malformed_matrix_exits_1(tmp_path, capsys, name):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-def test_eval_and_time_warp_refuse_extra_snapshots(tmp_path, snapshot_files, capsys):
+def test_single_snapshot_commands_refuse_extra_snapshots(tmp_path, snapshot_files, capsys):
     out = tmp_path / "run"
     assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),
                  "--iterations", "2"]) == 0
     ckpt = str(out / "task00.gslc")
     capsys.readouterr()
-    for argv in (["eval", "--ckpt", ckpt], ["lifelong", "--time-warp", ckpt, "--iterations", "2"]):
-        assert main([*argv, "--model", "ac1", "--in", *snapshot_files,
-                     "--out", str(tmp_path / "o")]) == 2, argv
-        assert "got 2" in _one_error_line(capsys)
+    missing = [str(tmp_path / "x"), str(tmp_path / "y")]
+    for argv in (["summarize"], ["eval", "--ckpt", ckpt],
+                 ["lifelong", "--time-warp", ckpt, "--iterations", "2"]):
+        # a load of a path that does not exist would exit 1 before the refusal
+        for paths in (snapshot_files, missing):
+            assert main([*argv, "--model", "ac1", "--in", *paths,
+                         "--out", str(tmp_path / "o")]) == 2, (argv, paths)
+            assert "takes one snapshot, got 2" in _one_error_line(capsys)
     # refused before anything was loaded or written
     assert not (tmp_path / "o").exists()
 

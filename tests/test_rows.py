@@ -97,7 +97,7 @@ def test_train_step_gradients_match_full_rows_reference(monkeypatch, arch, seed)
     assert shapes == [(len(np.unique(batch.target_idx)), N_CLASSES)]
     ref_loss, ref_grads = _full_rows_reference(net, batch)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert grads.keys() == ref_grads.keys() == net.params.tensors().keys()
+    assert grads.keys() == ref_grads.keys() == net.params.keys()
     for name, g in grads.items():
         assert np.allclose(g, ref_grads[name], rtol=1e-10, atol=1e-14), name
 
@@ -108,7 +108,7 @@ def test_train_step_gradients_pass_finite_differences(monkeypatch, arch, seed):
     batch = _batch(seed)
     net = _net(arch, seed, dropout=0.5)
     # each call re-seeds the step's rng, so the dropout masks stay put
-    assert max_rel_error(lambda: _captured_step(net, batch, monkeypatch), net.params.tensors()) < 1e-4
+    assert max_rel_error(lambda: _captured_step(net, batch, monkeypatch), net.params) < 1e-4
 
 
 @pytest.mark.parametrize("arch", list(HIDDEN))
@@ -254,8 +254,8 @@ def test_train_steps_are_bit_identical_to_the_reference_step(arch, hyper, seed):
     for _ in range(5):
         batch = _random_batch(batches, 12, 5)
         assert net.train_step(batch, adam, rng) == reference_train_step(ref, batch, ref_adam, ref_rng)
-    for name, t in net.params.tensors().items():
-        assert t.tobytes() == ref.params.tensors()[name].tobytes(), name
+    for name, t in net.params.items():
+        assert t.tobytes() == ref.params[name].tobytes(), name
         assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), name
         assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), name
     assert adam.t == ref_adam.t == 5

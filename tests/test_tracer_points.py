@@ -11,7 +11,7 @@ import pytest
 
 from sumlife.lifelong import prepare_tasks
 from sumlife.nets import Hyper, Network
-from sumlife.nets.network import ARCHITECTURES, batch_adjacency
+from sumlife.nets.network import ARCHITECTURES, _tensor_shapes, batch_adjacency
 from sumlife.sampling import edge_as_vertex_transform, sample_batch, target_distribution
 from synth import drift_sequence
 
@@ -45,7 +45,10 @@ def test_adjacency_counter_reads_the_returned_structure(monkeypatch):
                          ids=["mlp", "gcn", "gcn-edges"])
 def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
     """Forward, backward, Adam and logits spans come from the module names the
-    tracer wraps, so a dispatch that bound them at import would record none."""
+    tracer wraps, so a dispatch that bound them at import would record none.
+    The step's ``flops`` counter reads the parameter record's ``w0``,
+    ``w_out``, ``layers`` and ``w_cls``; it must equal the closed form of
+    the layout ``_tensor_shapes`` states."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -71,6 +74,18 @@ def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
         expected.add("nets.adjacency")
     assert expected <= names, expected - names
     assert Network.train_step.__name__ == "train_step"  # the tracer is uninstalled
+
+    n = batch.num_vertices
+    shapes = _tensor_shapes(arch, task.pred_width, hidden, task.class_width)
+    if arch == "mlp":
+        (d, h), (_, c) = shapes["w0"], shapes["w_out"]
+        flops = 4 * n * d * h + 6 * n * h * c
+    else:
+        (jk, c) = shapes.pop("w_cls")
+        flops = sum(6 * n * d_in * d_out + 4 * n * n * d_out for d_in, d_out in shapes.values())
+        flops += 6 * n * jk * c
+    steps = [span[tracing.ATTRS] for span in tracer.spans if span[tracing.NAME] == "nets.train_step"]
+    assert steps == [{"flops": flops}]
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
