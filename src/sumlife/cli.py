@@ -16,7 +16,10 @@ degree cap, degree mode or rdf:type setting, more than one snapshot for
 ``summarize``, ``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots
 whose timestamps are out of order or repeated, a degree cap below 1, a
 dropout outside [0, 1), a hidden size below 1 and more than one hidden size
-for mlp or graph-mlp), 3 numerical failure.
+for mlp or graph-mlp, a negative seed, a learning rate or tau that is not
+finite and positive, and an alpha that is not finite and non-negative), 3
+numerical failure.  Running out of memory exits 1 with one ``error: out of
+memory`` line.
 """
 
 from __future__ import annotations
@@ -184,12 +187,13 @@ def cmd_diff(cfg: RunConfig) -> int:
             records.append(rec)
     with manifest.stage("emit"):
         write_json(out / "diff.json", records)
+        # "disappeared" is deleted_vs_prev again, a column kept for readers of meta.csv
         write_csv(out / "meta.csv", [
             ("index", "timestamp", "eqcs", "new_vs_first", "new_vs_prev", "deleted_vs_prev",
              "recurring", "reappearing", "disappeared", "cumulative_seen"),
             *((i, ts, track.sizes[i], track.new_vs_first[i], track.new_vs_prev[i],
                track.deleted_vs_prev[i], track.recurring[i], track.reappearing[i],
-               track.disappeared[i], track.cumulative_seen[i]) for i, (ts, _) in enumerate(graphs)),
+               track.deleted_vs_prev[i], track.cumulative_seen[i]) for i, (ts, _) in enumerate(graphs)),
         ])
         manifest.record_output(out / "diff.json")
         manifest.record_output(out / "meta.csv")
@@ -411,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (IngestError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ Choice lists are constants of the modules that implement them, in ``CHOICES``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -69,6 +70,14 @@ class RunConfig:
             raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in ("learning_rate", "tau"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be finite and > 0, got {value}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         hidden = self.hidden_list()
         if hidden is not None:
             if not hidden or min(hidden) < 1:

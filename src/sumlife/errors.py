@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: ingest/I/O problems and unreadable
 checkpoints exit 1, bad configuration (including a checkpoint used with
 other run settings than it was trained for) exits 2, numerical failures
-exit 3.
+exit 3.  A ``MemoryError`` from any stage also exits 1, with one
+``error: out of memory`` line.
 """
 
 

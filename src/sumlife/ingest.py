@@ -10,13 +10,11 @@ memory grows with the number of statement lines, duplicates included;
 duplicates are dropped and counted once, when the columns are sorted into the
 graph.
 
-Terms are interned into a dense, append-only :class:`TermTable` through a
-dict keyed by the raw token, so a term's kind and lexical form are worked out
-once per snapshot (once per file for a blank label).  Blank node labels have
-document scope, so each file in a directory snapshot gets its own blank
-namespace.  Literals are interned by
-their full lexical token (including datatype/language suffix) and behave as
-sink vertices.
+Terms are interned into a dense, append-only :class:`TermTable`, the one
+dict from raw token to term id, which keeps each term once, as its token.
+Blank node labels have document scope, so each file in a directory snapshot
+gets its own blank namespace.  Literals are interned by their full token
+(including datatype/language suffix) and behave as sink vertices.
 
 The finished :class:`SnapshotGraph` is immutable: edges live in CSR arrays
 keyed by vertex *position* (0..n-1), with each vertex's out-edges sorted by
@@ -89,61 +87,76 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class TermTable:
-    """Append-only intern table mapping (kind, lexical form) <-> dense id.
+class TermTable(dict):
+    """Append-only intern table: N-Triples token -> dense term id.
 
-    A term is keyed by its token: ``<lexical>`` for an IRI, and the lexical
-    form itself for a literal (its whole token, from the opening ``"``) or a
-    blank node (``_:`` and its label), so one string names both a term and its
-    kind.
+    A term is kept once, as its token in ``tokens``: ``<iri>``, a literal's
+    whole token (from its opening ``"``, suffix included) or a blank node's
+    ``_:`` label.  The token's first character names the term's kind.
+
+    Looking up a new IRI or literal token interns it, so the loader maps raw
+    tokens straight through the table.  A blank label's scope is one file: it
+    is kept in ``blanks``, which :meth:`open_file` replaces, and is never a
+    key of the table itself, where a label written as ``_:f0.x`` in one file
+    would find the scoped ``_:x`` of another.  In the file scope ``f0`` the
+    term of ``_:x`` is ``_:f0.x``; in the default scope ``""``, outside any
+    load, a blank label is its own term.
     """
 
-    __slots__ = ("kinds", "lexicals", "_index")
+    __slots__ = ("tokens", "scope", "blanks")
 
     def __init__(self) -> None:
-        self.kinds: list[str] = []
-        self.lexicals: list[str] = []
-        self._index: dict[str, int] = {}
+        super().__init__()
+        self.tokens: list[str] = []
+        self.open_file("")
 
     def __len__(self) -> int:
-        return len(self.lexicals)
+        return len(self.tokens)
 
-    def intern(self, kind: str, lexical: str, token: str | None = None) -> int:
-        """Id of the term, added if new.  A caller holding the term's token
-        passes it, and the table keeps that string as the key."""
-        key = _token(kind, lexical) if token is None else token
-        tid = self._index.get(key)
-        if tid is None:
-            tid = len(self.lexicals)
-            self.kinds.append(kind)
-            self.lexicals.append(lexical)
-            self._index[key] = tid
-        elif self.kinds[tid] != kind:
-            raise ValueError(f"{kind} {lexical!r} has the token of a {self.kinds[tid]}")
+    def open_file(self, scope: str) -> None:
+        """Start the blank-label scope of one file; ``""`` ends a load's."""
+        self.scope = scope
+        self.blanks: dict[str, int] = {}
+
+    def __missing__(self, token: str) -> int:
+        if token[0] == "_":
+            tid = self.blanks.get(token)
+            if tid is None:
+                tid = self.blanks[token] = len(self.tokens)
+                self.tokens.append(f"_:{self.scope}.{token[2:]}" if self.scope else token)
+            return tid
+        tid = self[token] = len(self.tokens)
+        self.tokens.append(token)
         return tid
 
+    def intern(self, kind: str, lexical: str) -> int:
+        """Id of the term, added if new; ValueError if its token would name another kind."""
+        token = _token(kind, lexical)
+        if token is None:
+            raise ValueError(f"{kind} {lexical!r} would have the token of another kind")
+        return self[token]
+
     def lookup(self, kind: str, lexical: str) -> Optional[int]:
-        tid = self._index.get(_token(kind, lexical))
-        return tid if tid is not None and self.kinds[tid] == kind else None
+        """Id of the term, or None; a blank label is looked up in the open scope."""
+        token = _token(kind, lexical)
+        return (self.blanks if kind == BLANK else self).get(token)
 
     def lexical(self, term_id: int) -> str:
-        return self.lexicals[term_id]
+        token = self.tokens[term_id]
+        return token[1:-1] if token[0] == "<" else token
 
     def kind(self, term_id: int) -> str:
-        return self.kinds[term_id]
+        return _KINDS[self.tokens[term_id][0]]
 
 
-def _token(kind: str, lexical: str) -> str:
-    return f"<{lexical}>" if kind == IRI else lexical
+# the kind of term each first character of a token names
+_KINDS = {"<": IRI, '"': LITERAL, "_": BLANK}
 
 
-def _term(token: str, blank_scope: str) -> tuple[str, str]:
-    """(kind, lexical form) of a raw token; a blank label is prefixed with its scope."""
-    if token[0] == "<":
-        return IRI, token[1:-1]
-    if token[0] == "_":
-        return BLANK, f"_:{blank_scope}.{token[2:]}" if blank_scope else token
-    return LITERAL, token
+def _token(kind: str, lexical: str) -> str | None:
+    """The token of a term, or None when that token names another kind."""
+    token = f"<{lexical}>" if kind == IRI else lexical
+    return token if _KINDS.get(token[:1]) == kind else None
 
 
 def _skip_reason(line: str) -> str:
@@ -152,22 +165,6 @@ def _skip_reason(line: str) -> str:
     if not stripped:
         return "blank"
     return "comment" if stripped[0] == "#" else "malformed"
-
-
-def parse_line(
-    line: str, table: TermTable, blank_scope: str = ""
-) -> tuple[int, int, int] | str:
-    """Parse one physical N-Triples/N-Quads line.
-
-    Returns the statement's (subject, predicate, object) term ids (the context
-    term of quads is discarded) or the skip reason ``"comment"``, ``"blank"``
-    or ``"malformed"``.  A string holding more than one line is malformed.
-    Never raises on bad input.
-    """
-    m = _STATEMENT_RE.fullmatch(line.strip())
-    if m is None:
-        return _skip_reason(line)
-    return tuple(table.intern(*_term(token, blank_scope)) for token in m.groups())
 
 
 class SnapshotGraph:
@@ -313,33 +310,6 @@ def _snapshot_files(path: Path) -> list[Path]:
     return [path]
 
 
-class _TermIds(dict):
-    """Raw token -> term id for one snapshot; a token is interned when first looked up.
-
-    IRI and literal tokens are kept here for every file.  A blank label's
-    scope is its file, so blank tokens are kept in ``blanks``, which
-    :meth:`open_file` replaces.
-    """
-
-    def __init__(self, table: TermTable) -> None:
-        super().__init__()
-        self.table = table
-        self.open_file("")
-
-    def open_file(self, scope: str) -> None:
-        self.scope = scope
-        self.blanks: dict[str, int] = {}
-
-    def __missing__(self, token: str) -> int:
-        if token[0] == "_":
-            tid = self.blanks.get(token)
-            if tid is None:
-                tid = self.blanks[token] = self.table.intern(*_term(token, self.scope))
-            return tid
-        tid = self[token] = self.table.intern(*_term(token, self.scope), token)
-        return tid
-
-
 def _decode(raw: bytes, skips: Counter) -> str:
     """``raw`` as strict UTF-8.  If that fails, each line that is not valid
     UTF-8 is dropped and counted as malformed."""
@@ -366,7 +336,6 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
     """
     path = Path(path)
     table = TermTable()
-    term_ids = _TermIds(table)
     subjects, preds, objects = array("q"), array("q"), array("q")
     skips: Counter = Counter()
 
@@ -375,7 +344,7 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
         parts = _STATEMENT_RE.split(text)
         other = "".join(parts[::4]).split("\n")
         del parts[::4]
-        ids = array("q", map(term_ids.__getitem__, parts))
+        ids = array("q", map(table.__getitem__, parts))
         subjects.extend(ids[0::3])
         preds.extend(ids[1::3])
         objects.extend(ids[2::3])
@@ -388,7 +357,7 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
     try:
         for file_index, file_path in enumerate(_snapshot_files(path)):
             current = file_path
-            term_ids.open_file(f"f{file_index}")
+            table.open_file(f"f{file_index}")
             opener = gzip.open if file_path.name.endswith(".gz") else open
             offset = 0
             tail = b""
@@ -402,6 +371,7 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
             parse(_decode(tail, skips))
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
+    table.open_file("")  # the last file's blank labels go out of scope
     return SnapshotGraph.from_term_edges(timestamp, table, subjects, preds, objects, skips)
 
 

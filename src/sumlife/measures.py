@@ -50,7 +50,6 @@ class MetaTrack:
     deleted_vs_prev: list[int] = field(default_factory=list)
     recurring: list[int] = field(default_factory=list)
     reappearing: list[int] = field(default_factory=list)
-    disappeared: list[int] = field(default_factory=list)
     cumulative_seen: list[int] = field(default_factory=list)
 
 
@@ -164,7 +163,6 @@ def meta_track(seq: list[tuple[SummaryGraph, ExtensionMap]]) -> MetaTrack:
         track.new_vs_first.append(len(cur - first))
         track.new_vs_prev.append(len(added))
         track.deleted_vs_prev.append(len(p - cur))
-        track.disappeared.append(len(p - cur))
         track.recurring.append(len(cur & p))
         track.reappearing.append(len(added & seen))
         seen |= cur

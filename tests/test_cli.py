@@ -73,6 +73,9 @@ def test_config_precedence_env_and_flags(tmp_path, monkeypatch):
     monkeypatch.delenv("SUMLIFE_SEED")
     cfg = build_config(cfg_file, {})
     assert cfg.seed == 1
+    monkeypatch.setenv("SUMLIFE_SEED", "-1")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        build_config(cfg_file, {})
 
 
 def test_config_validation_errors():
@@ -172,6 +175,9 @@ def test_cmd_diff(tmp_path, snapshot_files):
     meta_lines = (out / "meta.csv").read_text().splitlines()
     assert meta_lines[0].startswith("index,timestamp,eqcs,")
     assert len(meta_lines) == 3
+    meta = list(csv.DictReader(meta_lines))
+    assert [r["disappeared"] for r in meta] == [r["deleted_vs_prev"] for r in meta]
+    assert [int(r["deleted_vs_prev"]) for r in meta] == [r["deleted"] for r in records]
     assert_manifest_lists_every_output(out)
 
 
@@ -510,8 +516,9 @@ def test_lifelong_divergence_at_task_1_leaves_task_0_checkpoint(tmp_path, snapsh
 def test_lifelong_holds_one_term_table_at_a_time(tmp_path):
     """Three snapshots of many long terms, as the web snapshots have, and a
     small network: a ``lifelong`` run prepares each snapshot as it loads and
-    keeps no term table in its tasks, so its peak stays under 2.5 times that
-    of loading one snapshot; three tables at once took well over 3 times."""
+    keeps no term table in its tasks, so its peak over three snapshots exceeds
+    its peak over one by less than the heap one loaded snapshot holds.  Tasks
+    that kept their tables exceeded it by about twice that."""
     rng = np.random.default_rng(0)
     n = 6000
     paths = []
@@ -521,17 +528,20 @@ def test_lifelong_holds_one_term_table_at_a_time(tmp_path):
         write_ntriples(path, [(v[i], f"http://example.org/p{rng.integers(8)}", v[rng.integers(n)])
                               for i in range(n)])
         paths.append(str(path))
-    argv = ["lifelong", "--model", "ac1", "--in", *paths, "--iterations", "1", "--hidden-size", "8"]
+    argv = ["lifelong", "--model", "ac1", "--iterations", "1", "--hidden-size", "8"]
+    peaks = []
     tracemalloc.start()
     try:
-        load_snapshot(paths[0], "t")
-        one = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        g = load_snapshot(paths[0], "t")
+        held = tracemalloc.get_traced_memory()[0]
+        del g
+        for k in (1, 3):
+            tracemalloc.reset_peak()
+            assert main([*argv, "--in", *paths[:k], "--out", str(tmp_path / f"o{k}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * one, (peak, one)
+    assert peaks[1] - peaks[0] < held, (peaks, held)
 
 
 def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):
@@ -765,8 +775,18 @@ def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot
     ("lifelong", ["--hidden-size", "0"], "hidden sizes"),
     ("lifelong", ["--hidden-size", "8,8"], "mlp takes one hidden size"),
     ("lifelong", ["--architecture", "graph-mlp", "--hidden-size", "8,8"], "graph-mlp takes one"),
+    ("lifelong", ["--seed", "-1"], "seed must be >= 0"),
+    ("lifelong", ["--learning-rate", "-1"], "learning_rate"),
+    ("lifelong", ["--learning-rate", "0"], "learning_rate"),
+    ("lifelong", ["--learning-rate", "nan"], "learning_rate"),
+    ("lifelong", ["--learning-rate", "inf"], "learning_rate"),
+    ("lifelong", ["--tau", "0"], "tau"),
+    ("lifelong", ["--tau", "nan"], "tau"),
+    ("lifelong", ["--architecture", "graph-mlp", "--alpha", "-1"], "alpha"),
+    ("lifelong", ["--alpha", "inf"], "alpha"),
 ], ids=["cap_0", "cap_negative", "dropout_1", "dropout_negative", "hidden_negative", "hidden_0",
-        "mlp_two_sizes", "graph_mlp_two_sizes"])
+        "mlp_two_sizes", "graph_mlp_two_sizes", "seed_negative", "lr_negative", "lr_0", "lr_nan",
+        "lr_inf", "tau_0", "tau_nan", "alpha_negative", "alpha_inf"])
 def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, capsys, monkeypatch,
                                                      command, flags, named):
     import sumlife.cli as cli
@@ -777,6 +797,23 @@ def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, c
                  *flags]) == 2
     assert named in _one_error_line(capsys)
     assert not loaded and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 8.00 GiB", "Unable to allocate 8.00 GiB"),
+    ("", "an allocation failed"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_1_with_one_line(tmp_path, snapshot_files, capsys, monkeypatch,
+                                             message, shown):
+    import sumlife.cli as cli
+
+    def summarize(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "summarize", summarize)
+    assert main(["summarize", "--model", "ac1", "--in", snapshot_files[0],
+                 "--out", str(tmp_path / "o")]) == 1
+    assert _one_error_line(capsys) == f"error: out of memory: {shown}\n"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")

@@ -1,5 +1,7 @@
 import gzip
 import re
+import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -17,60 +19,74 @@ from sumlife.ingest import (
     drop_rdf_types,
     filter_high_degree,
     load_snapshot,
-    parse_line,
 )
 
 
-def test_parse_basic_triple():
-    t = TermTable()
-    s, p, o = parse_line("<http://a> <http://p> <http://b> .", t)
+def _parse(tmp_path, line):
+    """The statement of a one-line snapshot file as (subject, predicate,
+    object) term ids, or the reason its line was skipped; and the term table."""
+    path = tmp_path / "line.nt"
+    path.write_text(line + "\n", encoding="utf-8")
+    g = load_snapshot(path, "t")
+    if not g.edge_count:
+        (reason,) = g.skip_reasons
+        return reason, g.terms
+    s = int(g.vertex_ids[g.edge_sources()[0]])
+    return (s, int(g.edge_pred[0]), int(g.vertex_ids[g.edge_obj[0]])), g.terms
+
+
+def test_parse_basic_triple(tmp_path):
+    (s, p, o), t = _parse(tmp_path, "<http://a> <http://p> <http://b> .")
     assert t.lexical(s) == "http://a"
     assert t.lexical(p) == "http://p"
     assert t.lexical(o) == "http://b"
+    assert t.tokens == ["<http://a>", "<http://p>", "<http://b>"]
 
 
-def test_parse_comment_and_blank():
-    t = TermTable()
-    assert parse_line("# comment", t) == "comment"
-    assert parse_line("   ", t) == "blank"
-    assert parse_line("", t) == "blank"
+def test_parse_comment_and_blank(tmp_path):
+    assert _parse(tmp_path, "# comment")[0] == "comment"
+    assert _parse(tmp_path, "   ")[0] == "blank"
+    assert _parse(tmp_path, "")[0] == "blank"
 
 
-def test_parse_typed_literal():
-    t = TermTable()
-    _, _, o = parse_line(
-        '<http://a> <http://p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .', t
+def test_parse_typed_literal(tmp_path):
+    (_, _, o), t = _parse(
+        tmp_path, '<http://a> <http://p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .'
     )
     assert t.kind(o) == "literal"
     assert t.lexical(o) == '"5"^^<http://www.w3.org/2001/XMLSchema#integer>'
 
 
-def test_parse_lang_literal_and_escapes():
-    t = TermTable()
-    assert isinstance(parse_line('<http://a> <http://p> "bonjour"@fr .', t), tuple)
-    assert isinstance(parse_line('<http://a> <http://p> "say \\"hi\\"" .', t), tuple)
+def test_parse_lang_literal_and_escapes(tmp_path):
+    assert isinstance(_parse(tmp_path, '<http://a> <http://p> "bonjour"@fr .')[0], tuple)
+    assert isinstance(_parse(tmp_path, '<http://a> <http://p> "say \\"hi\\"" .')[0], tuple)
 
 
-def test_parse_malformed():
-    t = TermTable()
-    assert parse_line("<http://a> <http://p> .", t) == "malformed"
-    assert parse_line("not a triple at all", t) == "malformed"
-    assert parse_line('"lit" <http://p> <http://o> .', t) == "malformed"
-    assert parse_line("<http://a> <http://p> <http://b>", t) == "malformed"
+def test_parse_malformed(tmp_path):
+    assert _parse(tmp_path, "<http://a> <http://p> .")[0] == "malformed"
+    assert _parse(tmp_path, "not a triple at all")[0] == "malformed"
+    assert _parse(tmp_path, '"lit" <http://p> <http://o> .')[0] == "malformed"
+    assert _parse(tmp_path, "<http://a> <http://p> <http://b>")[0] == "malformed"
 
 
-def test_parse_quad_context_dropped():
-    t = TermTable()
-    r = parse_line("<http://a> <http://p> <http://b> <http://graph> .", t)
+def test_parse_quad_context_dropped(tmp_path):
+    r, t = _parse(tmp_path, "<http://a> <http://p> <http://b> <http://graph> .")
     assert isinstance(r, tuple) and len(r) == 3
     assert t.lookup("iri", "http://graph") is None
 
 
-def test_parse_blank_nodes_scoped():
-    t = TermTable()
-    r1 = parse_line("_:x <http://p> <http://o> .", t, blank_scope="f0")
-    r2 = parse_line("_:x <http://p> <http://o> .", t, blank_scope="f1")
-    assert r1[0] != r2[0]
+def test_parse_blank_nodes_scoped(tmp_path):
+    """A blank label names one node per file, and a raw label spelled like
+    another file's scoped one is a node of its own."""
+    d = tmp_path / "snap"
+    d.mkdir()
+    (d / "a.nt").write_text("_:x <http://p> <http://o> .\n")
+    (d / "b.nt").write_text("_:x <http://p> <http://o> .\n_:f0.x <http://p> <http://o> .\n")
+    g = load_snapshot(d, "t")
+    assert g.terms.tokens == ["_:f0.x", "<http://p>", "<http://o>", "_:f1.x", "_:f1.f0.x"]
+    assert [g.terms.kind(i) for i in range(len(g.terms))] == ["blank", "iri", "iri", "blank", "blank"]
+    assert g.edge_count == 3
+    assert g.terms.blanks == {} and g.terms.intern("blank", "_:x") == 5
 
 
 def test_load_dedup_counts(tmp_path):
@@ -315,11 +331,10 @@ def test_rdf_type_edges_flagged():
     assert drop_rdf_types(untyped) is untyped
 
 
-def test_parse_line_reads_one_line():
-    t = TermTable()
-    two = "<http://a> <http://p> <http://b> .\n<http://c> <http://p> <http://d> ."
-    assert parse_line(two, t) == "malformed"
-    assert len(t) == 0
+def test_statement_is_one_line(tmp_path):
+    two = "<http://a> <http://p> <http://b> . <http://c> <http://p> <http://d> ."
+    reason, t = _parse(tmp_path, two)
+    assert reason == "malformed" and len(t) == 0
 
 
 # Lines the block loader must treat exactly as the line loader does.  The
@@ -354,8 +369,7 @@ _EDGE_LINES = [
 
 
 def _assert_same_snapshot(got, expected):
-    assert got.terms.kinds == expected.terms.kinds
-    assert got.terms.lexicals == expected.terms.lexicals
+    assert got.terms.tokens == expected.terms.tokens
     for name in ("vertex_ids", "indptr", "edge_pred", "edge_obj"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
     assert got.skip_reasons == expected.skip_reasons
@@ -373,7 +387,7 @@ def test_block_loader_matches_line_loader(tmp_path, monkeypatch, block):
     monkeypatch.setattr(ingest, "BLOCK_BYTES", block)
     expected = reference_load_snapshot(d, "t")
     assert set(expected.skip_reasons) == {"blank", "comment", "malformed", "duplicate"}
-    assert len([k for k in expected.terms.kinds if k == "blank"]) == 3
+    assert len([token for token in expected.terms.tokens if token[0] == "_"]) == 3
     _assert_same_snapshot(load_snapshot(d, "t"), expected)
     for one in sorted(d.iterdir()):
         _assert_same_snapshot(load_snapshot(one, "t"), reference_load_snapshot(one, "t"))
@@ -401,7 +415,34 @@ def test_term_table_keys_name_the_kind():
     t = TermTable()
     iri = t.intern("iri", "http://a")
     lit = t.intern("literal", '"http://a"')
-    assert iri != lit and t.intern("iri", "http://a", "<http://a>") == iri
-    assert t.lookup("literal", "<http://a>") is None
-    with pytest.raises(ValueError):
-        t.intern("literal", "<http://a>")
+    assert iri != lit and t.intern("iri", "http://a") == iri
+    assert t.tokens == ["<http://a>", '"http://a"'] and dict(t) == {"<http://a>": iri, '"http://a"': lit}
+    assert t.lookup("literal", "<http://a>") is None and t.lookup("iri", '"http://a"') is None
+    for kind, lexical in [("literal", "<http://a>"), ("blank", '"x"'), ("literal", "x"), ("literal", "")]:
+        with pytest.raises(ValueError):
+            t.intern(kind, lexical)
+    assert len(t) == 2
+
+
+def test_load_keeps_each_term_once(tmp_path):
+    """After a load of 6 000 long IRIs, the heap it holds beyond the graph's
+    arrays is each term's token once, plus under 128 bytes per term for its
+    dict entry, its list slot and its id.  A table that kept a second string
+    per IRI held about 180 bytes per term beyond the tokens."""
+    rng = np.random.default_rng(0)
+    n = 6000
+    v = [f"http://example.org/a/rather/long/resource/path/t0/v{i}" for i in range(n)]
+    path = tmp_path / "s.nt"
+    write_ntriples(path, [(v[i], f"http://example.org/p{rng.integers(8)}", v[rng.integers(n)])
+                          for i in range(n)])
+    tracemalloc.start()
+    try:
+        g = load_snapshot(path, "t")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (g.vertex_ids, g.indptr, g.edge_pred, g.edge_obj))
+    terms = len(g.terms)
+    tokens = sum(sys.getsizeof(f"<{g.terms.lexical(i)}>") for i in range(terms))
+    assert terms == n + 8
+    assert held - arrays < tokens + 128 * terms, (held, arrays, tokens, terms)

@@ -144,8 +144,8 @@ def test_prepare_tasks_lets_go_of_each_term_table_before_the_next_snapshot():
         for timestamp, g in drift_sequence(3, 2, 3, 10):
             assert [ref() for ref in tables] == [None] * len(tables), "a term table is still held"
             table = _WeakTermTable()
-            for kind, lexical in zip(g.terms.kinds, g.terms.lexicals):
-                table.intern(kind, lexical)
+            for token in g.terms.tokens:
+                table[token]  # interns the token
             tables.append(weakref.ref(table))
             yield timestamp, SnapshotGraph(timestamp, table, g.vertex_ids, g.indptr, g.edge_pred,
                                            g.edge_obj)
