@@ -16,7 +16,8 @@ degree cap, degree mode or rdf:type setting, more than one snapshot for
 ``summarize``, ``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots
 whose timestamps are out of order or repeated, a degree cap below 1, a
 dropout outside [0, 1), a hidden size below 1 and more than one hidden size
-for mlp or graph-mlp, a negative seed, a learning rate or tau that is not
+for mlp or graph-mlp, a hidden size or batch cap above ``config.MAX_SIZE``
+(2**31 - 1), a negative seed, a learning rate or tau that is not
 finite and positive, and an alpha that is not finite and non-negative), 3
 numerical failure.  Running out of memory exits 1 with one ``error: out of
 memory`` line.
@@ -124,7 +125,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
     with manifest.stage("summarize"):
         summary, ext = summarize(g, cfg.model)
     with manifest.stage("emit"):
-        stats = unary_stats(summary, ext) if summary.num_primary else None
+        stats = unary_stats(summary) if summary.num_primary else None
         write_eqc_tsv(out / "eqcs.tsv", g, ext)
         write_summary_tsv(out / "summary_edges.tsv", summary)
         payload = {
@@ -159,17 +160,20 @@ def cmd_diff(cfg: RunConfig) -> int:
         raise ConfigError("diff needs at least 2 snapshots")
     out = _out_dir(cfg)
     manifest = Manifest("diff", cfg.to_dict())
-    with manifest.stage("ingest"):
-        graphs = list(_snapshots(cfg))
-    with manifest.stage("summarize"):
-        summaries = [summarize(g, cfg.model) for _, g in graphs]
+    # each snapshot is loaded, capped and summarized before the next is read,
+    # and only its summary is kept: the measures need no member lists
+    summaries = []
+    with manifest.stage("prepare"):
+        for _, g in _snapshots(cfg):
+            summaries.append(summarize(g, cfg.model)[0])
+            del g  # the snapshot goes before the next one is loaded
     with manifest.stage("measure"):
         track = meta_track(summaries)
         records = []
-        for i, ((ts, _), (summary, ext)) in enumerate(zip(graphs, summaries)):
-            stats = unary_stats(summary, ext) if summary.num_primary else None
+        for i, summary in enumerate(summaries):
+            stats = unary_stats(summary) if summary.num_primary else None
             rec = {
-                "timestamp": ts,
+                "timestamp": summary.timestamp,
                 "model": cfg.model,
                 "avg_size": stats.avg_size if stats else None,
                 "avg_edges": stats.avg_edges if stats else None,
@@ -181,7 +185,7 @@ def cmd_diff(cfg: RunConfig) -> int:
                 "cumulative_seen": track.cumulative_seen[i],
             }
             if i > 0:
-                pair = diff_report(summaries[i - 1], summaries[i])
+                pair = diff_report(summaries[i - 1], summary)
                 rec["jaccard_prev"] = pair.jaccard
                 rec["js_prev"] = pair.js_divergence
             records.append(rec)
@@ -191,9 +195,9 @@ def cmd_diff(cfg: RunConfig) -> int:
         write_csv(out / "meta.csv", [
             ("index", "timestamp", "eqcs", "new_vs_first", "new_vs_prev", "deleted_vs_prev",
              "recurring", "reappearing", "disappeared", "cumulative_seen"),
-            *((i, ts, track.sizes[i], track.new_vs_first[i], track.new_vs_prev[i],
+            *((i, s.timestamp, track.sizes[i], track.new_vs_first[i], track.new_vs_prev[i],
                track.deleted_vs_prev[i], track.recurring[i], track.reappearing[i],
-               track.deleted_vs_prev[i], track.cumulative_seen[i]) for i, (ts, _) in enumerate(graphs)),
+               track.deleted_vs_prev[i], track.cumulative_seen[i]) for i, s in enumerate(summaries)),
         ])
         manifest.record_output(out / "diff.json")
         manifest.record_output(out / "meta.csv")

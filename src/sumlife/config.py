@@ -30,6 +30,10 @@ CHOICES = {"model": tuple(MODEL_HOPS), "architecture": ARCHITECTURES, "restart":
            "degree_mode": DEGREE_MODES}
 # marks a setting only ``lifelong`` takes: the network and its training
 LIFELONG_ONLY = {"lifelong_only": True}
+# the largest hidden size and batch cap a run takes, the largest 32-bit
+# signed integer: a layer or a batch's draws of that size would already
+# need gigabytes, so a larger value is refused before anything is loaded
+MAX_SIZE = 2**31 - 1
 
 
 @dataclass
@@ -66,6 +70,8 @@ class RunConfig:
             raise ConfigError(f"architecture gcn-edges needs model ac2, not {self.model!r}")
         if self.iterations < 1 or self.batch_cap < 1 or self.threads < 1:
             raise ConfigError("iterations, batch_cap and threads must be >= 1")
+        if self.batch_cap > MAX_SIZE:
+            raise ConfigError(f"batch_cap must be <= {MAX_SIZE}, got {self.batch_cap}")
         if self.degree_cap is not None and self.degree_cap < 1:
             raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
@@ -80,8 +86,10 @@ class RunConfig:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         hidden = self.hidden_list()
         if hidden is not None:
-            if not hidden or min(hidden) < 1:
-                raise ConfigError(f"hidden sizes must be >= 1, got {self.hidden_size!r}")
+            if not hidden or min(hidden) < 1 or max(hidden) > MAX_SIZE:
+                raise ConfigError(
+                    f"hidden sizes must be in [1, {MAX_SIZE}], got {self.hidden_size!r}"
+                )
             if len(hidden) > 1 and self.architecture in FEATURE_ONLY:
                 raise ConfigError(
                     f"architecture {self.architecture} takes one hidden size, got {self.hidden_size!r}"

@@ -1,5 +1,8 @@
 """Unary, binary and meta measures over a sequence of summaries.
 
+Every measure takes plain ``SummaryGraph``s: EQC sets, summary edges and
+each EQC's member count (``sizes``), never the member lists, so a caller can
+summarize a sequence one snapshot at a time and keep only the summaries.
 All counting is over primary EQC vertices; secondary vertices are derived
 objects and never enter set comparisons.  Averages are computed from exact
 integer sums, divergences with compensated float summation, so results do not
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .summarize import ExtensionMap, SummaryGraph
+from .summarize import SummaryGraph
 
 
 @dataclass
@@ -61,20 +64,19 @@ def _histogram(values) -> list[tuple[int, int]]:
     return sorted(counts.items(), key=lambda kv: -kv[0])
 
 
-def unary_stats(s: SummaryGraph, ext: ExtensionMap) -> SummaryStats:
+def unary_stats(s: SummaryGraph) -> SummaryStats:
     """Average EQC size, average edges per EQC and the three distributions."""
     n = s.num_primary
     if n == 0:
         raise ValueError("empty summary has no defined averages")
-    total_members = ext.total()
     attrs_per_eqc: dict[int, int] = {q: 0 for q in s.eqcs}
     for source, _, _ in s.summary_edges:
         attrs_per_eqc[source] += 1
     return SummaryStats(
-        avg_size=total_members / n,
+        avg_size=sum(s.sizes.values()) / n,
         avg_edges=s.num_edges / n,
         dist_attrs_per_eqc=_histogram(attrs_per_eqc.values()),
-        dist_members_per_eqc=_histogram(ext.count(q) for q in s.eqcs),
+        dist_members_per_eqc=_histogram(s.sizes.values()),
         dist_predicate_usage=_histogram(s.predicate_usage.values()),
     )
 
@@ -93,69 +95,53 @@ def jaccard_dist(a: SummaryGraph, b: SummaryGraph) -> float:
     return 1.0 - len(a.eqcs & b.eqcs) / union
 
 
-def _directed_divergence(
-    ext_a: dict[int, int],
-    total_a: int,
-    ext_b: dict[int, int],
-    total_b: int,
-    domain,
-) -> float:
+def _directed_divergence(a: SummaryGraph, b: SummaryGraph) -> float:
+    """D(A,B): the relative entropy of A's EQC mass against B's, over B's EQCs."""
+    total_a, total_b = max(sum(a.sizes.values()), 1), max(sum(b.sizes.values()), 1)
     terms = []
-    for q in domain:
-        ca = ext_a.get(q, 0)
+    for q in b.eqcs:
+        ca = a.sizes.get(q, 0)
         if ca == 0:
             continue  # zero-probability summand contributes 0
         pa = ca / total_a
-        pb = ext_b[q] / total_b
+        pb = b.sizes[q] / total_b
         terms.append(pa * math.log2(pa / pb))
     return math.fsum(terms)
 
 
-def js_divergence(
-    a: tuple[SummaryGraph, ExtensionMap],
-    b: tuple[SummaryGraph, ExtensionMap],
-) -> float:
+def js_divergence(a: SummaryGraph, b: SummaryGraph) -> float:
     """Symmetrized relative entropy D(A,B) + D(B,A) over EQC mass.
 
     D(A,B) sums over the EQCs of B only, so A-mass outside B is dropped; this
     mirrors the published measure rather than the textbook Jensen-Shannon
-    divergence.  Probabilities normalize by total extension mass.
+    divergence.  Probabilities normalize by total extension mass: the sum of
+    the member counts ``sizes``.
     """
-    sa, ea = a
-    sb, eb = b
-    _require_same_model(sa, sb)
-    ca, cb = ea.counts(), eb.counts()
-    na, nb = max(ea.total(), 1), max(eb.total(), 1)
-    return _directed_divergence(ca, na, cb, nb, sb.eqcs) + _directed_divergence(
-        cb, nb, ca, na, sa.eqcs
-    )
+    _require_same_model(a, b)
+    return _directed_divergence(a, b) + _directed_divergence(b, a)
 
 
-def diff_report(
-    a: tuple[SummaryGraph, ExtensionMap], b: tuple[SummaryGraph, ExtensionMap]
-) -> DiffReport:
+def diff_report(a: SummaryGraph, b: SummaryGraph) -> DiffReport:
     """Pairwise change report from summary ``a`` to its successor ``b``."""
-    sa, sb = a[0], b[0]
-    _require_same_model(sa, sb)
-    inter = sa.eqcs & sb.eqcs
+    _require_same_model(a, b)
     return DiffReport(
-        jaccard=jaccard_dist(sa, sb),
+        jaccard=jaccard_dist(a, b),
         js_divergence=js_divergence(a, b),
-        added=len(sb.eqcs - sa.eqcs),
-        deleted=len(sa.eqcs - sb.eqcs),
-        recurring=len(inter),
+        added=len(b.eqcs - a.eqcs),
+        deleted=len(a.eqcs - b.eqcs),
+        recurring=len(a.eqcs & b.eqcs),
     )
 
 
-def meta_track(seq: list[tuple[SummaryGraph, ExtensionMap]]) -> MetaTrack:
+def meta_track(seq: list[SummaryGraph]) -> MetaTrack:
     """Track appearance, disappearance and reappearance across a sequence."""
     if not seq:
         raise ValueError("need at least one summary")
     track = MetaTrack()
-    first = seq[0][0].eqcs
+    first = seq[0].eqcs
     seen: set[int] = set()
     prev: frozenset[int] | None = None
-    for s, _ in seq:
+    for s in seq:
         cur = s.eqcs
         p = cur if prev is None else prev
         added = cur - p

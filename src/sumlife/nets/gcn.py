@@ -3,8 +3,11 @@
 Message passing runs over the batch's edge list, never a dense n x n matrix,
 so memory grows with V + E: ``A @ H`` and ``A.T @ G`` are segment sums over
 the edges, done by the flat scatter-add ``ops.scatter_add``, which adds each
-row's terms in edge order, exactly as ``np.add.at`` does.  Each vertex aggregates its own row (an implicit self-loop, so
-isolated targets keep their own features) and its out-neighbours' rows.
+row's terms in edge order, exactly as ``np.add.at`` does.  It gathers each
+block of messages (``h[dst]``, times the edge weight) inside its block loop,
+so no E x d message array exists.  Each vertex aggregates its own row (an
+implicit self-loop, so isolated targets keep their own features) and its
+out-neighbours' rows.
 Parallel edges count once and self-loop edges are dropped, exactly as in an
 adjacency matrix with a unit diagonal.  Degree normalization
 (``Hyper.normalize_adjacency``) is applied once, when ``batch_adjacency``
@@ -51,10 +54,7 @@ class EdgeList:
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
         out = self.self_weight[:, None] * h
-        msg = h[self.dst]
-        if self.weight is not None:
-            msg *= self.weight[:, None]
-        scatter_add(out, self.src, msg)
+        scatter_add(out, self.src, h, take=self.dst, weight=self.weight)
         return out
 
 

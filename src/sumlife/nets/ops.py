@@ -143,15 +143,24 @@ def widen(
 _SCATTER_BLOCK = 1 << 14
 
 
-def scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+def scatter_add(
+    out: np.ndarray,
+    rows: np.ndarray,
+    vals: np.ndarray,
+    take: np.ndarray | None = None,
+    weight: np.ndarray | None = None,
+) -> None:
     """``out[rows[i]] += vals[i]`` for every i in order, in place; ``out`` is 2-D.
+    With ``take`` the i-th term is gathered, ``vals[take[i]]``, and with
+    ``weight`` it is scaled by ``weight[i]``.
 
-    Bit-identical to ``np.add.at(out, rows, vals)``: it runs ``np.add.at``
-    on the flat view of ``out`` with index ``row * d + col``, so each
-    element still receives its terms in the order of ``rows``, while numpy's
-    fast 1-D path does the work instead of its per-row 2-D loop.  The index
-    is built for a block of ``rows`` at a time, in order, so it never takes
-    the size of ``vals`` again.
+    Bit-identical to ``np.add.at(out, rows, terms)``, ``terms`` being
+    ``vals``, or ``vals[take] * weight[:, None]``: it runs ``np.add.at`` on
+    the flat view of ``out`` with index ``row * d + col``, so each element
+    still receives its terms in the order of ``rows``, while numpy's fast
+    1-D path does the work instead of its per-row 2-D loop.  The index and
+    the terms are built for a block of ``rows`` at a time, in order, so
+    neither ever takes the size of the whole term array.
     """
     if not out.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous output")
@@ -160,8 +169,12 @@ def scatter_add(out: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     rows = np.asarray(rows, dtype=np.int64)
     step = max(1, _SCATTER_BLOCK // max(d, 1))
     for start in range(0, len(rows), step):
-        idx = rows[start : start + step, None] * d + cols
-        np.add.at(flat, idx.ravel(), vals[start : start + step].ravel())
+        block = slice(start, start + step)
+        terms = vals[block] if take is None else vals[take[block]]
+        if weight is not None:
+            terms = terms * weight[block, None]
+        idx = rows[block, None] * d + cols
+        np.add.at(flat, idx.ravel(), terms.ravel())
 
 
 def scatter_rows(d: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:

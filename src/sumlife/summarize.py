@@ -116,12 +116,14 @@ def hash_pair(predicate_iri: str, child_hash: int) -> int:
 
 @dataclass
 class SummaryGraph:
-    """Summary of one snapshot: primary EQC vertices, secondary refinement
-    vertices and the deduplicated edges between them."""
+    """Summary of one snapshot: primary EQC vertices, the member count of
+    each, secondary refinement vertices and the deduplicated edges between
+    them."""
 
     timestamp: str
     model: str
     eqcs: frozenset[int]
+    sizes: dict[int, int]  # members per EQC
     secondary: frozenset[tuple[str, int]]
     summary_edges: frozenset[tuple[int, str, int]]  # (source eqc, predicate, child hash)
     predicate_usage: dict[str, int]
@@ -136,25 +138,12 @@ class SummaryGraph:
 
 
 class ExtensionMap:
-    """Members of each EQC; partitions the snapshot's vertices."""
+    """Members (vertex term ids) of each EQC; partitions the snapshot's
+    vertices.  Only ``write_eqc_tsv`` reads the lists: the measures take
+    ``SummaryGraph.sizes``, so a caller may drop this map at once."""
 
     def __init__(self, members: dict[int, list[int]]):
         self.members = members
-
-    def count(self, eqc: int) -> int:
-        return len(self.members.get(eqc, ()))
-
-    def counts(self) -> dict[int, int]:
-        return {q: len(v) for q, v in self.members.items()}
-
-    def total(self) -> int:
-        return sum(len(v) for v in self.members.values())
-
-    def __contains__(self, eqc: int) -> bool:
-        return eqc in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def _level_up(
@@ -216,14 +205,14 @@ def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, ExtensionMap]
     cls_hash, cls_of_vertex, sizes = np.unique(final, return_inverse=True, return_counts=True)
     order = np.argsort(cls_of_vertex, kind="stable")
     groups = np.split(g.vertex_ids[order], np.cumsum(sizes)[:-1])
-    members = {h: ids.tolist() for h, ids in zip(cls_hash.tolist(), groups)}
+    hashes = cls_hash.tolist()
+    members = {h: ids.tolist() for h, ids in zip(hashes, groups)}
 
     # summary edges: one per distinct (source class, pair)
     n_pairs = len(u_pred)
     cls_u, pid_u = np.divmod(distinct(cls_of_vertex[src] * n_pairs + pair_id), n_pairs)
     iris = [g.terms.lexical(p) for p in u_pred.tolist()]
     children = u_child.tolist()
-    hashes = cls_hash.tolist()
     edges = {(hashes[c], iris[p], children[p]) for c, p in zip(cls_u.tolist(), pid_u.tolist())}
     usage: dict[str, int] = {}
     for iri, count in zip(iris, np.bincount(pair_id, minlength=n_pairs).tolist()):
@@ -231,7 +220,8 @@ def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, ExtensionMap]
     summary = SummaryGraph(
         timestamp=g.timestamp,
         model=model,
-        eqcs=frozenset(members),
+        eqcs=frozenset(hashes),
+        sizes=dict(zip(hashes, sizes.tolist())),
         secondary=frozenset((p, c) for _, p, c in edges),
         summary_edges=frozenset(edges),
         predicate_usage=usage,

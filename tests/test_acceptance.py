@@ -48,7 +48,7 @@ from synth import (
     ring_triples,
     write_ntriples,
 )
-from test_measures import fake_ext, fake_summary
+from test_measures import fake_summary, sized
 
 
 @contextmanager
@@ -259,8 +259,8 @@ def test_criterion_08_measure_fixtures():
     with criterion(8, "set and divergence measures match hand-computed fixtures"):
         assert jaccard_dist(fake_summary({"a", "b", "c"}), fake_summary({"b", "c", "d"})) == 0.5
         assert jaccard_dist(fake_summary({"a"}), fake_summary({"a"})) == 0.0
-        a = (fake_summary({1, 2}), fake_ext({1: 3, 2: 1}))
-        b = (fake_summary({1, 2}), fake_ext({1: 2, 2: 2}))
+        a = sized({1: 3, 2: 1})
+        b = sized({1: 2, 2: 2})
         expected = (
             0.75 * math.log2(1.5) - 0.25 + 0.5 * math.log2(2 / 3) + 0.5
         )
@@ -271,8 +271,8 @@ def test_criterion_08_measure_fixtures():
         for _ in range(100):
             qa = {int(q): int(rng.integers(1, 30)) for q in rng.choice(40, size=rng.integers(1, 12), replace=False)}
             qb = {int(q): int(rng.integers(1, 30)) for q in rng.choice(40, size=rng.integers(1, 12), replace=False)}
-            sa = (fake_summary(set(qa)), fake_ext(qa))
-            sb = (fake_summary(set(qb)), fake_ext(qb))
+            sa = sized(qa)
+            sb = sized(qb)
             assert abs(js_divergence(sa, sb) - js_divergence(sb, sa)) < 1e-12
 
 

@@ -8,6 +8,7 @@ narrow outputs of the exact tests but not past about 256 output columns,
 where the wide-output test bounds the difference instead.
 """
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -28,7 +29,7 @@ from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.gcn import batch_adjacency
-from sumlife.nets.ops import scatter_add
+from sumlife.nets.ops import _SCATTER_BLOCK, scatter_add
 from sumlife.sampling import (
     _khop_closure,
     edge_as_vertex_transform,
@@ -90,6 +91,46 @@ def test_edge_list_products_match_add_at_reference(seed, normalize):
     h[rng.random(h.shape) < 0.2] = -0.0
     assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
     assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
+
+
+def _many_edges(rng, n: int, e: int):
+    """``e`` distinct random edges among ``n`` vertices (self-loops included,
+    which the adjacency drops)."""
+    return np.divmod(rng.choice(n * n, size=e, replace=False), n)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("d", [3, 64, 200])
+def test_edge_list_products_span_several_scatter_blocks(d, normalize):
+    """Messages are gathered one scatter block at a time; an edge list of
+    several blocks still sums each row's terms as the one-array reference."""
+    rng = np.random.default_rng(d)
+    n = 200
+    step = _SCATTER_BLOCK // d
+    adj = batch_adjacency(n, *_many_edges(rng, n, min(3 * step + 17, n * n // 2)), normalize)
+    assert len(adj.src) > 2 * step
+    h = rng.normal(size=(n, d))
+    h[rng.random(h.shape) < 0.2] = -0.0
+    assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
+    assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_edge_list_product_holds_no_message_array(normalize):
+    """With E much larger than n, ``adj @ h`` holds its n x d output and one
+    block of messages and indices, never an E x d array (10 MB here)."""
+    rng = np.random.default_rng(1)
+    n, e, d = 200, 20_000, 64
+    adj = batch_adjacency(n, *_many_edges(rng, n, e), normalize)
+    h = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        out = adj @ h
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, d)
+    assert peak < 4 * n * d * 8 + 4 * _SCATTER_BLOCK * 8, peak
 
 
 def _task(seed: int):

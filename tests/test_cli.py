@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -18,24 +19,28 @@ import pytest
 import sumlife
 import sumlife.lifelong as lifelong
 from sumlife.cli import _parser, main
-from sumlife.config import RunConfig, build_config, parse_config_file
+from sumlife.config import FIELD_TYPES, RunConfig, build_config, parse_config_file
 from sumlife.errors import ConfigError, TrainingDivergence
 from sumlife.ingest import load_snapshot
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 
 
-@pytest.fixture()
-def snapshot_files(tmp_path):
+def _ring_snapshots(directory: Path) -> list[str]:
     pool = predicate_pool(4)
     recipes = distinct_recipes(pool, 5)
     paths = []
     for i in range(2):
         # second snapshot drops one recipe and adds a new predicate set
         rs = recipes[: 4 + i] if i == 0 else recipes[1:5] + [[pool[0], pool[3]]]
-        path = tmp_path / f"2012-05-0{6 + i}.nt"
+        path = directory / f"2012-05-0{6 + i}.nt"
         write_ntriples(path, ring_triples(rs, 12, name_prefix=f"s{i}v"))
         paths.append(str(path))
     return paths
+
+
+@pytest.fixture()
+def snapshot_files(tmp_path):
+    return _ring_snapshots(tmp_path)
 
 
 def test_config_file_parsing(tmp_path):
@@ -513,35 +518,58 @@ def test_lifelong_divergence_at_task_1_leaves_task_0_checkpoint(tmp_path, snapsh
     assert sorted(p.name for p in out.iterdir()) == ["task00.gslc"]
 
 
-def test_lifelong_holds_one_term_table_at_a_time(tmp_path):
-    """Three snapshots of many long terms, as the web snapshots have, and a
-    small network: a ``lifelong`` run prepares each snapshot as it loads and
-    keeps no term table in its tasks, so its peak over three snapshots exceeds
-    its peak over one by less than the heap one loaded snapshot holds.  Tasks
-    that kept their tables exceeded it by about twice that."""
+def _long_iri_snapshots(tmp_path, count: int, n: int = 6000) -> list[str]:
+    """``count`` snapshots of ``n`` subjects with long IRIs, as the web
+    snapshots have, each with one edge to a random subject."""
     rng = np.random.default_rng(0)
-    n = 6000
     paths = []
-    for t in range(3):
+    for t in range(count):
         path = tmp_path / f"2012-05-0{6 + t}.nt"
         v = [f"http://example.org/a/rather/long/resource/path/t{t}/v{i}" for i in range(n)]
         write_ntriples(path, [(v[i], f"http://example.org/p{rng.integers(8)}", v[rng.integers(n)])
                               for i in range(n)])
         paths.append(str(path))
-    argv = ["lifelong", "--model", "ac1", "--iterations", "1", "--hidden-size", "8"]
+    return paths
+
+
+def _peak_growth(tmp_path, argv: list[str], paths: list[str], counts: tuple[int, int]):
+    """(tracemalloc peak of ``argv`` over the last count of ``paths`` minus
+    its peak over the first count, heap one loaded snapshot holds)."""
     peaks = []
     tracemalloc.start()
     try:
         g = load_snapshot(paths[0], "t")
         held = tracemalloc.get_traced_memory()[0]
         del g
-        for k in (1, 3):
+        for k in counts:
             tracemalloc.reset_peak()
             assert main([*argv, "--in", *paths[:k], "--out", str(tmp_path / f"o{k}")]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peaks[1] - peaks[0] < held, (peaks, held)
+    return peaks[1] - peaks[0], held
+
+
+def test_lifelong_holds_one_term_table_at_a_time(tmp_path):
+    """A ``lifelong`` run with a small network prepares each snapshot as it
+    loads and keeps no term table in its tasks, so its peak over three
+    long-IRI snapshots exceeds its peak over one by less than the heap one
+    loaded snapshot holds.  Tasks that kept their tables exceeded it by about
+    twice that."""
+    growth, held = _peak_growth(
+        tmp_path, ["lifelong", "--model", "ac1", "--iterations", "1", "--hidden-size", "8"],
+        _long_iri_snapshots(tmp_path, 3), (1, 3))
+    assert growth < held, (growth, held)
+
+
+def test_diff_holds_one_snapshot_at_a_time(tmp_path):
+    """``diff`` summarizes each snapshot as it loads and keeps only its
+    summary and member counts, so its peak over three long-IRI snapshots
+    exceeds its peak over two by less than the heap one loaded snapshot
+    holds.  Holding every snapshot and its member lists exceeded it."""
+    growth, held = _peak_growth(tmp_path, ["diff", "--model", "ac2"],
+                                _long_iri_snapshots(tmp_path, 3), (2, 3))
+    assert growth < held, (growth, held)
 
 
 def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):
@@ -774,6 +802,9 @@ def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot
     ("lifelong", ["--hidden-size=-3"], "hidden sizes"),
     ("lifelong", ["--hidden-size", "0"], "hidden sizes"),
     ("lifelong", ["--hidden-size", "8,8"], "mlp takes one hidden size"),
+    ("lifelong", ["--hidden-size", "1000000000000"], "hidden sizes"),
+    ("lifelong", ["--architecture", "gcn", "--hidden-size", "8,2147483648"], "hidden sizes"),
+    ("lifelong", ["--batch-cap", "100000000000"], "batch_cap"),
     ("lifelong", ["--architecture", "graph-mlp", "--hidden-size", "8,8"], "graph-mlp takes one"),
     ("lifelong", ["--seed", "-1"], "seed must be >= 0"),
     ("lifelong", ["--learning-rate", "-1"], "learning_rate"),
@@ -785,7 +816,8 @@ def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot
     ("lifelong", ["--architecture", "graph-mlp", "--alpha", "-1"], "alpha"),
     ("lifelong", ["--alpha", "inf"], "alpha"),
 ], ids=["cap_0", "cap_negative", "dropout_1", "dropout_negative", "hidden_negative", "hidden_0",
-        "mlp_two_sizes", "graph_mlp_two_sizes", "seed_negative", "lr_negative", "lr_0", "lr_nan",
+        "mlp_two_sizes", "hidden_huge", "hidden_huge_second", "batch_cap_huge",
+        "graph_mlp_two_sizes", "seed_negative", "lr_negative", "lr_0", "lr_nan",
         "lr_inf", "tau_0", "tau_nan", "alpha_negative", "alpha_inf"])
 def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, capsys, monkeypatch,
                                                      command, flags, named):
@@ -814,6 +846,74 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, snapshot_files, capsys, m
     assert main(["summarize", "--model", "ac1", "--in", snapshot_files[0],
                  "--out", str(tmp_path / "o")]) == 1
     assert _one_error_line(capsys) == f"error: out of memory: {shown}\n"
+
+
+# a value above every limit, for an integer and for a real setting
+HUGE = {int: "1000000000000", float: "1e300"}
+# the architecture that reads a setting the default mlp ignores
+ARCHITECTURE_READING = {"alpha": "graph-mlp", "tau": "graph-mlp"}
+
+
+def _numeric_cases() -> list[tuple[str, str, str]]:
+    """(command, setting, value) for every numeric ``RunConfig`` setting, each
+    command that takes it, and 0, -1, a huge value, nan and inf.  A huge
+    thread or iteration count is left out: it would start that many threads
+    or run that many steps.  ``hidden_size`` holds integers in a string."""
+    cases = []
+    for f in fields(RunConfig):
+        kinds = [t for t in get_args(FIELD_TYPES[f.name]) or (FIELD_TYPES[f.name],)
+                 if t is not type(None)]
+        kind = int if f.name == "hidden_size" else kinds[0]
+        if kind not in (int, float):
+            continue
+        commands = (("lifelong",) if f.metadata.get("lifelong_only")
+                    else ("summarize", "diff", "eval", "lifelong"))
+        for value in ("0", "-1", HUGE[kind], "nan", "inf"):
+            if value == HUGE[kind] and f.name in ("threads", "iterations"):
+                continue
+            cases += [(command, f.name, value) for command in commands]
+    return cases
+
+
+NUMERIC_CASES = _numeric_cases()
+
+
+@pytest.fixture(scope="module")
+def numeric_runs(tmp_path_factory) -> dict:
+    """(exit code, stderr) of each of ``NUMERIC_CASES``, run as its own
+    process on two small snapshots, two processes at a time."""
+    root = tmp_path_factory.mktemp("numeric")
+    snapshots = _ring_snapshots(root)
+    ckpt = root / "trained" / "task01.gslc"
+    assert main(["lifelong", "--model", "ac1", "--iterations", "1", "--hidden-size", "4",
+                 "--in", *snapshots, "--out", str(ckpt.parent)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(sumlife.__file__).parents[1])}
+
+    def run(i: int):
+        command, key, value = NUMERIC_CASES[i]
+        argv = [command, "--model", "ac1", f"--{key.replace('_', '-')}={value}",
+                "--out", str(root / f"o{i}")]
+        if command == "lifelong":
+            settings = {"architecture": ARCHITECTURE_READING.get(key, "mlp"),
+                        "iterations": "1", "hidden_size": "4"}
+            argv += [f"--{k.replace('_', '-')}={v}" for k, v in settings.items() if k != key]
+        argv += ["--ckpt", str(ckpt)] if command == "eval" else []
+        argv += ["--in", *(snapshots[1:] if command in ("summarize", "eval") else snapshots)]
+        proc = subprocess.run([sys.executable, "-m", "sumlife.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        return proc.returncode, proc.stderr
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(NUMERIC_CASES, pool.map(run, range(len(NUMERIC_CASES)))))
+
+
+@pytest.mark.parametrize("case", NUMERIC_CASES, ids=["-".join(c) for c in NUMERIC_CASES])
+def test_numeric_settings_end_in_a_documented_exit(numeric_runs, case):
+    """Every value of every numeric setting ends in exit 0-3 with an empty
+    stderr or one ``error:`` line: never a traceback or a warning."""
+    code, err = numeric_runs[case]
+    assert code in (0, 1, 2, 3), (code, err)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")

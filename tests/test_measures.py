@@ -11,40 +11,41 @@ from sumlife.measures import (
     meta_track,
     unary_stats,
 )
-from sumlife.summarize import ExtensionMap, SummaryGraph
+from sumlife.summarize import SummaryGraph
 
 
-def fake_summary(eqcs, edges=(), model="ac1", usage=None):
+def fake_summary(eqcs, edges=(), model="ac1", usage=None, sizes=None):
+    """A summary over ``eqcs``, each of one member unless ``sizes`` counts them."""
     return SummaryGraph(
         timestamp="t",
         model=model,
         eqcs=frozenset(eqcs),
+        sizes=dict(sizes) if sizes is not None else dict.fromkeys(eqcs, 1),
         secondary=frozenset((p, c) for _, p, c in edges),
         summary_edges=frozenset(edges),
         predicate_usage=dict(usage or {}),
     )
 
 
-def fake_ext(counts):
-    return ExtensionMap({q: [q * 1000 + i for i in range(n)] for q, n in counts.items()})
+def sized(counts):
+    """A summary whose EQCs are the keys of ``counts``, with those member counts."""
+    return fake_summary(set(counts), sizes=counts)
 
 
 def test_avg_size_primary_only():
-    s = fake_summary({1, 2})
-    stats = unary_stats(s, fake_ext({1: 3, 2: 1}))
+    stats = unary_stats(sized({1: 3, 2: 1}))
     assert stats.avg_size == 2.0
 
 
 def test_avg_edges():
     edges = {(1, "p", 0), (1, "q", 0), (2, "p", 0), (2, "q", 7), (3, "p", 0), (3, "r", 0)}
     s = fake_summary({1, 2, 3}, edges)
-    stats = unary_stats(s, fake_ext({1: 1, 2: 1, 3: 1}))
+    stats = unary_stats(s)
     assert stats.avg_edges == 2.0
 
 
 def test_single_eqc_stats():
-    s = fake_summary({5})
-    stats = unary_stats(s, fake_ext({5: 7}))
+    stats = unary_stats(sized({5: 7}))
     assert stats.avg_size == 7.0
     assert stats.avg_edges == 0.0
     assert stats.dist_members_per_eqc == [(7, 1)]
@@ -52,12 +53,12 @@ def test_single_eqc_stats():
 
 def test_empty_summary_errors():
     with pytest.raises(ValueError):
-        unary_stats(fake_summary(set()), fake_ext({}))
+        unary_stats(fake_summary(set()))
 
 
 def test_histograms_sorted_descending():
-    s = fake_summary({1, 2, 3}, usage={"p": 5, "q": 5, "r": 2})
-    stats = unary_stats(s, fake_ext({1: 4, 2: 4, 3: 1}))
+    s = fake_summary({1, 2, 3}, usage={"p": 5, "q": 5, "r": 2}, sizes={1: 4, 2: 4, 3: 1})
+    stats = unary_stats(s)
     assert stats.dist_members_per_eqc == [(4, 2), (1, 1)]
     assert stats.dist_predicate_usage == [(5, 2), (2, 1)]
 
@@ -90,13 +91,13 @@ def test_jaccard_is_a_metric(a, b, c):
 
 
 def test_js_identity_zero():
-    a = (fake_summary({1, 2}), fake_ext({1: 3, 2: 1}))
+    a = sized({1: 3, 2: 1})
     assert js_divergence(a, a) == 0.0
 
 
 def test_js_fixture_value():
-    a = (fake_summary({1, 2}), fake_ext({1: 3, 2: 1}))
-    b = (fake_summary({1, 2}), fake_ext({1: 2, 2: 2}))
+    a = sized({1: 3, 2: 1})
+    b = sized({1: 2, 2: 2})
     # hand evaluation: 0.75*log2(1.5) - 0.25 + 0.5*log2(2/3) + 0.5
     expected = (
         0.75 * math.log2(0.75 / 0.5)
@@ -116,21 +117,21 @@ def test_js_symmetry_random():
     for _ in range(100):
         qa = {int(q): int(rng.integers(1, 20)) for q in rng.choice(30, size=rng.integers(1, 10), replace=False)}
         qb = {int(q): int(rng.integers(1, 20)) for q in rng.choice(30, size=rng.integers(1, 10), replace=False)}
-        a = (fake_summary(set(qa)), fake_ext(qa))
-        b = (fake_summary(set(qb)), fake_ext(qb))
+        a = sized(qa)
+        b = sized(qb)
         assert abs(js_divergence(a, b) - js_divergence(b, a)) < 1e-12
 
 
 def test_js_nonnegative_on_shared_domain():
     # with the truncated summation domain, values stay finite and >= 0
-    a = (fake_summary({1, 2, 3}), fake_ext({1: 5, 2: 1, 3: 4}))
-    b = (fake_summary({2, 3, 4}), fake_ext({2: 3, 3: 3, 4: 4}))
+    a = sized({1: 5, 2: 1, 3: 4})
+    b = sized({2: 3, 3: 3, 4: 4})
     assert js_divergence(a, b) >= 0.0 or abs(js_divergence(a, b)) < 1e-12
 
 
 def test_diff_report_counts():
-    a = (fake_summary({1, 2}), fake_ext({1: 1, 2: 1}))
-    b = (fake_summary({2, 3}), fake_ext({2: 1, 3: 1}))
+    a = sized({1: 1, 2: 1})
+    b = sized({2: 1, 3: 1})
     rep = diff_report(a, b)
     assert (rep.added, rep.deleted, rep.recurring) == (1, 1, 1)
     assert rep.added + rep.recurring == 2
@@ -139,9 +140,9 @@ def test_diff_report_counts():
 
 def test_meta_track_example():
     seq = [
-        (fake_summary({"A", "B"}), fake_ext({})),
-        (fake_summary({"B", "C"}), fake_ext({})),
-        (fake_summary({"A", "C"}), fake_ext({})),
+        fake_summary({"A", "B"}),
+        fake_summary({"B", "C"}),
+        fake_summary({"A", "C"}),
     ]
     t = meta_track(seq)
     assert t.new_vs_prev == [0, 1, 1]
@@ -152,7 +153,7 @@ def test_meta_track_example():
 
 
 def test_meta_track_constant_sequence():
-    s = (fake_summary({1, 2, 3}), fake_ext({}))
+    s = fake_summary({1, 2, 3})
     t = meta_track([s, s, s])
     assert t.new_vs_prev == [0, 0, 0]
     assert t.deleted_vs_prev == [0, 0, 0]
@@ -160,7 +161,7 @@ def test_meta_track_constant_sequence():
 
 
 def test_meta_track_growing_sequence():
-    seq = [(fake_summary(set(range(n))), fake_ext({})) for n in (1, 3, 5)]
+    seq = [fake_summary(set(range(n))) for n in (1, 3, 5)]
     t = meta_track(seq)
     assert t.deleted_vs_prev == [0, 0, 0]
     assert t.cumulative_seen[-1] == 5
@@ -169,7 +170,7 @@ def test_meta_track_growing_sequence():
 @given(st.lists(st.frozensets(st.integers(0, 10), max_size=6), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_meta_track_consistency(sets):
-    seq = [(fake_summary(s), fake_ext({})) for s in sets]
+    seq = [fake_summary(s) for s in sets]
     t = meta_track(seq)
     for i, s in enumerate(sets):
         assert t.recurring[i] + t.new_vs_prev[i] == len(s)

@@ -135,20 +135,20 @@ def test_summarize_all_sinks():
         "t", [("http://a", "http://www.w3.org/1999/02/22-rdf-syntax-ns#type", "http://T")]
     ))
     # the only edge is rdf:type, dropped by default: everything is a sink
-    summary, ext = summarize(g, "ac1")
+    summary, _ = summarize(g, "ac1")
     assert summary.eqcs == frozenset({0})
-    assert ext.count(0) == g.num_vertices
+    assert summary.sizes == {0: g.num_vertices}
     assert summary.num_edges == 0
 
 
 def test_summarize_chain_counts():
     g = chain()
-    s1, e1 = summarize(g, "ac1")
+    s1, _ = summarize(g, "ac1")
     assert s1.num_primary == 2
-    assert sorted(e1.counts().values()) == [1, 2]
-    s2, e2 = summarize(g, "ac2")
+    assert sorted(s1.sizes.values()) == [1, 2]
+    s2, _ = summarize(g, "ac2")
     assert s2.num_primary == 3
-    assert sorted(e2.counts().values()) == [1, 1, 1]
+    assert sorted(s2.sizes.values()) == [1, 1, 1]
 
 
 def test_summarize_disconnected_copies_double_extensions():
@@ -162,20 +162,20 @@ def test_summarize_disconnected_copies_double_extensions():
     def copy(prefix):
         return [(f"http://{prefix}{s}", p, f"http://{prefix}{o}") for s, p, o in pattern]
 
-    single, ext_single = summarize(build_snapshot("t", copy("l")), "ac2")
-    double, ext_double = summarize(build_snapshot("t", copy("l") + copy("r")), "ac2")
+    single, _ = summarize(build_snapshot("t", copy("l")), "ac2")
+    double, _ = summarize(build_snapshot("t", copy("l") + copy("r")), "ac2")
     assert single.eqcs == double.eqcs
-    assert {q: 2 * c for q, c in ext_single.counts().items()} == ext_double.counts()
+    assert {q: 2 * c for q, c in single.sizes.items()} == double.sizes
 
 
 def test_extension_partitions_vertices():
     rng = np.random.default_rng(11)
     g, _, _ = random_graph(rng, 80, 300, 5)
     for model in ("ac1", "ac2"):
-        _, ext = summarize(g, model)
-        assert ext.total() == g.num_vertices
+        summary, ext = summarize(g, model)
+        assert summary.sizes == {q: len(ms) for q, ms in ext.members.items()}
         all_members = [m for ms in ext.members.values() for m in ms]
-        assert len(all_members) == len(set(all_members))
+        assert sorted(all_members) == sorted(g.vertex_ids.tolist())
 
 
 def test_oracle_equivalence_small():
@@ -203,6 +203,7 @@ def assert_summary_matches_reference(g):
         assert summary.predicate_usage == ref["predicate_usage"]
         assert ext.members == ref["members"]
         assert summary.eqcs == set(ref["members"])
+        assert summary.sizes == {q: len(ms) for q, ms in ref["members"].items()}
 
 
 def test_summary_matches_per_edge_reference():
