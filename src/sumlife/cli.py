@@ -123,10 +123,10 @@ def cmd_summarize(cfg: RunConfig) -> int:
     with manifest.stage("ingest"):
         ((ts, g),) = _snapshots(cfg)
     with manifest.stage("summarize"):
-        summary, ext = summarize(g, cfg.model)
+        summary, hashes = summarize(g, cfg.model)
     with manifest.stage("emit"):
         stats = unary_stats(summary) if summary.num_primary else None
-        write_eqc_tsv(out / "eqcs.tsv", g, ext)
+        write_eqc_tsv(out / "eqcs.tsv", g, hashes)
         write_summary_tsv(out / "summary_edges.tsv", summary)
         payload = {
             "timestamp": ts,
@@ -156,48 +156,47 @@ def cmd_summarize(cfg: RunConfig) -> int:
 
 
 def cmd_diff(cfg: RunConfig) -> int:
+    """Measure each snapshot's summary as it arrives, then track the EQC sets.
+
+    Each snapshot is loaded, capped, summarized and measured against the
+    previous summary before the next is read; only that summary and each
+    snapshot's EQC set are kept, and ``meta_track`` runs once at the end."""
     if len(cfg.snapshots) < 2:
         raise ConfigError("diff needs at least 2 snapshots")
     out = _out_dir(cfg)
     manifest = Manifest("diff", cfg.to_dict())
-    # each snapshot is loaded, capped and summarized before the next is read,
-    # and only its summary is kept: the measures need no member lists
-    summaries = []
+    records, eqc_sets, prev = [], [], None
     with manifest.stage("prepare"):
         for _, g in _snapshots(cfg):
-            summaries.append(summarize(g, cfg.model)[0])
+            summary = summarize(g, cfg.model)[0]
             del g  # the snapshot goes before the next one is loaded
-    with manifest.stage("measure"):
-        track = meta_track(summaries)
-        records = []
-        for i, summary in enumerate(summaries):
             stats = unary_stats(summary) if summary.num_primary else None
-            rec = {
+            pair = diff_report(prev, summary) if prev is not None else None
+            records.append({
                 "timestamp": summary.timestamp,
                 "model": cfg.model,
                 "avg_size": stats.avg_size if stats else None,
                 "avg_edges": stats.avg_edges if stats else None,
-                "jaccard_prev": None,
-                "js_prev": None,
-                "added": track.new_vs_prev[i],
-                "deleted": track.deleted_vs_prev[i],
-                "recurring": track.recurring[i],
-                "cumulative_seen": track.cumulative_seen[i],
-            }
-            if i > 0:
-                pair = diff_report(summaries[i - 1], summary)
-                rec["jaccard_prev"] = pair.jaccard
-                rec["js_prev"] = pair.js_divergence
-            records.append(rec)
+                "jaccard_prev": pair.jaccard if pair else None,
+                "js_prev": pair.js_divergence if pair else None,
+            })
+            # from the dict, the set is sized once: half the table a keys view grows
+            eqc_sets.append(frozenset(summary.sizes))
+            prev = summary
+    with manifest.stage("measure"):
+        track = meta_track(eqc_sets)
+        for i, rec in enumerate(records):
+            rec.update(added=track.new_vs_prev[i], deleted=track.deleted_vs_prev[i],
+                       recurring=track.recurring[i], cumulative_seen=track.cumulative_seen[i])
     with manifest.stage("emit"):
         write_json(out / "diff.json", records)
         # "disappeared" is deleted_vs_prev again, a column kept for readers of meta.csv
         write_csv(out / "meta.csv", [
             ("index", "timestamp", "eqcs", "new_vs_first", "new_vs_prev", "deleted_vs_prev",
              "recurring", "reappearing", "disappeared", "cumulative_seen"),
-            *((i, s.timestamp, track.sizes[i], track.new_vs_first[i], track.new_vs_prev[i],
+            *((i, rec["timestamp"], track.sizes[i], track.new_vs_first[i], track.new_vs_prev[i],
                track.deleted_vs_prev[i], track.recurring[i], track.reappearing[i],
-               track.deleted_vs_prev[i], track.cumulative_seen[i]) for i, s in enumerate(summaries)),
+               track.deleted_vs_prev[i], track.cumulative_seen[i]) for i, rec in enumerate(records)),
         ])
         manifest.record_output(out / "diff.json")
         manifest.record_output(out / "meta.csv")

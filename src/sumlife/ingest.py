@@ -52,7 +52,9 @@ LITERAL = "literal"
 
 _IRI_PAT = r"<[^<>\"{}|^`\\\x00-\x20]*>"
 _BLANK_PAT = r"_:[A-Za-z0-9][A-Za-z0-9_.\-]*"
-_LITERAL_PAT = r'"(?:[^"\\\n]|\\.)*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
+# a literal body holds no raw line break, CR included, as in N-Triples'
+# STRING_LITERAL_QUOTE: a vertex lexical with one would split its eqcs.tsv row
+_LITERAL_PAT = r'"(?:[^"\\\n\r]|\\[^\n\r])*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
 
 # One statement line.  MULTILINE, so ``^`` and ``$`` are the ends of a line
 # in a block of many: whitespace and a literal body never cross ``\n``, and

@@ -1,8 +1,9 @@
 """Unary, binary and meta measures over a sequence of summaries.
 
-Every measure takes plain ``SummaryGraph``s: EQC sets, summary edges and
-each EQC's member count (``sizes``), never the member lists, so a caller can
-summarize a sequence one snapshot at a time and keep only the summaries.
+The unary and pairwise measures read a ``SummaryGraph``'s member counts
+(``sizes``), summary edges and predicate usage; ``meta_track`` reads only
+the EQC sets.  So a caller can measure each summary as it arrives, against
+its predecessor, and keep no more than the EQC set of each snapshot.
 All counting is over primary EQC vertices; secondary vertices are derived
 objects and never enter set comparisons.  Averages are computed from exact
 integer sums, divergences with compensated float summation, so results do not
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import AbstractSet, Sequence
 
 from .summarize import SummaryGraph
 
@@ -34,9 +36,6 @@ class DiffReport:
 
     jaccard: float
     js_divergence: float
-    added: int
-    deleted: int
-    recurring: int
 
 
 @dataclass
@@ -123,26 +122,19 @@ def js_divergence(a: SummaryGraph, b: SummaryGraph) -> float:
 
 def diff_report(a: SummaryGraph, b: SummaryGraph) -> DiffReport:
     """Pairwise change report from summary ``a`` to its successor ``b``."""
-    _require_same_model(a, b)
-    return DiffReport(
-        jaccard=jaccard_dist(a, b),
-        js_divergence=js_divergence(a, b),
-        added=len(b.eqcs - a.eqcs),
-        deleted=len(a.eqcs - b.eqcs),
-        recurring=len(a.eqcs & b.eqcs),
-    )
+    return DiffReport(jaccard=jaccard_dist(a, b), js_divergence=js_divergence(a, b))
 
 
-def meta_track(seq: list[SummaryGraph]) -> MetaTrack:
-    """Track appearance, disappearance and reappearance across a sequence."""
+def meta_track(seq: Sequence[AbstractSet[int]]) -> MetaTrack:
+    """Track appearance, disappearance and reappearance across a sequence of
+    EQC sets, one per snapshot."""
     if not seq:
-        raise ValueError("need at least one summary")
+        raise ValueError("need at least one EQC set")
     track = MetaTrack()
-    first = seq[0].eqcs
+    first = seq[0]
     seen: set[int] = set()
-    prev: frozenset[int] | None = None
-    for s in seq:
-        cur = s.eqcs
+    prev: AbstractSet[int] | None = None
+    for cur in seq:
         p = cur if prev is None else prev
         added = cur - p
         track.sizes.append(len(cur))

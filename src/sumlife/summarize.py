@@ -24,13 +24,17 @@ Summary model "ac1" uses one recursion level (outgoing label sets), "ac2" two
 (labels of the vertex and of its neighbours).  Every edge of the given graph
 counts; rdf:type edges are left out beforehand by ``ingest.drop_rdf_types``
 unless the run includes them.
+
+A summary keeps nothing per vertex: ``SummaryGraph`` holds each EQC's member
+count and the summary edges, and ``summarize`` hands back the per-vertex
+hash array it computed, from which ``write_eqc_tsv`` writes ``eqcs.tsv``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import KeysView, Sequence
 
 import numpy as np
 
@@ -116,34 +120,32 @@ def hash_pair(predicate_iri: str, child_hash: int) -> int:
 
 @dataclass
 class SummaryGraph:
-    """Summary of one snapshot: primary EQC vertices, the member count of
-    each, secondary refinement vertices and the deduplicated edges between
-    them."""
+    """Summary of one snapshot: the member count of each primary EQC vertex,
+    the deduplicated edges from those to (predicate, child hash) secondary
+    vertices, and the edge count of each predicate.  The EQC and secondary
+    vertex sets are derived from the first two."""
 
     timestamp: str
     model: str
-    eqcs: frozenset[int]
     sizes: dict[int, int]  # members per EQC
-    secondary: frozenset[tuple[str, int]]
     summary_edges: frozenset[tuple[int, str, int]]  # (source eqc, predicate, child hash)
     predicate_usage: dict[str, int]
 
     @property
+    def eqcs(self) -> KeysView[int]:
+        return self.sizes.keys()
+
+    @property
+    def secondary(self) -> frozenset[tuple[str, int]]:
+        return frozenset((p, c) for _, p, c in self.summary_edges)
+
+    @property
     def num_primary(self) -> int:
-        return len(self.eqcs)
+        return len(self.sizes)
 
     @property
     def num_edges(self) -> int:
         return len(self.summary_edges)
-
-
-class ExtensionMap:
-    """Members (vertex term ids) of each EQC; partitions the snapshot's
-    vertices.  Only ``write_eqc_tsv`` reads the lists: the measures take
-    ``SummaryGraph.sizes``, so a caller may drop this map at once."""
-
-    def __init__(self, members: dict[int, list[int]]):
-        self.members = members
 
 
 def _level_up(
@@ -186,47 +188,34 @@ def _hash_pass(g: SnapshotGraph, k: int) -> tuple[np.ndarray, np.ndarray, tuple 
     return h, src, pairs
 
 
-def eqc_hash(g: SnapshotGraph, vertex: int, k: int) -> int:
-    """EQC hash of one vertex (by position) for a k-hop model, k in {1, 2}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if not 0 <= vertex < g.num_vertices:
-        raise KeyError(f"unknown vertex position {vertex}")
-    return int(_hash_pass(g, k)[0][vertex])
-
-
-def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, ExtensionMap]:
-    """Summarize a snapshot; returns the summary graph and its extension map."""
+def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, np.ndarray]:
+    """Summarize a snapshot; returns the summary graph and the EQC hash of
+    each vertex position, the one per-vertex array it keeps."""
     if model not in MODEL_HOPS:
         raise ValueError(f"unknown summary model {model!r}")
     final, src, (u_pred, u_child, pair_id) = _hash_pass(g, MODEL_HOPS[model])
-
-    # extension map: vertex term ids grouped by final hash, in position order
     cls_hash, cls_of_vertex, sizes = np.unique(final, return_inverse=True, return_counts=True)
-    order = np.argsort(cls_of_vertex, kind="stable")
-    groups = np.split(g.vertex_ids[order], np.cumsum(sizes)[:-1])
     hashes = cls_hash.tolist()
-    members = {h: ids.tolist() for h, ids in zip(hashes, groups)}
 
     # summary edges: one per distinct (source class, pair)
     n_pairs = len(u_pred)
     cls_u, pid_u = np.divmod(distinct(cls_of_vertex[src] * n_pairs + pair_id), n_pairs)
     iris = [g.terms.lexical(p) for p in u_pred.tolist()]
     children = u_child.tolist()
-    edges = {(hashes[c], iris[p], children[p]) for c, p in zip(cls_u.tolist(), pid_u.tolist())}
+    edges = frozenset(
+        (hashes[c], iris[p], children[p]) for c, p in zip(cls_u.tolist(), pid_u.tolist())
+    )
     usage: dict[str, int] = {}
     for iri, count in zip(iris, np.bincount(pair_id, minlength=n_pairs).tolist()):
         usage[iri] = usage.get(iri, 0) + count
     summary = SummaryGraph(
         timestamp=g.timestamp,
         model=model,
-        eqcs=frozenset(hashes),
         sizes=dict(zip(hashes, sizes.tolist())),
-        secondary=frozenset((p, c) for _, p, c in edges),
-        summary_edges=frozenset(edges),
+        summary_edges=edges,
         predicate_usage=usage,
     )
-    return summary, ExtensionMap(members)
+    return summary, final
 
 
 def vertex_hashes(g: SnapshotGraph, model: str) -> np.ndarray:
@@ -234,10 +223,10 @@ def vertex_hashes(g: SnapshotGraph, model: str) -> np.ndarray:
     return _hash_pass(g, MODEL_HOPS[model])[0]
 
 
-def write_eqc_tsv(path: str | Path, g: SnapshotGraph, ext: ExtensionMap) -> None:
-    """Write ``vertex-iri<TAB>eqc-hash-hex`` rows, sorted by vertex lexical."""
-    lex = g.terms.lexical
-    rows = sorted((lex(t), h) for h, members in ext.members.items() for t in members)
+def write_eqc_tsv(path: str | Path, g: SnapshotGraph, hashes: np.ndarray) -> None:
+    """Write ``vertex-iri<TAB>eqc-hash-hex`` rows, sorted by vertex lexical;
+    ``hashes`` holds the EQC hash of each vertex position."""
+    rows = sorted(zip(map(g.terms.lexical, g.vertex_ids.tolist()), hashes.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         for iri, h in rows:
             fh.write(f"{iri}\t{h:016x}\n")

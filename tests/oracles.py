@@ -425,7 +425,7 @@ def reference_receptive_field(b: dict, rows, hops: int) -> dict:
 # matched on its own, with the original single-line statement grammar.
 _REF_IRI = r"<[^<>\"{}|^`\\\x00-\x20]*>"
 _REF_BLANK = r"_:[A-Za-z0-9][A-Za-z0-9_.\-]*"
-_REF_LITERAL = r'"(?:[^"\\]|\\.)*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
+_REF_LITERAL = r'"(?:[^"\\\r]|\\[^\r])*"(?:\^\^<[^<>"\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?'
 _REF_STATEMENT_RE = re.compile(
     rf"^({_REF_IRI}|{_REF_BLANK})\s+({_REF_IRI})\s+"
     rf"({_REF_IRI}|{_REF_BLANK}|{_REF_LITERAL})"

@@ -518,16 +518,16 @@ def test_lifelong_divergence_at_task_1_leaves_task_0_checkpoint(tmp_path, snapsh
     assert sorted(p.name for p in out.iterdir()) == ["task00.gslc"]
 
 
-def _long_iri_snapshots(tmp_path, count: int, n: int = 6000) -> list[str]:
+def _long_iri_snapshots(tmp_path, count: int, n: int = 6000, edges: int = 1) -> list[str]:
     """``count`` snapshots of ``n`` subjects with long IRIs, as the web
-    snapshots have, each with one edge to a random subject."""
+    snapshots have, each with ``edges`` edges to random subjects."""
     rng = np.random.default_rng(0)
     paths = []
     for t in range(count):
         path = tmp_path / f"2012-05-0{6 + t}.nt"
         v = [f"http://example.org/a/rather/long/resource/path/t{t}/v{i}" for i in range(n)]
         write_ntriples(path, [(v[i], f"http://example.org/p{rng.integers(8)}", v[rng.integers(n)])
-                              for i in range(n)])
+                              for i in range(n) for _ in range(edges)])
         paths.append(str(path))
     return paths
 
@@ -570,6 +570,17 @@ def test_diff_holds_one_snapshot_at_a_time(tmp_path):
     growth, held = _peak_growth(tmp_path, ["diff", "--model", "ac2"],
                                 _long_iri_snapshots(tmp_path, 3), (2, 3))
     assert growth < held, (growth, held)
+
+
+def test_diff_holds_eqc_sets_not_summaries(tmp_path):
+    """``diff`` measures each summary as it arrives and keeps only the
+    previous summary and each snapshot's EQC set, so on snapshots with many
+    summary edges its peak grows per extra snapshot by less than the heap one
+    loaded snapshot holds.  Keeping every summary until a final measure stage
+    grew it by more than twice that."""
+    growth, held = _peak_growth(tmp_path, ["diff", "--model", "ac2"],
+                                _long_iri_snapshots(tmp_path, 4, edges=3), (2, 4))
+    assert growth / 2 < held, (growth / 2, held)
 
 
 def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):

@@ -337,6 +337,18 @@ def test_statement_is_one_line(tmp_path):
     assert reason == "malformed" and len(t) == 0
 
 
+def test_raw_carriage_return_in_a_literal_is_malformed(tmp_path):
+    """N-Triples' STRING_LITERAL_QUOTE excludes a raw CR, after a backslash
+    too: a literal holding one would be a vertex whose ``eqcs.tsv`` row a
+    universal-newline reader splits in two.  An escaped CR and a CRLF line
+    ending still parse."""
+    for literal in ('"x\ry"', '"x\\\ry"'):
+        reason, t = _parse(tmp_path, f"<http://a> <http://p> {literal} .")
+        assert reason == "malformed" and len(t) == 0
+    (_, _, o), t = _parse(tmp_path, '<http://a> <http://p> "x\\ry" .\r')
+    assert t.lexical(o) == '"x\\ry"'
+
+
 # Lines the block loader must treat exactly as the line loader does.  The
 # whitespace characters other than "\n" are str.isspace() whitespace, which
 # the statement grammar accepts between terms and str.strip() removes.
@@ -360,6 +372,7 @@ _EDGE_LINES = [
     "\x85# comment after whitespace\n".encode(),
     b"<http://a> <http://p> .\n",
     b"<http://a> <http://p> \"unterminated .\n",
+    b"<http://a> <http://p> \"raw\rCR\" .\n",
     b"<http://a> <http://p> \"a literal does not\n",
     b"span two lines\" .\n",
     b"<http://a> <http://p> <http://b> .\r<http://c> <http://p> <http://d> .\n",

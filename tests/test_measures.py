@@ -19,9 +19,7 @@ def fake_summary(eqcs, edges=(), model="ac1", usage=None, sizes=None):
     return SummaryGraph(
         timestamp="t",
         model=model,
-        eqcs=frozenset(eqcs),
         sizes=dict(sizes) if sizes is not None else dict.fromkeys(eqcs, 1),
-        secondary=frozenset((p, c) for _, p, c in edges),
         summary_edges=frozenset(edges),
         predicate_usage=dict(usage or {}),
     )
@@ -130,21 +128,21 @@ def test_js_nonnegative_on_shared_domain():
 
 
 def test_diff_report_counts():
+    """A diff record's added, deleted and recurring counts come from
+    ``meta_track`` over the EQC sets; ``diff_report`` gives its distances."""
     a = sized({1: 1, 2: 1})
     b = sized({2: 1, 3: 1})
     rep = diff_report(a, b)
-    assert (rep.added, rep.deleted, rep.recurring) == (1, 1, 1)
-    assert rep.added + rep.recurring == 2
-    assert rep.deleted + rep.recurring == 2
+    assert (rep.jaccard, rep.js_divergence) == (jaccard_dist(a, b), js_divergence(a, b))
+    t = meta_track([a.eqcs, b.eqcs])
+    added, deleted, recurring = t.new_vs_prev[1], t.deleted_vs_prev[1], t.recurring[1]
+    assert (added, deleted, recurring) == (1, 1, 1)
+    assert added + recurring == 2
+    assert deleted + recurring == 2
 
 
 def test_meta_track_example():
-    seq = [
-        fake_summary({"A", "B"}),
-        fake_summary({"B", "C"}),
-        fake_summary({"A", "C"}),
-    ]
-    t = meta_track(seq)
+    t = meta_track([{"A", "B"}, {"B", "C"}, {"A", "C"}])
     assert t.new_vs_prev == [0, 1, 1]
     assert t.deleted_vs_prev == [0, 1, 1]
     assert t.recurring == [2, 1, 1]
@@ -153,7 +151,7 @@ def test_meta_track_example():
 
 
 def test_meta_track_constant_sequence():
-    s = fake_summary({1, 2, 3})
+    s = {1, 2, 3}
     t = meta_track([s, s, s])
     assert t.new_vs_prev == [0, 0, 0]
     assert t.deleted_vs_prev == [0, 0, 0]
@@ -161,8 +159,7 @@ def test_meta_track_constant_sequence():
 
 
 def test_meta_track_growing_sequence():
-    seq = [fake_summary(set(range(n))) for n in (1, 3, 5)]
-    t = meta_track(seq)
+    t = meta_track([set(range(n)) for n in (1, 3, 5)])
     assert t.deleted_vs_prev == [0, 0, 0]
     assert t.cumulative_seen[-1] == 5
 
@@ -170,8 +167,7 @@ def test_meta_track_growing_sequence():
 @given(st.lists(st.frozensets(st.integers(0, 10), max_size=6), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_meta_track_consistency(sets):
-    seq = [fake_summary(s) for s in sets]
-    t = meta_track(seq)
+    t = meta_track(sets)
     for i, s in enumerate(sets):
         assert t.recurring[i] + t.new_vs_prev[i] == len(s)
         assert t.cumulative_seen[i] == len(set().union(*sets[: i + 1]))

@@ -1,5 +1,6 @@
+import tracemalloc
+
 import numpy as np
-import pytest
 
 from oracles import (
     SIPHASH_VECTORS,
@@ -12,7 +13,6 @@ from oracles import (
 from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.summarize import (
     SIPHASH_KEY,
-    eqc_hash,
     hash_pair,
     siphash24,
     summarize,
@@ -20,7 +20,7 @@ from sumlife.summarize import (
     write_eqc_tsv,
     write_summary_tsv,
 )
-from synth import random_graph
+from synth import predicate_pool, random_graph, ring_snapshot
 
 # pinned at build time from the reference implementation
 HASH_PAIR_FIXTURE = 0x9DD453257D7726DB  # hash_pair("http://p", 0x0102030405060708)
@@ -80,13 +80,8 @@ def chain():
 
 def test_sink_hash_is_zero():
     g = chain()
-    assert eqc_hash(g, position_of(g, "http://c"), 1) == 0
-    assert eqc_hash(g, position_of(g, "http://c"), 2) == 0
-
-
-def test_unknown_vertex_errors():
-    with pytest.raises(KeyError):
-        eqc_hash(chain(), 99, 1)
+    for model in ("ac1", "ac2"):
+        assert vertex_hashes(g, model)[position_of(g, "http://c")] == 0
 
 
 def test_chain_partitions():
@@ -169,13 +164,29 @@ def test_summarize_disconnected_copies_double_extensions():
 
 
 def test_extension_partitions_vertices():
+    """The per-vertex hashes ``summarize`` returns are ``vertex_hashes``, and
+    the class sizes count them."""
     rng = np.random.default_rng(11)
     g, _, _ = random_graph(rng, 80, 300, 5)
     for model in ("ac1", "ac2"):
-        summary, ext = summarize(g, model)
-        assert summary.sizes == {q: len(ms) for q, ms in ext.members.items()}
-        all_members = [m for ms in ext.members.values() for m in ms]
-        assert sorted(all_members) == sorted(g.vertex_ids.tolist())
+        summary, hashes = summarize(g, model)
+        assert hashes.tolist() == vertex_hashes(g, model).tolist()
+        assert len(hashes) == g.num_vertices
+        assert summary.sizes == {q: len(ms) for q, ms in members_of(g, hashes).items()}
+
+
+def test_summarize_keeps_only_the_vertex_hashes():
+    """Past the summary of its classes, ``summarize`` keeps 8 bytes per vertex,
+    its EQC hash: no member list (about 40 bytes per vertex) is built."""
+    g = ring_snapshot("t", [predicate_pool(3)], 20_000)
+    tracemalloc.start()
+    try:
+        r = summarize(g, "ac2")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert r[0].num_primary == 1
+    assert held / g.num_vertices < 16, held
 
 
 def test_oracle_equivalence_small():
@@ -193,15 +204,23 @@ def test_oracle_equivalence_small():
             assert partition_of_hashes(vertex_hashes(g, model)) == oracle
 
 
+def members_of(g, hashes) -> dict[int, list[int]]:
+    """Vertex term ids of each class, in position order, from per-vertex hashes."""
+    members: dict[int, list[int]] = {}
+    for h, t in zip(hashes.tolist(), g.vertex_ids.tolist()):
+        members.setdefault(h, []).append(t)
+    return members
+
+
 def assert_summary_matches_reference(g):
     for k, model in ((1, "ac1"), (2, "ac2")):
         ref = reference_summary(g, k)
-        summary, ext = summarize(g, model)
-        assert vertex_hashes(g, model).tolist() == ref["hashes"]
+        summary, hashes = summarize(g, model)
+        assert hashes.tolist() == vertex_hashes(g, model).tolist() == ref["hashes"]
         assert summary.summary_edges == ref["summary_edges"]
         assert summary.secondary == ref["secondary"]
         assert summary.predicate_usage == ref["predicate_usage"]
-        assert ext.members == ref["members"]
+        assert members_of(g, hashes) == ref["members"]
         assert summary.eqcs == set(ref["members"])
         assert summary.sizes == {q: len(ms) for q, ms in ref["members"].items()}
 
@@ -263,8 +282,8 @@ def test_rdf_type_excluded_unless_requested():
         ],
     )
     a = position_of(g, "http://a")
-    assert eqc_hash(drop_rdf_types(g), a, 1) == HASH_P0
-    assert eqc_hash(g, a, 1) != HASH_P0
+    assert vertex_hashes(drop_rdf_types(g), "ac1")[a] == HASH_P0
+    assert vertex_hashes(g, "ac1")[a] != HASH_P0
 
 
 def test_summary_edge_structure():
@@ -278,8 +297,8 @@ def test_summary_edge_structure():
 
 def test_tsv_exports(tmp_path):
     g = chain()
-    summary, ext = summarize(g, "ac1")
-    write_eqc_tsv(tmp_path / "eqcs.tsv", g, ext)
+    summary, hashes = summarize(g, "ac1")
+    write_eqc_tsv(tmp_path / "eqcs.tsv", g, hashes)
     write_summary_tsv(tmp_path / "edges.tsv", summary)
     lines = (tmp_path / "eqcs.tsv").read_text().splitlines()
     assert len(lines) == 3
