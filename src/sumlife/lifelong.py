@@ -141,8 +141,9 @@ def evaluate_network(
     (the rows alone for a feature-only network), transformed as training
     transforms its batches.  Logits are computed for the split rows only.
     Message passing gives those rows the same sums as a pass over every
-    vertex; the BLAS products can round a row subset otherwise past about 256
-    output columns, so logits may differ in their last bits, while
+    vertex; the BLAS products can round a row subset otherwise (in float32,
+    measured from inner widths of 32 on, at any output width; see README
+    "Determinism"), so logits may differ in their last bits, while
     predictions have matched.  Non-finite logits, which only a diverged
     network gives, raise ``NumericalError``.
     """

@@ -4,11 +4,15 @@ The header records the architecture, dimensions, seed, every ``Hyper``
 field, the run settings the labels and features depend on (``RUN_FIELDS``)
 and both vocabularies, each as the lines of its vocabulary file plus the
 SHA-256 digest of that file; payloads follow in the header's declared order
-as little-endian row-major float64 bytes, so round-trips are bit-exact.
+as little-endian row-major bytes of the header's ``dtype``: ``"<f4"``, the
+compute dtype ``ops.DTYPE``, so round-trips are bit-exact.  A ``"<f8"``
+checkpoint of an earlier version loads too, cast once to ``DTYPE``; any
+other payload dtype is refused.
 ``RUN_FIELDS`` and ``_HYPER_FIELDS`` give the types a header field must have,
 because the header is outside input.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
-missing or ill-typed header field, a negative tensor dimension, tensors
+missing or ill-typed header field, a payload dtype other than ``"<f4"`` or
+``"<f8"``, a negative tensor dimension, tensors
 whose shapes do not form the header's network, bytes after the last
 tensor, a vocabulary that does not match its digest or is narrower than
 the network) raises ``CheckpointError``.
@@ -27,9 +31,12 @@ import numpy as np
 from ..errors import CheckpointError
 from ..features import ClassVocabulary, PredicateVocabulary
 from .network import Hyper, Network
+from .ops import DTYPE
 
 MAGIC = b"GSLC"
 FORMAT_VERSION = 2
+# the payload dtypes read back; DTYPE's is the one written
+PAYLOAD_DTYPES = ("<f4", "<f8")
 
 # run settings a checkpoint is only valid for, with their header types
 RUN_FIELDS = {
@@ -58,7 +65,7 @@ def save_checkpoint(
     run: dict,
 ) -> None:
     """Write a checkpoint; ``run`` maps every ``RUN_FIELDS`` key to its value."""
-    dtype = "<f8"
+    dtype = DTYPE.newbyteorder("<").str
     header = {
         "format_version": FORMAT_VERSION,
         "architecture": network.arch,
@@ -119,6 +126,9 @@ def _from_header(fh, path, header: dict):
     """Network and vocabularies from a parsed header; the payloads follow at ``fh``."""
     _require_types(header, {"seed": int, **RUN_FIELDS})
     _require_types(header["hyper"], _HYPER_FIELDS)
+    if header["dtype"] not in PAYLOAD_DTYPES:
+        raise CheckpointError(f"{path}: payload dtype {header['dtype']!r} is not "
+                              f"one of {', '.join(PAYLOAD_DTYPES)}")
     dtype = np.dtype(header["dtype"])
     payload = fh.read()
     tensors = {}
@@ -132,7 +142,7 @@ def _from_header(fh, path, header: dict):
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload for {spec['name']}")
         tensors[spec["name"]] = (
-            np.frombuffer(payload, dtype, count, offset).reshape(shape).astype(np.float64)
+            np.frombuffer(payload, dtype, count, offset).reshape(shape).astype(DTYPE)
         )
         offset = end
     if offset != len(payload):

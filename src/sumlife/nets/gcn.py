@@ -34,7 +34,8 @@ class EdgeList:
     """Sparse batch adjacency ``A``: distinct out-edges plus implicit self-loops.
 
     ``A @ h`` scales each row of ``h`` by ``self_weight`` and adds the
-    out-neighbours' rows, scaled by ``weight`` (1 when it is None).
+    out-neighbours' rows, scaled by ``weight`` (1 when it is None).  The
+    weights are float64, whatever the dtype ``h`` is computed in.
     ``A.T`` swaps the edge direction and shares the arrays.
     """
 
@@ -53,8 +54,10 @@ class EdgeList:
         return sum(a.nbytes for a in arrays if a is not None)
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
-        out = self.self_weight[:, None] * h
-        scatter_add(out, self.src, h, take=self.dst, weight=self.weight)
+        """``A @ h`` in the dtype of ``h``: the float64 weights are cast to it."""
+        weight = None if self.weight is None else self.weight.astype(h.dtype, copy=False)
+        out = self.self_weight.astype(h.dtype, copy=False)[:, None] * h
+        scatter_add(out, self.src, h, take=self.dst, weight=weight)
         return out
 
 

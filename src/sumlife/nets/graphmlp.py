@@ -71,6 +71,6 @@ def graphmlp_contrast(z: np.ndarray, src: np.ndarray, dst: np.ndarray, tau: floa
     n = len(z)
     if n < 2:
         return 0.0, np.zeros_like(z)
-    gamma = np.zeros((n, n))
+    gamma = np.zeros((n, n), dtype=z.dtype)
     gamma[src, dst] = gamma[dst, src] = 1.0
     return ncontrast_loss(z, gamma, tau)

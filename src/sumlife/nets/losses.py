@@ -48,12 +48,12 @@ def ncontrast_loss(
         l_i = -ln( sum_j gamma_ij exp(sim_ij / tau) / sum_k exp(sim_ik / tau) )
     with cosine similarity sim.  Rows without positives are excluded from the
     average; if no row has positives the loss is 0 with a zero gradient.
-    Returns (loss, dloss/dz).
+    Everything is computed in the dtype of ``z``.  Returns (loss, dloss/dz).
     """
     b = z.shape[0]
     if b < 2:
         raise ValueError("batch must contain at least 2 embeddings")
-    gamma = np.array(gamma, dtype=np.float64, copy=True)
+    gamma = np.array(gamma, dtype=z.dtype, copy=True)
     np.fill_diagonal(gamma, 0.0)
     has_pos = gamma.sum(axis=1) > 0
     retained = int(has_pos.sum())

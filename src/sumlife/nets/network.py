@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..sampling import Subgraph
 from .adam import AdamState, adam_step
 from .gcn import batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import graphmlp_backward, graphmlp_contrast, graphmlp_forward
 from .losses import cross_entropy
 from .mlp import mlp_backward, mlp_forward
-from .ops import Params, assert_finite, glorot_uniform, scatter_rows, widen
+from .ops import DTYPE, Params, assert_finite, glorot_uniform, scatter_rows, widen
+
+if TYPE_CHECKING:  # sampling writes batch features in ops.DTYPE, so it imports this package
+    from ..sampling import Subgraph
 
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
@@ -88,10 +91,12 @@ class Network:
 
     @classmethod
     def create(cls, arch: str, n_in: int, n_classes: int, hyper: Hyper, rng: np.random.Generator) -> "Network":
-        """A fresh network: each weight drawn Glorot-uniform in layout order, each bias zero."""
+        """A fresh ``DTYPE`` network: each weight drawn Glorot-uniform in layout
+        order (in float64, then cast), each bias zero."""
         hyper = hyper.resolved(arch)
         shapes = _tensor_shapes(arch, n_in, hyper.hidden, n_classes)
-        tensors = {name: glorot_uniform(rng, *shape, shape) if len(shape) == 2 else np.zeros(shape)
+        tensors = {name: glorot_uniform(rng, *shape, shape).astype(DTYPE) if len(shape) == 2
+                   else np.zeros(shape, dtype=DTYPE)
                    for name, shape in shapes.items()}
         return cls.from_tensors(arch, tensors, hyper, n_in, n_classes)
 
@@ -137,13 +142,13 @@ class Network:
     def grow(self, n_in: int, n_classes: int, rng: np.random.Generator, zero_init: bool = False) -> None:
         """Widen to ``n_in`` inputs and ``n_classes`` outputs in layout order:
         existing entries are kept bit-exactly, new weights come from ``ops.widen``
-        and new bias entries are zero."""
+        and new bias entries are zero, each tensor keeping its dtype."""
         if n_in < self.n_in or n_classes < self.n_classes:
             raise ValueError("layers can only grow")
         old = self.params
         shapes = _tensor_shapes(self.arch, n_in, self.hyper.hidden, n_classes)
         tensors = {name: widen(rng, old[name], *shape, zero_init) if len(shape) == 2
-                   else np.concatenate([old[name], np.zeros(shape[0] - len(old[name]))])
+                   else np.concatenate([old[name], np.zeros(shape[0] - len(old[name]), old.dtype)])
                    for name, shape in shapes.items()}
         self.params = self.from_tensors(self.arch, tensors, self.hyper, n_in, n_classes).params
 
@@ -156,11 +161,13 @@ class Network:
         cache); every vertex when ``rows`` is None.  Train mode exactly when
         ``rng`` is given, and the cache is None otherwise.  Only what those
         logits read is computed: the MLP runs on those feature rows alone,
-        while message passing and Graph-MLP's embeddings still cover every row."""
+        while message passing and Graph-MLP's embeddings still cover every row.
+        The features are read in the parameters' dtype."""
         x = batch.features
         if x.shape[1] < self.n_in:
             raise ValueError("feature width below network input width")
-        x, train, dropout = x[:, : self.n_in], rng is not None, self.hyper.dropout
+        x = x[:, : self.n_in].astype(self.params.dtype, copy=False)
+        train, dropout = rng is not None, self.hyper.dropout
         if self.arch == "mlp":
             return mlp_forward(self.params, x, train, dropout, rng, rows)
         if self.arch == "graph-mlp":

@@ -1,7 +1,11 @@
 """Dense-tensor primitives: activations, dropout, init, finiteness guard.
 
-Everything is float64; gradients elsewhere are hand-derived, so the forward
-formulas here are the single source of truth for their derivatives.
+``DTYPE`` (float32) is the one compute dtype: parameters, Adam moments,
+batch features and every activation and gradient are float32, as in the
+reference implementations of the networks.  Each kernel follows the dtype
+of its inputs, so the gradient checks run the same kernels on float64
+tensors.  Gradients elsewhere are hand-derived, so the forward formulas
+here are the single source of truth for their derivatives.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import math
 import numpy as np
 
 from ..errors import NumericalError
+
+DTYPE = np.dtype(np.float32)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -41,6 +47,11 @@ class Params(dict):
         return next(reversed(self.values())).shape[-1]
 
     @property
+    def dtype(self) -> np.dtype:
+        """The dtype every tensor shares, and every step computes in."""
+        return next(iter(self.values())).dtype
+
+    @property
     def layers(self) -> list[np.ndarray]:
         """The ``w<i>`` tensors, in order: a GCN's message-passing layers."""
         return [t for name, t in self.items() if name[0] == "w" and name[1:].isdigit()]
@@ -63,6 +74,10 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
 
 
+# bytes of the float64 scratch dropout_mask draws its uniforms through
+_DRAW_BYTES = 1 << 16
+
+
 def dropout_mask(
     rng: np.random.Generator | None, shape: tuple[int, int], rate: float, rows: np.ndarray | None = None
 ) -> np.ndarray | None:
@@ -74,6 +89,9 @@ def dropout_mask(
     leaves it, so the stream does not depend on ``rows``.  Only those rows
     are drawn: a PCG64 stream skips each gap with ``advance``, one step per
     double, and gets back the buffered 32-bit half that ``advance`` clears.
+    The uniforms pass through a float64 scratch of ``_DRAW_BYTES``, a few
+    rows at a time, across runs, and each full scratch is compared at once,
+    so the draw holds no float64 array of the mask's size.
     """
     if rng is None:  # every train-mode forward pass draws here: never unseeded
         raise ValueError("train mode needs a seeded rng for its dropout mask")
@@ -81,25 +99,40 @@ def dropout_mask(
         return None
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    if rows is None:
-        return rng.random(shape) >= rate
     n, width = shape
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) and (rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any()):
-        raise ValueError("dropout rows must be sorted, distinct and below the row count")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and (rows[0] < 0 or rows[-1] >= n or (np.diff(rows) <= 0).any()):
+            raise ValueError("dropout rows must be sorted, distinct and below the row count")
+    keep = np.empty((n if rows is None else len(rows), width), dtype=bool)
+    scratch = np.empty((max(1, min(len(keep), _DRAW_BYTES // (8 * max(width, 1)))), width))
+    held = written = 0  # rows drawn into the scratch, rows of keep written
+
+    def draw(count: int) -> None:  # the stream's next ``count`` rows, as the next rows of keep
+        nonlocal held, written
+        while count:
+            take = min(count, len(scratch) - held)
+            rng.random(out=scratch[held : held + take])
+            held, count = held + take, count - take
+            if held == len(scratch) or written + held == len(keep):  # full, or the last rows
+                np.greater_equal(scratch[:held], rate, out=keep[written : written + held])
+                written, held = written + held, 0
+
+    if rows is None:
+        draw(n)
+        return keep
     bits = rng.bit_generator  # PCG64 (default_rng): one advance step per double
     before = bits.state
-    drawn = np.empty((len(rows), width))
     done = 0  # rows of the full draw consumed so far
     starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # runs of consecutive rows
     for a, b in zip(starts, [*starts[1:], len(rows)]):
         first = int(rows[a])
         bits.advance((first - done) * width)
-        rng.random(out=drawn[a:b])
+        draw(b - a)
         done = first + b - a
     bits.advance((n - done) * width)
     bits.state = {**bits.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
-    return drawn >= rate
+    return keep
 
 
 def apply_dropout(h: np.ndarray, keep: np.ndarray | None, rate: float) -> np.ndarray:
@@ -115,6 +148,8 @@ def apply_dropout(h: np.ndarray, keep: np.ndarray | None, rate: float) -> np.nda
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform in +-sqrt(6/(fan_in+fan_out)), drawn in float64; callers cast
+    it once, so the rng stream does not depend on the compute dtype."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -126,11 +161,13 @@ def widen(
 
     New rows are appended first, then new columns.  Each block is drawn
     Glorot-uniform with the fans of the full new shape, or is zero with
-    ``zero_init``.
+    ``zero_init``, in the dtype of ``w``.
     """
 
     def block(shape: tuple[int, int]) -> np.ndarray:
-        return np.zeros(shape) if zero_init else glorot_uniform(rng, rows, cols, shape)
+        if zero_init:
+            return np.zeros(shape, dtype=w.dtype)
+        return glorot_uniform(rng, rows, cols, shape).astype(w.dtype, copy=False)
 
     if rows > w.shape[0]:
         w = np.vstack([w, block((rows - w.shape[0], w.shape[1]))])
@@ -183,7 +220,7 @@ def scatter_rows(d: np.ndarray, rows: np.ndarray | None, n: int) -> np.ndarray:
     that of the computed rows.  ``d`` itself when ``rows`` is None (all rows)."""
     if rows is None:
         return d
-    out = np.zeros((n, d.shape[1]))
+    out = np.zeros((n, d.shape[1]), dtype=d.dtype)
     scatter_add(out, rows, d)
     return out
 

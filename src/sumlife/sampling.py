@@ -36,6 +36,7 @@ import numpy as np
 
 from .features import TRAIN
 from .ingest import SnapshotGraph
+from .nets.ops import DTYPE
 
 
 @dataclass
@@ -123,7 +124,8 @@ def _induced_edges(
     ``vertices``, whose feature column ``edge_col`` gives.  ``x`` holds their
     multi-hot rows of ``width`` columns; the edges among them, in local
     indices, are ordered by source as listed, then by CSR position; ``local``
-    maps each global position to its index in ``vertices`` (-1 outside)."""
+    maps each global position to its index in ``vertices`` (-1 outside).
+    The rows are in the networks' compute dtype, ``nets.ops.DTYPE``."""
     local = np.full(g.num_vertices, -1, dtype=np.int64)
     local[vertices] = np.arange(len(vertices), dtype=np.int64)
     lo = g.indptr[vertices]
@@ -131,7 +133,7 @@ def _induced_edges(
     src = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts  # where each vertex's edges begin in the gather
     edges = np.repeat(lo - starts, counts) + np.arange(len(src), dtype=np.int64)
-    x = np.zeros((len(vertices), width), dtype=np.float64)
+    x = np.zeros((len(vertices), width), dtype=DTYPE)
     x[src, edge_col[edges]] = 1.0
     dst = local[g.edge_obj[edges]]
     keep = dst >= 0

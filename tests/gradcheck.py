@@ -1,17 +1,35 @@
-"""Central finite-difference gradient checking shared by the NN tests."""
+"""Central finite-difference gradient checking shared by the NN tests.
+
+The networks compute in ``ops.DTYPE`` (float32), whose rounding a central
+difference at ``eps`` 1e-5 cannot resolve; every kernel follows the dtype
+of its inputs, so the checks run the same kernels on float64 tensors
+(``float64``).
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+from sumlife.nets import Network
+
+
+def float64(net: Network) -> Network:
+    """``net`` with its parameters cast to float64, so every step it takes
+    computes in float64."""
+    tensors = {name: t.astype(np.float64) for name, t in net.params.items()}
+    return Network.from_tensors(net.arch, tensors, net.hyper, net.n_in, net.n_classes)
 
 
 def max_rel_error(loss_fn, tensors: dict[str, np.ndarray], eps: float = 1e-5) -> float:
     """Compare analytic grads against central differences over every element.
 
     ``loss_fn`` recomputes (loss, grads) from the current tensor values; it
-    must be deterministic (re-seed any dropout inside).
+    must be deterministic (re-seed any dropout inside).  The tensors must be
+    float64, and so must every gradient.
     """
     _, grads = loss_fn()
+    for name, arr in tensors.items():
+        assert arr.dtype == grads[name].dtype == np.float64, name
     worst = 0.0
     for name, arr in tensors.items():
         g = grads[name]

@@ -20,7 +20,7 @@ from sumlife.errors import IngestError
 from sumlife.ingest import IRI, SnapshotGraph, TermTable
 from sumlife.nets.gcn import batch_adjacency
 from sumlife.nets.graphmlp import graphmlp_contrast
-from sumlife.nets.ops import gelu, gelu_grad, matrix_product, scatter_rows
+from sumlife.nets.ops import DTYPE, gelu, gelu_grad, matrix_product, scatter_rows
 
 
 def _rotl(x: int, b: int) -> int:
@@ -195,8 +195,8 @@ def position_of(g: SnapshotGraph, lexical: str, kind: str = IRI) -> int:
 
 def reference_features(g: SnapshotGraph, vocab) -> np.ndarray:
     """The dense multi-hot encoder: one row per vertex position, with a 1 at
-    the vocabulary column of each out-edge's predicate."""
-    x = np.zeros((g.num_vertices, vocab.width), dtype=np.float64)
+    the vocabulary column of each out-edge's predicate, in the compute dtype."""
+    x = np.zeros((g.num_vertices, vocab.width), dtype=DTYPE)
     for e, v in enumerate(g.edge_sources().tolist()):
         x[v, vocab.index(g.terms.lexical(int(g.edge_pred[e])))] = 1.0
     return x
@@ -272,12 +272,13 @@ def dense_adjacency(n: int, src, dst, normalize: bool = False) -> np.ndarray:
 
 def reference_edge_matmul(adj, h: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``A @ h`` (or ``A.T @ h``) of an edge-list adjacency as a 2-D ``np.add.at``
-    segment sum: the self term first, then each edge's message in edge order."""
+    segment sum: the self term first, then each edge's message in edge order,
+    all in the dtype of ``h``, to which the weights are rounded first."""
     src, dst = (adj.dst, adj.src) if transpose else (adj.src, adj.dst)
-    out = adj.self_weight[:, None] * h
+    out = adj.self_weight.astype(h.dtype)[:, None] * h
     msg = h[dst]
     if adj.weight is not None:
-        msg *= adj.weight[:, None]
+        msg *= adj.weight.astype(h.dtype)[:, None]
     np.add.at(out, src, msg)
     return out
 
@@ -514,14 +515,16 @@ def reference_keep_edges(g: SnapshotGraph, keep: np.ndarray, vertex_ids: np.ndar
     )
 
 
-def reference_dropout_mask(rng, shape: tuple[int, int], rate: float, rows=None) -> np.ndarray:
+def reference_dropout_mask(rng, shape: tuple[int, int], rate: float, rows=None,
+                           dtype=DTYPE) -> np.ndarray:
     """Float inverted-dropout mask of one full ``rng.random(shape)`` draw cut
-    to ``rows`` (every row when None): 0 with probability ``rate``, else
-    1/(1-rate); all ones, drawing nothing, at rate 0."""
+    to ``rows`` (every row when None), in ``dtype``: 0 with probability
+    ``rate``, else 1/(1-rate) rounded to ``dtype``; all ones, drawing
+    nothing, at rate 0."""
     sel = slice(None) if rows is None else rows
     if rate <= 0.0:
-        return np.ones(shape)[sel]
-    return (rng.random(shape)[sel] >= rate).astype(np.float64) / (1.0 - rate)
+        return np.ones(shape, dtype)[sel]
+    return (rng.random(shape)[sel] >= rate).astype(dtype) * (1.0 / (1.0 - rate))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -560,17 +563,18 @@ def reference_train_step(net, batch, adam, rng) -> float:
     two-exponential loss and Adam without scratch arrays; updates ``net`` and
     ``adam`` in place and returns the loss.  The adjacency, the contrastive
     term, GELU, the row scatter and the one-row product are the package's own:
-    the parts re-derived here are the ones the lean step rewrote."""
+    the parts re-derived here are the ones the lean step rewrote.  It computes
+    in the dtype of the parameters, reading the features in it too."""
 
     def relu_grad(a):
-        return (a > 0.0).astype(np.float64)
+        return (a > 0.0).astype(a.dtype)
 
     p, hyper = net.params, net.hyper
-    rate = hyper.dropout
+    rate, dtype = hyper.dropout, p.dtype
     rows, inv = np.unique(batch.target_idx, return_inverse=True)
-    x = batch.features[:, : net.n_in]
+    x = batch.features[:, : net.n_in].astype(dtype)
     if net.arch == "mlp":
-        mask = reference_dropout_mask(rng, (len(x), p.w0.shape[1]), rate, rows)
+        mask = reference_dropout_mask(rng, (len(x), p.w0.shape[1]), rate, rows, dtype)
         x = x[rows]
         a = x @ p.w0 + p.b0
         hd = np.maximum(a, 0.0) * mask
@@ -578,7 +582,7 @@ def reference_train_step(net, batch, adam, rng) -> float:
     elif net.arch == "graph-mlp":
         a0 = x @ p.w0
         g = gelu(a0)
-        mask = reference_dropout_mask(rng, g.shape, rate)
+        mask = reference_dropout_mask(rng, g.shape, rate, dtype=dtype)
         x1 = g * mask
         z = x1 @ p.w1
         logits = z[rows] @ p.w2
@@ -588,7 +592,7 @@ def reference_train_step(net, batch, adam, rng) -> float:
         hs, pre, masks = [x], [], []
         for w in p.layers:
             pre.append(adj @ (hs[-1] @ w))
-            masks.append(reference_dropout_mask(rng, pre[-1].shape, rate))
+            masks.append(reference_dropout_mask(rng, pre[-1].shape, rate, dtype=dtype))
             hs.append(np.maximum(pre[-1], 0.0) * masks[-1])
         jk = np.hstack(hs[1:])[rows]
         logits = matrix_product(jk, p.w_cls)

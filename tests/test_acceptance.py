@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import max_rel_error, small_problem
+from gradcheck import float64, max_rel_error, small_problem
 from oracles import kbisim_partition, partition_of_hashes, position_of
 from sumlife.cli import main as cli_main
 from sumlife.ingest import build_snapshot, load_snapshot
@@ -128,8 +128,8 @@ def test_criterion_04_gradient_checks():
             x, labels, src, dst = small_problem(seed)
             b = x.shape[0]
 
-            params = Network.create("mlp", x.shape[1], 3, Hyper(hidden=[4]),
-                                    np.random.default_rng(seed + 1000)).params
+            params = float64(Network.create("mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                                            np.random.default_rng(seed + 1000))).params
 
             def mlp_loss():
                 logits, cache = mlp_forward(params, x, True, 0.5, np.random.default_rng(7))
@@ -138,8 +138,8 @@ def test_criterion_04_gradient_checks():
 
             assert max_rel_error(mlp_loss, params) < tol
 
-            gparams = Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
-                                     np.random.default_rng(seed + 2000)).params
+            gparams = float64(Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                                             np.random.default_rng(seed + 2000))).params
             gamma = np.zeros((b, b))
             gamma[src, dst] = 1.0
             gamma[dst, src] = 1.0
@@ -156,8 +156,8 @@ def test_criterion_04_gradient_checks():
 
             for normalize in (False, True):
                 adj = batch_adjacency(b, src, dst, normalize)
-                cparams = Network.create("gcn", x.shape[1], 3, Hyper(hidden=[4, 3]),
-                                         np.random.default_rng(seed + 3000)).params
+                cparams = float64(Network.create("gcn", x.shape[1], 3, Hyper(hidden=[4, 3]),
+                                                 np.random.default_rng(seed + 3000))).params
 
                 def gcn_loss():
                     logits, cache = gcn_forward(

@@ -4,8 +4,10 @@ Compared by raw bytes, so -0.0 against 0.0 or a last-bit rounding change
 fails.  CI runs this file a second time with two BLAS threads, because the
 receptive-field check relies on a row subset of a matrix product being
 bit-identical to the same rows of the full product.  That holds for the
-narrow outputs of the exact tests but not past about 256 output columns,
-where the wide-output test bounds the difference instead.
+narrow outputs of the exact tests.  The wide-output test bounds the
+difference instead: float64 products of these networks differed past about
+256 output columns; float32 (sgemm) ones, at inner widths up to 19, matched
+at every width measured up to 3 000, but other BLAS builds may differ.
 """
 
 import tracemalloc
@@ -29,7 +31,7 @@ from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.gcn import batch_adjacency
-from sumlife.nets.ops import _SCATTER_BLOCK, scatter_add
+from sumlife.nets.ops import _SCATTER_BLOCK, DTYPE, scatter_add
 from sumlife.sampling import (
     _khop_closure,
     edge_as_vertex_transform,
@@ -89,8 +91,10 @@ def test_edge_list_products_match_add_at_reference(seed, normalize):
     adj = batch_adjacency(n, src, dst, normalize)
     h = rng.normal(size=(n, int(rng.integers(1, 65))))
     h[rng.random(h.shape) < 0.2] = -0.0
-    assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
-    assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
+    for h in (h, h.astype(DTYPE)):  # weights rounded to h's dtype, terms summed in it
+        assert (adj @ h).dtype == h.dtype
+        assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
+        assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
 
 
 def _many_edges(rng, n: int, e: int):
@@ -111,8 +115,9 @@ def test_edge_list_products_span_several_scatter_blocks(d, normalize):
     assert len(adj.src) > 2 * step
     h = rng.normal(size=(n, d))
     h[rng.random(h.shape) < 0.2] = -0.0
-    assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
-    assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
+    for h in (h, h.astype(DTYPE)):
+        assert (adj @ h).tobytes() == reference_edge_matmul(adj, h).tobytes()
+        assert (adj.T @ h).tobytes() == reference_edge_matmul(adj, h, transpose=True).tobytes()
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -224,11 +229,12 @@ def test_closure_memo_leaves_batches_unchanged(k):
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("arch", ["gcn", "gcn-edges"])
 def test_receptive_field_logits_round_alike_at_wide_outputs(arch, normalize, n_classes):
-    # Past about 256 output columns OpenBLAS may compute a row subset of the
-    # output product with other rounding than the full product, so the logits
-    # of a receptive-field batch can differ from a whole-snapshot pass in their
-    # last bits.  Predictions must still match, and no logit may differ by
-    # more than a few units in the last place of its row's largest logit.
+    # At wide outputs a BLAS may compute a row subset of the output product
+    # with other rounding than the full product (OpenBLAS did past about 256
+    # columns in float64), so the logits of a receptive-field batch can differ
+    # from a whole-snapshot pass in their last bits.  Predictions must still
+    # match, and no logit may differ by more than a few units in the last
+    # place of its row's largest logit.
     for layers in (1, 2, 3):
         for seed in range(3):
             seq, task = _task(seed)

@@ -10,6 +10,7 @@ from sumlife.cli import main
 from sumlife.errors import CheckpointError
 from sumlife.features import ClassVocabulary, PredicateVocabulary
 from sumlife.nets import Hyper, Network, load_checkpoint, save_checkpoint
+from sumlife.nets.ops import DTYPE
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 
 
@@ -37,7 +38,7 @@ def test_roundtrip_bit_exact(tmp_path, arch):
     assert loaded.arch == arch
     for (ka, a), (kb, b) in zip(net.params.items(), loaded.params.items()):
         assert ka == kb
-        assert a.dtype == b.dtype == np.float64
+        assert a.dtype == b.dtype == DTYPE
         assert np.array_equal(a, b)
     assert pv2.entries == pv.entries
     assert cv2.entries == cv.entries
@@ -199,19 +200,20 @@ def test_empty_predicate_iri_survives_checkpoint(tmp_path):
 
 def rewrite_tensors(path, edit):
     """Replace a checkpoint's tensors by ``edit(header, tensors)``; the header's
-    tensor list follows the new tensors, so only their shapes can be wrong."""
+    tensor list follows the new tensors, so only their shapes can be wrong.
+    The payloads are written in the header's ``dtype``, which ``edit`` may change."""
     data = path.read_bytes()
     header_len = int.from_bytes(data[8:12], "little")
     header = json.loads(data[12 : 12 + header_len])
-    tensors, offset = {}, 12 + header_len
+    tensors, offset, dtype = {}, 12 + header_len, np.dtype(header["dtype"])
     for spec in header["tensors"]:
         count = math.prod(spec["shape"])
-        tensors[spec["name"]] = np.frombuffer(data, "<f8", count, offset).reshape(spec["shape"])
-        offset += 8 * count
+        tensors[spec["name"]] = np.frombuffer(data, dtype, count, offset).reshape(spec["shape"])
+        offset += dtype.itemsize * count
     tensors = edit(header, tensors)
     header["tensors"] = [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(np.ascontiguousarray(v, "<f8").tobytes() for v in tensors.values())
+    payload = b"".join(np.ascontiguousarray(v, header["dtype"]).tobytes() for v in tensors.values())
     path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + payload)
 
 
@@ -286,13 +288,18 @@ def test_rewritten_tensors_of_the_same_shapes_load(tmp_path):
     assert np.array_equal(loaded.params.b0, np.ones(6))
 
 
-def test_eval_of_a_cut_tensor_exits_1_with_one_line(tmp_path, capsys):
+def trained_checkpoint(tmp_path):
+    """(snapshot, its checkpoint) of a 2-iteration ac1 mlp lifelong run."""
     snapshot = tmp_path / "2012-05-06.nt"
     write_ntriples(snapshot, ring_triples(distinct_recipes(predicate_pool(4), 4), 12))
     out = tmp_path / "run"
     assert main(["lifelong", "--model", "ac1", "--in", str(snapshot), "--out", str(out),
                  "--iterations", "2", "--hidden-size", "8"]) == 0
-    ckpt = out / "task00.gslc"
+    return snapshot, out / "task00.gslc"
+
+
+def test_eval_of_a_cut_tensor_exits_1_with_one_line(tmp_path, capsys):
+    snapshot, ckpt = trained_checkpoint(tmp_path)
     rewrite_tensors(ckpt, lambda h, t: {**t, "w_out": t["w_out"][:-3]})
     capsys.readouterr()
     assert main(["eval", "--model", "ac1", "--in", str(snapshot), "--ckpt", str(ckpt),
@@ -300,3 +307,52 @@ def test_eval_of_a_cut_tensor_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "task00.gslc" in err and "tensor shapes" in err
+
+
+def with_dtype(dtype):
+    def edit(header, tensors):
+        header["dtype"] = dtype
+        return tensors
+    return edit
+
+
+def test_checkpoints_hold_float32_payloads(tmp_path):
+    p = saved(tmp_path, "mlp")
+    net = make_net("mlp")
+    assert read_header(p)["dtype"] == "<f4"
+    assert p.stat().st_size == 12 + len(json.dumps(read_header(p), sort_keys=True)) + sum(
+        4 * t.size for t in net.params.values())
+
+
+def test_float64_checkpoint_of_an_earlier_run_loads_and_evaluates(tmp_path):
+    """A ``"<f8"`` payload is read and cast once to the compute dtype; its
+    evaluation reads as the ``"<f4"`` checkpoint holding the same values."""
+    snapshot, f4 = trained_checkpoint(tmp_path)
+    f8 = tmp_path / "f8.gslc"
+    f8.write_bytes(f4.read_bytes())
+    rewrite_tensors(f8, with_dtype("<f8"))
+    assert read_header(f8)["dtype"] == "<f8" and f8.stat().st_size > f4.stat().st_size
+    want, _, _, _ = load_checkpoint(f4)
+    got, _, _, _ = load_checkpoint(f8)
+    for name, t in got.params.items():
+        assert t.dtype == DTYPE and t.tobytes() == want.params[name].tobytes(), name
+    for ckpt in (f4, f8):
+        assert main(["eval", "--model", "ac1", "--in", str(snapshot), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / ckpt.stem)]) == 0
+    assert (tmp_path / "f8" / "eval.json").read_bytes().replace(b"f8.gslc", b"") == (
+        tmp_path / "task00" / "eval.json").read_bytes().replace(b"task00.gslc", b"")
+
+
+@pytest.mark.parametrize("dtype", ["<i8", "<f2", ">f4", ">f8", "|u1"])
+def test_payload_dtype_other_than_float_rejected(tmp_path, capsys, dtype):
+    """Integer, half-precision and big-endian payloads are refused, not cast."""
+    snapshot, ckpt = trained_checkpoint(tmp_path)
+    rewrite_tensors(ckpt, with_dtype(dtype))
+    with pytest.raises(CheckpointError, match="payload dtype"):
+        load_checkpoint(ckpt)
+    capsys.readouterr()
+    assert main(["eval", "--model", "ac1", "--in", str(snapshot), "--ckpt", str(ckpt),
+                 "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "payload dtype" in err

@@ -7,7 +7,7 @@ loss path during development.
 import numpy as np
 import pytest
 
-from gradcheck import max_rel_error, small_problem
+from gradcheck import float64, max_rel_error, small_problem
 from sumlife.nets.gcn import batch_adjacency, gcn_backward, gcn_forward
 from sumlife.nets.graphmlp import graphmlp_backward, graphmlp_forward
 from sumlife.nets.losses import cross_entropy, ncontrast_loss
@@ -21,8 +21,8 @@ TOL = 1e-4
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 def test_mlp_gradients(seed, dropout):
     x, labels, _, _ = small_problem(seed)
-    params = Network.create("mlp", x.shape[1], 3, Hyper(hidden=[4]),
-                            np.random.default_rng(seed + 100)).params
+    params = float64(Network.create("mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                                    np.random.default_rng(seed + 100))).params
 
     def loss_fn():
         logits, cache = mlp_forward(params, x, True, dropout, np.random.default_rng(7))
@@ -36,8 +36,8 @@ def test_mlp_gradients(seed, dropout):
 def test_graphmlp_combined_gradients(seed):
     x, labels, src, dst = small_problem(seed)
     b = x.shape[0]
-    params = Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
-                            np.random.default_rng(seed + 200)).params
+    params = float64(Network.create("graph-mlp", x.shape[1], 3, Hyper(hidden=[4]),
+                                    np.random.default_rng(seed + 200))).params
     gamma = np.zeros((b, b))
     gamma[src, dst] = 1.0
     gamma[dst, src] = 1.0
@@ -58,8 +58,8 @@ def test_graphmlp_combined_gradients(seed):
 @pytest.mark.parametrize("hidden", [[4], [4, 3]])
 def test_gcn_gradients(seed, normalize, hidden):
     x, labels, src, dst = small_problem(seed)
-    params = Network.create("gcn", x.shape[1], 3, Hyper(hidden=hidden),
-                            np.random.default_rng(seed + 300)).params
+    params = float64(Network.create("gcn", x.shape[1], 3, Hyper(hidden=hidden),
+                                    np.random.default_rng(seed + 300))).params
     adj = batch_adjacency(x.shape[0], src, dst, normalize)
 
     def loss_fn():

@@ -366,22 +366,24 @@ def test_grow_zero_init_pads_every_tensor_with_zeros(arch):
         assert not t.any(), name
 
 
-# sha256 of each tensor's name, shape and bytes in layout order after ``create``,
-# after ``grow`` and after a ``zero_init`` ``grow`` of a clone: a change of layout
-# order or draw order changes every checkpoint, and must show here
+# sha256 of each tensor's name, shape and float32 bytes in layout order after
+# ``create``, after ``grow`` and after a ``zero_init`` ``grow`` of a clone: a change
+# of layout order or draw order changes every checkpoint, and must show here.  The
+# weights are drawn in float64 and cast, so these are the float64 draws' digests
+# once each tensor is cast to float32
 LAYOUT_DIGESTS = {
-    "mlp": ("d2ba7e3585f0d5db8ad8add03553b6a5e91ae2e41a30ac13cfeb1727e7c9d347",
-            "39f649c3f705cd9296911529c8a990ad39f240fb8aec042f436927062ec6754e",
-            "fb22d331b460db1cb7ed245fc9228651680520d21dc0bfcebc2bf08282a97756"),
-    "graph-mlp": ("efa563d2653aba7ecfc808186e8e0acb6d7d2fe61e81dbeed10358a3842b7b9f",
-                  "91ed30e53455c830597a68119bebb3e0376be46366b893b5bf074b04761803a9",
-                  "0a55b6fa1437f5ad4a34f7253fbbf4209d0e33f76430b5a95f960afc7959fac4"),
-    "gcn": ("5f733219da298c01978ce6c6296571643a07d24dc5ef8983d430b4b8945ef586",
-            "f51c52c4966725c77873af57b0d7fc9ac667c1245cfda856706944e3c19d112d",
-            "0a481a9a2c01fb896c8b328c7607be868286d3883bf661fde67ba9e965557c75"),
-    "gcn-edges": ("da6d54cd22001a4d3735ab7a58d67da01a3ea0d8de7633dd0ccdb638e3ff6e63",
-                  "9f938bca3de028593303eccd0c6c73e20087c4adfb04bc73ef68ca866c45f6f5",
-                  "1adf8316153c32f4f20942e13cd919d4e0ec99df0bc04ba1c5c14065a905faae"),
+    "mlp": ("727d634efde8ccea459fe2d3dd8c0f6e01ebb52bef88fd205a9eb43caae95917",
+            "46c84ae38e0ad83c9c5a5876d4a35de313f786876c5f89f4f45462a41bb4d05b",
+            "a6c2b04081ea58a69c8d7c56154e9ad28502bcfac45fcf6b447eb42639c56dbf"),
+    "graph-mlp": ("135ad94ef4e4db42ac2ecad2e292ff725ba054e230fee723b265c4a5c36fe793",
+                  "e58404cb121e475905c385feaf9465f93910a1f22780ac79b4f810fb2ced309d",
+                  "bcd84a41a19029b98c25ab3af9ace5424f29398209750822728dd30703b6de60"),
+    "gcn": ("c39d520bf1815f34475ac30869a3202c3cee2bd725684f388f617dae3e080e44",
+            "beb6e24a49fd91ed6a84382187f981f3bd5c67f827b910bfeffdf6d74819a2f1",
+            "fb55ff21422e39fd689358b0e423f27a84a2bbc2b6de681e0c7f5d50ed3ba9a3"),
+    "gcn-edges": ("6aceb593b4e5014b6ee38b7d92499bcd744be280b6a49b31d28a4e5173f57f20",
+                  "dd232b7edeb9d1ad36a5b353a05fdf7c92c400160c092de706374b2fd0b8a1aa",
+                  "86b7a73a064d4a59299c0c594e4d897dcd191d232a49f683b57649ce49274023"),
 }
 LAYOUT_HIDDEN = {"mlp": [6], "graph-mlp": [6], "gcn": [4, 3], "gcn-edges": [3, 3, 2]}
 # the rng's next draw after the three steps: create and grow consume it exactly so far

@@ -9,9 +9,12 @@ unchanged), and a step must leave the very bytes of the reference step in
 ``oracles.py``, which draws full-batch float masks.  An MLP step must not
 hold memory that grows with batch vertices x hidden units, nor an evaluation
 with batch vertices x classes.  The target rows' logits must be the
-same rows of a whole-snapshot pass: bit for bit at narrow outputs, within a
-few units in the last place past about 256 output columns.  CI also runs this
-file with two BLAS threads.
+same rows of a whole-snapshot pass: bit for bit at the narrow outputs of these
+small networks, within a few units in the last place at 300 and 476 output
+columns, where float64 products rounded a row subset otherwise; float32
+(sgemm) products of these inner widths (up to 19) matched bit for bit at
+every width measured up to 3 000.  CI also runs this file with two BLAS
+threads.
 """
 
 import tracemalloc
@@ -19,14 +22,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradcheck import max_rel_error, small_problem
+from gradcheck import float64, max_rel_error, small_problem
 from oracles import reference_train_step
 from sumlife.features import TEST, TRAIN, VAL
 from sumlife.ingest import build_snapshot
 from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network, network
 from sumlife.nets.losses import cross_entropy
-from sumlife.nets.ops import dropout_mask, scatter_add
+from sumlife.nets.ops import _DRAW_BYTES, dropout_mask, scatter_add
 from sumlife.sampling import Subgraph
 from test_bitwise import _field, _task
 
@@ -49,8 +52,9 @@ def _batch(seed: int) -> Subgraph:
 
 
 def _net(arch: str, seed: int, dropout: float) -> Network:
+    """A float64 network: its step is compared at float64 tolerances."""
     hyper = Hyper(hidden=HIDDEN[arch], dropout=dropout)
-    return Network.create(arch, 5, N_CLASSES, hyper, np.random.default_rng(seed + 100))
+    return float64(Network.create(arch, 5, N_CLASSES, hyper, np.random.default_rng(seed + 100)))
 
 
 def _captured_step(net: Network, batch: Subgraph, monkeypatch, rng_seed: int = 7):
@@ -217,6 +221,30 @@ def test_row_dropout_mask_is_the_full_draw_cut_to_its_rows(rows, buffered):
     assert np.array_equal(mask, full[rows])
     assert state == full_state
     assert after == full_after
+
+
+@pytest.mark.parametrize("rows", [None, np.arange(0, 999, 3), np.arange(200, 700)],
+                         ids=["all", "every_third", "one_run"])
+def test_dropout_mask_draws_through_a_bounded_scratch(rows):
+    """The boolean mask is written directly from a few rows of float64
+    uniforms at a time: a 999 x 1 024 draw holds its mask and that scratch,
+    never a float64 array of the mask's size (2.6 MiB for 333 rows), and it
+    is still the full draw cut to its rows, with the rng left where that
+    draw leaves it."""
+    shape = (999, 1024)
+    dropout_mask(np.random.default_rng(4), shape, 0.5, rows)  # warm up numpy's caches
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        mask = dropout_mask(rng, shape, 0.5, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mask.nbytes + 4 * _DRAW_BYTES, f"{peak / 2**20:.2f} MiB"
+    full = np.random.default_rng(4)
+    want = full.random(shape) >= 0.5
+    assert np.array_equal(mask, want if rows is None else want[rows])
+    assert rng.bit_generator.state == full.bit_generator.state
 
 
 @pytest.mark.parametrize("rows", [[3, 1], [2, 2], [-1, 4], [8, 9]])
