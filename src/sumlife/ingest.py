@@ -94,7 +94,10 @@ class TermTable(dict):
 
     A term is kept once, as its token in ``tokens``: ``<iri>``, a literal's
     whole token (from its opening ``"``, suffix included) or a blank node's
-    ``_:`` label.  The token's first character names the term's kind.
+    ``_:`` label.  The token's first character names the term's kind.  A
+    raw TAB in a literal (N-Triples allows one) is kept as its escape
+    ``\\t``, the same literal: both spellings are one term, whose token holds
+    no TAB, so an ``eqcs.tsv`` row keeps its two fields.
 
     Looking up a new IRI or literal token interns it, so the loader maps raw
     tokens straight through the table.  A blank label's scope is one file: it
@@ -126,6 +129,9 @@ class TermTable(dict):
             if tid is None:
                 tid = self.blanks[token] = len(self.tokens)
                 self.tokens.append(f"_:{self.scope}.{token[2:]}" if self.scope else token)
+            return tid
+        if "\t" in token:  # only a literal can hold one
+            tid = self[token] = self[token.replace("\t", "\\t")]
             return tid
         tid = self[token] = len(self.tokens)
         self.tokens.append(token)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ingest import distinct
-from .ops import Params, apply_dropout, dropout_mask, matrix_product, relu, scatter_add, scatter_rows
+from .ops import DTYPE, Params, apply_dropout, dropout_mask, matrix_product, relu, scatter_add, scatter_rows
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class EdgeList:
 
     ``A @ h`` scales each row of ``h`` by ``self_weight`` and adds the
     out-neighbours' rows, scaled by ``weight`` (1 when it is None).  The
-    weights are float64, whatever the dtype ``h`` is computed in.
-    ``A.T`` swaps the edge direction and shares the arrays.
+    weights are in the dtype ``batch_adjacency`` was given, the network's
+    compute dtype.  ``A.T`` swaps the edge direction and shares the arrays.
     """
 
     src: np.ndarray
@@ -54,21 +54,21 @@ class EdgeList:
         return sum(a.nbytes for a in arrays if a is not None)
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
-        """``A @ h`` in the dtype of ``h``: the float64 weights are cast to it."""
-        weight = None if self.weight is None else self.weight.astype(h.dtype, copy=False)
-        out = self.self_weight.astype(h.dtype, copy=False)[:, None] * h
-        scatter_add(out, self.src, h, take=self.dst, weight=weight)
+        out = self.self_weight[:, None] * h
+        scatter_add(out, self.src, h, take=self.dst, weight=self.weight)
         return out
 
 
 def batch_adjacency(
-    n: int, edge_src: np.ndarray, edge_dst: np.ndarray, normalize: bool = False
+    n: int, edge_src: np.ndarray, edge_dst: np.ndarray, normalize: bool = False,
+    dtype: np.dtype = DTYPE,
 ) -> EdgeList:
     """Out-neighbour adjacency of an n-vertex batch, optionally degree-normalized.
 
     Parallel edges collapse to one and self-loop edges are dropped, since
     every vertex already keeps its own row.  Normalization scales the entry
-    (u, v) by 1/sqrt(d_u * d_v), with d = 1 + the distinct out-degree.
+    (u, v) by 1/sqrt(d_u * d_v), with d = 1 + the distinct out-degree,
+    computed in float64 and rounded once to the weights' ``dtype``.
     """
     src = np.asarray(edge_src, dtype=np.int64)
     dst = np.asarray(edge_dst, dtype=np.int64)
@@ -77,9 +77,9 @@ def batch_adjacency(
     keep = src != dst
     src, dst = src[keep], dst[keep]
     if not normalize:
-        return EdgeList(src, dst, np.ones(n))
+        return EdgeList(src, dst, np.ones(n, dtype))
     inv = 1.0 / np.sqrt(1.0 + np.bincount(src, minlength=n))
-    return EdgeList(src, dst, inv * inv, inv[src] * inv[dst])
+    return EdgeList(src, dst, (inv * inv).astype(dtype), (inv[src] * inv[dst]).astype(dtype))
 
 
 def gcn_forward(

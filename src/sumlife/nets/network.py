@@ -174,7 +174,7 @@ class Network:
             _, logits, cache = graphmlp_forward(self.params, x, train, dropout, rng, rows)
             return logits, cache
         adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
-                              self.hyper.normalize_adjacency)
+                              self.hyper.normalize_adjacency, self.params.dtype)
         return gcn_forward(self.params, x, adj, train, dropout, rng, rows)
 
     @np.errstate(all="ignore")  # a divergence shows as non-finite logits, not as warnings

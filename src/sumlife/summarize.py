@@ -224,12 +224,10 @@ def vertex_hashes(g: SnapshotGraph, model: str) -> np.ndarray:
 
 
 def write_eqc_tsv(path: str | Path, g: SnapshotGraph, hashes: np.ndarray) -> None:
-    """Write ``vertex-iri<TAB>eqc-hash-hex`` rows, sorted as written;
-    ``hashes`` holds the EQC hash of each vertex position.  A literal may hold
-    a raw TAB, which is written as the N-Triples escape ``\\t``, so every row
-    has two fields."""
-    lexicals = (g.terms.lexical(t).replace("\t", "\\t") for t in g.vertex_ids.tolist())
-    rows = sorted(zip(lexicals, hashes.tolist()))
+    """Write ``vertex-iri<TAB>eqc-hash-hex`` rows, sorted by vertex lexical;
+    ``hashes`` holds the EQC hash of each vertex position.  No lexical holds
+    a raw TAB (see ``ingest.TermTable``), so every row has two fields."""
+    rows = sorted(zip(map(g.terms.lexical, g.vertex_ids.tolist()), hashes.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         for iri, h in rows:
             fh.write(f"{iri}\t{h:016x}\n")

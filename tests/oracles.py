@@ -588,7 +588,7 @@ def reference_train_step(net, batch, adam, rng) -> float:
         logits = z[rows] @ p.w2
     else:
         adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
-                              hyper.normalize_adjacency)
+                              hyper.normalize_adjacency, dtype)
         hs, pre, masks = [x], [], []
         for w in p.layers:
             pre.append(adj @ (hs[-1] @ w))

@@ -135,7 +135,7 @@ def test_edge_list_product_holds_no_message_array(normalize):
     finally:
         tracemalloc.stop()
     assert out.shape == (n, d)
-    assert peak < 4 * n * d * 8 + 4 * _SCATTER_BLOCK * 8, peak
+    assert peak < 4 * n * d * h.itemsize + 4 * _SCATTER_BLOCK * 8, peak
 
 
 def _task(seed: int):

@@ -759,17 +759,19 @@ def test_single_snapshot_commands_refuse_extra_snapshots(tmp_path, snapshot_file
 
 def test_eqcs_tsv_escapes_a_raw_tab_in_a_literal(tmp_path):
     """N-Triples allows a raw TAB inside a literal; its ``eqcs.tsv`` row still
-    has two fields, the TAB written as the escape ``\\t``."""
+    has two fields, the TAB written as the escape ``\\t``.  The raw and the
+    escaped spelling are one literal, so one vertex and one row."""
     snapshot = tmp_path / "tab.nt"
-    snapshot.write_text('<http://a> <http://p> "x\ty" .\n<http://a> <http://q> <http://b> .\n',
-                        encoding="utf-8")
+    snapshot.write_text('<http://a> <http://p> "x\ty" .\n<http://a> <http://q> <http://b> .\n'
+                        '<http://c> <http://p> "x\\ty" .\n', encoding="utf-8")
     out = tmp_path / "o"
     assert main(["summarize", "--model", "ac1", "--in", str(snapshot), "--out", str(out)]) == 0
     lines = (out / "eqcs.tsv").read_text(encoding="utf-8").splitlines()
     assert lines == sorted(lines)
     rows = [line.split("\t") for line in lines]
-    assert [len(row) for row in rows] == [2, 2, 2]
-    assert [row[0] for row in rows] == ['"x\\ty"', "http://a", "http://b"]
+    assert [len(row) for row in rows] == [2, 2, 2, 2]
+    assert [row[0] for row in rows] == ['"x\\ty"', "http://a", "http://b", "http://c"]
+    assert json.loads((out / "stats.json").read_text())["vertices"] == 4
 
 
 @pytest.mark.parametrize("include_rdf_types", [False, True])

@@ -14,7 +14,7 @@ from sumlife.nets.graphmlp import graphmlp_forward
 from sumlife.nets.losses import cross_entropy, ncontrast_loss
 from sumlife.nets.mlp import mlp_backward, mlp_forward
 from sumlife.nets.network import ARCHITECTURES, Hyper, Network
-from sumlife.nets.ops import Params, apply_dropout, assert_finite, dropout_mask, gelu
+from sumlife.nets.ops import DTYPE, Params, apply_dropout, assert_finite, dropout_mask, gelu
 from sumlife.sampling import Subgraph
 
 
@@ -147,7 +147,7 @@ def sparse_dense_cases():
 def test_sparse_propagation_matches_dense(case, normalize):
     n, src, dst = sparse_dense_cases()[case]
     rng = np.random.default_rng(case)
-    adj = batch_adjacency(n, src, dst, normalize)
+    adj = batch_adjacency(n, src, dst, normalize, np.float64)  # as the dense reference
     dense = dense_adjacency(n, src, dst, normalize)
     h = rng.normal(size=(n, 6))
     np.testing.assert_allclose(adj @ h, dense @ h, rtol=0, atol=1e-12)
@@ -220,8 +220,8 @@ def test_mlp_train_step_memory_holds_one_activation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    activation = len(np.unique(target_idx)) * hidden * 8
-    assert peak < activation + n * n_classes * 8 + hidden * n_classes * 8 + 2**20, peak
+    activation = len(np.unique(target_idx)) * hidden
+    assert peak < (activation + n * n_classes + hidden * n_classes) * DTYPE.itemsize + 2**20, peak
 
 
 def test_cross_entropy_uniform_logits():
