@@ -13,13 +13,14 @@ of fewer than 9 vertices), 2 configuration (including an unknown or missing
 argument, a value of the wrong type or outside its choice list, ``gcn-edges``
 with a model other than ac2, a checkpoint trained for another summary model,
 degree cap, degree mode or rdf:type setting, more than one snapshot for
-``summarize``, ``eval`` or ``lifelong --time-warp``, ``lifelong`` snapshots
-whose timestamps are out of order or repeated, a degree cap below 1, a
-dropout outside [0, 1), a hidden size below 1 and more than one hidden size
-for mlp or graph-mlp, a hidden size or batch cap above ``config.MAX_SIZE``
-(2**31 - 1), a negative seed, a learning rate or tau that is not
-finite and positive, and an alpha that is not finite and non-negative), 3
-numerical failure.  Running out of memory exits 1 with one ``error: out of
+``summarize``, ``eval`` or ``lifelong --time-warp``, an explicitly set
+architecture other than the ``lifelong --time-warp`` checkpoint's (every arm
+trains the checkpoint's), ``lifelong`` snapshots whose timestamps are out of
+order or repeated, a degree cap below 1, a dropout outside [0, 1), a hidden
+size below 1 and more than one hidden size for mlp or graph-mlp, a hidden
+size or batch cap above ``config.MAX_SIZE`` (2**31 - 1), a negative seed, a
+learning rate or tau that is not finite and positive, and an alpha that is
+not finite and non-negative), 3 numerical failure.  Running out of memory exits 1 with one ``error: out of
 memory`` line.
 """
 
@@ -214,16 +215,19 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
         )
     out = _out_dir(cfg)
     manifest = Manifest("lifelong", cfg.to_dict())
-    hyper = _hyper(cfg)
 
     if time_warp_ckpt is not None:
         with manifest.stage("ingest"):
             (snapshot,) = _snapshots(cfg, need_test=True)
         with manifest.stage("time_warp"):
             old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
+            # every arm trains the checkpoint's network: refuse a setting it would ignore
+            if "architecture" in cfg.explicit and cfg.architecture != old_net.arch:
+                raise ConfigError(f"{time_warp_ckpt} holds a {old_net.arch} network, "
+                                  f"not the --architecture {cfg.architecture}")
             result = time_warp(
-                old_net, old_pv, old_cv, snapshot, cfg.model, cfg.architecture,
-                hyper, cfg.seed, cfg.iterations, cfg.batch_cap,
+                old_net, old_pv, old_cv, snapshot, cfg.model, cfg.seed, cfg.iterations,
+                cfg.batch_cap,
             )
             write_json(out / "timewarp.json", result)
             manifest.record_output(out / "timewarp.json")
@@ -241,7 +245,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
 
     with manifest.stage("train"):
         _, r, diagnostics = run_sequence(
-            seq, cfg.architecture, hyper, cfg.restart, cfg.seed,
+            seq, cfg.architecture, _hyper(cfg), cfg.restart, cfg.seed,
             cfg.iterations, cfg.batch_cap, cfg.zero_init_growth,
             threads=cfg.threads, on_task=save,
         )

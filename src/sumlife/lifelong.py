@@ -192,6 +192,20 @@ def _train_on_task(
     return losses
 
 
+def _fit(net: Network | None, task: Task, seq: TaskSequence, arch: str, hyper: Hyper, seed: int,
+         iterations: int, batch_cap: int, zero_init_growth: bool = False) -> tuple[Network, list[float]]:
+    """One task's step, for ``run_sequence`` and ``time_warp`` alike: draw the
+    task's rng, create an ``arch`` network at the task's widths when ``net`` is
+    None or grow ``net`` (in place) to them, then train it; returns (the
+    trained network, its training losses)."""
+    rng = _task_rng(seed, task.index)
+    if net is None:
+        net = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
+    else:
+        net.grow(task.pred_width, task.class_width, rng, zero_init_growth)
+    return net, _train_on_task(net, task, seq, iterations, batch_cap, rng)
+
+
 def _clone(task: Task, net: Network) -> Network:
     """``run_sequence``'s default ``on_task``: a frozen copy of the trained network."""
     return net.clone()
@@ -227,12 +241,8 @@ def run_sequence(
     diagnostics: list[dict] = []
     net: Network | None = None
     for task in seq.tasks:
-        rng = _task_rng(seed, task.index)
-        if net is None or restart == "cold":
-            net = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
-        else:
-            net.grow(task.pred_width, task.class_width, rng, zero_init_growth)
-        losses = _train_on_task(net, task, seq, iterations, batch_cap, rng)
+        net, losses = _fit(None if restart == "cold" else net, task, seq, arch, hyper, seed,
+                           iterations, batch_cap, zero_init_growth)
         results.append(on_task(task, net))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -360,34 +370,27 @@ def time_warp(
     old_class_vocab: ClassVocabulary,
     new_snapshot: tuple[str, SnapshotGraph],
     model: str,
-    arch: str,
-    hyper: Hyper,
     seed: int = 42,
     iterations: int = 100,
     batch_cap: int = 1000,
 ) -> dict:
-    """Frozen / retrained / from-scratch comparison on a distant new task."""
+    """Frozen / retrained / from-scratch comparison on a distant new task.
+
+    Every arm has the checkpoint's architecture and hyperparameters: the
+    frozen arm is ``old_net`` itself, the retrained arm a copy of it grown to
+    the task and trained, and the from-scratch arm a new network trained from
+    the same task rng, both through ``run_sequence``'s task step."""
     seq = prepare_tasks(
         [new_snapshot], model, seed, pred_vocab=old_pred_vocab, class_vocab=old_class_vocab
     )
     task = seq.tasks[0]
-
     frozen_acc, frozen_unseen = evaluate_network(old_net, task, seq)
-
-    warm = old_net.clone()
-    rng = _task_rng(seed, 0)
-    warm.grow(task.pred_width, task.class_width, rng)
-    _train_on_task(warm, task, seq, iterations, batch_cap, rng)
-    warm_acc, _ = evaluate_network(warm, task, seq)
-
-    rng = _task_rng(seed, 0)
-    cold = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
-    _train_on_task(cold, task, seq, iterations, batch_cap, rng)
-    cold_acc, _ = evaluate_network(cold, task, seq)
-
+    arch, hyper = old_net.arch, old_net.hyper
+    warm, _ = _fit(old_net.clone(), task, seq, arch, hyper, seed, iterations, batch_cap)
+    cold, _ = _fit(None, task, seq, arch, hyper, seed, iterations, batch_cap)
     return {
         "frozen_accuracy": frozen_acc,
         "frozen_unseen_fraction": frozen_unseen,
-        "retrained_accuracy": warm_acc,
-        "cold_accuracy": cold_acc,
+        "retrained_accuracy": evaluate_network(warm, task, seq)[0],
+        "cold_accuracy": evaluate_network(cold, task, seq)[0],
     }

@@ -3,12 +3,15 @@
 "gcn-edges" (message passing; the edges variant takes edge-as-vertex batches).
 
 Each per-architecture decision is made here.  ``_tensor_shapes`` is the one
-statement of each architecture's parameter layout: ``Network.create`` draws
-it, ``Network.grow`` widens to it and ``Network.from_tensors`` checks it and
-keeps the tensors, in its order, as one ``ops.Params`` record, the same type
-for every architecture.  The batch a network reads is decided in
-``receptive_hops`` and ``edges_as_vertices``, the forward pass in ``_forward``
-and the backward pass after ``train_step``'s one loss tail.  Both passes look
+statement of each architecture's parameter layout, and ``_widened`` the one
+path that makes parameters to it: ``ops.widen`` of each tensor in layout
+order, from empty tensors in ``Network.create`` and from the current ones in
+``Network.grow``.  ``Network.from_tensors`` checks the layout of tensors a
+checkpoint holds.  Every network keeps its tensors, in layout order, as one
+``ops.Params`` record, the same type for every architecture.  The batch a
+network reads is decided in ``receptive_hops`` and ``edges_as_vertices``,
+the forward pass in ``_forward`` and the backward pass after
+``train_step``'s one loss tail.  Both passes look
 their functions up in this module's globals at call time, so a wrapper put
 on a module name (as the benchmark's tracer does) sees every call.
 """
@@ -26,7 +29,7 @@ from .gcn import batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import graphmlp_backward, graphmlp_contrast, graphmlp_forward
 from .losses import cross_entropy
 from .mlp import mlp_backward, mlp_forward
-from .ops import DTYPE, Params, assert_finite, glorot_uniform, scatter_rows, widen
+from .ops import DTYPE, Params, assert_finite, scatter_rows, widen
 
 if TYPE_CHECKING:  # sampling writes batch features in ops.DTYPE, so it imports this package
     from ..sampling import Subgraph
@@ -66,8 +69,8 @@ class Hyper:
 
 def _tensor_shapes(arch: str, n_in: int, hidden: list, n_classes: int) -> dict[str, tuple]:
     """Each parameter tensor's shape, by name: the one statement of an
-    architecture's parameter layout.  ``Network.create`` and ``Network.grow``
-    draw the tensors in this order, so reordering it changes every checkpoint."""
+    architecture's parameter layout.  ``_widened`` draws the tensors in this
+    order, so reordering it changes every checkpoint."""
     if arch == "mlp":
         (h,) = hidden
         return {"w0": (n_in, h), "b0": (h,), "w_out": (h, n_classes), "b_out": (n_classes,)}
@@ -77,6 +80,17 @@ def _tensor_shapes(arch: str, n_in: int, hidden: list, n_classes: int) -> dict[s
     widths = [n_in, *hidden]
     return {**{f"w{i}": tuple(widths[i : i + 2]) for i in range(len(hidden))},
             "w_cls": (sum(hidden), n_classes)}
+
+
+def _widened(arch: str, hyper: Hyper, n_in: int, n_classes: int, rng: np.random.Generator,
+             old: Params | None = None, zero_init: bool = False) -> Params:
+    """The parameters of ``arch`` at these widths: each tensor of ``old`` (an
+    empty ``DTYPE`` one when ``old`` is None) through ``ops.widen``, in layout
+    order, all from ``rng``."""
+    shapes = _tensor_shapes(arch, n_in, hyper.hidden, n_classes)
+    if old is None:
+        old = {name: np.empty((0,) * len(shape), DTYPE) for name, shape in shapes.items()}
+    return Params({name: widen(rng, old[name], shape, zero_init) for name, shape in shapes.items()})
 
 
 class Network:
@@ -91,14 +105,10 @@ class Network:
 
     @classmethod
     def create(cls, arch: str, n_in: int, n_classes: int, hyper: Hyper, rng: np.random.Generator) -> "Network":
-        """A fresh ``DTYPE`` network: each weight drawn Glorot-uniform in layout
-        order (in float64, then cast), each bias zero."""
+        """A fresh ``DTYPE`` network: ``_widened`` from empty tensors, so each
+        weight is drawn Glorot-uniform in layout order and each bias is zero."""
         hyper = hyper.resolved(arch)
-        shapes = _tensor_shapes(arch, n_in, hyper.hidden, n_classes)
-        tensors = {name: glorot_uniform(rng, *shape, shape).astype(DTYPE) if len(shape) == 2
-                   else np.zeros(shape, dtype=DTYPE)
-                   for name, shape in shapes.items()}
-        return cls.from_tensors(arch, tensors, hyper, n_in, n_classes)
+        return cls(arch, _widened(arch, hyper, n_in, n_classes, rng), hyper)
 
     @classmethod
     def from_tensors(cls, arch: str, tensors: dict, hyper: Hyper, n_in: int, n_classes: int) -> "Network":
@@ -140,17 +150,13 @@ class Network:
         return Network(self.arch, copy.deepcopy(self.params), copy.deepcopy(self.hyper))
 
     def grow(self, n_in: int, n_classes: int, rng: np.random.Generator, zero_init: bool = False) -> None:
-        """Widen to ``n_in`` inputs and ``n_classes`` outputs in layout order:
-        existing entries are kept bit-exactly, new weights come from ``ops.widen``
-        and new bias entries are zero, each tensor keeping its dtype."""
+        """Widen to ``n_in`` inputs and ``n_classes`` outputs through ``_widened``:
+        existing entries are kept bit-exactly, new weight entries are drawn in
+        layout order (zero with ``zero_init``) and new bias entries are zero,
+        each tensor keeping its dtype."""
         if n_in < self.n_in or n_classes < self.n_classes:
             raise ValueError("layers can only grow")
-        old = self.params
-        shapes = _tensor_shapes(self.arch, n_in, self.hyper.hidden, n_classes)
-        tensors = {name: widen(rng, old[name], *shape, zero_init) if len(shape) == 2
-                   else np.concatenate([old[name], np.zeros(shape[0] - len(old[name]), old.dtype)])
-                   for name, shape in shapes.items()}
-        self.params = self.from_tensors(self.arch, tensors, self.hyper, n_in, n_classes).params
+        self.params = _widened(self.arch, self.hyper, n_in, n_classes, rng, self.params, zero_init)
 
     def new_adam(self) -> AdamState:
         return AdamState.init_like(self.params)

@@ -1,4 +1,5 @@
-"""Dense-tensor primitives: activations, dropout, init, finiteness guard.
+"""Dense-tensor primitives: activations, dropout, parameter widening,
+finiteness guard.
 
 ``DTYPE`` (float32) is the one compute dtype: parameters, Adam moments,
 batch features and every activation and gradient are float32, as in the
@@ -74,7 +75,7 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
 
 
-# bytes of the float64 scratch dropout_mask draws its uniforms through
+# bytes of the float64 scratch dropout_mask and widen draw their uniforms through
 _DRAW_BYTES = 1 << 16
 
 
@@ -147,33 +148,30 @@ def apply_dropout(h: np.ndarray, keep: np.ndarray | None, rate: float) -> np.nda
     return h
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Uniform in +-sqrt(6/(fan_in+fan_out)), drawn in float64; callers cast
-    it once, so the rng stream does not depend on the compute dtype."""
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def widen(
-    rng: np.random.Generator, w: np.ndarray, rows: int, cols: int, zero_init: bool
+    rng: np.random.Generator, t: np.ndarray, shape: tuple[int, ...], zero_init: bool
 ) -> np.ndarray:
-    """Copy of ``w`` padded to ``rows`` x ``cols``; existing entries are kept bit-exactly.
+    """``t`` padded into one new array of ``shape`` and of ``t``'s dtype, its
+    entries kept bit-exactly: how every parameter tensor is made, from an
+    empty one by ``Network.create`` and from the current one by ``grow``.
 
-    New rows are appended first, then new columns.  Each block is drawn
-    Glorot-uniform with the fans of the full new shape, or is zero with
-    ``zero_init``, in the dtype of ``w``.
+    A vector (a bias) is padded with zeros.  A matrix gets its new rows, then
+    its new columns, drawn Glorot-uniform with the fans of the full ``shape``
+    (zero with ``zero_init``) in float64, ``_DRAW_BYTES`` of rows at a time,
+    and cast into place.  Row-chunked draws make the stream of one draw, and
+    a zero-size draw none, so an empty matrix widens to exactly a fresh draw.
     """
-
-    def block(shape: tuple[int, int]) -> np.ndarray:
-        if zero_init:
-            return np.zeros(shape, dtype=w.dtype)
-        return glorot_uniform(rng, rows, cols, shape).astype(w.dtype, copy=False)
-
-    if rows > w.shape[0]:
-        w = np.vstack([w, block((rows - w.shape[0], w.shape[1]))])
-    if cols > w.shape[1]:
-        w = np.hstack([w, block((w.shape[0], cols - w.shape[1]))])
-    return w.copy()
+    out = np.zeros(shape, dtype=t.dtype)
+    out[tuple(slice(n) for n in t.shape)] = t
+    if t.ndim == 2 and not zero_init:
+        (r, c), (rows, cols) = t.shape, shape
+        bound = math.sqrt(6.0 / (rows + cols))
+        step = max(1, _DRAW_BYTES // (8 * max(cols, 1)))
+        for block in (out[r:, :c], out[:, c:]):
+            for i in range(0, len(block), step):
+                chunk = block[i : i + step]
+                chunk[...] = rng.uniform(-bound, bound, size=chunk.shape)
+    return out
 
 
 # flat-index entries scatter_add builds at a time (128 KiB of int64)

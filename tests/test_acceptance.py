@@ -249,7 +249,7 @@ def test_criterion_07_time_warp_null_check():
         )
         result = time_warp(
             ckpts[-1], old_seq.pred_vocab, old_seq.class_vocab, snaps[1],
-            "ac1", "mlp", Hyper(), seed=17, iterations=100,
+            "ac1", seed=17, iterations=100,
         )
         assert result["frozen_accuracy"] < 0.05
         assert abs(result["retrained_accuracy"] - result["cold_accuracy"]) <= 0.05

@@ -422,6 +422,30 @@ def test_checkpoint_refuses_other_run_settings(tmp_path, snapshot_files, capsys)
     assert not (tmp_path / "o" / "eval.json").exists()
 
 
+def test_time_warp_refuses_another_architecture(tmp_path, snapshot_files, capsys):
+    """Every time-warp arm trains the checkpoint's network, so an explicitly
+    set architecture other than the checkpoint's, by flag or config file, is
+    refused (exit 2) before any arm trains; the checkpoint's own, or none,
+    runs, to the same result."""
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac2", "--architecture", "gcn", "--in", snapshot_files[0],
+                 "--out", str(out), "--iterations", "2"]) == 0
+    cfg_file = tmp_path / "mlp.cfg"
+    cfg_file.write_text("architecture = mlp\n")
+    warp = ["lifelong", "--model", "ac2", "--in", snapshot_files[1], "--iterations", "2",
+            "--time-warp", str(out / "task00.gslc")]
+    capsys.readouterr()
+    for extra in (["--architecture", "mlp"], ["--architecture", "gcn-edges"],
+                  ["--config", str(cfg_file)]):
+        assert main([*warp, *extra, "--out", str(tmp_path / "o")]) == 2, extra
+        assert "holds a gcn network" in _one_error_line(capsys)
+    assert not (tmp_path / "o" / "timewarp.json").exists()
+    assert main([*warp, "--out", str(tmp_path / "none")]) == 0
+    assert main([*warp, "--architecture", "gcn", "--out", str(tmp_path / "gcn")]) == 0
+    assert ((tmp_path / "none" / "timewarp.json").read_bytes()
+            == (tmp_path / "gcn" / "timewarp.json").read_bytes())
+
+
 def test_cmd_eval_edited_vocabulary_exits_1(tmp_path, snapshot_files, capsys):
     out = tmp_path / "run"
     assert main(["lifelong", "--model", "ac1", "--in", snapshot_files[0], "--out", str(out),

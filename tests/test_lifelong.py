@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 import weakref
 
@@ -317,12 +318,30 @@ def test_time_warp_protocol():
     ckpts, _, _ = run_sequence(old_seq, "mlp", Hyper(), "warm", seed=3, iterations=25)
     result = time_warp(
         ckpts[-1], old_seq.pred_vocab, old_seq.class_vocab, snaps[1],
-        "ac1", "mlp", Hyper(), seed=3, iterations=25,
+        "ac1", seed=3, iterations=25,
     )
     assert result["frozen_accuracy"] < 0.05
     assert result["frozen_unseen_fraction"] > 0.9
     assert abs(result["retrained_accuracy"] - result["cold_accuracy"]) <= 0.05
     assert result["retrained_accuracy"] > 0.9
+
+
+def test_time_warp_arms_train_the_checkpoints_network():
+    """With no architecture or hyperparameters passed, the from-scratch arm is
+    the checkpoint's network: a gcn of its hidden sizes and learning rate,
+    trained as a cold ``run_sequence`` of them trains the same one task.  An
+    mlp, the architecture setting's default, scores otherwise here."""
+    snaps = drift_sequence(2, 2, 3, 20)
+    old_seq = prepare_tasks(snaps[:1], "ac1", seed=4)
+    pv, cv = copy.deepcopy(old_seq.pred_vocab), copy.deepcopy(old_seq.class_vocab)
+    (ckpt,), _, _ = run_sequence(old_seq, "gcn", Hyper(hidden=[5, 3], learning_rate=0.05),
+                                 seed=4, iterations=6)
+    result = time_warp(ckpt, old_seq.pred_vocab, old_seq.class_vocab, snaps[1], "ac1",
+                       seed=4, iterations=6)
+    seq = prepare_tasks(snaps[1:], "ac1", 4, pv, cv)
+    cold = {arch: run_sequence(seq, arch, hyper, "cold", seed=4, iterations=6)[1][0, 0]
+            for arch, hyper in (("gcn", ckpt.hyper), ("mlp", Hyper()))}
+    assert result["cold_accuracy"] == cold["gcn"] != cold["mlp"]
 
 
 def test_include_rdf_types_reaches_gcn_batches(monkeypatch):

@@ -410,6 +410,31 @@ def test_parameter_layout_is_pinned(arch):
     assert rng.integers(1 << 30) == LAYOUT_NEXT_DRAW[arch]
 
 
+def param_bytes(net):
+    return sum(t.nbytes for t in net.params.values())
+
+
+def test_create_and_grow_hold_no_copy_of_the_parameters():
+    """``create`` peaks at its parameters plus 1 MiB, and ``grow`` at the old
+    and the new parameters plus 1 MiB: each tensor is filled in place in one
+    new array, a few rows of float64 uniforms at a time.  A float64 draw of a
+    whole weight next to its float32 cast, and copies of each widened
+    tensor, took several times that margin."""
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        net = Network.create("mlp", 1000, 2000, Hyper(), rng)
+        created = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        old = param_bytes(net)
+        net.grow(1100, 2200, rng)
+        grown = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert created < old + 2**20, created
+    assert grown < old + param_bytes(net) + 2**20, grown
+
+
 def test_zero_classifier_gradient_closed_form():
     rng = np.random.default_rng(4)
     p = Network.create("mlp", 5, 3, Hyper(hidden=[6]), rng).params
