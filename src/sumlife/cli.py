@@ -6,22 +6,19 @@ snapshots, ``--out`` for out_dir), and its value is read exactly like the
 same key in a ``--config`` file.  All outputs land in the --out directory;
 reruns with equal configuration, seed and BLAS thread count produce
 byte-identical artifacts.  Every failure prints one ``error:`` line.
-Exit codes: 0 ok, 1 I/O (including an unreadable checkpoint, snapshot or
-``report --matrix`` file, an empty snapshot directory and a ``lifelong`` or
-``eval`` snapshot whose 93/2/5 split has no test vertex, which is any snapshot
-of fewer than 9 vertices), 2 configuration (including an unknown or missing
-argument, a value of the wrong type or outside its choice list, ``gcn-edges``
-with a model other than ac2, a checkpoint trained for another summary model,
-degree cap, degree mode or rdf:type setting, more than one snapshot for
-``summarize``, ``eval`` or ``lifelong --time-warp``, an explicitly set
-architecture other than the ``lifelong --time-warp`` checkpoint's (every arm
-trains the checkpoint's), ``lifelong`` snapshots whose timestamps are out of
-order or repeated, a degree cap below 1, a dropout outside [0, 1), a hidden
-size below 1 and more than one hidden size for mlp or graph-mlp, a hidden
-size or batch cap above ``config.MAX_SIZE`` (2**31 - 1), a negative seed, a
-learning rate or tau that is not finite and positive, and an alpha that is
-not finite and non-negative), 3 numerical failure.  Running out of memory exits 1 with one ``error: out of
-memory`` line.
+Exit codes: 0 ok; 1 I/O, including an unreadable checkpoint (a header
+network setting or seed outside its range included), snapshot or ``report
+--matrix`` file, an empty snapshot directory and a ``lifelong`` or ``eval``
+snapshot of fewer than 9 vertices, whose 93/2/5 split has no test vertex; 2
+configuration, including a bad argument, a value of the wrong type, outside
+its choice list or outside its range (``nets.network.Hyper`` checks the
+network settings'), ``gcn-edges`` with a model other than ac2, more than one
+snapshot for ``summarize``, ``eval`` or ``lifelong --time-warp``, ``lifelong``
+timestamps out of order or repeated, and an ``eval`` or time-warp checkpoint
+trained for another summary model, degree cap, degree mode or rdf:type setting
+or for another value of a network setting the run sets; 3 numerical failure;
+130 interrupted.  Running out of memory (exit 1) and an interrupt each print one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator, get_origin
 
@@ -47,7 +44,7 @@ from .lifelong import (
     time_warp,
 )
 from .measures import diff_report, meta_track, unary_stats
-from .nets import Hyper, load_checkpoint, save_checkpoint
+from .nets import load_checkpoint, save_checkpoint
 from .nets.checkpoint import RUN_FIELDS
 from .reporting import (
     Manifest,
@@ -63,22 +60,22 @@ from .summarize import summarize, write_eqc_tsv, write_summary_tsv
 from .summarize import vertex_hashes  # noqa: F401
 
 
-def _hyper(cfg: RunConfig) -> Hyper:
-    """Every ``Hyper`` field from the ``RunConfig`` field of the same name; ``hidden`` is parsed."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(Hyper) if f.name != "hidden"}
-    return Hyper(hidden=cfg.hidden_list(), **values).resolved(cfg.architecture)
-
-
 def _run_fields(cfg: RunConfig) -> dict:
     """The settings a checkpoint records and must be used with again."""
     return {k: getattr(cfg, k) for k in RUN_FIELDS} | {"degree_cap": cfg.effective_degree_cap()}
 
 
 def _load_checkpoint_for(cfg: RunConfig, path: str):
-    """``load_checkpoint``, refusing a checkpoint trained under other run settings."""
+    """``load_checkpoint``, refusing a checkpoint trained under other run
+    settings, or with another value of a network setting this run sets
+    explicitly: ``eval`` and every time-warp arm use its network as it is."""
     net, pv, cv, header = load_checkpoint(path)
-    wrong = [f"{k} {header[k]!r} (this run: {v!r})"
-             for k, v in _run_fields(cfg).items() if header[k] != v]
+    hyper = cfg.hyper()
+    mine = _run_fields(cfg) | asdict(hyper) | {"architecture": cfg.architecture,
+                                               "hidden_size": hyper.hidden}
+    theirs = header | asdict(net.hyper) | {"hidden_size": net.hyper.hidden}
+    wrong = [f"{k} {theirs[k]!r} (this run: {v!r})" for k, v in mine.items()
+             if (k in RUN_FIELDS or k in cfg.explicit) and theirs[k] != v]
     if wrong:
         raise ConfigError(f"{path} was trained for {', '.join(wrong)}")
     return net, pv, cv, header
@@ -221,10 +218,6 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
             (snapshot,) = _snapshots(cfg, need_test=True)
         with manifest.stage("time_warp"):
             old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
-            # every arm trains the checkpoint's network: refuse a setting it would ignore
-            if "architecture" in cfg.explicit and cfg.architecture != old_net.arch:
-                raise ConfigError(f"{time_warp_ckpt} holds a {old_net.arch} network, "
-                                  f"not the --architecture {cfg.architecture}")
             result = time_warp(
                 old_net, old_pv, old_cv, snapshot, cfg.model, cfg.seed, cfg.iterations,
                 cfg.batch_cap,
@@ -245,7 +238,7 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
 
     with manifest.stage("train"):
         _, r, diagnostics = run_sequence(
-            seq, cfg.architecture, _hyper(cfg), cfg.restart, cfg.seed,
+            seq, cfg.architecture, cfg.hyper(), cfg.restart, cfg.seed,
             cfg.iterations, cfg.batch_cap, cfg.zero_init_growth,
             threads=cfg.threads, on_task=save,
         )
@@ -404,6 +397,9 @@ def _keep_freed_memory() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
+    # numpy loads numpy.random on first use, and an interrupt that lands in
+    # that import is lost without a word; the handler below needs it loaded
+    import numpy.random  # noqa: F401
     try:
         args = _parser().parse_args(argv)
         overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
@@ -429,6 +425,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -11,16 +11,16 @@ Choice lists are constants of the modules that implement them, in ``CHOICES``.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .features import check_seed
 from .ingest import DEGREE_MODES
 from .lifelong import RESTARTS
-from .nets.network import ARCHITECTURES, FEATURE_ONLY
+from .nets.network import ARCHITECTURES, MAX_SIZE, Hyper
 from .summarize import MODEL_HOPS
 
 SEED_ENV_VAR = "SUMLIFE_SEED"
@@ -30,10 +30,6 @@ CHOICES = {"model": tuple(MODEL_HOPS), "architecture": ARCHITECTURES, "restart":
            "degree_mode": DEGREE_MODES}
 # marks a setting only ``lifelong`` takes: the network and its training
 LIFELONG_ONLY = {"lifelong_only": True}
-# the largest hidden size and batch cap a run takes, the largest 32-bit
-# signed integer: a layer or a batch's draws of that size would already
-# need gigabytes, so a larger value is refused before anything is loaded
-MAX_SIZE = 2**31 - 1
 
 
 @dataclass
@@ -74,26 +70,8 @@ class RunConfig:
             raise ConfigError(f"batch_cap must be <= {MAX_SIZE}, got {self.batch_cap}")
         if self.degree_cap is not None and self.degree_cap < 1:
             raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
-        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for key in ("learning_rate", "tau"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ConfigError(f"{key} must be finite and > 0, got {value}")
-        if not 0.0 <= self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        hidden = self.hidden_list()
-        if hidden is not None:
-            if not hidden or min(hidden) < 1 or max(hidden) > MAX_SIZE:
-                raise ConfigError(
-                    f"hidden sizes must be in [1, {MAX_SIZE}], got {self.hidden_size!r}"
-                )
-            if len(hidden) > 1 and self.architecture in FEATURE_ONLY:
-                raise ConfigError(
-                    f"architecture {self.architecture} takes one hidden size, got {self.hidden_size!r}"
-                )
+        check_seed(self.seed)
+        self.hyper()  # Hyper checks every network setting
 
     def effective_degree_cap(self) -> int | None:
         if self.degree_cap is not None:
@@ -107,13 +85,17 @@ class RunConfig:
             return list(self.timestamps)
         return [Path(p).name.split(".")[0] for p in self.snapshots]
 
-    def hidden_list(self) -> list[int] | None:
-        if not self.hidden_size:
-            return None
-        try:
-            return [int(x) for x in str(self.hidden_size).split(",") if x != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad hidden_size {self.hidden_size!r}") from exc
+    def hyper(self) -> Hyper:
+        """The network settings, ``hidden_size`` parsed, as a ``Hyper`` resolved
+        for this run's architecture; ``Hyper`` checks each value."""
+        hidden = None
+        if self.hidden_size:
+            try:
+                hidden = [int(x) for x in str(self.hidden_size).split(",") if x != ""]
+            except ValueError as exc:
+                raise ConfigError(f"bad hidden_size {self.hidden_size!r}") from exc
+        values = {f.name: getattr(self, f.name) for f in fields(Hyper) if f.name != "hidden"}
+        return Hyper(hidden=hidden, **values).resolved(self.architecture)
 
     def to_dict(self) -> dict:
         return asdict(self)

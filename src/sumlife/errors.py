@@ -2,9 +2,9 @@
 
 The CLI maps these onto exit codes: ingest/I/O problems and unreadable
 checkpoints exit 1, bad configuration (including a checkpoint used with
-other run settings than it was trained for) exits 2, numerical failures
-exit 3.  A ``MemoryError`` from any stage also exits 1, with one
-``error: out of memory`` line.
+other run or network settings than it was trained for) exits 2, numerical
+failures exit 3.  A ``MemoryError`` from any stage also exits 1, and an
+interrupt 130, each with one ``error:`` line.
 """
 
 
@@ -18,8 +18,8 @@ class IngestError(SumlifeError):
 
 class CheckpointError(SumlifeError):
     """A file that cannot be read as a checkpoint: bad magic, unsupported
-    version, truncated or undecodable header, a missing or ill-typed header
-    field, truncated payload, a vocabulary that does not match its digest."""
+    version, truncated or undecodable header, a missing, ill-typed or
+    out-of-range header field, truncated payload, a mismatched vocabulary."""
 
 
 class ConfigError(SumlifeError):

@@ -8,10 +8,10 @@ as little-endian row-major bytes of the header's ``dtype``: ``"<f4"``, the
 compute dtype ``ops.DTYPE``, so round-trips are bit-exact.  A ``"<f8"``
 checkpoint of an earlier version loads too, cast once to ``DTYPE``; any
 other payload dtype is refused.
-``RUN_FIELDS`` and ``_HYPER_FIELDS`` give the types a header field must have,
-because the header is outside input.
+The header is outside input: ``RUN_FIELDS`` gives the run settings' types,
+and ``check_seed`` and ``Hyper`` check the seed and the network settings.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
-missing or ill-typed header field, a payload dtype other than ``"<f4"`` or
+missing, ill-typed or out-of-range header field, a payload dtype other than ``"<f4"`` or
 ``"<f8"``, a negative tensor dimension, tensors
 whose shapes do not form the header's network, bytes after the last
 tensor, a vocabulary that does not match its digest or is narrower than
@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CheckpointError
-from ..features import ClassVocabulary, PredicateVocabulary
+from ..errors import CheckpointError, ConfigError
+from ..features import ClassVocabulary, PredicateVocabulary, check_seed
 from .network import Hyper, Network
 from .ops import DTYPE
 
@@ -44,15 +44,6 @@ RUN_FIELDS = {
     "include_rdf_types": bool,
     "degree_cap": (int, type(None)),
     "degree_mode": str,
-}
-_NUMBER = (int, float)
-_HYPER_FIELDS = {
-    "hidden": list,
-    "dropout": _NUMBER,
-    "learning_rate": _NUMBER,
-    "alpha": _NUMBER,
-    "tau": _NUMBER,
-    "normalize_adjacency": bool,
 }
 
 
@@ -109,23 +100,20 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
             raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from exc
         try:
             return _from_header(fh, path, header)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CheckpointError(
-                f"{path}: missing, ill-typed or inconsistent checkpoint header field "
+                f"{path}: missing, ill-typed, out-of-range or inconsistent checkpoint header field "
                 f"({type(exc).__name__}: {exc})"
             ) from exc
 
 
-def _require_types(record: dict, types: dict) -> None:
-    for name, expected in types.items():
-        if not isinstance(record[name], expected):
-            raise TypeError(f"{name} = {record[name]!r}")
-
-
 def _from_header(fh, path, header: dict):
     """Network and vocabularies from a parsed header; the payloads follow at ``fh``."""
-    _require_types(header, {"seed": int, **RUN_FIELDS})
-    _require_types(header["hyper"], _HYPER_FIELDS)
+    for name, expected in RUN_FIELDS.items():
+        if not isinstance(header[name], expected):
+            raise TypeError(f"{name} = {header[name]!r}")
+    check_seed(header["seed"])
+    hyper = Hyper(**header["hyper"]).resolved(header["architecture"])
     if header["dtype"] not in PAYLOAD_DTYPES:
         raise CheckpointError(f"{path}: payload dtype {header['dtype']!r} is not "
                               f"one of {', '.join(PAYLOAD_DTYPES)}")
@@ -147,7 +135,7 @@ def _from_header(fh, path, header: dict):
         offset = end
     if offset != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - offset} bytes after the last tensor")
-    network = Network.from_tensors(header["architecture"], tensors, Hyper(**header["hyper"]),
+    network = Network.from_tensors(header["architecture"], tensors, hyper,
                                    header["n_in"], header["n_classes"])
     pred_vocab = PredicateVocabulary.from_lines(header["predicate_vocab"])
     class_vocab = ClassVocabulary.from_lines(header["class_vocab"])

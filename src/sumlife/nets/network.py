@@ -19,11 +19,14 @@ on a module name (as the benchmark's tracer does) sees every call.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..errors import ConfigError
 from .adam import AdamState, adam_step
 from .gcn import batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import graphmlp_backward, graphmlp_contrast, graphmlp_forward
@@ -44,11 +47,38 @@ ARCH_DEFAULTS = {
 ARCHITECTURES = tuple(ARCH_DEFAULTS)
 # the architectures that read feature rows alone, through one hidden size
 FEATURE_ONLY = ("mlp", "graph-mlp")
+# the largest hidden size and batch cap a run takes, the largest 32-bit
+# signed integer: a layer or a batch's draws of that size would already
+# need gigabytes, so a larger value is refused before anything is loaded
+MAX_SIZE = 2**31 - 1
+
+
+def _number(value, kind: type) -> bool:
+    """Whether ``value`` is of the numbers ABC ``kind`` and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# each network setting's rule, and the test a value passes: the one
+# statement of these ranges (NaN fails each numeric test)
+_RULES = {
+    "hidden": (f"a non-empty list of integer hidden sizes in [1, {MAX_SIZE}]",
+               lambda v: isinstance(v, list) and len(v) > 0
+               and all(_number(h, Integral) and 1 <= h <= MAX_SIZE for h in v)),
+    "dropout": ("a number in [0, 1)", lambda v: _number(v, Real) and 0 <= v < 1),
+    "learning_rate": ("a finite number > 0", lambda v: _number(v, Real) and 0 < v < math.inf),
+    "alpha": ("a finite number >= 0", lambda v: _number(v, Real) and 0 <= v < math.inf),
+    "tau": ("a finite number > 0", lambda v: _number(v, Real) and 0 < v < math.inf),
+    "normalize_adjacency": ("a bool", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass
 class Hyper:
-    """Training hyperparameters; unset fields fall back to the architecture defaults."""
+    """Training hyperparameters; unset fields fall back to the architecture defaults.
+
+    A run's settings and a checkpoint header's alike are checked, and never
+    converted, against ``_RULES``: ConfigError, naming the field, for a
+    value outside its rule.  None passes where the field defaults to None."""
 
     hidden: list[int] | None = None
     dropout: float | None = None
@@ -57,7 +87,18 @@ class Hyper:
     tau: float = 2.0
     normalize_adjacency: bool = False
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            rule, holds = _RULES[f.name]
+            if not (value is None and f.default is None or holds(value)):
+                raise ConfigError(f"{f.name} must be {rule}, got {value!r}")
+
     def resolved(self, arch: str) -> "Hyper":
+        """Every unset field at ``arch``'s default; ConfigError for more than
+        one hidden size of an architecture that reads feature rows alone."""
+        if arch in FEATURE_ONLY and self.hidden is not None and len(self.hidden) > 1:
+            raise ConfigError(f"architecture {arch} takes one hidden size, got {self.hidden!r}")
         d_hidden, d_drop, d_lr = ARCH_DEFAULTS[arch]
         return replace(
             self,

@@ -83,7 +83,8 @@ def dropout_mask(
     rng: np.random.Generator | None, shape: tuple[int, int], rate: float, rows: np.ndarray | None = None
 ) -> np.ndarray | None:
     """Boolean keep mask of inverted dropout over ``shape``: False with
-    probability ``rate``; None at rate 0, where nothing is dropped.
+    probability ``rate``, in [0, 1) as ``Hyper`` checks; None at rate 0,
+    where nothing is dropped.
 
     The mask is ``rng.random(shape) >= rate`` cut to the sorted, distinct
     ``rows`` (every row when None), and the rng is left where that full draw
@@ -98,8 +99,6 @@ def dropout_mask(
         raise ValueError("train mode needs a seeded rng for its dropout mask")
     if rate <= 0.0:
         return None
-    if rate >= 1.0:
-        raise ValueError("dropout rate must be < 1")
     n, width = shape
     if rows is not None:
         rows = np.asarray(rows, dtype=np.int64)

@@ -7,7 +7,8 @@ import pytest
 
 from oracles import read_vocabulary
 from sumlife.cli import main
-from sumlife.errors import CheckpointError
+from sumlife.config import build_config
+from sumlife.errors import CheckpointError, ConfigError
 from sumlife.features import ClassVocabulary, PredicateVocabulary
 from sumlife.nets import Hyper, Network, load_checkpoint, save_checkpoint
 from sumlife.nets.ops import DTYPE
@@ -144,6 +145,66 @@ def test_missing_or_ill_typed_header_field_rejected(tmp_path, edit):
     rewrite_header(p, edit)
     with pytest.raises(CheckpointError, match="header field"):
         load_checkpoint(p)
+
+
+# (header field, header value, the flag value of the same setting): a run
+# refuses each flag value, so a checkpoint must refuse each header value
+OUT_OF_RANGE = [
+    ("dropout", 1.0, "1.0"),
+    ("dropout", True, "true"),
+    ("dropout", -0.5, "-0.5"),
+    ("learning_rate", -1, "-1"),
+    ("learning_rate", math.inf, "inf"),
+    ("tau", 0, "0"),
+    ("alpha", math.nan, "nan"),
+    ("hidden", [], ","),
+    ("seed", -1, "-1"),
+    ("seed", 2**64, str(2**64)),
+]
+
+
+@pytest.fixture(scope="module")
+def ac2_checkpoints(tmp_path_factory):
+    """(two ring snapshots, {architecture: task00.gslc of a 2-iteration ac2
+    lifelong run on the first})."""
+    root = tmp_path_factory.mktemp("ac2")
+    recipes = distinct_recipes(predicate_pool(4), 5)
+    snapshots = [root / f"2012-05-0{6 + i}.nt" for i in range(2)]
+    for i, path in enumerate(snapshots):
+        write_ntriples(path, ring_triples(recipes[i : 4 + i], 12, f"s{i}v"))
+    ckpts = {}
+    for arch in ("mlp", "graph-mlp", "gcn"):
+        assert main(["lifelong", "--model", "ac2", "--architecture", arch, "--iterations", "2",
+                     "--in", str(snapshots[0]), "--out", str(root / arch)]) == 0
+        ckpts[arch] = root / arch / "task00.gslc"
+    return [str(p) for p in snapshots], ckpts
+
+
+@pytest.mark.parametrize("arch", ["mlp", "graph-mlp", "gcn"])
+@pytest.mark.parametrize("key, value, flag", OUT_OF_RANGE,
+                         ids=[f"{k}={v!r}" for k, v, _ in OUT_OF_RANGE])
+def test_out_of_range_header_setting_exits_1(tmp_path, capsys, ac2_checkpoints, arch, key,
+                                             value, flag):
+    """A header network setting or seed outside the range a run's own setting
+    is held to ends ``eval`` and ``lifelong --time-warp`` in exit 1 with one
+    ``error:`` line naming the field, never a traceback or a run on it."""
+    with pytest.raises(ConfigError, match=key):
+        build_config(None, {"hidden_size" if key == "hidden" else key: flag})
+    snapshots, ckpts = ac2_checkpoints
+    ckpt = tmp_path / "edited.gslc"
+    ckpt.write_bytes(ckpts[arch].read_bytes())
+    if key == "seed":
+        rewrite_header(ckpt, setting(key, value))
+    else:
+        rewrite_header(ckpt, lambda h: {**h, "hyper": {**h["hyper"], key: value}})
+    capsys.readouterr()
+    for argv in (["eval", "--in", snapshots[0], "--ckpt", str(ckpt)],
+                 ["lifelong", "--iterations", "2", "--in", snapshots[1], "--time-warp", str(ckpt)]):
+        assert main([*argv, "--model", "ac2", "--out", str(tmp_path / "o")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "edited.gslc" in err and key in err, err
+    assert not any(p.name.endswith(".json") for p in (tmp_path / "o").iterdir())
 
 
 @pytest.mark.parametrize("vocab", ["predicate_vocab", "class_vocab"])

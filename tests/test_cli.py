@@ -4,8 +4,10 @@ import json
 import os
 import platform
 import resource
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -81,6 +83,15 @@ def test_config_precedence_env_and_flags(tmp_path, monkeypatch):
     monkeypatch.setenv("SUMLIFE_SEED", "-1")
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         build_config(cfg_file, {})
+    # a seed keys the split as 8 bytes: 2**64 would alias seed 0's split
+    monkeypatch.setenv("SUMLIFE_SEED", str(2**64))
+    with pytest.raises(ConfigError, match="< 2\\*\\*64"):
+        build_config(cfg_file, {})
+    monkeypatch.delenv("SUMLIFE_SEED")
+    cfg_file.write_text(f"seed = {2**64}\n")
+    with pytest.raises(ConfigError, match="< 2\\*\\*64"):
+        build_config(cfg_file, {})
+    assert build_config(cfg_file, {"seed": str(2**64 - 1)}).seed == 2**64 - 1
 
 
 def test_config_validation_errors():
@@ -423,27 +434,40 @@ def test_checkpoint_refuses_other_run_settings(tmp_path, snapshot_files, capsys)
 
 
 def test_time_warp_refuses_another_architecture(tmp_path, snapshot_files, capsys):
-    """Every time-warp arm trains the checkpoint's network, so an explicitly
-    set architecture other than the checkpoint's, by flag or config file, is
-    refused (exit 2) before any arm trains; the checkpoint's own, or none,
-    runs, to the same result."""
+    """Every time-warp arm trains the checkpoint's network, and ``eval``
+    applies it, so an explicitly set network setting other than the
+    checkpoint's, by flag or config file, is refused (exit 2, the setting
+    named) before any arm trains; the checkpoint's own values, or none, run,
+    to the same result."""
     out = tmp_path / "run"
     assert main(["lifelong", "--model", "ac2", "--architecture", "gcn", "--in", snapshot_files[0],
                  "--out", str(out), "--iterations", "2"]) == 0
-    cfg_file = tmp_path / "mlp.cfg"
-    cfg_file.write_text("architecture = mlp\n")
+    configs = {}
+    for key, value in (("architecture", "mlp"), ("tau", "0.5")):
+        configs[key] = tmp_path / f"{key}.cfg"
+        configs[key].write_text(f"{key} = {value}\n")
+    ckpt = str(out / "task00.gslc")
     warp = ["lifelong", "--model", "ac2", "--in", snapshot_files[1], "--iterations", "2",
-            "--time-warp", str(out / "task00.gslc")]
+            "--time-warp", ckpt]
     capsys.readouterr()
-    for extra in (["--architecture", "mlp"], ["--architecture", "gcn-edges"],
-                  ["--config", str(cfg_file)]):
+    for extra, named in ((["--architecture", "mlp"], "architecture 'gcn'"),
+                         (["--architecture", "gcn-edges"], "architecture 'gcn'"),
+                         (["--config", str(configs["architecture"])], "architecture 'gcn'"),
+                         (["--hidden-size", "7"], "hidden_size [64] (this run: [7])"),
+                         (["--dropout", "0.3"], "dropout 0.0 (this run: 0.3)"),
+                         (["--config", str(configs["tau"])], "tau 2.0 (this run: 0.5)")):
         assert main([*warp, *extra, "--out", str(tmp_path / "o")]) == 2, extra
-        assert "holds a gcn network" in _one_error_line(capsys)
+        assert named in _one_error_line(capsys)
     assert not (tmp_path / "o" / "timewarp.json").exists()
+    assert main(["eval", "--model", "ac2", "--in", snapshot_files[0], "--ckpt", ckpt,
+                 "--config", str(configs["architecture"]), "--out", str(tmp_path / "e")]) == 2
+    assert "architecture 'gcn'" in _one_error_line(capsys)
+    assert not (tmp_path / "e" / "eval.json").exists()
     assert main([*warp, "--out", str(tmp_path / "none")]) == 0
-    assert main([*warp, "--architecture", "gcn", "--out", str(tmp_path / "gcn")]) == 0
-    assert ((tmp_path / "none" / "timewarp.json").read_bytes()
-            == (tmp_path / "gcn" / "timewarp.json").read_bytes())
+    for extra in (["--architecture", "gcn"], ["--hidden-size", "64"]):
+        assert main([*warp, *extra, "--out", str(tmp_path / extra[1])]) == 0
+        assert ((tmp_path / "none" / "timewarp.json").read_bytes()
+                == (tmp_path / extra[1] / "timewarp.json").read_bytes()), extra
 
 
 def test_cmd_eval_edited_vocabulary_exits_1(tmp_path, snapshot_files, capsys):
@@ -859,6 +883,7 @@ def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot
     ("lifelong", ["--batch-cap", "100000000000"], "batch_cap"),
     ("lifelong", ["--architecture", "graph-mlp", "--hidden-size", "8,8"], "graph-mlp takes one"),
     ("lifelong", ["--seed", "-1"], "seed must be >= 0"),
+    ("lifelong", ["--seed", str(2**64)], "seed must be >= 0 and < 2**64"),
     ("lifelong", ["--learning-rate", "-1"], "learning_rate"),
     ("lifelong", ["--learning-rate", "0"], "learning_rate"),
     ("lifelong", ["--learning-rate", "nan"], "learning_rate"),
@@ -869,7 +894,7 @@ def test_lifelong_refuses_unordered_timestamps_before_loading(tmp_path, snapshot
     ("lifelong", ["--alpha", "inf"], "alpha"),
 ], ids=["cap_0", "cap_negative", "dropout_1", "dropout_negative", "hidden_negative", "hidden_0",
         "mlp_two_sizes", "hidden_huge", "hidden_huge_second", "batch_cap_huge",
-        "graph_mlp_two_sizes", "seed_negative", "lr_negative", "lr_0", "lr_nan",
+        "graph_mlp_two_sizes", "seed_negative", "seed_2_64", "lr_negative", "lr_0", "lr_nan",
         "lr_inf", "tau_0", "tau_nan", "alpha_negative", "alpha_inf"])
 def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, capsys, monkeypatch,
                                                      command, flags, named):
@@ -881,6 +906,29 @@ def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, c
                  *flags]) == 2
     assert named in _one_error_line(capsys)
     assert not loaded and not (tmp_path / "o").exists()
+
+
+def test_interrupt_exits_130_with_one_line(tmp_path, snapshot_files):
+    """SIGINT during a run ends it in exit 130, the code of a program that
+    SIGINT ended, with one ``error: interrupted`` line and no traceback."""
+    out = tmp_path / "o"
+    env = {**os.environ, "PYTHONPATH": str(Path(sumlife.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "sumlife.cli", "lifelong", "--model", "ac1",
+                             "--iterations", "100000", "--in", *snapshot_files, "--out", str(out)],
+                            env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 120
+        # --out is made inside main's try, so the signal lands in the run
+        while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert out.exists() and proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert err == "error: interrupted\n"
 
 
 @pytest.mark.parametrize("message, shown", [
