@@ -48,6 +48,7 @@ from .nets import load_checkpoint, save_checkpoint
 from .nets.checkpoint import RUN_FIELDS
 from .reporting import (
     Manifest,
+    output,
     read_matrix_csv,
     svg_heatmap,
     write_csv,
@@ -247,9 +248,8 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
         write_matrix_csv(out / "R.csv", r, labels)
         report = LifelongReport.from_matrix(r, diagnostics)
         write_json(out / "report.json", report.to_dict())
-        (out / "heatmap.svg").write_text(
-            svg_heatmap(r, labels, f"{cfg.architecture} / {cfg.model}"), encoding="utf-8"
-        )
+        with output(out / "heatmap.svg", encoding="utf-8") as fh:
+            fh.write(svg_heatmap(r, labels, f"{cfg.architecture} / {cfg.model}"))
         seq.pred_vocab.serialize(out / "predicates.vocab")
         seq.class_vocab.serialize(out / "classes.vocab")
         for name in ("R.csv", "report.json", "heatmap.svg", "predicates.vocab", "classes.vocab"):
@@ -295,7 +295,8 @@ def cmd_report(cfg: RunConfig, matrix_path: str) -> int:
         r, labels = read_matrix_csv(matrix_path)
         report = LifelongReport.from_matrix(r)
         write_json(out / "report.json", report.to_dict())
-        (out / "heatmap.svg").write_text(svg_heatmap(r, labels), encoding="utf-8")
+        with output(out / "heatmap.svg", encoding="utf-8") as fh:
+            fh.write(svg_heatmap(r, labels))
         manifest.record_output(out / "report.json")
         manifest.record_output(out / "heatmap.svg")
     manifest.write(out)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import SnapshotGraph, distinct
+from .reporting import output
 from .summarize import SIPHASH_KEY, siphash24
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -84,7 +85,8 @@ class _Vocabulary:
         return "".join(f"{line}\n" for line in self.lines()).encode("utf-8")
 
     def serialize(self, path: str | Path) -> None:
-        Path(path).write_bytes(self._bytes())
+        with output(path, "wb") as fh:
+            fh.write(self._bytes())
 
     def digest(self) -> str:
         """SHA-256 of the serialized file."""

@@ -268,10 +268,14 @@ class SnapshotGraph:
         subjects = np.asarray(subjects, dtype=np.int64)
         preds = np.asarray(preds, dtype=np.int64)
         objects = np.asarray(objects, dtype=np.int64)
-        if vertex_ids is None:
-            vertex_ids = distinct(np.concatenate([subjects, objects]))
-        order = np.lexsort((objects, preds, subjects))
-        s, p, o = subjects[order], preds[order], objects[order]
+        vertex = np.zeros(len(terms), dtype=bool)  # which term ids are vertices
+        vertex[np.concatenate([subjects, objects]) if vertex_ids is None else vertex_ids] = True
+        position = np.cumsum(vertex, dtype=np.int64) - 1  # a vertex's term id -> its position
+        vertex_ids, s, o = np.flatnonzero(vertex), position[subjects], position[objects]
+        # by source, then predicate, then object: two stable sorts, keys below |terms| * V
+        order = np.argsort(preds * len(vertex_ids) + o, kind="stable")
+        order = order[np.argsort(s[order], kind="stable")]
+        s, p, o = s[order], preds[order], o[order]
         keep = np.ones(len(s), dtype=bool)
         keep[1:] = (s[1:] != s[:-1]) | (p[1:] != p[:-1]) | (o[1:] != o[:-1])
         duplicates = len(s) - int(np.count_nonzero(keep))
@@ -279,10 +283,8 @@ class SnapshotGraph:
             skips["duplicate"] += duplicates
         s, p, o = s[keep], p[keep], o[keep]
         indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-        indptr[1:] = np.bincount(np.searchsorted(vertex_ids, s), minlength=len(vertex_ids))
-        np.cumsum(indptr, out=indptr)
-        obj_pos = np.searchsorted(vertex_ids, o)
-        return cls(timestamp, terms, vertex_ids, indptr, p, obj_pos, skips)
+        np.cumsum(np.bincount(s, minlength=len(vertex_ids)), out=indptr[1:])
+        return cls(timestamp, terms, vertex_ids, indptr, p, o, skips)
 
 
 def build_snapshot(

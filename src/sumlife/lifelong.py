@@ -174,14 +174,12 @@ def _train_on_task(
     """Run the per-task iterations; returns the training loss of each."""
     adam = net.new_adam()
     k = MODEL_HOPS[seq.model]
-    # per-task sampling state: each target's closure, walked once, and the draw distribution
-    closures: dict[int, list[int]] = {}
     distribution = target_distribution(task.labels, task.split)
     losses = []
     for step in range(iterations):
         batch = sample_batch(
             task.graph, task.labels, distribution, k, task.edge_col, task.feature_width,
-            cap=batch_cap, rng=rng, closures=closures,
+            cap=batch_cap, rng=rng,
         )
         if net.edges_as_vertices:
             batch = edge_as_vertex_transform(batch)

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import CheckpointError, ConfigError
 from ..features import ClassVocabulary, PredicateVocabulary, check_seed
+from ..reporting import output
 from .network import Hyper, Network
 from .ops import DTYPE
 
@@ -75,7 +76,7 @@ def save_checkpoint(
         },
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)

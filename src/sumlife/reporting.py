@@ -3,7 +3,8 @@
 Floats are serialized with shortest round-trip repr, so recomputing measures
 from an emitted matrix reproduces them bit-exactly.  Every run writes a
 manifest echoing the resolved configuration, per-stage wall-clock and peak
-RSS, and a sha256 digest of each output file.
+RSS, and a sha256 digest of each output file.  Every output is written
+through ``output``, so a failed write names its file.
 """
 
 from __future__ import annotations
@@ -40,8 +41,21 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def output(path: str | Path, mode: str = "w", **kwargs):
+    """``open(path, mode, **kwargs)`` for writing; an ``OSError`` that names no
+    file, as a write past the file-size limit raises, is raised naming ``path``."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+
+
 def write_json(path: str | Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path, encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -49,7 +63,7 @@ def write_json(path: str | Path, payload) -> None:
 def write_csv(path: str | Path, rows) -> None:
     """One line per row, each ending in a bare newline; a field holding a
     comma, a quote or a line break is quoted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output(path, encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 

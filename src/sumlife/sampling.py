@@ -13,15 +13,16 @@ cut straight from the snapshot graph.  A vertex closer than that keeps all
 its out-edges, so message passing sums the same terms for those rows as a
 pass over the whole snapshot; the BLAS products around it may still round a
 row subset otherwise in the last bits (see ``lifelong.evaluate_network``).
-Sampled and evaluation batches are built by one constructor, ``_batch``,
-whose ``_induced_edges`` gathers the out-edges of a batch's vertices from
-CSR slices: it writes the vertices' multi-hot feature rows from the task's
-per-edge feature columns (``features.encode_features``) and keeps the
-edges that one global-to-local position array maps inside the batch.  The
-closure walk stays Python: 2-hop closures hold a few vertices, where a
-numpy gather per closure measured about 20x slower.  ``sample_batch``
-draws from the task's ``target_distribution``, which a caller computes once
-per task, and takes a memo dict, so each target is walked once per task.
+
+One CSR gather, ``_out_edges``, reads every out-edge this module needs: the
+closures of a prefix of a batch's draws, walked together in numpy, the
+frontier of a receptive field, and a batch's own edges.  Sampled and
+evaluation batches are built by one constructor, ``_batch``, whose
+``_induced_edges`` writes the vertices' multi-hot feature rows from the
+task's per-edge feature columns (``features.encode_features``) and keeps the
+edges that one global-to-local position array maps inside the batch.
+``sample_batch`` draws from the task's ``target_distribution``, which a
+caller computes once per task; no closure outlives its batch.
 
 Closures and batches use every edge of the given graph; whether rdf:type
 edges are among them was decided when the graph was built
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features import TRAIN
-from .ingest import SnapshotGraph
+from .ingest import SnapshotGraph, distinct
 from .nets.ops import DTYPE
 
 
@@ -101,20 +102,14 @@ def target_distribution(labels: np.ndarray, split: np.ndarray) -> tuple[np.ndarr
     return train_positions, p / p.sum()
 
 
-def _khop_closure(g: SnapshotGraph, start: int, k: int) -> list[int]:
-    """Vertices reachable from ``start`` within k hops over out-edges."""
-    seen = dict.fromkeys([start])  # insertion-ordered: the discovery order
-    frontier = [start]
-    for _ in range(k):
-        nxt = []
-        for v in frontier:
-            for e in range(g.indptr[v], g.indptr[v + 1]):
-                o = int(g.edge_obj[e])
-                if o not in seen:
-                    seen[o] = None
-                    nxt.append(o)
-        frontier = nxt
-    return list(seen)
+def _out_edges(g: SnapshotGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index into ``vertices``, edge id) of every out-edge of ``vertices``,
+    grouped by vertex as listed, each group in CSR order."""
+    lo = g.indptr[vertices]
+    counts = g.indptr[vertices + 1] - lo
+    idx = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts  # where each vertex's edges begin in the gather
+    return idx, np.repeat(lo - starts, counts) + np.arange(len(idx), dtype=np.int64)
 
 
 def _induced_edges(
@@ -128,11 +123,7 @@ def _induced_edges(
     The rows are in the networks' compute dtype, ``nets.ops.DTYPE``."""
     local = np.full(g.num_vertices, -1, dtype=np.int64)
     local[vertices] = np.arange(len(vertices), dtype=np.int64)
-    lo = g.indptr[vertices]
-    counts = g.indptr[vertices + 1] - lo
-    src = np.repeat(np.arange(len(vertices), dtype=np.int64), counts)
-    starts = np.cumsum(counts) - counts  # where each vertex's edges begin in the gather
-    edges = np.repeat(lo - starts, counts) + np.arange(len(src), dtype=np.int64)
+    src, edges = _out_edges(g, vertices)
     x = np.zeros((len(vertices), width), dtype=DTYPE)
     x[src, edge_col[edges]] = 1.0
     dst = local[g.edge_obj[edges]]
@@ -141,78 +132,63 @@ def _induced_edges(
 
 
 def _batch(
-    g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray | list[int],
+    g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray,
     labels: np.ndarray, edge_col: np.ndarray, width: int, k: int,
 ) -> Subgraph:
     """The batch of ``vertices`` and the edges among them; ``targets`` are
     global positions, possibly repeated, that ``target_idx`` and ``labels``
     follow."""
     local, src, dst, col, x = _induced_edges(g, vertices, edge_col, width)
-    return Subgraph(
-        vertices=vertices,
-        n_targets=n_targets,
-        target_idx=local[targets],
-        labels=np.asarray(labels)[targets],
-        edge_src=src,
-        edge_dst=dst,
-        edge_col=col,
-        features=x,
-        k=k,
-    )
+    return Subgraph(vertices=vertices, n_targets=n_targets, target_idx=local[targets],
+                    labels=np.asarray(labels)[targets], edge_src=src, edge_dst=dst, edge_col=col,
+                    features=x, k=k)
 
 
 def sample_batch(
-    g: SnapshotGraph,
-    labels: np.ndarray,
-    distribution: tuple[np.ndarray, np.ndarray],
-    k: int,
-    edge_col: np.ndarray,
-    width: int,
-    cap: int = 1000,
-    *,
-    rng: np.random.Generator,
-    closures: dict[int, list[int]] | None = None,
+    g: SnapshotGraph, labels: np.ndarray, distribution: tuple[np.ndarray, np.ndarray], k: int,
+    edge_col: np.ndarray, width: int, cap: int = 1000, *, rng: np.random.Generator,
 ) -> Subgraph:
     """Draw one class-balanced batch with at most ``cap`` vertices.
 
-    Targets are drawn from ``distribution``, the task's
-    ``target_distribution(labels, split)``; ``edge_col`` and ``width`` are
-    the task's feature columns and width.  A caller that draws many
-    batches from one task computes it once and passes it, and one
-    ``closures`` dict, to every call; ``closures`` memoizes each target's
-    k-hop closure of ``g``, so each target is walked once.
+    ``cap`` targets are drawn from ``distribution``, the task's
+    ``target_distribution(labels, split)``, which a caller computes once per
+    task; ``edge_col`` and ``width`` are the task's feature columns and width.
+    The k-hop closures of a prefix of the draws (64, 128, ... up to ``cap``)
+    are walked together, and the prefix doubles until a draw would take the
+    batch past ``cap`` vertices or every draw is walked.  The draws before
+    that one are admitted, the first always.  The batch holds the admitted
+    targets new to it, in draw order, then the other vertices of their
+    closures in the order a breadth-first walk of each finds them.
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     train_positions, p = distribution
-    draws = rng.choice(len(train_positions), size=cap, replace=True, p=p)
-
-    if closures is None:
-        closures = {}
-    members: set[int] = set()
-    targets: list[int] = []  # targets new to the batch, acceptance order
-    extra: list[int] = []  # other closure vertices, discovery order
-    accepted: list[int] = []  # drawn targets incl. repeats
-    for d in draws:
-        t = int(train_positions[d])
-        closure = closures.get(t)
-        if closure is None:
-            closure = closures[t] = _khop_closure(g, t, k)
-        new = [v for v in closure if v not in members]
-        if members and len(members) + len(new) > cap:
+    draws = train_positions[rng.choice(len(train_positions), size=cap, replace=True, p=p)]
+    walked = min(cap, 64)
+    while True:
+        # (draw, vertex) at the end of every walk of up to k hops, hop by hop; sorted stably by
+        # draw, a vertex's first occurrence in its draw's group is where a breadth-first walk finds it
+        draw_of, walk = [np.arange(walked, dtype=np.int64)], [draws[:walked]]
+        for _ in range(k):
+            idx, edges = _out_edges(g, walk[-1])
+            draw_of.append(draw_of[-1][idx])
+            walk.append(g.edge_obj[edges])
+        order = np.argsort(np.concatenate(draw_of), kind="stable")
+        draw_of, walk = np.concatenate(draw_of)[order], np.concatenate(walk)[order]
+        first = np.sort(np.unique(walk, return_index=True)[1])  # where each vertex joins the batch
+        size = np.cumsum(np.bincount(draw_of[first], minlength=walked))  # batch size per draw
+        over = np.flatnonzero(size[1:] > cap)
+        if len(over) or walked == cap:
             break
-        accepted.append(t)
-        members.update(new)
-        # a closure starts at its target, so t is new exactly when it leads ``new``
-        if new and new[0] == t:
-            targets.append(t)
-            new = new[1:]
-        extra.extend(new)
-
-    vertices = np.array(targets + extra, dtype=np.int64)
-    return _batch(g, vertices, len(targets), accepted, labels, edge_col, width, k)
+        walked = min(cap, 2 * walked)
+    accepted = draws[: over[0] + 1 if len(over) else walked]
+    first = first[draw_of[first] < len(accepted)]
+    # a group starts at its draw's target, so only a target new to the batch is first seen in its own
+    is_target = walk[first] == draws[draw_of[first]]
+    vertices = np.concatenate([walk[first[is_target]], walk[first[~is_target]]])
+    return _batch(g, vertices, int(is_target.sum()), accepted, labels, edge_col, width, k)
 
 
 def receptive_field(
@@ -226,13 +202,16 @@ def receptive_field(
     vertices.  A vertex closer than ``hops`` keeps all its out-edges, and the
     relabelling keeps order, so each of its rows sums the same terms in the
     same order as in a batch of the whole graph, which is what all rows and
-    ``hops=0`` give.
+    ``hops=0`` give.  Each hop reads the out-edges of the vertices the last
+    one reached first.
     """
     inside = np.zeros(g.num_vertices, dtype=bool)
     inside[rows] = True
-    src = g.edge_sources()
+    frontier = rows
     for _ in range(hops):
-        inside[g.edge_obj[inside[src]]] = True
+        reached = g.edge_obj[_out_edges(g, frontier)[1]]
+        frontier = distinct(reached[~inside[reached]])
+        inside[frontier] = True
     return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, edge_col, width, k)
 
 

@@ -39,6 +39,7 @@ from typing import KeysView, Sequence
 import numpy as np
 
 from .ingest import SnapshotGraph, distinct
+from .reporting import output
 
 AC1 = "ac1"
 AC2 = "ac2"
@@ -228,7 +229,7 @@ def write_eqc_tsv(path: str | Path, g: SnapshotGraph, hashes: np.ndarray) -> Non
     ``hashes`` holds the EQC hash of each vertex position.  No lexical holds
     a raw TAB (see ``ingest.TermTable``), so every row has two fields."""
     rows = sorted(zip(map(g.terms.lexical, g.vertex_ids.tolist()), hashes.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path, encoding="utf-8") as fh:
         for iri, h in rows:
             fh.write(f"{iri}\t{h:016x}\n")
 
@@ -236,6 +237,6 @@ def write_eqc_tsv(path: str | Path, g: SnapshotGraph, hashes: np.ndarray) -> Non
 def write_summary_tsv(path: str | Path, summary: SummaryGraph) -> None:
     """Write ``source-eqc<TAB>predicate<TAB>child-eqc`` rows, sorted."""
     rows = sorted((f"{s:016x}", p, f"{c:016x}") for s, p, c in summary.summary_edges)
-    with open(path, "w", encoding="utf-8") as fh:
+    with output(path, encoding="utf-8") as fh:
         for s, p, c in rows:
             fh.write(f"{s}\t{p}\t{c}\n")

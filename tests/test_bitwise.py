@@ -11,7 +11,6 @@ at every width measured up to 3 000, but other BLAS builds may differ.
 """
 
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,13 +31,7 @@ from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.gcn import batch_adjacency
 from sumlife.nets.ops import _SCATTER_BLOCK, DTYPE, scatter_add
-from sumlife.sampling import (
-    _khop_closure,
-    edge_as_vertex_transform,
-    receptive_field,
-    sample_batch,
-    target_distribution,
-)
+from sumlife.sampling import edge_as_vertex_transform, receptive_field
 from synth import random_graph
 from test_sampling import assert_same_batch, oracle_task
 
@@ -202,27 +195,6 @@ def test_receptive_field_needs_the_extra_hop_under_normalization():
         for hops, same in ((net.receptive_hops, True), (net.receptive_hops - 1, False)):
             part = _field(seq, task, net, rows, hops)
             assert (net.batch_logits(part)[part.target_idx].tobytes() == full.tobytes()) is same
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_closure_memo_leaves_batches_unchanged(k):
-    for seed in range(3):
-        seq, task = _task(seed)
-        args = (task.graph, task.labels, target_distribution(task.labels, task.split), k,
-                task.edge_col, task.feature_width)
-        plain, memoized = np.random.default_rng(seed), np.random.default_rng(seed)
-        closures: dict[int, list[int]] = {}
-        for _ in range(5):
-            want = sample_batch(*args, cap=40, rng=plain)
-            got = sample_batch(*args, cap=40, rng=memoized, closures=closures)
-            for f in fields(want):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                if isinstance(b, np.ndarray):
-                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
-                else:
-                    assert a is b or a == b, f.name
-        assert closures
-        assert all(c == _khop_closure(task.graph, t, k) for t, c in closures.items())
 
 
 @pytest.mark.parametrize("n_classes", [300, 476])

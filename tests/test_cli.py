@@ -529,6 +529,26 @@ def test_lifelong_divergence_prints_one_line(tmp_path, snapshot_files, iteration
     assert sorted(p.name for p in out.iterdir()) == left
 
 
+def test_failed_write_names_its_file(tmp_path, snapshot_files):
+    """A write past the file-size limit (``RLIMIT_FSIZE``, as ``ulimit -f``
+    sets) fails with an ``OSError`` that carries no file name: the run exits
+    1 with one ``error:`` line naming the file it was writing."""
+    out = tmp_path / "o"
+
+    def small_files():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumlife.cli", "lifelong", "--model", "ac1", "--iterations", "1",
+         "--in", *snapshot_files, "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=small_files,
+        env={**os.environ, "PYTHONPATH": str(Path(sumlife.__file__).parents[1])},
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.endswith(f": '{out / 'task00.gslc'}'\n"), proc.stderr
+
+
 def test_graph_mlp_batches_without_edges_leave_stderr_empty(tmp_path):
     """A Graph-MLP batch without edges has no positive pairs: its contrastive
     term is 0, which a successful run does not warn about on stderr."""

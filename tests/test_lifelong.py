@@ -16,11 +16,15 @@ from sumlife.lifelong import (
     forgetting,
     fwt,
     omega,
+    Task,
+    TaskSequence,
+    _task_rng,
+    _train_on_task,
     prepare_tasks,
     run_sequence,
     time_warp,
 )
-from sumlife.features import TEST, TRAIN
+from sumlife.features import TEST, TRAIN, ClassVocabulary, PredicateVocabulary
 from sumlife.sampling import receptive_field
 from sumlife.nets import Hyper, Network
 from sumlife.nets.graphmlp import graphmlp_forward
@@ -429,3 +433,35 @@ def test_prepare_tasks_memory_grows_with_vertices_and_edges(model):
     assert seq.pred_vocab.width > 1800
     # a dense V x P float64 feature matrix alone would take 45 MB, 600 x this budget
     assert peak < 64 * (g.num_vertices + len(g.edge_obj)) * 8, peak
+
+
+def test_training_memory_does_not_grow_with_the_targets_drawn():
+    """Sampling keeps nothing between batches: 24 iterations of 2-hop
+    batches, whose closures hold up to 31 vertices, peak no higher than 3
+    iterations plus two batches' arrays, although most targets they draw
+    are new."""
+    rng = np.random.default_rng(0)
+    n, degree, width = 4000, 5, 6
+    g = SnapshotGraph("t0", None, np.arange(n, dtype=np.int64),
+                      np.arange(0, n * degree + 1, degree, dtype=np.int64),
+                      rng.integers(0, width, n * degree), rng.integers(0, n, n * degree))
+    task = Task(index=0, timestamp="t0", graph=g, labels=np.arange(n, dtype=np.int64) % 4,
+                split=np.where(rng.random(n) < 0.6, TRAIN, TEST).astype(np.int8), pred_width=width,
+                class_width=4, edge_col=g.edge_pred, feature_width=width)
+    seq = TaskSequence(tasks=[task], pred_vocab=PredicateVocabulary(), class_vocab=ClassVocabulary(),
+                       model="ac2")
+    batch = lifelong.sample_batch(g, task.labels, lifelong.target_distribution(task.labels, task.split),
+                                  2, g.edge_pred, width, cap=1000, rng=np.random.default_rng(1))
+    batch_bytes = sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
+
+    def peak(iterations: int) -> int:
+        net = Network.create("gcn", width, 4, Hyper(hidden=[8]), np.random.default_rng(2))
+        tracemalloc.start()
+        try:
+            _train_on_task(net, task, seq, iterations, 1000, _task_rng(1, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(3), peak(24)
+    assert long <= short + 2 * batch_bytes, (short, long, batch_bytes)

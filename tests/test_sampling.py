@@ -195,7 +195,8 @@ def oracle_task():
     """A graph with self-loop, parallel and rdf:type edges and isolated vertices.
 
     The leaves l0..l19 point only at a hub that the in-degree cap removes, so
-    they are left without edges.
+    they are left without edges.  The fan's closure alone, 71 vertices,
+    exceeds every batch cap up to 65.
     """
     rng = np.random.default_rng(5)
     triples = [
@@ -207,6 +208,7 @@ def oracle_task():
     triples += [("http://v7", f"http://p{j}", "http://v8") for j in range(3)]
     triples += [(f"http://v{i}", RDF_TYPE_IRI, f"http://C{i % 2}") for i in range(0, 40, 3)]
     triples += [(f"http://l{i}", "http://p0", "http://hub") for i in range(20)]
+    triples += [("http://fan", "http://p1", f"http://f{i}") for i in range(70)]
     g = filter_high_degree(build_snapshot("t", triples), 10, "in")
     n = g.num_vertices
     labels = np.arange(n, dtype=np.int64) % 4
@@ -247,20 +249,24 @@ def test_batches_match_per_edge_reference(include_rdf_types):
     # masks the full graph itself
     run_graph = g if include_rdf_types else drop_rdf_types(g)
     cols, x = encode_features(run_graph, pv), reference_features(run_graph, pv)
-    reached_before_drawn = False
+    # a split whose one train vertex is the fan: its closure alone exceeds the smaller caps
+    fan_only = np.where(np.arange(g.num_vertices) == position_of(g, "http://fan"), 0, 1).astype(np.int8)
+    reached_before_drawn = oversize = False
     for k in (1, 2):
-        for cap in (1, 7, 1000):
-            for seed in range(3):
-                b = sample_batch(run_graph, labels, target_distribution(labels, split), k, cols,
+        # caps on both sides of the sampler's prefix doublings of its draws (64, 128, ...)
+        for cap in (1, 7, 63, 64, 65, 129, 1000):
+            for seed, train in ((0, split), (1, split), (2, split), (0, fan_only)):
+                b = sample_batch(run_graph, labels, target_distribution(labels, train), k, cols,
                                  pv.width, cap=cap, rng=np.random.default_rng(seed))
-                ref = reference_sample_batch(g, labels, split, k, x, cap,
+                ref = reference_sample_batch(g, labels, train, k, x, cap,
                                              np.random.default_rng(seed), include_rdf_types)
                 assert_same_batch(b, ref, g, pv)
                 if k == 2:
                     assert_edge_rows(b)
                 reached_before_drawn |= bool((b.target_idx >= b.n_targets).any())
+                oversize |= b.num_vertices > cap >= 63  # only the fan's closure is that large
         b = receptive_field(run_graph, labels, cols, pv.width, np.arange(g.num_vertices), 0, k)
         assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types), g, pv)
         if k == 2:
             assert_edge_rows(b)
-    assert reached_before_drawn
+    assert reached_before_drawn and oversize
