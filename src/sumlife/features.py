@@ -5,8 +5,9 @@ and class indices stay valid across snapshots; serialized vocabularies from
 an earlier task are always a prefix of later ones.  Predicates and features
 come from every edge of the given graph: a run without rdf:type edges gets a
 graph that ``ingest.drop_rdf_types`` has already cut.  A snapshot's features
-are held as one column per edge, so they take V + E memory; ``sampling``
-writes the multi-hot rows of a batch's vertices from them.
+are held as one column per edge, so they take V + E memory; a batch lists
+its vertices' (vertex, column) pairs, and each network writes their
+multi-hot rows at its own input width (``Network._forward``).
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def encode_features(g: SnapshotGraph, vocab: PredicateVocabulary) -> np.ndarray:
     """Feature column of each edge's predicate, in CSR order.
 
     A vertex's feature row is multi-hot over the columns of its out-edges,
-    multiplicity ignored, so sinks get zero rows; ``sampling`` writes the
-    rows of a batch's vertices.  Every predicate must already be in the
+    multiplicity ignored, so sinks get zero rows; a network writes the rows
+    of a batch's vertices.  Every predicate must already be in the
     vocabulary; each distinct predicate is looked up once.
     """
     uniq, inverse = np.unique(g.edge_pred, return_inverse=True)

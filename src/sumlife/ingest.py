@@ -181,7 +181,8 @@ class SnapshotGraph:
     Vertices are the term ids appearing in subject or object position; edge
     endpoints are stored as positions into the sorted ``vertex_ids`` array.
     ``edge_count`` counts statements, rdf:type included (see :func:`drop_rdf_types`).
-    ``terms`` is None in a graph from :meth:`without_terms`.
+    ``terms`` is None in a graph from :meth:`without_terms`, whose
+    ``edge_pred`` holds feature columns instead of term ids.
     """
 
     __slots__ = (
@@ -237,11 +238,12 @@ class SnapshotGraph:
             np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
         )
 
-    def without_terms(self) -> "SnapshotGraph":
-        """This graph with its arrays but no term table (``terms`` is None):
-        what sampling reads, without the strings of every term."""
+    def without_terms(self, edge_pred: np.ndarray) -> "SnapshotGraph":
+        """This graph with no term table (``terms`` is None) and ``edge_pred``
+        in place of the predicate term ids, which mean nothing without it:
+        what sampling reads, given each edge's feature column."""
         out = copy.copy(self)
-        out.terms = None
+        out.terms, out.edge_pred = None, edge_pred
         return out
 
     # -- construction ------------------------------------------------------

@@ -7,11 +7,12 @@ including future ones, filling one row of the T x T result matrix that all
 measures are computed from.  Test vertices whose class the network has never
 seen count as errors, and their fraction is reported separately.
 
-A task holds its features as each edge's feature column, at the final
-vocabulary width, in V + E memory; the batches that sampling and evaluation
-build write their vertices' rows from them.  Snapshots are prepared one at a
-time as they are drawn, and a task keeps its snapshot's CSR arrays but not
-its term table, so a run holds one term table at a time.
+A task's graph holds each edge's feature column in place of its predicate,
+in V + E memory, and no vocabulary width: the batches that sampling and
+evaluation build carry their vertices' columns, and each network writes the
+rows at its own input width.  Snapshots are prepared one at a time as they
+are drawn, and a task keeps its snapshot's CSR arrays but not its term
+table, so a run holds one term table at a time.
 
 Per-task randomness derives from (run seed, task index), so extending a
 sequence never perturbs earlier tasks' batches.
@@ -47,9 +48,8 @@ RESTARTS = ("warm", "cold")
 @dataclass
 class Task:
     """One snapshot of the sequence.  ``graph`` is the snapshot's CSR arrays,
-    with no term table (``SnapshotGraph.without_terms``): what sampling and
-    evaluation read.  Its features are held as each edge's feature column,
-    from which every batch writes its vertices' rows."""
+    with no term table and each edge's feature column as its ``edge_pred``
+    (``SnapshotGraph.without_terms``): what sampling and evaluation read."""
 
     index: int
     timestamp: str
@@ -58,8 +58,6 @@ class Task:
     split: np.ndarray
     pred_width: int  # vocabulary widths once this task is reached
     class_width: int
-    edge_col: np.ndarray  # each edge's feature column, CSR order (encode_features)
-    feature_width: int  # the final predicate vocabulary width, every batch row's width
 
 
 @dataclass
@@ -90,11 +88,10 @@ def prepare_tasks(
     vocabularies, then attach its labels, split and per-edge feature columns.
 
     Vocabulary indices are append-only, so a task's columns are final when it
-    is prepared; only ``feature_width``, the final predicate width, is set
-    after the last snapshot.  A task keeps the snapshot's CSR arrays but not
-    its term table, and this function lets go of each snapshot before it
-    draws the next.  Timestamps must be strictly increasing: ValueError at
-    the first one that is not."""
+    is prepared.  A task keeps the snapshot's CSR arrays but not its term
+    table, and this function lets go of each snapshot before it draws the
+    next.  Timestamps must be strictly increasing: ValueError at the first
+    one that is not."""
     pv = pred_vocab if pred_vocab is not None else PredicateVocabulary()
     cv = class_vocab if class_vocab is not None else ClassVocabulary()
     tasks: list[Task] = []
@@ -108,18 +105,14 @@ def prepare_tasks(
             Task(
                 index=len(tasks),
                 timestamp=timestamp,
-                graph=g.without_terms(),
+                graph=g.without_terms(encode_features(g, pv)),
                 labels=labels,
                 split=split_vertices(g, seed),
                 pred_width=pv.width,
                 class_width=cv.width,
-                edge_col=encode_features(g, pv),
-                feature_width=-1,  # set below, at the final width
             )
         )
         del g  # the term table goes before the next snapshot is drawn
-    for task in tasks:
-        task.feature_width = pv.width
     return TaskSequence(tasks=tasks, pred_vocab=pv, class_vocab=cv, model=model)
 
 
@@ -152,8 +145,7 @@ def evaluate_network(
         return 0.0, 0.0
     labels = task.labels[rows]
     unseen = labels >= net.n_classes
-    batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows,
-                            net.receptive_hops, MODEL_HOPS[seq.model])
+    batch = receptive_field(task.graph, task.labels, rows, net.receptive_hops, MODEL_HOPS[seq.model])
     if net.edges_as_vertices:
         batch = edge_as_vertex_transform(batch)
     logits = net.batch_logits(batch, batch.target_idx)
@@ -177,10 +169,7 @@ def _train_on_task(
     distribution = target_distribution(task.labels, task.split)
     losses = []
     for step in range(iterations):
-        batch = sample_batch(
-            task.graph, task.labels, distribution, k, task.edge_col, task.feature_width,
-            cap=batch_cap, rng=rng,
-        )
+        batch = sample_batch(task.graph, task.labels, distribution, k, cap=batch_cap, rng=rng)
         if net.edges_as_vertices:
             batch = edge_as_vertex_transform(batch)
         try:

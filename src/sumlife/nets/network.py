@@ -10,10 +10,10 @@ order, from empty tensors in ``Network.create`` and from the current ones in
 checkpoint holds.  Every network keeps its tensors, in layout order, as one
 ``ops.Params`` record, the same type for every architecture.  The batch a
 network reads is decided in ``receptive_hops`` and ``edges_as_vertices``,
-the forward pass in ``_forward`` and the backward pass after
-``train_step``'s one loss tail.  Both passes look
-their functions up in this module's globals at call time, so a wrapper put
-on a module name (as the benchmark's tracer does) sees every call.
+its input rows (at its own width) and forward pass in ``_forward``, and the
+backward pass after ``train_step``'s one loss tail.  Both passes look their
+functions up in this module's globals at call time, so a wrapper put on a
+module name (as the benchmark's tracer does) sees every call.
 """
 
 from __future__ import annotations
@@ -22,20 +22,17 @@ import copy
 import math
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..sampling import Subgraph
 from .adam import AdamState, adam_step
 from .gcn import batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import graphmlp_backward, graphmlp_contrast, graphmlp_forward
 from .losses import cross_entropy
 from .mlp import mlp_backward, mlp_forward
 from .ops import DTYPE, Params, assert_finite, scatter_rows, widen
-
-if TYPE_CHECKING:  # sampling writes batch features in ops.DTYPE, so it imports this package
-    from ..sampling import Subgraph
 
 # winning configurations: hidden size(s), dropout, learning rate
 ARCH_DEFAULTS = {
@@ -209,11 +206,12 @@ class Network:
         ``rng`` is given, and the cache is None otherwise.  Only what those
         logits read is computed: the MLP runs on those feature rows alone,
         while message passing and Graph-MLP's embeddings still cover every row.
-        The features are read in the parameters' dtype."""
-        x = batch.features
-        if x.shape[1] < self.n_in:
-            raise ValueError("feature width below network input width")
-        x = x[:, : self.n_in].astype(self.params.dtype, copy=False)
+        The one place a batch's multi-hot rows are written: at ``n_in``
+        columns, in the parameters' dtype, from the batch's feature pairs; a
+        column the network was never grown to is ignored."""
+        x = np.zeros((batch.num_vertices, self.n_in), self.params.dtype)
+        seen = batch.feature_col < self.n_in
+        x[batch.feature_src[seen], batch.feature_col[seen]] = 1.0
         train, dropout = rng is not None, self.hyper.dropout
         if self.arch == "mlp":
             return mlp_forward(self.params, x, train, dropout, rng, rows)

@@ -17,10 +17,11 @@ row subset otherwise in the last bits (see ``lifelong.evaluate_network``).
 One CSR gather, ``_out_edges``, reads every out-edge this module needs: the
 closures of a prefix of a batch's draws, walked together in numpy, the
 frontier of a receptive field, and a batch's own edges.  Sampled and
-evaluation batches are built by one constructor, ``_batch``, whose
-``_induced_edges`` writes the vertices' multi-hot feature rows from the
-task's per-edge feature columns (``features.encode_features``) and keeps the
-edges that one global-to-local position array maps inside the batch.
+evaluation batches are built by one constructor, ``_batch``, which keeps the
+edges that one global-to-local position array maps inside the batch and
+lists a (vertex, feature column) pair per out-edge, the column read off the
+graph's ``edge_pred`` (a task's holds ``features.encode_features``): a batch
+grows with its vertices and out-edges, not with the vocabulary.
 ``sample_batch`` draws from the task's ``target_distribution``, which a
 caller computes once per task; no closure outlives its batch.
 
@@ -37,7 +38,6 @@ import numpy as np
 
 from .features import TRAIN
 from .ingest import SnapshotGraph, distinct
-from .nets.ops import DTYPE
 
 
 @dataclass
@@ -50,8 +50,9 @@ class Subgraph:
     ``labels`` aligns with it.  Edges are the induced edges among batch
     vertices; ``edge_col`` carries each edge's feature column (-1 after the
     edge-as-vertex transform, where predicates become vertices).
-    ``features`` holds the vertices' multi-hot out-predicate rows at the
-    task's feature width, every out-edge of a vertex counted.
+    ``feature_src`` and ``feature_col`` list a (local vertex, feature column)
+    pair per out-edge of a batch vertex: the ones of the vertices' multi-hot
+    rows, where a pair may repeat.
     """
 
     vertices: np.ndarray
@@ -61,7 +62,8 @@ class Subgraph:
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_col: np.ndarray
-    features: np.ndarray
+    feature_src: np.ndarray
+    feature_col: np.ndarray
     k: int
 
     @property
@@ -85,12 +87,14 @@ def class_weights(labels: np.ndarray) -> dict[int, float]:
 
 
 def target_distribution(labels: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(train positions, the draw probability of each): what ``sample_batch``
-    draws targets from, which depends on the task alone.
+    """(train positions, the cumulative draw probability over them): what
+    ``sample_batch`` draws targets from, which depends on the task alone.
 
     A vertex's probability is proportional to its class weight, so summing
     over a class gives the same total for every class, which is what
-    balances the expected class frequency of the drawn targets.
+    balances the expected class frequency of the drawn targets.  The sums
+    are those ``Generator.choice`` forms from the probabilities, so drawing
+    from them takes the same uniforms to the same targets.
     """
     train_positions = np.flatnonzero(split == TRAIN)
     if len(train_positions) == 0:
@@ -99,7 +103,8 @@ def target_distribution(labels: np.ndarray, split: np.ndarray) -> tuple[np.ndarr
     classes, inverse = np.unique(train_labels, return_inverse=True)
     weights = class_weights(train_labels)
     p = np.array([weights[int(c)] for c in classes], dtype=np.float64)[inverse]
-    return train_positions, p / p.sum()
+    cdf = (p / p.sum()).cumsum()
+    return train_positions, cdf / cdf[-1]
 
 
 def _out_edges(g: SnapshotGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,47 +117,34 @@ def _out_edges(g: SnapshotGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, np.repeat(lo - starts, counts) + np.arange(len(idx), dtype=np.int64)
 
 
-def _induced_edges(
-    g: SnapshotGraph, vertices: np.ndarray, edge_col: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(local, src, dst, col, x)`` from one gather of the out-edges of
-    ``vertices``, whose feature column ``edge_col`` gives.  ``x`` holds their
-    multi-hot rows of ``width`` columns; the edges among them, in local
-    indices, are ordered by source as listed, then by CSR position; ``local``
-    maps each global position to its index in ``vertices`` (-1 outside).
-    The rows are in the networks' compute dtype, ``nets.ops.DTYPE``."""
+def _batch(
+    g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray,
+    labels: np.ndarray, k: int,
+) -> Subgraph:
+    """The batch of ``vertices`` from one gather of their out-edges: the
+    edges among them, in local indices, ordered by source as listed, then by
+    CSR position, and a feature pair per out-edge.  ``targets`` are global
+    positions, possibly repeated, that ``target_idx`` and ``labels`` follow."""
     local = np.full(g.num_vertices, -1, dtype=np.int64)
     local[vertices] = np.arange(len(vertices), dtype=np.int64)
     src, edges = _out_edges(g, vertices)
-    x = np.zeros((len(vertices), width), dtype=DTYPE)
-    x[src, edge_col[edges]] = 1.0
+    col = g.edge_pred[edges]
     dst = local[g.edge_obj[edges]]
     keep = dst >= 0
-    return local, src[keep], dst[keep], edge_col[edges[keep]], x
-
-
-def _batch(
-    g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray,
-    labels: np.ndarray, edge_col: np.ndarray, width: int, k: int,
-) -> Subgraph:
-    """The batch of ``vertices`` and the edges among them; ``targets`` are
-    global positions, possibly repeated, that ``target_idx`` and ``labels``
-    follow."""
-    local, src, dst, col, x = _induced_edges(g, vertices, edge_col, width)
     return Subgraph(vertices=vertices, n_targets=n_targets, target_idx=local[targets],
-                    labels=np.asarray(labels)[targets], edge_src=src, edge_dst=dst, edge_col=col,
-                    features=x, k=k)
+                    labels=np.asarray(labels)[targets], edge_src=src[keep], edge_dst=dst[keep],
+                    edge_col=col[keep], feature_src=src, feature_col=col, k=k)
 
 
 def sample_batch(
     g: SnapshotGraph, labels: np.ndarray, distribution: tuple[np.ndarray, np.ndarray], k: int,
-    edge_col: np.ndarray, width: int, cap: int = 1000, *, rng: np.random.Generator,
+    cap: int = 1000, *, rng: np.random.Generator,
 ) -> Subgraph:
     """Draw one class-balanced batch with at most ``cap`` vertices.
 
     ``cap`` targets are drawn from ``distribution``, the task's
     ``target_distribution(labels, split)``, which a caller computes once per
-    task; ``edge_col`` and ``width`` are the task's feature columns and width.
+    task, with the uniforms ``Generator.choice`` would draw for them.
     The k-hop closures of a prefix of the draws (64, 128, ... up to ``cap``)
     are walked together, and the prefix doubles until a draw would take the
     batch past ``cap`` vertices or every draw is walked.  The draws before
@@ -164,8 +156,8 @@ def sample_batch(
         raise ValueError("k must be 1 or 2")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    train_positions, p = distribution
-    draws = train_positions[rng.choice(len(train_positions), size=cap, replace=True, p=p)]
+    train_positions, cdf = distribution
+    draws = train_positions[cdf.searchsorted(rng.random(cap), side="right")]
     walked = min(cap, 64)
     while True:
         # (draw, vertex) at the end of every walk of up to k hops, hop by hop; sorted stably by
@@ -188,13 +180,10 @@ def sample_batch(
     # a group starts at its draw's target, so only a target new to the batch is first seen in its own
     is_target = walk[first] == draws[draw_of[first]]
     vertices = np.concatenate([walk[first[is_target]], walk[first[~is_target]]])
-    return _batch(g, vertices, int(is_target.sum()), accepted, labels, edge_col, width, k)
+    return _batch(g, vertices, int(is_target.sum()), accepted, labels, k)
 
 
-def receptive_field(
-    g: SnapshotGraph, labels: np.ndarray, edge_col: np.ndarray, width: int, rows: np.ndarray,
-    hops: int, k: int,
-) -> Subgraph:
+def receptive_field(g: SnapshotGraph, labels: np.ndarray, rows: np.ndarray, hops: int, k: int) -> Subgraph:
     """The batch message passing needs to compute the vertices ``rows`` of ``g``.
 
     ``rows`` become the targets.  Kept are the vertices within ``hops``
@@ -212,7 +201,7 @@ def receptive_field(
         reached = g.edge_obj[_out_edges(g, frontier)[1]]
         frontier = distinct(reached[~inside[reached]])
         inside[frontier] = True
-    return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, edge_col, width, k)
+    return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, k)
 
 
 def edge_as_vertex_transform(b: Subgraph) -> Subgraph:
@@ -227,8 +216,6 @@ def edge_as_vertex_transform(b: Subgraph) -> Subgraph:
     n, e = b.num_vertices, b.num_edges
     if e == 0:
         return b
-    edge_feats = np.zeros((e, b.features.shape[1]), dtype=b.features.dtype)
-    edge_feats[np.arange(e), b.edge_col] = 1.0
     edge_ids = n + np.arange(e, dtype=np.int64)
     return replace(
         b,
@@ -236,5 +223,6 @@ def edge_as_vertex_transform(b: Subgraph) -> Subgraph:
         edge_src=np.concatenate([b.edge_src, edge_ids]),
         edge_dst=np.concatenate([edge_ids, b.edge_dst]),
         edge_col=np.full(2 * e, -1, dtype=np.int64),
-        features=np.vstack([b.features, edge_feats]),
+        feature_src=np.concatenate([b.feature_src, edge_ids]),
+        feature_col=np.concatenate([b.feature_col, b.edge_col]),
     )

@@ -202,6 +202,23 @@ def reference_features(g: SnapshotGraph, vocab) -> np.ndarray:
     return x
 
 
+def batch_rows(batch, width: int, dtype=DTYPE) -> np.ndarray:
+    """A batch's multi-hot feature rows at ``width`` columns, written one
+    feature pair at a time; a column at or past ``width`` is left out."""
+    x = np.zeros((batch.num_vertices, width), dtype=dtype)
+    for v, c in zip(batch.feature_src.tolist(), batch.feature_col.tolist()):
+        if c < width:
+            x[v, c] = 1.0
+    return x
+
+
+def feature_pairs(x: np.ndarray) -> dict:
+    """The ``feature_src`` and ``feature_col`` fields of a batch whose
+    multi-hot rows are the nonzero entries of ``x``."""
+    src, col = np.nonzero(x)
+    return {"feature_src": src, "feature_col": col}
+
+
 def read_vocabulary(cls, path):
     """A serialized vocabulary read back, one entry per line, through ``cls.from_lines``."""
     text = Path(path).read_bytes().decode("utf-8")
@@ -564,7 +581,7 @@ def reference_train_step(net, batch, adam, rng) -> float:
     ``adam`` in place and returns the loss.  The adjacency, the contrastive
     term, GELU, the row scatter and the one-row product are the package's own:
     the parts re-derived here are the ones the lean step rewrote.  It computes
-    in the dtype of the parameters, reading the features in it too."""
+    in the dtype of the parameters, writing the feature rows in it too."""
 
     def relu_grad(a):
         return (a > 0.0).astype(a.dtype)
@@ -572,7 +589,7 @@ def reference_train_step(net, batch, adam, rng) -> float:
     p, hyper = net.params, net.hyper
     rate, dtype = hyper.dropout, p.dtype
     rows, inv = np.unique(batch.target_idx, return_inverse=True)
-    x = batch.features[:, : net.n_in].astype(dtype)
+    x = batch_rows(batch, net.n_in, dtype)
     if net.arch == "mlp":
         mask = reference_dropout_mask(rng, (len(x), p.w0.shape[1]), rate, rows, dtype)
         x = x[rows]

@@ -139,7 +139,7 @@ def _task(seed: int):
 
 def _field(seq, task, net, rows, hops):
     """The receptive-field batch of ``rows`` that ``net`` runs on, as evaluation builds it."""
-    batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows, hops, 2)
+    batch = receptive_field(task.graph, task.labels, rows, hops, 2)
     if net.arch == "gcn-edges":
         batch = edge_as_vertex_transform(batch)
     return batch
@@ -153,8 +153,9 @@ def test_receptive_field_matches_cut_of_full_graph_batch(k, hops):
     for run_graph, include_rdf_types in ((g, True), (drop_rdf_types(g), False)):
         x = reference_features(run_graph, pv)
         full = reference_full_graph_batch(g, labels, x, k, include_rdf_types)
+        fg = run_graph.without_terms(encode_features(run_graph, pv))
         for rows in rows_sets:
-            b = receptive_field(run_graph, labels, encode_features(run_graph, pv), pv.width, rows, hops, k)
+            b = receptive_field(fg, labels, rows, hops, k)
             assert_same_batch(b, reference_receptive_field(full, rows, hops), g, pv)
 
 

@@ -1,15 +1,14 @@
 """Every array a train step or an evaluation makes is in the parameters' dtype.
 
-``ops.DTYPE`` (float32) is the compute dtype: sampling writes batch features
-in it and ``Network.create`` casts its float64 draws to it.  Each kernel
+``ops.DTYPE`` (float32) is the compute dtype: ``Network.create`` casts its
+float64 draws to it, and a network writes a batch's feature rows in its
+parameters' dtype, so batches hold no float array.  Each kernel
 follows the dtype of its inputs, so a network built from float64 tensors,
 as the gradient checks build them, computes in float64 end to end.  numpy
 promotes Python scalars by value before 2.0 and by kind after (NEP 50), so
 CI runs this file at the numpy floor too, where an upcast that only one of
 the two rules makes would show.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,10 +75,9 @@ class Tracked(np.ndarray):
         return wrapped if isinstance(result, tuple) else wrapped[0]
 
 
-def _recording(monkeypatch, seen: list, features: list) -> None:
-    """Record the float arrays each kernel takes and returns in ``seen`` and
-    each batch's features in ``features``; the features are ``Tracked`` from
-    the batch on."""
+def _recording(monkeypatch, seen: list, batches: list) -> None:
+    """Record the float arrays each kernel takes and returns in ``seen``, the
+    feature rows a network writes among them, and each batch in ``batches``."""
 
     def wrap(module, name, record):
         inner = getattr(module, name)
@@ -98,8 +96,8 @@ def _recording(monkeypatch, seen: list, features: list) -> None:
         return out
 
     def batch(name, args, out):
-        features.append((name, out.features))
-        return replace(out, features=out.features.view(Tracked))
+        batches.append((name, out))
+        return out
 
     for name in KERNELS:
         wrap(network, name, kernel)
@@ -113,16 +111,16 @@ def _recording(monkeypatch, seen: list, features: list) -> None:
 def test_train_step_and_evaluation_keep_the_parameters_dtype(monkeypatch, arch, to64):
     """Two steps and an evaluation: the arrays at the kernels' boundaries,
     and every float operand and result of each numpy operation on the
-    parameters or features or on an array computed from them, are in the
-    parameters' dtype."""
+    parameters or on an array computed from them, are in the parameters'
+    dtype; the feature rows are a kernel argument."""
     seq, task = _task(1)
     net = Network.create(arch, task.pred_width, task.class_width, HYPER[arch], _task_rng(1, 0))
     if to64:
         net = float64(net)
     dtype = np.dtype(np.float64 if to64 else DTYPE)
     net.params = Params({name: t.view(Tracked) for name, t in net.params.items()})
-    seen, features, log = [], [], []
-    _recording(monkeypatch, seen, features)
+    seen, batches, log = [], [], []
+    _recording(monkeypatch, seen, batches)
     monkeypatch.setattr(Tracked, "log", log)
     _train_on_task(net, task, seq, 2, 40, _task_rng(1, 0))
     evaluate_network(net, task, seq)
@@ -134,8 +132,9 @@ def test_train_step_and_evaluation_keep_the_parameters_dtype(monkeypatch, arch, 
     upcast = sorted({f"{where}: {a.dtype}" for where, a in seen if a.dtype != dtype})
     assert not upcast, upcast
     assert all(t.dtype == dtype for t in net.params.values())
-    # batches are written in the compute dtype, whatever the network reads them in
-    assert {"sample_batch", "receptive_field"} <= {name for name, _ in features}
-    assert all(x.dtype == DTYPE for _, x in features)
+    # batches carry feature columns, and the network writes the rows in its own dtype
+    assert {"sample_batch", "receptive_field"} <= {name for name, _ in batches}
+    assert not [(name, f) for name, b in batches for f, a in vars(b).items()
+                if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
     assert log
     assert not sorted({op for op in log if not op.endswith(f": {dtype}")})

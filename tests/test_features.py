@@ -13,7 +13,7 @@ from sumlife.features import (
     split_vertices,
 )
 import sumlife.features as features
-from oracles import position_of, read_vocabulary, reference_features, reference_siphash24
+from oracles import batch_rows, position_of, read_vocabulary, reference_features, reference_siphash24
 from sumlife.features import SPLIT_FRACTIONS, _largest_remainder
 from sumlife.ingest import build_snapshot
 from sumlife.sampling import receptive_field
@@ -84,10 +84,12 @@ def test_vocab_serialization_prefix_property(tmp_path):
 
 
 def feature_rows(g, vocab):
-    """Every vertex's feature row, as a batch of the whole snapshot holds it."""
+    """Every vertex's feature row, written from the feature pairs of a batch
+    of the whole snapshot at the vocabulary's width."""
     labels = np.zeros(g.num_vertices, dtype=np.int64)
     everyone = np.arange(g.num_vertices)
-    return receptive_field(g, labels, encode_features(g, vocab), vocab.width, everyone, 0, 1).features
+    batch = receptive_field(g.without_terms(encode_features(g, vocab)), labels, everyone, 0, 1)
+    return batch_rows(batch, vocab.width)
 
 
 def test_encode_rows():

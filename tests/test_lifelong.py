@@ -162,8 +162,8 @@ def test_prepare_tasks_lets_go_of_each_term_table_before_the_next_snapshot():
     want = quick_seq(3, 10)
     for task, other in zip(seq.tasks, want.tasks):
         assert task.labels.tolist() == other.labels.tolist()
-        assert task.edge_col.tolist() == other.edge_col.tolist()
-        assert task.feature_width == other.feature_width == want.pred_vocab.width
+        assert task.graph.edge_pred.tolist() == other.graph.edge_pred.tolist()
+        assert task.pred_width == other.pred_width
 
 
 def test_vocab_widths_monotone_and_match_tasks():
@@ -412,18 +412,23 @@ def test_zero_hop_batch_logits_are_the_feature_rows_logits(arch):
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=[8]),
                          np.random.default_rng(2))
     rows = np.flatnonzero(task.split == TEST)
-    batch = receptive_field(task.graph, task.labels, task.edge_col, task.feature_width, rows, 0, 1)
+    batch = receptive_field(task.graph, task.labels, rows, 0, 1)
     x = reference_features(g, seq.pred_vocab)[rows][:, : net.n_in]
     bare = mlp_forward(net.params, x)[0] if arch == "mlp" else graphmlp_forward(net.params, x)[1]
     assert net.batch_logits(batch)[batch.target_idx].tobytes() == bare.tobytes()
 
 
-@pytest.mark.parametrize("model", ["ac1", "ac2"])
-def test_prepare_tasks_memory_grows_with_vertices_and_edges(model):
+def _wide_snapshot():
+    """3 000 vertices and 6 000 random edges over 2 000 predicates."""
     rng = np.random.default_rng(0)
     n, e, p = 3000, 6000, 2000
     ends = zip(rng.integers(0, n, e), rng.integers(0, p, e), rng.integers(0, n, e))
-    g = build_snapshot("t0", [(f"http://v{s}", f"http://p{q}", f"http://v{o}") for s, q, o in ends])
+    return build_snapshot("t0", [(f"http://v{s}", f"http://p{q}", f"http://v{o}") for s, q, o in ends])
+
+
+@pytest.mark.parametrize("model", ["ac1", "ac2"])
+def test_prepare_tasks_memory_grows_with_vertices_and_edges(model):
+    g = _wide_snapshot()
     tracemalloc.start()
     try:
         seq = prepare_tasks([("t0", g)], model, seed=1)
@@ -433,6 +438,33 @@ def test_prepare_tasks_memory_grows_with_vertices_and_edges(model):
     assert seq.pred_vocab.width > 1800
     # a dense V x P float64 feature matrix alone would take 45 MB, 600 x this budget
     assert peak < 64 * (g.num_vertices + len(g.edge_obj)) * 8, peak
+
+
+def _array_bytes(batch) -> int:
+    return sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
+
+
+def test_batch_arrays_do_not_grow_with_the_vocabulary():
+    """At 2 000 predicates, sampled, receptive-field and edge-as-vertex
+    batches hold at most 8 int64 entries per batch vertex and out-edge: a
+    batch lists its vertices' feature columns, so no array is as wide as the
+    vocabulary (a dense float32 row here is the bytes of about 950 entries)."""
+    seq = prepare_tasks([("t0", _wide_snapshot())], "ac2", seed=1)
+    task = seq.tasks[0]
+    assert seq.pred_vocab.width > 1800
+    g, k = task.graph, 2
+    degrees = g.out_degrees()
+    distribution = lifelong.target_distribution(task.labels, task.split)
+    batches = [lifelong.sample_batch(g, task.labels, distribution, k, cap=1000,
+                                     rng=np.random.default_rng(1))]
+    for rows, hops in ((np.flatnonzero(task.split == TEST), 2), (np.arange(g.num_vertices), 0)):
+        batches.append(lifelong.receptive_field(g, task.labels, rows, hops, k))
+    for b in batches:
+        size = b.num_vertices + int(degrees[b.vertices].sum())  # vertices and their out-edges
+        assert _array_bytes(b) <= 8 * 8 * size, (b.num_vertices, _array_bytes(b))
+        # each edge becomes a vertex with one out-edge and one feature column
+        tb = lifelong.edge_as_vertex_transform(b)
+        assert _array_bytes(tb) <= 8 * 8 * (size + 2 * b.num_edges), (tb.num_vertices, _array_bytes(tb))
 
 
 def test_training_memory_does_not_grow_with_the_targets_drawn():
@@ -447,12 +479,12 @@ def test_training_memory_does_not_grow_with_the_targets_drawn():
                       rng.integers(0, width, n * degree), rng.integers(0, n, n * degree))
     task = Task(index=0, timestamp="t0", graph=g, labels=np.arange(n, dtype=np.int64) % 4,
                 split=np.where(rng.random(n) < 0.6, TRAIN, TEST).astype(np.int8), pred_width=width,
-                class_width=4, edge_col=g.edge_pred, feature_width=width)
+                class_width=4)
     seq = TaskSequence(tasks=[task], pred_vocab=PredicateVocabulary(), class_vocab=ClassVocabulary(),
                        model="ac2")
     batch = lifelong.sample_batch(g, task.labels, lifelong.target_distribution(task.labels, task.split),
-                                  2, g.edge_pred, width, cap=1000, rng=np.random.default_rng(1))
-    batch_bytes = sum(a.nbytes for a in vars(batch).values() if isinstance(a, np.ndarray))
+                                  2, cap=1000, rng=np.random.default_rng(1))
+    batch_bytes = _array_bytes(batch)
 
     def peak(iterations: int) -> int:
         net = Network.create("gcn", width, 4, Hyper(hidden=[8]), np.random.default_rng(2))

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dense_adjacency, softmax_rows
+from oracles import dense_adjacency, feature_pairs, softmax_rows
 from sumlife.errors import NumericalError
+from sumlife.nets import network
 from sumlife.nets.adam import AdamState, adam_step
 from sumlife.nets.gcn import batch_adjacency, gcn_backward, gcn_forward
 from sumlife.nets.graphmlp import graphmlp_forward
@@ -15,7 +16,7 @@ from sumlife.nets.losses import cross_entropy, ncontrast_loss
 from sumlife.nets.mlp import mlp_backward, mlp_forward
 from sumlife.nets.network import ARCHITECTURES, Hyper, Network
 from sumlife.nets.ops import DTYPE, Params, apply_dropout, assert_finite, dropout_mask, gelu
-from sumlife.sampling import Subgraph
+from sumlife.sampling import Subgraph, edge_as_vertex_transform
 
 
 def test_zero_input_zero_bias_zero_logits():
@@ -184,7 +185,7 @@ def test_full_graph_gcn_logits_memory_linear():
     batch = Subgraph(
         vertices=everyone, n_targets=n, target_idx=everyone,
         labels=np.zeros(n, dtype=np.int64), edge_src=src, edge_dst=dst,
-        edge_col=np.full(e, -1, dtype=np.int64), features=rng.normal(size=(n, n_in)), k=2,
+        edge_col=np.full(e, -1, dtype=np.int64), **feature_pairs(rng.random((n, n_in)) < 0.5), k=2,
     )
     net = Network.create("gcn", n_in, n_classes, Hyper(hidden=[16]), rng)
     tracemalloc.start()
@@ -210,7 +211,7 @@ def test_mlp_train_step_memory_holds_one_activation():
     batch = Subgraph(vertices=np.arange(n), n_targets=n, target_idx=target_idx,
                      labels=rng.integers(0, n_classes, n), edge_src=np.zeros(0, np.int64),
                      edge_dst=np.zeros(0, np.int64), edge_col=np.zeros(0, np.int64),
-                     features=(rng.random((n, width)) < 0.1).astype(np.float64), k=1)
+                     **feature_pairs(rng.random((n, width)) < 0.1), k=1)
     net = Network.create("mlp", width, n_classes, Hyper(hidden=[hidden]), rng)
     adam = net.new_adam()
     net.train_step(batch, adam, rng)  # Adam's moments exist before the measured step
@@ -327,24 +328,43 @@ def test_grow_shrink_errors():
                 net.grow(n_in, n_classes, rng)
 
 
-def test_grow_old_logits_unchanged():
-    x = np.random.default_rng(2).normal(size=(7, 5))
+def test_grow_old_logits_unchanged(monkeypatch):
+    """Growing keeps the old logits, and a network ignores the feature
+    columns it was never grown to: rows that also carry columns 5 and 6 give
+    a 5-input network the logits of the rows without them, and a gcn-edges
+    edge vertex whose predicate has such a column reads a zero row."""
+    x = np.random.default_rng(2).normal(size=(7, 5)) > 0
+    wide = np.hstack([x, np.eye(7, 2, dtype=bool)])  # columns 5 and 6 on vertices 0 and 1
     src, dst = np.array([0, 1, 2, 3, 5]), np.array([1, 2, 0, 4, 6])
+    edge_col = np.array([0, 6, 2, 5, 1])  # edges 1 and 3 carry predicates no network saw
 
-    def batch(features):
-        return Subgraph(
+    def batch(arch, rows):
+        b = Subgraph(
             vertices=np.arange(7), n_targets=7, target_idx=np.arange(7),
             labels=np.zeros(7, dtype=np.int64), edge_src=src, edge_dst=dst,
-            edge_col=np.full(5, -1, dtype=np.int64), features=features, k=2,
+            edge_col=edge_col, **feature_pairs(rows), k=2,
         )
+        return edge_as_vertex_transform(b) if arch == "gcn-edges" else b
 
+    inputs, forward = [], network.gcn_forward
+
+    def recording(params, x, *args):
+        inputs.append(x)
+        return forward(params, x, *args)
+
+    monkeypatch.setattr(network, "gcn_forward", recording)
     for arch in ARCHITECTURES:
         rng = np.random.default_rng(1)
         net = Network.create(arch, 5, 4, Hyper(hidden=GROW_HIDDEN[arch]), rng)
-        before = net.batch_logits(batch(x))
+        before = net.batch_logits(batch(arch, x))
+        assert net.batch_logits(batch(arch, wide)).tobytes() == before.tobytes(), arch
         net.grow(5, 9, rng)
-        after = net.batch_logits(batch(np.hstack([x, np.zeros((7, 0))])))
-        assert np.array_equal(after[:, :4], before), arch
+        for rows in (x, wide):
+            after = net.batch_logits(batch(arch, rows))
+            assert np.array_equal(after[:, :4], before), arch
+    # the grown gcn-edges network's last input: its edge vertices follow the 7 vertices
+    one_hot, zero = np.eye(5), np.zeros(5)
+    assert np.array_equal(inputs[-1][7:], [one_hot[0], zero, one_hot[2], zero, one_hot[1]])
 
 
 def test_grow_graphmlp_zero_init_flag():

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from gradcheck import float64, max_rel_error, small_problem
-from oracles import reference_train_step
+from oracles import feature_pairs, reference_train_step
 from sumlife.features import TEST, TRAIN, VAL
 from sumlife.ingest import build_snapshot
 from sumlife.lifelong import evaluate_network, prepare_tasks
@@ -42,13 +42,15 @@ N_CLASSES = 3
 def _batch(seed: int) -> Subgraph:
     """Seven vertices, three accepted targets first; targets 1 and 5 repeat,
     5 sits past ``n_targets`` (an earlier closure brought it in), and
-    vertices 3, 4 and 6 are no target."""
+    vertices 3, 4 and 6 are no target.  The multi-hot rows are where the
+    fixture's features exceed 0.5 in magnitude (at ``x > 0`` one gcn-edges
+    gradient entry is 1.7e-8, below what the central differences resolve)."""
     x, _, src, dst = small_problem(seed, b=7)
     target_idx = np.array([1, 0, 5, 1, 2, 5, 5])
     vertex_labels = np.random.default_rng(seed).integers(0, N_CLASSES, size=7)
     return Subgraph(vertices=np.arange(7), n_targets=3, target_idx=target_idx,
                     labels=vertex_labels[target_idx], edge_src=src, edge_dst=dst,
-                    edge_col=np.full(len(src), -1), features=x, k=2)
+                    edge_col=np.full(len(src), -1), **feature_pairs(np.abs(x) > 0.5), k=2)
 
 
 def _net(arch: str, seed: int, dropout: float) -> Network:
@@ -268,7 +270,7 @@ def _random_batch(rng: np.random.Generator, n_in: int, n_classes: int) -> Subgra
     target_idx = rng.integers(0, n, int(rng.integers(5, n)))
     return Subgraph(vertices=np.arange(n), n_targets=len(target_idx) // 2, target_idx=target_idx,
                     labels=rng.integers(0, n_classes, len(target_idx)), edge_src=src, edge_dst=dst,
-                    edge_col=np.full(n_edges, -1), features=(rng.random((n, n_in)) < 0.3) * 1.0, k=2)
+                    edge_col=np.full(n_edges, -1), **feature_pairs(rng.random((n, n_in)) < 0.3), k=2)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -310,7 +312,7 @@ def test_mlp_train_step_memory_holds_only_the_target_rows():
                      labels=rng.integers(0, n_classes, len(target_idx)),
                      edge_src=np.zeros(0, dtype=np.int64), edge_dst=np.zeros(0, dtype=np.int64),
                      edge_col=np.zeros(0, dtype=np.int64),
-                     features=(rng.random((n, n_in)) < 0.1) * 1.0, k=2)
+                     **feature_pairs(rng.random((n, n_in)) < 0.1), k=2)
     net = Network.create("mlp", n_in, n_classes, Hyper(hidden=[hidden]), rng)
     adam = net.new_adam()
     net.train_step(batch, adam, rng)  # warm up numpy's caches

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from oracles import position_of, reference_features, reference_full_graph_batch, reference_sample_batch
-from sumlife.features import PredicateVocabulary, encode_features, split_vertices
-from sumlife.ingest import RDF_TYPE_IRI, build_snapshot, drop_rdf_types, filter_high_degree
+from oracles import (
+    _reference_target_distribution,
+    batch_rows,
+    position_of,
+    reference_features,
+    reference_full_graph_batch,
+    reference_sample_batch,
+)
+from sumlife.features import TEST, TRAIN, PredicateVocabulary, encode_features, split_vertices
+from sumlife.ingest import RDF_TYPE_IRI, SnapshotGraph, build_snapshot, drop_rdf_types, filter_high_degree
 from sumlife.sampling import (
     class_weights,
     edge_as_vertex_transform,
@@ -38,27 +45,27 @@ def setup_task(n_classes=4, members=25):
     g = ring_snapshot("t", recipes, members)
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    cols = encode_features(g, pv)
+    fg = g.without_terms(encode_features(g, pv))  # what a task's sampler reads
     from sumlife.summarize import vertex_hashes
 
     hashes = vertex_hashes(g, "ac1")
     classes = {h: i for i, h in enumerate(sorted(set(int(v) for v in hashes)))}
     labels = np.array([classes[int(h)] for h in hashes])
     split = split_vertices(g, 3)
-    return g, labels, split, cols, pv
+    return g, labels, split, fg, pv
 
 
 def test_batch_within_cap_small_graph():
-    g, labels, split, cols, pv = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=1000, rng=np.random.default_rng(0))
+    g, labels, split, fg, pv = setup_task()
+    b = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=1000, rng=np.random.default_rng(0))
     assert b.num_vertices <= min(1000, g.num_vertices)
     assert b.n_targets >= 1
     assert len(b.target_idx) == len(b.labels)
 
 
 def test_batch_respects_cap():
-    g, labels, split, cols, pv = setup_task(members=40)
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=10, rng=np.random.default_rng(0))
+    g, labels, split, fg, pv = setup_task(members=40)
+    b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=10, rng=np.random.default_rng(0))
     assert b.num_vertices <= 10 or b.n_targets == 1
 
 
@@ -70,8 +77,8 @@ def test_oversize_single_target_rule():
     split = np.zeros(g.num_vertices, dtype=np.int8)  # everything train
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    cols = encode_features(g, pv)
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=1, rng=np.random.default_rng(1))
+    fg = g.without_terms(encode_features(g, pv))
+    b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=1, rng=np.random.default_rng(1))
     assert b.n_targets == 1
     # its full closure is present even though it exceeds the cap
     t = int(b.vertices[0])
@@ -86,24 +93,49 @@ def test_oversize_single_target_rule():
 
 
 def test_batch_deterministic_with_seed():
-    g, labels, split, cols, pv = setup_task()
-    b1 = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=50, rng=np.random.default_rng(9))
-    b2 = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=50, rng=np.random.default_rng(9))
+    g, labels, split, fg, pv = setup_task()
+    b1 = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=50, rng=np.random.default_rng(9))
+    b2 = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=50, rng=np.random.default_rng(9))
     assert (b1.vertices == b2.vertices).all()
     assert (b1.target_idx == b2.target_idx).all()
-    assert (b1.features == b2.features).all()
+    assert (b1.feature_src == b2.feature_src).all()
+    assert (b1.feature_col == b2.feature_col).all()
 
 
 def test_batch_empty_train_errors():
-    g, labels, _, cols, pv = setup_task()
+    g, labels, _, fg, pv = setup_task()
     split = np.full(g.num_vertices, 2, dtype=np.int8)
     with pytest.raises(ValueError):
-        sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, rng=np.random.default_rng(0))
+        sample_batch(fg, labels, target_distribution(labels, split), 1, rng=np.random.default_rng(0))
+
+
+def test_draws_are_those_of_generator_choice():
+    """The targets come from the task's cumulative sums by the uniforms that
+    ``Generator.choice`` draws for the class-balanced probabilities: the same
+    targets, and the generator left in the same state, for 20 random
+    distributions.  Edgeless vertices make each draw's closure the draw
+    alone, so every draw is admitted."""
+    rng = np.random.default_rng(20)
+    for seed in range(20):
+        n = int(rng.integers(1, 3000))
+        labels = rng.zipf(1.5, n) % int(rng.integers(1, 60))  # skewed class sizes
+        split = np.where(rng.random(n) < 0.9, TRAIN, TEST).astype(np.int8)
+        split[0] = TRAIN
+        no_edges = np.zeros(0, dtype=np.int64)
+        g = SnapshotGraph("t", None, np.arange(n, dtype=np.int64), np.zeros(n + 1, dtype=np.int64),
+                          no_edges, no_edges)
+        cap = int(rng.integers(1, 2000))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        b = sample_batch(g, labels, target_distribution(labels, split), 1, cap=cap, rng=ours)
+        train = np.flatnonzero(split == TRAIN)
+        p = _reference_target_distribution(labels, train)
+        assert np.array_equal(b.vertices[b.target_idx], train[theirs.choice(len(train), size=cap, p=p)])
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_target_closure_present():
-    g, labels, split, cols, pv = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=200, rng=np.random.default_rng(2))
+    g, labels, split, fg, pv = setup_task()
+    b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=200, rng=np.random.default_rng(2))
     members = set(int(v) for v in b.vertices)
     for t_local in b.target_idx:
         v = int(b.vertices[t_local])
@@ -113,14 +145,14 @@ def test_target_closure_present():
 
 
 def test_expected_class_frequency_uniform():
-    g, labels, split, cols, pv = setup_task(n_classes=4, members=30)
+    g, labels, split, fg, pv = setup_task(n_classes=4, members=30)
     # skew the training pool so inverse weighting has something to correct:
     # the ring construction already yields equal classes, so drop most of one
     rng = np.random.default_rng(12)
     counts = np.zeros(4, dtype=np.int64)
     draws = 0
     while draws < 10_000:
-        b = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=1000, rng=rng)
+        b = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=1000, rng=rng)
         for c in b.labels:
             counts[int(c)] += 1
         draws += len(b.labels)
@@ -129,49 +161,50 @@ def test_expected_class_frequency_uniform():
 
 
 def test_edge_as_vertex_requires_two_hops():
-    g, labels, split, cols, pv = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 1, cols, pv.width, cap=50, rng=np.random.default_rng(0))
+    g, labels, split, fg, pv = setup_task()
+    b = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=50, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         edge_as_vertex_transform(b)
 
 
 def test_edge_as_vertex_shape_and_features():
-    g, labels, split, cols, pv = setup_task()
-    b = sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=60, rng=np.random.default_rng(4))
+    g, labels, split, fg, pv = setup_task()
+    b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=60, rng=np.random.default_rng(4))
     v, e = b.num_vertices, b.num_edges
     tb = edge_as_vertex_transform(b)
     assert tb.num_vertices == v + e
     assert tb.num_edges == 2 * e
     # each edge vertex row is a one-hot at its predicate's column
+    rows = batch_rows(tb, pv.width)
     for i in range(e):
-        row = tb.features[v + i]
+        row = rows[v + i]
         assert row.sum() == 1.0
         assert int(np.argmax(row)) == b.edge_col[i]
     assert (tb.target_idx == b.target_idx).all()
     assert (tb.labels == b.labels).all()
 
 
-def per_edge_features(b):
+def per_edge_features(b, width):
     """Edge-vertex feature rows built one edge at a time."""
-    rows = np.zeros((b.num_edges, b.features.shape[1]))
+    rows = np.zeros((b.num_edges, width))
     for i in range(b.num_edges):
         rows[i, b.edge_col[i]] = 1.0
     return rows
 
 
 def test_edge_as_vertex_matches_per_edge_reference():
-    g, labels, split, cols, pv = setup_task(n_classes=6)
+    g, labels, split, fg, pv = setup_task(n_classes=6)
     batches = [
-        sample_batch(g, labels, target_distribution(labels, split), 2, cols, pv.width, cap=80, rng=np.random.default_rng(9)),
-        receptive_field(g, labels, cols, pv.width, np.arange(g.num_vertices), 0, 2),
+        sample_batch(fg, labels, target_distribution(labels, split), 2, cap=80, rng=np.random.default_rng(9)),
+        receptive_field(fg, labels, np.arange(g.num_vertices), 0, 2),
     ]
     for b in batches:
         assert len(np.unique(b.edge_col)) > 1
-        assert_edge_rows(b)
+        assert_edge_rows(b, pv.width)
 
 
 def test_edge_as_vertex_predicate_missing_from_vocabulary():
-    g, labels, split, cols, pv = setup_task()
+    g, labels, split, fg, pv = setup_task()
     # the refusal comes before any batch: an edge takes its column when encoded
     short = PredicateVocabulary(pv.entries[1:])
     with pytest.raises(ValueError, match="missing from vocabulary"):
@@ -183,9 +216,9 @@ def test_edge_as_vertex_no_edges_identity():
     labels = np.zeros(2, dtype=np.int64)
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
-    cols = encode_features(g, pv)
+    fg = g.without_terms(encode_features(g, pv))
     # the sink vertex alone: no induced edges
-    empty = receptive_field(g, labels, cols, pv.width, np.array([position_of(g, "http://b")]), 0, 2)
+    empty = receptive_field(fg, labels, np.array([position_of(g, "http://b")]), 0, 2)
     assert empty.num_vertices == 1 and empty.num_edges == 0
     tb = edge_as_vertex_transform(empty)
     assert tb.num_vertices == 1 and tb.num_edges == 0
@@ -220,22 +253,25 @@ def oracle_task():
 
 def assert_same_batch(b, ref, g, vocab):
     """``b`` equals the oracle batch ``ref`` of ``g``, whose edges carry
-    predicate term ids that ``vocab`` gives the columns of."""
+    predicate term ids that ``vocab`` gives the columns of; ``b``'s feature
+    pairs write the oracle's multi-hot rows."""
     cols = [vocab.index(g.terms.lexical(p)) for p in ref["edge_pred"].tolist()]
     ref = ref | {"edge_col": np.array(cols, dtype=np.int64)}
     assert b.n_targets == ref["n_targets"] and b.k == ref["k"]
+    assert b.feature_src.dtype == b.feature_col.dtype == np.int64
     for name in ("vertices", "target_idx", "labels", "edge_src", "edge_dst", "edge_col", "features"):
-        got, want = getattr(b, name), ref[name]
+        got = batch_rows(b, vocab.width) if name == "features" else getattr(b, name)
+        want = ref[name]
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
 
-def assert_edge_rows(b):
+def assert_edge_rows(b, width):
     """The edge-as-vertex batch of ``b`` keeps its vertex rows and gives each
     edge vertex the one-hot row of the edge's column."""
-    tb = edge_as_vertex_transform(b)
-    assert np.array_equal(tb.features[: b.num_vertices], b.features)
-    assert np.array_equal(tb.features[b.num_vertices :], per_edge_features(b))
+    rows = batch_rows(edge_as_vertex_transform(b), width)
+    assert np.array_equal(rows[: b.num_vertices], batch_rows(b, width))
+    assert np.array_equal(rows[b.num_vertices :], per_edge_features(b, width))
 
 
 @pytest.mark.parametrize("include_rdf_types", [False, True])
@@ -248,7 +284,7 @@ def test_batches_match_per_edge_reference(include_rdf_types):
     # the sampler sees the graph a run with this setting builds; the oracle
     # masks the full graph itself
     run_graph = g if include_rdf_types else drop_rdf_types(g)
-    cols, x = encode_features(run_graph, pv), reference_features(run_graph, pv)
+    fg, x = run_graph.without_terms(encode_features(run_graph, pv)), reference_features(run_graph, pv)
     # a split whose one train vertex is the fan: its closure alone exceeds the smaller caps
     fan_only = np.where(np.arange(g.num_vertices) == position_of(g, "http://fan"), 0, 1).astype(np.int8)
     reached_before_drawn = oversize = False
@@ -256,17 +292,17 @@ def test_batches_match_per_edge_reference(include_rdf_types):
         # caps on both sides of the sampler's prefix doublings of its draws (64, 128, ...)
         for cap in (1, 7, 63, 64, 65, 129, 1000):
             for seed, train in ((0, split), (1, split), (2, split), (0, fan_only)):
-                b = sample_batch(run_graph, labels, target_distribution(labels, train), k, cols,
-                                 pv.width, cap=cap, rng=np.random.default_rng(seed))
+                b = sample_batch(fg, labels, target_distribution(labels, train), k, cap=cap,
+                                 rng=np.random.default_rng(seed))
                 ref = reference_sample_batch(g, labels, train, k, x, cap,
                                              np.random.default_rng(seed), include_rdf_types)
                 assert_same_batch(b, ref, g, pv)
                 if k == 2:
-                    assert_edge_rows(b)
+                    assert_edge_rows(b, pv.width)
                 reached_before_drawn |= bool((b.target_idx >= b.n_targets).any())
                 oversize |= b.num_vertices > cap >= 63  # only the fan's closure is that large
-        b = receptive_field(run_graph, labels, cols, pv.width, np.arange(g.num_vertices), 0, k)
+        b = receptive_field(fg, labels, np.arange(g.num_vertices), 0, k)
         assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types), g, pv)
         if k == 2:
-            assert_edge_rows(b)
+            assert_edge_rows(b, pv.width)
     assert reached_before_drawn and oversize

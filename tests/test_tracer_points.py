@@ -56,8 +56,7 @@ def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
     task = seq.tasks[0]
     rng = np.random.default_rng(0)
     distribution = target_distribution(task.labels, task.split)
-    batch = sample_batch(task.graph, task.labels, distribution, 2, task.edge_col, task.feature_width,
-                         cap=40, rng=rng)
+    batch = sample_batch(task.graph, task.labels, distribution, 2, cap=40, rng=rng)
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=hidden), rng)
     if net.edges_as_vertices:
         batch = edge_as_vertex_transform(batch)
