@@ -7,18 +7,19 @@ same key in a ``--config`` file.  All outputs land in the --out directory;
 reruns with equal configuration, seed and BLAS thread count produce
 byte-identical artifacts.  Every failure prints one ``error:`` line.
 Exit codes: 0 ok; 1 I/O, including an unreadable checkpoint (a header
-network setting or seed outside its range included), snapshot or ``report
+setting or seed outside the rule of its flag included), snapshot or ``report
 --matrix`` file, an empty snapshot directory and a ``lifelong`` or ``eval``
 snapshot of fewer than 9 vertices, whose 93/2/5 split has no test vertex; 2
-configuration, including a bad argument, a value of the wrong type, outside
-its choice list or outside its range (``nets.network.Hyper`` checks the
-network settings'), ``gcn-edges`` with a model other than ac2, more than one
-snapshot for ``summarize``, ``eval`` or ``lifelong --time-warp``, ``lifelong``
-timestamps out of order or repeated, and an ``eval`` or time-warp checkpoint
-trained for another summary model, degree cap, degree mode or rdf:type setting
-or for another value of a network setting the run sets; 3 numerical failure;
-130 interrupted.  Running out of memory (exit 1) and an interrupt each print one
-``error:`` line.
+configuration: before --out is made, a bad argument, a value of the wrong
+type, outside its choice list or outside its range (``nets.network.RULES``
+states each setting's), ``gcn-edges`` with a model other than ac2, other than
+one snapshot for ``summarize``, ``eval`` or ``lifelong --time-warp``, fewer
+than two for ``diff`` or none for ``lifelong``, timestamps unlike the
+snapshots in number or, for ``lifelong``, out of order or repeated; after it,
+an ``eval`` or time-warp checkpoint trained for another summary model, degree
+cap, degree mode or rdf:type setting or for another value of a network setting
+the run sets; 3 numerical failure; 130 interrupted.  Running out of memory
+(exit 1) and an interrupt each print one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import Iterator, get_origin
 
 from . import __version__
-from .config import CHOICES, FIELD_TYPES, RunConfig, build_config
+from .config import FIELD_TYPES, RunConfig, build_config
 from .errors import CheckpointError, ConfigError, IngestError, NumericalError
 from .features import TEST, split_sizes
 from .ingest import SnapshotGraph, drop_rdf_types, filter_high_degree, load_snapshot
@@ -46,6 +47,7 @@ from .lifelong import (
 from .measures import diff_report, meta_track, unary_stats
 from .nets import load_checkpoint, save_checkpoint
 from .nets.checkpoint import RUN_FIELDS
+from .nets.network import CHOICES
 from .reporting import (
     Manifest,
     output,
@@ -87,8 +89,6 @@ def _snapshots(cfg: RunConfig, need_test: bool = False) -> Iterator[tuple[str, S
     drawn, without its rdf:type edges unless the run includes them, and let
     go of before the next is loaded.  With ``need_test``, a snapshot whose
     split has no test vertex is refused: its accuracy would read as 0.0."""
-    if not cfg.snapshots:
-        raise ConfigError("no snapshots given")
     cap = cfg.effective_degree_cap()
     for path, ts in zip(cfg.snapshots, cfg.effective_timestamps()):
         g = load_snapshot(path, ts)
@@ -103,10 +103,11 @@ def _snapshots(cfg: RunConfig, need_test: bool = False) -> Iterator[tuple[str, S
         del g
 
 
-def _one_snapshot(cfg: RunConfig, command: str) -> None:
-    """Refuse snapshots that ``command`` would load and then ignore."""
-    if cfg.snapshots and len(cfg.snapshots) > 1:
-        raise ConfigError(f"{command} takes one snapshot, got {len(cfg.snapshots)}")
+# the snapshot counts each command takes; one that reads a single snapshot
+# refuses more, rather than load them and ignore them
+_SNAPSHOT_COUNTS = {"summarize": range(1, 2), "diff": range(2, sys.maxsize),
+                    "lifelong": range(1, sys.maxsize), "lifelong --time-warp": range(1, 2),
+                    "eval": range(1, 2)}
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -116,7 +117,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_summarize(cfg: RunConfig) -> int:
-    _one_snapshot(cfg, "summarize")
     out = _out_dir(cfg)
     manifest = Manifest("summarize", cfg.to_dict())
     with manifest.stage("ingest"):
@@ -160,8 +160,6 @@ def cmd_diff(cfg: RunConfig) -> int:
     Each snapshot is loaded, capped, summarized and measured against the
     previous summary before the next is read; only that summary and each
     snapshot's EQC set are kept, and ``meta_track`` runs once at the end."""
-    if len(cfg.snapshots) < 2:
-        raise ConfigError("diff needs at least 2 snapshots")
     out = _out_dir(cfg)
     manifest = Manifest("diff", cfg.to_dict())
     records, eqc_sets, prev = [], [], None
@@ -204,8 +202,6 @@ def cmd_diff(cfg: RunConfig) -> int:
 
 
 def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
-    if time_warp_ckpt is not None:
-        _one_snapshot(cfg, "lifelong --time-warp")
     timestamps = cfg.effective_timestamps()
     if not strictly_increasing(timestamps):
         raise ConfigError(
@@ -259,7 +255,6 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
-    _one_snapshot(cfg, "eval")
     out = _out_dir(cfg)
     manifest = Manifest("eval", cfg.to_dict())
     with manifest.stage("ingest"):
@@ -405,6 +400,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = build_config(getattr(args, "config", None), overrides)
+        if args.command != "report":  # like every settings check, before --out is made
+            command = args.command + (" --time-warp" if getattr(args, "time_warp", None) else "")
+            takes, count = _SNAPSHOT_COUNTS[command], len(cfg.snapshots)
+            if count not in takes:
+                wanted = "one" if len(takes) == 1 else f"at least {takes.start}"
+                raise ConfigError(f"{command} takes {wanted} snapshot{'s' * (takes.start > 1)}, "
+                                  f"got {count}")
         if args.command == "summarize":
             return cmd_summarize(cfg)
         if args.command == "diff":

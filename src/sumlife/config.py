@@ -6,7 +6,7 @@ keys are rejected so typos fail loudly.
 
 A config-file value and a string override, such as a flag value, are coerced
 alike, to their ``RunConfig`` field annotations; a typed override is kept.
-Choice lists are constants of the modules that implement them, in ``CHOICES``.
+Every field is then checked against its rule in ``nets.network.RULES``.
 """
 
 from __future__ import annotations
@@ -17,17 +17,10 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .features import check_seed
-from .ingest import DEGREE_MODES
-from .lifelong import RESTARTS
-from .nets.network import ARCHITECTURES, MAX_SIZE, Hyper
-from .summarize import MODEL_HOPS
+from .nets.network import Hyper, check, parse_hidden
 
 SEED_ENV_VAR = "SUMLIFE_SEED"
 
-# the allowed values of each setting that has a fixed choice list
-CHOICES = {"model": tuple(MODEL_HOPS), "architecture": ARCHITECTURES, "restart": RESTARTS,
-           "degree_mode": DEGREE_MODES}
 # marks a setting only ``lifelong`` takes: the network and its training
 LIFELONG_ONLY = {"lifelong_only": True}
 
@@ -58,20 +51,13 @@ class RunConfig:
     explicit = frozenset()
 
     def __post_init__(self):
-        for key, allowed in CHOICES.items():
-            value = getattr(self, key)
-            if value not in allowed:
-                raise ConfigError(f"{key} must be {'/'.join(allowed)}, got {value!r}")
+        for f in fields(self):
+            check(f.name, getattr(self, f.name))
         if self.architecture == "gcn-edges" and self.model != "ac2":
             raise ConfigError(f"architecture gcn-edges needs model ac2, not {self.model!r}")
-        if self.iterations < 1 or self.batch_cap < 1 or self.threads < 1:
-            raise ConfigError("iterations, batch_cap and threads must be >= 1")
-        if self.batch_cap > MAX_SIZE:
-            raise ConfigError(f"batch_cap must be <= {MAX_SIZE}, got {self.batch_cap}")
-        if self.degree_cap is not None and self.degree_cap < 1:
-            raise ConfigError(f"degree_cap must be >= 1, got {self.degree_cap}")
-        check_seed(self.seed)
-        self.hyper()  # Hyper checks every network setting
+        if self.timestamps and len(self.timestamps) != len(self.snapshots):
+            raise ConfigError("timestamps and snapshots differ in length")
+        self.hyper()  # one hidden size for an architecture that reads feature rows alone
 
     def effective_degree_cap(self) -> int | None:
         if self.degree_cap is not None:
@@ -79,21 +65,12 @@ class RunConfig:
         return 100 if self.model == "ac2" else None
 
     def effective_timestamps(self) -> list[str]:
-        if self.timestamps:
-            if len(self.timestamps) != len(self.snapshots):
-                raise ConfigError("timestamps and snapshots differ in length")
-            return list(self.timestamps)
-        return [Path(p).name.split(".")[0] for p in self.snapshots]
+        return list(self.timestamps) or [Path(p).name.split(".")[0] for p in self.snapshots]
 
     def hyper(self) -> Hyper:
         """The network settings, ``hidden_size`` parsed, as a ``Hyper`` resolved
-        for this run's architecture; ``Hyper`` checks each value."""
-        hidden = None
-        if self.hidden_size:
-            try:
-                hidden = [int(x) for x in str(self.hidden_size).split(",") if x != ""]
-            except ValueError as exc:
-                raise ConfigError(f"bad hidden_size {self.hidden_size!r}") from exc
+        for this run's architecture."""
+        hidden = parse_hidden(self.hidden_size) if self.hidden_size else None
         values = {f.name: getattr(self, f.name) for f in fields(Hyper) if f.name != "hidden"}
         return Hyper(hidden=hidden, **values).resolved(self.architecture)
 

@@ -18,21 +18,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .ingest import SnapshotGraph, distinct
 from .reporting import output
 from .summarize import SIPHASH_KEY, siphash24
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_FRACTIONS = (0.93, 0.02, 0.05)
-
-
-def check_seed(seed) -> None:
-    """ConfigError unless ``seed`` is an integer, not a bool, in [0, 2**64):
-    the split keys its hash with the seed's 8 bytes, so a wider seed would
-    alias another's split.  The one statement of a seed's range."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be >= 0 and < 2**64, got {seed!r}")
 
 
 class _Vocabulary:
@@ -167,7 +158,8 @@ def split_vertices(g: SnapshotGraph, seed: int) -> np.ndarray:
     Vertices are ranked by a seeded hash of their lexical form, so the split
     is reproducible and a vertex's role is stable across snapshots except at
     quota boundaries.  Bucket sizes follow largest-remainder rounding.
-    ``seed`` is in [0, 2**64), as ``check_seed`` makes sure.
+    The hash is keyed with ``seed``'s 8 bytes, so a wider seed would alias
+    another's split: its rule in ``nets.network.RULES`` holds it in [0, 2**64).
     """
     n = g.num_vertices
     tags = np.empty(n, dtype=np.int8)

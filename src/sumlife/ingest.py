@@ -398,10 +398,6 @@ def filter_high_degree(
     """
     if cap is None or (isinstance(cap, float) and math.isinf(cap)):
         return g
-    if cap < 1:
-        raise ValueError("degree cap must be >= 1")
-    if mode not in DEGREE_MODES:
-        raise ValueError(f"unknown degree mode {mode!r}")
     out_deg = g.out_degrees()
     in_deg = g.in_degrees()
     degree = dict(zip(DEGREE_MODES, (out_deg + in_deg, out_deg, in_deg)))[mode]

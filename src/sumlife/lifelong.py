@@ -41,9 +41,6 @@ from .nets.ops import assert_finite
 from .sampling import edge_as_vertex_transform, receptive_field, sample_batch, target_distribution
 from .summarize import MODEL_HOPS, vertex_hashes
 
-# how a task after the first starts: warm grows the previous network, cold reinitializes
-RESTARTS = ("warm", "cold")
-
 
 @dataclass
 class Task:
@@ -220,8 +217,6 @@ def run_sequence(
     ``threads`` workers, which only read the network, so results do not
     depend on the worker count.
     """
-    if restart not in RESTARTS:
-        raise ValueError(f"restart must be one of {RESTARTS}, got {restart!r}")
     t_count = len(seq)
     r = np.zeros((t_count, t_count), dtype=np.float64)
     results: list = []

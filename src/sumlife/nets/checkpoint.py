@@ -8,8 +8,8 @@ as little-endian row-major bytes of the header's ``dtype``: ``"<f4"``, the
 compute dtype ``ops.DTYPE``, so round-trips are bit-exact.  A ``"<f8"``
 checkpoint of an earlier version loads too, cast once to ``DTYPE``; any
 other payload dtype is refused.
-The header is outside input: ``RUN_FIELDS`` gives the run settings' types,
-and ``check_seed`` and ``Hyper`` check the seed and the network settings.
+The header is outside input: its ``RUN_FIELDS``, seed and architecture are
+checked against their rules in ``network.RULES``, its network settings by ``Hyper``.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
 missing, ill-typed or out-of-range header field, a payload dtype other than ``"<f4"`` or
 ``"<f8"``, a negative tensor dimension, tensors
@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError, ConfigError
-from ..features import ClassVocabulary, PredicateVocabulary, check_seed
+from ..features import ClassVocabulary, PredicateVocabulary
 from ..reporting import output
-from .network import Hyper, Network
+from .network import Hyper, Network, check
 from .ops import DTYPE
 
 MAGIC = b"GSLC"
@@ -39,13 +39,8 @@ FORMAT_VERSION = 2
 # the payload dtypes read back; DTYPE's is the one written
 PAYLOAD_DTYPES = ("<f4", "<f8")
 
-# run settings a checkpoint is only valid for, with their header types
-RUN_FIELDS = {
-    "model": str,
-    "include_rdf_types": bool,
-    "degree_cap": (int, type(None)),
-    "degree_mode": str,
-}
+# run settings a checkpoint is only valid for
+RUN_FIELDS = ("model", "include_rdf_types", "degree_cap", "degree_mode")
 
 
 def save_checkpoint(
@@ -110,10 +105,8 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
 
 def _from_header(fh, path, header: dict):
     """Network and vocabularies from a parsed header; the payloads follow at ``fh``."""
-    for name, expected in RUN_FIELDS.items():
-        if not isinstance(header[name], expected):
-            raise TypeError(f"{name} = {header[name]!r}")
-    check_seed(header["seed"])
+    for key in (*RUN_FIELDS, "seed", "architecture"):
+        check(key, header[key])
     hyper = Hyper(**header["hyper"]).resolved(header["architecture"])
     if header["dtype"] not in PAYLOAD_DTYPES:
         raise CheckpointError(f"{path}: payload dtype {header['dtype']!r} is not "

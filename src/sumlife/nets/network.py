@@ -13,7 +13,8 @@ network reads is decided in ``receptive_hops`` and ``edges_as_vertices``,
 its input rows (at its own width) and forward pass in ``_forward``, and the
 backward pass after ``train_step``'s one loss tail.  Both passes look their
 functions up in this module's globals at call time, so a wrapper put on a
-module name (as the benchmark's tracer does) sees every call.
+module name (as the benchmark's tracer does) sees every call.  ``RULES``
+is the one statement of every run and network setting's rule.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from ..errors import ConfigError
+from ..ingest import DEGREE_MODES
 from ..sampling import Subgraph
+from ..summarize import MODEL_HOPS
 from .adam import AdamState, adam_step
 from .gcn import batch_adjacency, gcn_backward, gcn_forward
 from .graphmlp import graphmlp_backward, graphmlp_contrast, graphmlp_forward
@@ -44,10 +47,16 @@ ARCH_DEFAULTS = {
 ARCHITECTURES = tuple(ARCH_DEFAULTS)
 # the architectures that read feature rows alone, through one hidden size
 FEATURE_ONLY = ("mlp", "graph-mlp")
+# how a task after the first starts its network: warm grows the previous
+# one (``Network.grow``), cold creates one (``Network.create``)
+RESTARTS = ("warm", "cold")
 # the largest hidden size and batch cap a run takes, the largest 32-bit
 # signed integer: a layer or a batch's draws of that size would already
 # need gigabytes, so a larger value is refused before anything is loaded
 MAX_SIZE = 2**31 - 1
+# the allowed values of each setting that has a fixed choice list
+CHOICES = {"model": tuple(MODEL_HOPS), "architecture": ARCHITECTURES, "restart": RESTARTS,
+           "degree_mode": DEGREE_MODES}
 
 
 def _number(value, kind: type) -> bool:
@@ -55,27 +64,64 @@ def _number(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-# each network setting's rule, and the test a value passes: the one
-# statement of these ranges (NaN fails each numeric test)
-_RULES = {
+def parse_hidden(text: str) -> list[int] | None:
+    """The hidden sizes ``text`` lists, comma-separated; None if one is no integer."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        return None
+
+
+def _integer(low: int, high: float = math.inf):
+    return lambda v: _number(v, Integral) and low <= v <= high
+
+
+def _unset_or(test):
+    return lambda v: v is None or test(v)
+
+
+# each setting's rule and the test a value passes: the one statement of the
+# type and range of every ``RunConfig`` and ``Hyper`` field, for flags,
+# config files, SUMLIFE_SEED and checkpoint headers alike (NaN fails each
+# numeric test, a bool each but a bool setting's)
+RULES = {
+    **{key: ("/".join(allowed), lambda v, allowed=allowed: v in allowed)
+       for key, allowed in CHOICES.items()},
+    **dict.fromkeys(("snapshots", "timestamps"), (
+        "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v))),
+    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "hidden_size": ("comma-separated integers",
+                    lambda v: isinstance(v, str) and parse_hidden(v) is not None),
+    "iterations": (">= 1", _integer(1)),
+    "batch_cap": (f">= 1 and <= {MAX_SIZE}", _integer(1, MAX_SIZE)),
+    "threads": (">= 1", _integer(1)),
+    "seed": (">= 0 and < 2**64", _integer(0, 2**64 - 1)),
+    "degree_cap": (">= 1", _unset_or(_integer(1))),
+    **dict.fromkeys(("include_rdf_types", "zero_init_growth", "normalize_adjacency"),
+                    ("a bool", lambda v: isinstance(v, bool))),
     "hidden": (f"a non-empty list of integer hidden sizes in [1, {MAX_SIZE}]",
-               lambda v: isinstance(v, list) and len(v) > 0
-               and all(_number(h, Integral) and 1 <= h <= MAX_SIZE for h in v)),
-    "dropout": ("a number in [0, 1)", lambda v: _number(v, Real) and 0 <= v < 1),
-    "learning_rate": ("a finite number > 0", lambda v: _number(v, Real) and 0 < v < math.inf),
+               _unset_or(lambda v: isinstance(v, list) and len(v) > 0
+                         and all(map(_integer(1, MAX_SIZE), v)))),
+    "dropout": ("a number in [0, 1)", _unset_or(lambda v: _number(v, Real) and 0 <= v < 1)),
+    "learning_rate": ("a finite number > 0",
+                      _unset_or(lambda v: _number(v, Real) and 0 < v < math.inf)),
     "alpha": ("a finite number >= 0", lambda v: _number(v, Real) and 0 <= v < math.inf),
     "tau": ("a finite number > 0", lambda v: _number(v, Real) and 0 < v < math.inf),
-    "normalize_adjacency": ("a bool", lambda v: isinstance(v, bool)),
 }
+
+
+def check(key: str, value) -> None:
+    """ConfigError, naming ``key``, unless ``value`` passes ``key``'s rule;
+    a value is checked, never converted."""
+    rule, holds = RULES[key]
+    if not holds(value):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass
 class Hyper:
-    """Training hyperparameters; unset fields fall back to the architecture defaults.
-
-    A run's settings and a checkpoint header's alike are checked, and never
-    converted, against ``_RULES``: ConfigError, naming the field, for a
-    value outside its rule.  None passes where the field defaults to None."""
+    """Training hyperparameters; unset (None) fields fall back to the
+    architecture defaults.  Each field is checked against ``RULES``."""
 
     hidden: list[int] | None = None
     dropout: float | None = None
@@ -86,10 +132,7 @@ class Hyper:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            rule, holds = _RULES[f.name]
-            if not (value is None and f.default is None or holds(value)):
-                raise ConfigError(f"{f.name} must be {rule}, got {value!r}")
+            check(f.name, getattr(self, f.name))
 
     def resolved(self, arch: str) -> "Hyper":
         """Every unset field at ``arch``'s default; ConfigError for more than

@@ -154,8 +154,6 @@ def sample_batch(
     """
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     train_positions, cdf = distribution
     draws = train_positions[cdf.searchsorted(rng.random(cap), side="right")]
     walked = min(cap, 64)

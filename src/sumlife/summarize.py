@@ -192,8 +192,6 @@ def _hash_pass(g: SnapshotGraph, k: int) -> tuple[np.ndarray, np.ndarray, tuple 
 def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, np.ndarray]:
     """Summarize a snapshot; returns the summary graph and the EQC hash of
     each vertex position, the one per-vertex array it keeps."""
-    if model not in MODEL_HOPS:
-        raise ValueError(f"unknown summary model {model!r}")
     final, src, (u_pred, u_child, pair_id) = _hash_pass(g, MODEL_HOPS[model])
     cls_hash, cls_of_vertex, sizes = np.unique(final, return_inverse=True, return_counts=True)
     hashes = cls_hash.tolist()

@@ -160,6 +160,11 @@ OUT_OF_RANGE = [
     ("hidden", [], ","),
     ("seed", -1, "-1"),
     ("seed", 2**64, str(2**64)),
+    ("model", "ac9", "ac9"),
+    ("degree_mode", "sideways", "sideways"),
+    ("degree_cap", 0, "0"),
+    ("degree_cap", -3, "-3"),
+    ("degree_cap", True, "true"),
 ]
 
 
@@ -185,25 +190,35 @@ def ac2_checkpoints(tmp_path_factory):
                          ids=[f"{k}={v!r}" for k, v, _ in OUT_OF_RANGE])
 def test_out_of_range_header_setting_exits_1(tmp_path, capsys, ac2_checkpoints, arch, key,
                                              value, flag):
-    """A header network setting or seed outside the range a run's own setting
-    is held to ends ``eval`` and ``lifelong --time-warp`` in exit 1 with one
-    ``error:`` line naming the field, never a traceback or a run on it."""
+    """A header network or run setting, or seed, outside the range a run's own
+    setting is held to ends ``eval`` and ``lifelong --time-warp`` in exit 1
+    with one ``error:`` line naming the field, never a traceback, a run on
+    it, or a comparison with the run's own value (a header ``degree_cap`` of
+    true is no cap of 1)."""
     with pytest.raises(ConfigError, match=key):
         build_config(None, {"hidden_size" if key == "hidden" else key: flag})
     snapshots, ckpts = ac2_checkpoints
     ckpt = tmp_path / "edited.gslc"
     ckpt.write_bytes(ckpts[arch].read_bytes())
-    if key == "seed":
-        rewrite_header(ckpt, setting(key, value))
-    else:
+    if key in {f.name for f in fields(Hyper)}:
         rewrite_header(ckpt, lambda h: {**h, "hyper": {**h["hyper"], key: value}})
+    else:
+        rewrite_header(ckpt, setting(key, value))
+    runs = [(snapshots[0], []), (snapshots[1], [])]
+    if key == "degree_cap":
+        # ten disjoint edges: every vertex is kept under a cap of 1
+        pairs = tmp_path / "2012-05-08.nt"
+        write_ntriples(pairs, [(f"http://a{i}", "http://p", f"http://b{i}") for i in range(10)])
+        runs.append((str(pairs), ["--degree-cap", "1"]))
     capsys.readouterr()
-    for argv in (["eval", "--in", snapshots[0], "--ckpt", str(ckpt)],
-                 ["lifelong", "--iterations", "2", "--in", snapshots[1], "--time-warp", str(ckpt)]):
-        assert main([*argv, "--model", "ac2", "--out", str(tmp_path / "o")]) == 1, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "edited.gslc" in err and key in err, err
+    for snapshot, cap in runs:
+        for argv in (["eval", "--ckpt", str(ckpt)],
+                     ["lifelong", "--iterations", "2", "--time-warp", str(ckpt)]):
+            assert main([*argv, *cap, "--in", snapshot, "--model", "ac2",
+                         "--out", str(tmp_path / "o")]) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "edited.gslc" in err and key in err, err
     assert not any(p.name.endswith(".json") for p in (tmp_path / "o").iterdir())
 
 

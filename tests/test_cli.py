@@ -24,6 +24,7 @@ from sumlife.cli import _parser, main
 from sumlife.config import FIELD_TYPES, RunConfig, build_config, parse_config_file
 from sumlife.errors import ConfigError, TrainingDivergence
 from sumlife.ingest import load_snapshot
+from sumlife.nets.network import RULES, Hyper
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
 
 
@@ -103,6 +104,18 @@ def test_config_validation_errors():
         build_config(None, {"iterations": 0})
     with pytest.raises(ConfigError, match="bogus"):
         build_config(None, {"bogus": "x"})
+
+
+def test_every_setting_has_one_rule():
+    """``RULES`` holds a rule for each ``RunConfig`` and ``Hyper`` field and
+    nothing else, and only a bool setting's rule takes a bool."""
+    hints = get_type_hints(RunConfig) | get_type_hints(Hyper)
+    assert set(RULES) == set(hints)
+    for key, (_, holds) in RULES.items():
+        assert holds(True) == holds(False) == (hints[key] is bool), key
+    for key in ("degree_cap", "iterations", "batch_cap", "threads", "seed", "dropout"):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: True})
 
 
 def assert_manifest_lists_every_output(out: Path) -> None:
@@ -926,6 +939,22 @@ def test_out_of_range_settings_exit_2_before_loading(tmp_path, snapshot_files, c
                  *flags]) == 2
     assert named in _one_error_line(capsys)
     assert not loaded and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["lifelong"], "lifelong takes at least 1 snapshot, got 0"),
+    (["summarize"], "summarize takes one snapshot, got 0"),
+    (["eval", "--ckpt", "task00.gslc"], "eval takes one snapshot, got 0"),
+    (["summarize", "--in", "a.nt", "--timestamps", "a", "b"], "differ in length"),
+    (["diff", "--in", "a.nt", "b.nt", "--timestamps", "a"], "differ in length"),
+    (["eval", "--ckpt", "task00.gslc", "--in", "a.nt", "--timestamps", "a", "b"],
+     "differ in length"),
+], ids=["lifelong_no_in", "summarize_no_in", "eval_no_in", "summarize_timestamps",
+        "diff_timestamps", "eval_timestamps"])
+def test_snapshot_and_timestamp_counts_exit_2_before_out_is_made(tmp_path, capsys, argv, named):
+    assert main([*argv, "--model", "ac1", "--out", str(tmp_path / "o")]) == 2
+    assert named in _one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_interrupt_exits_130_with_one_line(tmp_path, snapshot_files):
