@@ -155,14 +155,14 @@ def cmd_summarize(cfg: RunConfig) -> int:
 
 
 def cmd_diff(cfg: RunConfig) -> int:
-    """Measure each snapshot's summary as it arrives, then track the EQC sets.
+    """Measure each snapshot's summary as it arrives, then track its EQCs.
 
     Each snapshot is loaded, capped, summarized and measured against the
     previous summary before the next is read; only that summary and each
-    snapshot's EQC set are kept, and ``meta_track`` runs once at the end."""
+    snapshot's EQC hash array are kept, and ``meta_track`` runs once at the end."""
     out = _out_dir(cfg)
     manifest = Manifest("diff", cfg.to_dict())
-    records, eqc_sets, prev = [], [], None
+    records, eqcs, prev = [], [], None
     with manifest.stage("prepare"):
         for _, g in _snapshots(cfg):
             summary = summarize(g, cfg.model)[0]
@@ -177,11 +177,10 @@ def cmd_diff(cfg: RunConfig) -> int:
                 "jaccard_prev": pair.jaccard if pair else None,
                 "js_prev": pair.js_divergence if pair else None,
             })
-            # from the dict, the set is sized once: half the table a keys view grows
-            eqc_sets.append(frozenset(summary.sizes))
+            eqcs.append(summary.eqcs)
             prev = summary
     with manifest.stage("measure"):
-        track = meta_track(eqc_sets)
+        track = meta_track(eqcs)
         for i, rec in enumerate(records):
             rec.update(added=track.new_vs_prev[i], deleted=track.deleted_vs_prev[i],
                        recurring=track.recurring[i], cumulative_seen=track.cumulative_seen[i])
@@ -211,10 +210,10 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
     manifest = Manifest("lifelong", cfg.to_dict())
 
     if time_warp_ckpt is not None:
-        with manifest.stage("ingest"):
+        with manifest.stage("ingest"):  # the checkpoint first, so no snapshot error hides it
+            old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
             (snapshot,) = _snapshots(cfg, need_test=True)
         with manifest.stage("time_warp"):
-            old_net, old_pv, old_cv, _ = _load_checkpoint_for(cfg, time_warp_ckpt)
             result = time_warp(
                 old_net, old_pv, old_cv, snapshot, cfg.model, cfg.seed, cfg.iterations,
                 cfg.batch_cap,
@@ -257,10 +256,10 @@ def cmd_lifelong(cfg: RunConfig, time_warp_ckpt: str | None = None) -> int:
 def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
     out = _out_dir(cfg)
     manifest = Manifest("eval", cfg.to_dict())
-    with manifest.stage("ingest"):
+    with manifest.stage("ingest"):  # the checkpoint first, so no snapshot error hides it
+        net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         graphs = list(_snapshots(cfg, need_test=True))
     with manifest.stage("eval"):
-        net, pv, cv, header = _load_checkpoint_for(cfg, ckpt_path)
         # default to the checkpoint's recorded seed so the split matches the
         # run that produced it; a seed from a flag, SUMLIFE_SEED or --config wins
         seed = cfg.seed if "seed" in cfg.explicit else header["seed"]

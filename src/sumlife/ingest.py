@@ -372,15 +372,17 @@ def load_snapshot(path: str | Path, timestamp: str) -> SnapshotGraph:
             table.open_file(f"f{file_index}")
             opener = gzip.open if file_path.name.endswith(".gz") else open
             offset = 0
-            tail = b""
+            # the partial line so far, a chunk per block: each byte is searched once
+            carry: list[bytes] = []
             with opener(file_path, "rb") as fh:
                 while block := fh.read(BLOCK_BYTES):
                     offset += len(block)
-                    block = tail + block
                     cut = block.rfind(b"\n") + 1
-                    parse(_decode(block[:cut], skips))
-                    tail = block[cut:]
-            parse(_decode(tail, skips))
+                    if cut:
+                        parse(_decode(b"".join([*carry, memoryview(block)[:cut]]), skips))
+                        carry = []
+                    carry.append(block[cut:])
+            parse(_decode(b"".join(carry), skips))
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"{current}: read failed at byte offset {offset}: {exc}") from exc
     table.open_file("")  # the last file's blank labels go out of scope

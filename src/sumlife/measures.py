@@ -1,20 +1,21 @@
 """Unary, binary and meta measures over a sequence of summaries.
 
-The unary and pairwise measures read a ``SummaryGraph``'s member counts
-(``sizes``), summary edges and predicate usage; ``meta_track`` reads only
-the EQC sets.  So a caller can measure each summary as it arrives, against
-its predecessor, and keep no more than the EQC set of each snapshot.
-All counting is over primary EQC vertices; secondary vertices are derived
-objects and never enter set comparisons.  Averages are computed from exact
-integer sums, divergences with compensated float summation, so results do not
-drift with input size.
+The measures read a ``SummaryGraph``'s arrays: sorted EQC hashes, member
+counts, the summary edges' sources and predicate usage.  ``meta_track``
+reads only the EQC hash arrays, so a caller can measure each summary as it
+arrives, against its predecessor, and keep 8 bytes per EQC of each snapshot.
+All counting is over primary EQC vertices.  Averages are computed from exact
+integer sums, divergences with compensated float summation over Python
+floats, so results do not drift with input size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .summarize import SummaryGraph
 
@@ -55,12 +56,10 @@ class MetaTrack:
     cumulative_seen: list[int] = field(default_factory=list)
 
 
-def _histogram(values) -> list[tuple[int, int]]:
+def _histogram(values: np.ndarray) -> list[tuple[int, int]]:
     """(value, frequency) pairs sorted descending by value."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return sorted(counts.items(), key=lambda kv: -kv[0])
+    distinct_values, counts = np.unique(values, return_counts=True)
+    return list(zip(distinct_values[::-1].tolist(), counts[::-1].tolist()))
 
 
 def unary_stats(s: SummaryGraph) -> SummaryStats:
@@ -68,15 +67,12 @@ def unary_stats(s: SummaryGraph) -> SummaryStats:
     n = s.num_primary
     if n == 0:
         raise ValueError("empty summary has no defined averages")
-    attrs_per_eqc: dict[int, int] = {q: 0 for q in s.eqcs}
-    for source, _, _ in s.summary_edges:
-        attrs_per_eqc[source] += 1
     return SummaryStats(
-        avg_size=sum(s.sizes.values()) / n,
+        avg_size=int(s.sizes.sum()) / n,
         avg_edges=s.num_edges / n,
-        dist_attrs_per_eqc=_histogram(attrs_per_eqc.values()),
-        dist_members_per_eqc=_histogram(s.sizes.values()),
-        dist_predicate_usage=_histogram(s.predicate_usage.values()),
+        dist_attrs_per_eqc=_histogram(np.bincount(s.edge_source, minlength=n)),
+        dist_members_per_eqc=_histogram(s.sizes),
+        dist_predicate_usage=_histogram(s.predicate_usage),
     )
 
 
@@ -88,36 +84,26 @@ def _require_same_model(a: SummaryGraph, b: SummaryGraph) -> None:
 def jaccard_dist(a: SummaryGraph, b: SummaryGraph) -> float:
     """1 - |A∩B| / |A∪B| over primary EQC sets; 0 when both are empty."""
     _require_same_model(a, b)
-    union = len(a.eqcs | b.eqcs)
-    if union == 0:
-        return 0.0
-    return 1.0 - len(a.eqcs & b.eqcs) / union
-
-
-def _directed_divergence(a: SummaryGraph, b: SummaryGraph) -> float:
-    """D(A,B): the relative entropy of A's EQC mass against B's, over B's EQCs."""
-    total_a, total_b = max(sum(a.sizes.values()), 1), max(sum(b.sizes.values()), 1)
-    terms = []
-    for q in b.eqcs:
-        ca = a.sizes.get(q, 0)
-        if ca == 0:
-            continue  # zero-probability summand contributes 0
-        pa = ca / total_a
-        pb = b.sizes[q] / total_b
-        terms.append(pa * math.log2(pa / pb))
-    return math.fsum(terms)
+    shared = len(np.intersect1d(a.eqcs, b.eqcs, assume_unique=True))
+    union = a.num_primary + b.num_primary - shared
+    return 1.0 - shared / union if union else 0.0
 
 
 def js_divergence(a: SummaryGraph, b: SummaryGraph) -> float:
     """Symmetrized relative entropy D(A,B) + D(B,A) over EQC mass.
 
-    D(A,B) sums over the EQCs of B only, so A-mass outside B is dropped; this
-    mirrors the published measure rather than the textbook Jensen-Shannon
-    divergence.  Probabilities normalize by total extension mass: the sum of
-    the member counts ``sizes``.
+    D(A,B) sums over the EQCs of B only, so A-mass outside B is dropped and
+    both terms sum over the shared EQCs; this mirrors the published measure
+    rather than the textbook Jensen-Shannon divergence.  Probabilities
+    normalize by total extension mass: the sum of the member counts ``sizes``.
     """
     _require_same_model(a, b)
-    return _directed_divergence(a, b) + _directed_divergence(b, a)
+    _, ia, ib = np.intersect1d(a.eqcs, b.eqcs, assume_unique=True, return_indices=True)
+    total_a, total_b = max(int(a.sizes.sum()), 1), max(int(b.sizes.sum()), 1)
+    pa = [c / total_a for c in a.sizes[ia].tolist()]
+    pb = [c / total_b for c in b.sizes[ib].tolist()]
+    return (math.fsum(p * math.log2(p / q) for p, q in zip(pa, pb))
+            + math.fsum(q * math.log2(q / p) for p, q in zip(pa, pb)))
 
 
 def diff_report(a: SummaryGraph, b: SummaryGraph) -> DiffReport:
@@ -125,25 +111,23 @@ def diff_report(a: SummaryGraph, b: SummaryGraph) -> DiffReport:
     return DiffReport(jaccard=jaccard_dist(a, b), js_divergence=js_divergence(a, b))
 
 
-def meta_track(seq: Sequence[AbstractSet[int]]) -> MetaTrack:
+def meta_track(seq: Sequence[np.ndarray]) -> MetaTrack:
     """Track appearance, disappearance and reappearance across a sequence of
-    EQC sets, one per snapshot."""
+    EQC hash arrays, one per snapshot, each sorted and without repeats."""
     if not seq:
         raise ValueError("need at least one EQC set")
     track = MetaTrack()
-    first = seq[0]
-    seen: set[int] = set()
-    prev: AbstractSet[int] | None = None
+    first = prev = seen = seq[0]
     for cur in seq:
-        p = cur if prev is None else prev
-        added = cur - p
+        added = np.setdiff1d(cur, prev, assume_unique=True)
+        recurring = len(np.intersect1d(cur, prev, assume_unique=True))
         track.sizes.append(len(cur))
-        track.new_vs_first.append(len(cur - first))
+        track.new_vs_first.append(len(np.setdiff1d(cur, first, assume_unique=True)))
         track.new_vs_prev.append(len(added))
-        track.deleted_vs_prev.append(len(p - cur))
-        track.recurring.append(len(cur & p))
-        track.reappearing.append(len(added & seen))
-        seen |= cur
+        track.deleted_vs_prev.append(len(prev) - recurring)
+        track.recurring.append(recurring)
+        track.reappearing.append(len(np.intersect1d(added, seen, assume_unique=True)))
+        seen = np.union1d(seen, cur)
         track.cumulative_seen.append(len(seen))
         prev = cur
     return track

@@ -92,7 +92,7 @@ def load_checkpoint(path: str | Path) -> tuple[Network, PredicateVocabulary, Cla
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
             raise CheckpointError(f"{path}: unreadable checkpoint header ({exc})") from exc
         try:
             return _from_header(fh, path, header)

@@ -25,8 +25,8 @@ Summary model "ac1" uses one recursion level (outgoing label sets), "ac2" two
 counts; rdf:type edges are left out beforehand by ``ingest.drop_rdf_types``
 unless the run includes them.
 
-A summary keeps nothing per vertex: ``SummaryGraph`` holds each EQC's member
-count and the summary edges, and ``summarize`` hands back the per-vertex
+A summary keeps nothing per vertex and no Python object per EQC or edge:
+``SummaryGraph`` holds arrays, and ``summarize`` hands back the per-vertex
 hash array it computed, from which ``write_eqc_tsv`` writes ``eqcs.tsv``.
 """
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import KeysView, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,32 +121,34 @@ def hash_pair(predicate_iri: str, child_hash: int) -> int:
 
 @dataclass
 class SummaryGraph:
-    """Summary of one snapshot: the member count of each primary EQC vertex,
-    the deduplicated edges from those to (predicate, child hash) secondary
-    vertices, and the edge count of each predicate.  The EQC and secondary
-    vertex sets are derived from the first two."""
+    """Summary of one snapshot, as arrays: the sorted EQC hashes ``eqcs`` and
+    their member counts ``sizes``; summary edge ``i`` runs from EQC index
+    ``edge_source[i]`` under IRI ``predicates[edge_pred[i]]`` (term-id order)
+    to child hash ``edge_child[i]``; ``predicate_usage`` counts each IRI's
+    snapshot edges."""
 
     timestamp: str
     model: str
-    sizes: dict[int, int]  # members per EQC
-    summary_edges: frozenset[tuple[int, str, int]]  # (source eqc, predicate, child hash)
-    predicate_usage: dict[str, int]
+    eqcs: np.ndarray  # uint64, sorted
+    sizes: np.ndarray  # members per EQC
+    predicates: list[str]
+    predicate_usage: np.ndarray
+    edge_source: np.ndarray
+    edge_pred: np.ndarray
+    edge_child: np.ndarray  # uint64
 
     @property
-    def eqcs(self) -> KeysView[int]:
-        return self.sizes.keys()
-
-    @property
-    def secondary(self) -> frozenset[tuple[str, int]]:
-        return frozenset((p, c) for _, p, c in self.summary_edges)
+    def secondary(self) -> np.ndarray:
+        """The distinct (predicate index, child hash) records the edges reach."""
+        return np.unique(np.rec.fromarrays([self.edge_pred, self.edge_child]))
 
     @property
     def num_primary(self) -> int:
-        return len(self.sizes)
+        return len(self.eqcs)
 
     @property
     def num_edges(self) -> int:
-        return len(self.summary_edges)
+        return len(self.edge_source)
 
 
 def _level_up(
@@ -193,26 +195,21 @@ def summarize(g: SnapshotGraph, model: str) -> tuple[SummaryGraph, np.ndarray]:
     """Summarize a snapshot; returns the summary graph and the EQC hash of
     each vertex position, the one per-vertex array it keeps."""
     final, src, (u_pred, u_child, pair_id) = _hash_pass(g, MODEL_HOPS[model])
-    cls_hash, cls_of_vertex, sizes = np.unique(final, return_inverse=True, return_counts=True)
-    hashes = cls_hash.tolist()
-
+    eqcs, cls_of_vertex, sizes = np.unique(final, return_inverse=True, return_counts=True)
+    pred_ids, pred_of_pair = np.unique(u_pred, return_inverse=True)
     # summary edges: one per distinct (source class, pair)
     n_pairs = len(u_pred)
-    cls_u, pid_u = np.divmod(distinct(cls_of_vertex[src] * n_pairs + pair_id), n_pairs)
-    iris = [g.terms.lexical(p) for p in u_pred.tolist()]
-    children = u_child.tolist()
-    edges = frozenset(
-        (hashes[c], iris[p], children[p]) for c, p in zip(cls_u.tolist(), pid_u.tolist())
-    )
-    usage: dict[str, int] = {}
-    for iri, count in zip(iris, np.bincount(pair_id, minlength=n_pairs).tolist()):
-        usage[iri] = usage.get(iri, 0) + count
+    source, pid = np.divmod(distinct(cls_of_vertex[src] * n_pairs + pair_id), n_pairs)
     summary = SummaryGraph(
         timestamp=g.timestamp,
         model=model,
-        sizes=dict(zip(hashes, sizes.tolist())),
-        summary_edges=edges,
-        predicate_usage=usage,
+        eqcs=eqcs,
+        sizes=sizes,
+        predicates=[g.terms.lexical(p) for p in pred_ids.tolist()],
+        predicate_usage=np.bincount(pred_of_pair[pair_id], minlength=len(pred_ids)),
+        edge_source=source,
+        edge_pred=pred_of_pair[pid],
+        edge_child=u_child[pid],
     )
     return summary, final
 
@@ -233,8 +230,14 @@ def write_eqc_tsv(path: str | Path, g: SnapshotGraph, hashes: np.ndarray) -> Non
 
 
 def write_summary_tsv(path: str | Path, summary: SummaryGraph) -> None:
-    """Write ``source-eqc<TAB>predicate<TAB>child-eqc`` rows, sorted."""
-    rows = sorted((f"{s:016x}", p, f"{c:016x}") for s, p, c in summary.summary_edges)
+    """Write ``source-eqc<TAB>predicate<TAB>child-eqc`` rows, sorted.  The
+    fixed-width hex fields sort as their integers do, so one lexsort over
+    (source, IRI rank, child) gives the rows' text order."""
+    preds = summary.predicates
+    rank = np.argsort(sorted(range(len(preds)), key=preds.__getitem__))
+    order = np.lexsort((summary.edge_child, rank[summary.edge_pred], summary.edge_source))
+    rows = zip(summary.eqcs[summary.edge_source[order]].tolist(),
+               summary.edge_pred[order].tolist(), summary.edge_child[order].tolist())
     with output(path, encoding="utf-8") as fh:
         for s, p, c in rows:
-            fh.write(f"{s}\t{p}\t{c}\n")
+            fh.write(f"{s:016x}\t{preds[p]}\t{c:016x}\n")

@@ -7,6 +7,7 @@ the point is that these paths are derived separately from the code they check.
 from __future__ import annotations
 
 import gzip
+import math
 import re
 import struct
 import zlib
@@ -637,3 +638,79 @@ def reference_train_step(net, batch, adam, rng) -> float:
             dh_next = m @ p.layers[l].T
     reference_adam_step(p, grads, adam, hyper.learning_rate)
     return loss
+
+
+def summary_as_sets(s) -> dict:
+    """A ``SummaryGraph``'s arrays as the Python sets and dicts the reference
+    measures read: {hash: members}, {(source hash, IRI, child hash)},
+    {(IRI, child hash)} and {IRI: edges}."""
+    eqcs, preds = s.eqcs.tolist(), s.predicates
+    edges = list(zip(s.edge_source.tolist(), s.edge_pred.tolist(), s.edge_child.tolist()))
+    return {
+        "sizes": dict(zip(eqcs, s.sizes.tolist())),
+        "summary_edges": {(eqcs[q], preds[p], c) for q, p, c in edges},
+        "secondary": {(preds[p], c) for _, p, c in edges},
+        "predicate_usage": dict(zip(preds, s.predicate_usage.tolist())),
+    }
+
+
+def _reference_histogram(values) -> list[tuple[int, int]]:
+    counts: dict[int, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return sorted(counts.items(), key=lambda kv: -kv[0])
+
+
+def reference_unary_stats(sizes: dict[int, int], summary_edges, predicate_usage: dict) -> tuple:
+    """(avg size, avg edges, attrs, members and usage histograms) of a summary
+    held as a {hash: members} dict, a set of (source, IRI, child) edges and an
+    {IRI: edges} dict, counted edge by edge."""
+    n = len(sizes)
+    attrs_per_eqc = dict.fromkeys(sizes, 0)
+    for source, _, _ in summary_edges:
+        attrs_per_eqc[source] += 1
+    return (sum(sizes.values()) / n, len(summary_edges) / n,
+            _reference_histogram(attrs_per_eqc.values()), _reference_histogram(sizes.values()),
+            _reference_histogram(predicate_usage.values()))
+
+
+def reference_jaccard_dist(a: set, b: set) -> float:
+    union = len(a | b)
+    return 0.0 if union == 0 else 1.0 - len(a & b) / union
+
+
+def _reference_directed_divergence(a: dict[int, int], b: dict[int, int]) -> float:
+    total_a, total_b = max(sum(a.values()), 1), max(sum(b.values()), 1)
+    terms = []
+    for q in b:
+        ca = a.get(q, 0)
+        if ca == 0:
+            continue  # zero-probability summand contributes 0
+        pa = ca / total_a
+        pb = b[q] / total_b
+        terms.append(pa * math.log2(pa / pb))
+    return math.fsum(terms)
+
+
+def reference_js_divergence(a: dict[int, int], b: dict[int, int]) -> float:
+    """D(A,B) + D(B,A) over {hash: members} dicts, D(A,B) summing over B's EQCs."""
+    return _reference_directed_divergence(a, b) + _reference_directed_divergence(b, a)
+
+
+def reference_meta_track(seq: list[set]) -> dict[str, list[int]]:
+    """``MetaTrack``'s columns over a sequence of EQC sets, by set algebra."""
+    track: dict[str, list[int]] = defaultdict(list)
+    first, seen, prev = seq[0], set(), None
+    for cur in seq:
+        p = cur if prev is None else prev
+        added = cur - p
+        track["sizes"].append(len(cur))
+        track["new_vs_first"].append(len(cur - first))
+        track["new_vs_prev"].append(len(added))
+        track["deleted_vs_prev"].append(len(p - cur))
+        track["recurring"].append(len(cur & p))
+        track["reappearing"].append(len(added & seen))
+        seen |= cur
+        track["cumulative_seen"].append(len(seen))
+        prev = cur
+    return dict(track)

@@ -48,7 +48,7 @@ def main() -> None:
                 "edges": g.edge_count,
                 "vertices": g.num_vertices,
                 "eqcs": summary.num_primary,
-                "members": sum(summary.sizes.values()),
+                "members": int(summary.sizes.sum()),
                 "seconds": best,
             }
         )

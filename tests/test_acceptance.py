@@ -96,7 +96,7 @@ def test_criterion_02_xor_set_semantics():
             assert hd == hs != 0
         sd, _ = summarize(doubled, "ac1")
         ss, _ = summarize(simple, "ac1")
-        assert sd.eqcs == ss.eqcs
+        assert sd.eqcs.tolist() == ss.eqcs.tolist()
 
 
 def test_criterion_03_lifelong_measure_fixtures():
@@ -257,8 +257,8 @@ def test_criterion_07_time_warp_null_check():
 
 def test_criterion_08_measure_fixtures():
     with criterion(8, "set and divergence measures match hand-computed fixtures"):
-        assert jaccard_dist(fake_summary({"a", "b", "c"}), fake_summary({"b", "c", "d"})) == 0.5
-        assert jaccard_dist(fake_summary({"a"}), fake_summary({"a"})) == 0.0
+        assert jaccard_dist(fake_summary({1, 2, 3}), fake_summary({2, 3, 4})) == 0.5
+        assert jaccard_dist(fake_summary({1}), fake_summary({1})) == 0.0
         a = sized({1: 3, 2: 1})
         b = sized({1: 2, 2: 2})
         expected = (

@@ -70,6 +70,20 @@ def test_config_unknown_key_rejected(tmp_path):
         parse_config_file(cfg_file)
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    """A config file that is not UTF-8 is a configuration error naming the
+    file: exit 2 and one ``error:`` line, before --out is made."""
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"\xff\xfe = 1\n")
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        parse_config_file(cfg_file)
+    assert main(["summarize", "--config", str(cfg_file), "--model", "ac1", "--in", "x",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bad.cfg" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_precedence_env_and_flags(tmp_path, monkeypatch):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("seed = 1\n")
@@ -388,6 +402,9 @@ def test_cmd_eval_unreadable_checkpoint_exits_1(tmp_path, snapshot_files, capsys
         "garbage.gslc": b"not a checkpoint at all",
         "magic_only.gslc": b"GSLC",
         "cut_header.gslc": good[: 12 + header_len // 2],
+        # a header json.loads cannot nest: a RecursionError, not a ValueError
+        "nested_header.gslc": good[:8] + (400_000).to_bytes(4, "little")
+        + b"[" * 200_000 + b"]" * 200_000 + good[12 + header_len :],
     }
     for name, data in cases.items():
         path = tmp_path / name
@@ -506,17 +523,23 @@ def test_lifelong_snapshot_without_vertices_exits_1(tmp_path, snapshot_files, ca
                  "--iterations", "2"]) == 0
     skipped = tmp_path / "2012-05-08.nt"
     skipped.write_text("# only a comment\nnot a statement\n")
+    # ten disjoint edges are kept whole under a cap of 1, so a time warp under
+    # that cap has a checkpoint trained for it
+    pairs = tmp_path / "2012-05-09.nt"
+    write_ntriples(pairs, [(f"http://a{i}", "http://p", f"http://b{i}") for i in range(10)])
+    assert main(["lifelong", "--model", "ac1", "--in", str(pairs), "--degree-cap", "1",
+                 "--out", str(tmp_path / "capped"), "--iterations", "2"]) == 0
     capsys.readouterr()
     cases = [
-        (skipped, []),
+        (skipped, [], out),
         # every vertex of the ring has total degree 2 or more
-        (snapshot_files[1], ["--degree-cap", "1"]),
+        (snapshot_files[1], ["--degree-cap", "1"], tmp_path / "capped"),
     ]
-    for path, extra in cases:
+    for path, extra, run in cases:
         for argv in (
             ["lifelong", "--model", "ac1", "--in", str(path)],
             ["lifelong", "--model", "ac1", "--in", str(path), "--time-warp",
-             str(out / "task00.gslc")],
+             str(run / "task00.gslc")],
         ):
             assert main([*argv, *extra, "--iterations", "2", "--out", str(tmp_path / "o")]) == 1
             assert str(path) in _one_error_line(capsys)

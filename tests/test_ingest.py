@@ -459,3 +459,67 @@ def test_load_keeps_each_term_once(tmp_path):
     tokens = sum(sys.getsizeof(f"<{g.terms.lexical(i)}>") for i in range(terms))
     assert terms == n + 8
     assert held - arrays < tokens + 128 * terms, (held, arrays, tokens, terms)
+
+
+def _counting_open(work: list[int]):
+    """An ``open`` whose files return blocks that add to ``work[0]`` the bytes
+    every search, slice or concatenation of a block touches, and to
+    ``work[1]`` the bytes read.  A concatenation with a block counts too."""
+
+    class Counted(bytes):
+        def rfind(self, *args):
+            work[0] += len(self)
+            return super().rfind(*args)
+
+        def find(self, *args):
+            work[0] += len(self)
+            return super().find(*args)
+
+        def __getitem__(self, key):
+            part = super().__getitem__(key)
+            work[0] += len(part) if isinstance(key, slice) else 1
+            return part
+
+        def __add__(self, other):
+            work[0] += len(self) + len(other)
+            return Counted(bytes(self) + other)
+
+        def __radd__(self, other):
+            work[0] += len(self) + len(other)
+            return Counted(other + bytes(self))
+
+    class Reader:
+        def __init__(self, path, mode):
+            self._fh = open(path, mode)
+
+        def read(self, n):
+            block = self._fh.read(n)
+            work[1] += len(block)
+            return Counted(block)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    return Reader
+
+
+def test_line_longer_than_a_block_costs_linear_work(tmp_path, monkeypatch):
+    """A line of 256 blocks is searched and copied a bounded number of times
+    per byte read, not once per block it spans; the graph is the line
+    loader's.  Carrying the partial line as ``tail + block`` and searching
+    all of it on every read touched about 380 bytes per byte read here."""
+    path = tmp_path / "long.nt"
+    path.write_text('<http://a> <http://p> <http://b> .\n'
+                    f'<http://a> <http://q> "{"x" * 256 * 1024}" .\n'
+                    '<http://b> <http://p> <http://a> .\n', encoding="utf-8")
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 1024)
+    work = [0, 0]
+    monkeypatch.setattr(ingest, "open", _counting_open(work), raising=False)
+    g = load_snapshot(path, "t")
+    assert work[1] == path.stat().st_size
+    assert work[0] <= 3 * work[1], work
+    _assert_same_snapshot(g, reference_load_snapshot(path, "t"))
+    assert g.edge_count == 3

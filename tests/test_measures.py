@@ -1,9 +1,17 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    reference_jaccard_dist,
+    reference_js_divergence,
+    reference_meta_track,
+    reference_unary_stats,
+)
 from sumlife.measures import (
     diff_report,
     jaccard_dist,
@@ -14,14 +22,30 @@ from sumlife.measures import (
 from sumlife.summarize import SummaryGraph
 
 
+def hash_array(eqcs) -> np.ndarray:
+    """The EQC hashes ``eqcs`` as a sorted uint64 array, as a summary holds them."""
+    return np.array(sorted(eqcs), dtype=np.uint64)
+
+
 def fake_summary(eqcs, edges=(), model="ac1", usage=None, sizes=None):
-    """A summary over ``eqcs``, each of one member unless ``sizes`` counts them."""
+    """A summary over the hashes ``eqcs``, each of one member unless ``sizes``
+    counts them, with (source hash, IRI, child hash) ``edges`` and {IRI: edges}
+    ``usage``."""
+    sizes = dict(sizes) if sizes is not None else dict.fromkeys(eqcs, 1)
+    usage = dict(usage or {})
+    hashes = hash_array(sizes)
+    predicates = sorted(usage.keys() | {p for _, p, _ in edges})
+    edges = sorted(set(edges))
     return SummaryGraph(
         timestamp="t",
         model=model,
-        sizes=dict(sizes) if sizes is not None else dict.fromkeys(eqcs, 1),
-        summary_edges=frozenset(edges),
-        predicate_usage=dict(usage or {}),
+        eqcs=hashes,
+        sizes=np.array([sizes[q] for q in hashes.tolist()], dtype=np.int64),
+        predicates=predicates,
+        predicate_usage=np.array([usage.get(p, 0) for p in predicates], dtype=np.int64),
+        edge_source=np.searchsorted(hashes, hash_array(s for s, _, _ in edges)).astype(np.int64),
+        edge_pred=np.array([predicates.index(p) for _, p, _ in edges], dtype=np.int64),
+        edge_child=np.array([c for _, _, c in edges], dtype=np.uint64),
     )
 
 
@@ -142,7 +166,8 @@ def test_diff_report_counts():
 
 
 def test_meta_track_example():
-    t = meta_track([{"A", "B"}, {"B", "C"}, {"A", "C"}])
+    a, b, c = 1, 2, 2**64 - 1
+    t = meta_track([hash_array({a, b}), hash_array({b, c}), hash_array({a, c})])
     assert t.new_vs_prev == [0, 1, 1]
     assert t.deleted_vs_prev == [0, 1, 1]
     assert t.recurring == [2, 1, 1]
@@ -151,7 +176,7 @@ def test_meta_track_example():
 
 
 def test_meta_track_constant_sequence():
-    s = {1, 2, 3}
+    s = hash_array({1, 2, 3})
     t = meta_track([s, s, s])
     assert t.new_vs_prev == [0, 0, 0]
     assert t.deleted_vs_prev == [0, 0, 0]
@@ -159,7 +184,7 @@ def test_meta_track_constant_sequence():
 
 
 def test_meta_track_growing_sequence():
-    t = meta_track([set(range(n)) for n in (1, 3, 5)])
+    t = meta_track([hash_array(range(n)) for n in (1, 3, 5)])
     assert t.deleted_vs_prev == [0, 0, 0]
     assert t.cumulative_seen[-1] == 5
 
@@ -167,8 +192,52 @@ def test_meta_track_growing_sequence():
 @given(st.lists(st.frozensets(st.integers(0, 10), max_size=6), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_meta_track_consistency(sets):
-    t = meta_track(sets)
+    t = meta_track([hash_array(s) for s in sets])
     for i, s in enumerate(sets):
         assert t.recurring[i] + t.new_vs_prev[i] == len(s)
         assert t.cumulative_seen[i] == len(set().union(*sets[: i + 1]))
     assert t.cumulative_seen == sorted(t.cumulative_seen)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# hashes from a small pool, so summaries share EQCs, with the largest uint64
+_HASHES = st.sampled_from([0, 1, 2, 3, 5, 8, 13, 2**63 - 1, 2**63, 2**63 + 7, 2**64 - 1])
+_SIZES = st.dictionaries(_HASHES, st.integers(1, 10**6), max_size=9)
+_IRIS = st.sampled_from(["http://p", "http://q", "http://p/10", "http://p/2", "urn:ä"])
+
+
+@st.composite
+def _summaries(draw):
+    """(sizes, (source, IRI, child) edges, usage) of one summary, consistent:
+    every edge leaves an EQC and every IRI of an edge has usage."""
+    sizes = draw(_SIZES)
+    edges = set()
+    if sizes:
+        edges = draw(st.sets(st.tuples(st.sampled_from(sorted(sizes)), _IRIS, _HASHES),
+                             max_size=12))
+    usage = {p: draw(st.integers(1, 50)) for p in sorted({p for _, p, _ in edges})}
+    return sizes, edges, usage
+
+
+@given(st.lists(_summaries(), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_array_measures_equal_set_references(seq):
+    """Over random EQC sets, sizes and edges, the array measures return what
+    the set and dict references return, floats equal bit for bit."""
+    summaries = [fake_summary(sizes, edges, usage=usage, sizes=sizes)
+                 for sizes, edges, usage in seq]
+    for (sizes, edges, usage), s in zip(seq, summaries):
+        if sizes:
+            stats = unary_stats(s)
+            ref = reference_unary_stats(sizes, edges, usage)
+            assert bits(stats.avg_size) == bits(ref[0]) and bits(stats.avg_edges) == bits(ref[1])
+            assert (stats.dist_attrs_per_eqc, stats.dist_members_per_eqc,
+                    stats.dist_predicate_usage) == ref[2:]
+    for (a, _, _), (b, _, _), sa, sb in zip(seq, seq[1:], summaries, summaries[1:]):
+        assert bits(jaccard_dist(sa, sb)) == bits(reference_jaccard_dist(set(a), set(b)))
+        assert bits(js_divergence(sa, sb)) == bits(reference_js_divergence(a, b))
+    track = meta_track([s.eqcs for s in summaries])
+    assert vars(track) == reference_meta_track([set(sizes) for sizes, _, _ in seq])

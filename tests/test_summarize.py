@@ -9,6 +9,7 @@ from oracles import (
     position_of,
     reference_siphash24,
     reference_summary,
+    summary_as_sets,
 )
 from sumlife.ingest import build_snapshot, drop_rdf_types
 from sumlife.summarize import (
@@ -131,8 +132,8 @@ def test_summarize_all_sinks():
     ))
     # the only edge is rdf:type, dropped by default: everything is a sink
     summary, _ = summarize(g, "ac1")
-    assert summary.eqcs == frozenset({0})
-    assert summary.sizes == {0: g.num_vertices}
+    assert summary.eqcs.dtype == np.uint64 and summary.eqcs.tolist() == [0]
+    assert summary.sizes.tolist() == [g.num_vertices]
     assert summary.num_edges == 0
 
 
@@ -140,10 +141,10 @@ def test_summarize_chain_counts():
     g = chain()
     s1, _ = summarize(g, "ac1")
     assert s1.num_primary == 2
-    assert sorted(s1.sizes.values()) == [1, 2]
+    assert sorted(s1.sizes.tolist()) == [1, 2]
     s2, _ = summarize(g, "ac2")
     assert s2.num_primary == 3
-    assert sorted(s2.sizes.values()) == [1, 1, 1]
+    assert sorted(s2.sizes.tolist()) == [1, 1, 1]
 
 
 def test_summarize_disconnected_copies_double_extensions():
@@ -159,8 +160,8 @@ def test_summarize_disconnected_copies_double_extensions():
 
     single, _ = summarize(build_snapshot("t", copy("l")), "ac2")
     double, _ = summarize(build_snapshot("t", copy("l") + copy("r")), "ac2")
-    assert single.eqcs == double.eqcs
-    assert {q: 2 * c for q, c in single.sizes.items()} == double.sizes
+    assert single.eqcs.tolist() == double.eqcs.tolist()
+    assert (2 * single.sizes).tolist() == double.sizes.tolist()
 
 
 def test_extension_partitions_vertices():
@@ -172,7 +173,9 @@ def test_extension_partitions_vertices():
         summary, hashes = summarize(g, model)
         assert hashes.tolist() == vertex_hashes(g, model).tolist()
         assert len(hashes) == g.num_vertices
-        assert summary.sizes == {q: len(ms) for q, ms in members_of(g, hashes).items()}
+        assert summary_as_sets(summary)["sizes"] == {
+            q: len(ms) for q, ms in members_of(g, hashes).items()
+        }
 
 
 def test_summarize_keeps_only_the_vertex_hashes():
@@ -217,12 +220,17 @@ def assert_summary_matches_reference(g):
         ref = reference_summary(g, k)
         summary, hashes = summarize(g, model)
         assert hashes.tolist() == vertex_hashes(g, model).tolist() == ref["hashes"]
-        assert summary.summary_edges == ref["summary_edges"]
-        assert summary.secondary == ref["secondary"]
-        assert summary.predicate_usage == ref["predicate_usage"]
+        got = summary_as_sets(summary)
+        assert got["summary_edges"] == ref["summary_edges"]
+        assert got["secondary"] == ref["secondary"]
+        assert len(summary.secondary) == len(ref["secondary"])
+        assert got["predicate_usage"] == ref["predicate_usage"]
         assert members_of(g, hashes) == ref["members"]
-        assert summary.eqcs == set(ref["members"])
-        assert summary.sizes == {q: len(ms) for q, ms in ref["members"].items()}
+        assert summary.eqcs.tolist() == sorted(ref["members"])
+        assert got["sizes"] == {q: len(ms) for q, ms in ref["members"].items()}
+        assert summary.num_edges == len(ref["summary_edges"])
+        # the summary's IRIs in term-id order
+        assert summary.predicates == [g.terms.lexical(p) for p in np.unique(g.edge_pred).tolist()]
 
 
 def test_summary_matches_per_edge_reference():
@@ -290,9 +298,11 @@ def test_summary_edge_structure():
     g = chain()
     s1, _ = summarize(g, "ac1")
     # edges go (source eqc, predicate, child-level hash); ac1 children are depth-0
-    assert all(child == 0 for _, _, child in s1.summary_edges)
-    assert {src for src, _, _ in s1.summary_edges} <= s1.eqcs
-    assert all((p, c) in s1.secondary for _, p, c in s1.summary_edges)
+    assert s1.edge_child.dtype == np.uint64 and not s1.edge_child.any()
+    assert set(s1.edge_source.tolist()) <= set(range(s1.num_primary))
+    assert s1.predicates == ["http://p"] and s1.edge_pred.tolist() == [0] * s1.num_edges
+    assert s1.predicate_usage.tolist() == [2]
+    assert s1.secondary.tolist() == [(0, 0)]
 
 
 def test_tsv_exports(tmp_path):
@@ -310,4 +320,39 @@ def test_tsv_exports(tmp_path):
         iri, hexhash = line.split("\t")
         assert int(hexhash, 16) == int(hashes[position_of(g, iri)])
     edge_lines = (tmp_path / "edges.tsv").read_text().splitlines()
-    assert len(edge_lines) == len(summary.summary_edges)
+    assert len(edge_lines) == summary.num_edges
+
+
+def test_summary_tsv_rows_sort_as_text(tmp_path):
+    """``write_summary_tsv`` writes the reference summary edges in the order
+    of their text, though its IRIs' term ids (first-seen order, where
+    ``p10`` precedes ``p2``) sort otherwise."""
+    rng = np.random.default_rng(23)
+    for i in range(6):
+        g, _, _ = random_graph(rng, 60, 300, 12)
+        for k, model in ((1, "ac1"), (2, "ac2")):
+            summary, _ = summarize(g, model)
+            write_summary_tsv(tmp_path / f"{i}{model}.tsv", summary)
+            rows = sorted(reference_summary(g, k)["summary_edges"])
+            assert (tmp_path / f"{i}{model}.tsv").read_text().splitlines() == [
+                f"{s:016x}\t{p}\t{c:016x}" for s, p, c in rows
+            ]
+
+
+def test_summary_holds_at_most_40_bytes_per_eqc_and_edge():
+    """A summary is arrays: its sorted EQC hashes and member counts, and
+    three edge columns, not Python objects per EQC or summary edge."""
+    rng = np.random.default_rng(29)
+    n, m = 6_000, 24_000
+    src, dst, pred = rng.integers(0, n, m), rng.integers(0, n, m), rng.integers(0, 6, m)
+    g = build_snapshot("t", [(f"http://x/v{s}", f"http://x/p{p}", f"http://x/v{o}")
+                             for s, p, o in zip(src.tolist(), pred.tolist(), dst.tolist())])
+    tracemalloc.start()
+    try:
+        summary, hashes = summarize(g, "ac2")
+        del hashes
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert summary.num_primary > 2_000 and summary.num_edges > 10_000
+    assert held / (summary.num_primary + summary.num_edges) <= 40, held
