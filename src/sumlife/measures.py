@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ingest import distinct
 from .summarize import SummaryGraph
 
 
@@ -127,7 +128,7 @@ def meta_track(seq: Sequence[np.ndarray]) -> MetaTrack:
         track.deleted_vs_prev.append(len(prev) - recurring)
         track.recurring.append(recurring)
         track.reappearing.append(len(np.intersect1d(added, seen, assume_unique=True)))
-        seen = np.union1d(seen, cur)
+        seen = distinct(np.concatenate([seen, cur]))
         track.cumulative_seen.append(len(seen))
         prev = cur
     return track

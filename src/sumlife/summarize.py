@@ -139,8 +139,13 @@ class SummaryGraph:
 
     @property
     def secondary(self) -> np.ndarray:
-        """The distinct (predicate index, child hash) records the edges reach."""
-        return np.unique(np.rec.fromarrays([self.edge_pred, self.edge_child]))
+        """The distinct (predicate index, child hash) pairs the edges reach,
+        sorted, one uint64 row each."""
+        order = np.lexsort((self.edge_child, self.edge_pred))
+        pairs = np.stack([self.edge_pred[order].astype(np.uint64), self.edge_child[order]], axis=1)
+        keep = np.ones(len(pairs), dtype=bool)
+        keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+        return pairs[keep]
 
     @property
     def num_primary(self) -> int:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -302,7 +303,9 @@ def test_summary_edge_structure():
     assert set(s1.edge_source.tolist()) <= set(range(s1.num_primary))
     assert s1.predicates == ["http://p"] and s1.edge_pred.tolist() == [0] * s1.num_edges
     assert s1.predicate_usage.tolist() == [2]
-    assert s1.secondary.tolist() == [(0, 0)]
+    assert s1.secondary.tolist() == [[0, 0]]
+    none = s1.edge_source[:0]
+    assert len(replace(s1, edge_source=none, edge_pred=none, edge_child=none).secondary) == 0
 
 
 def test_tsv_exports(tmp_path):
