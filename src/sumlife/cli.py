@@ -7,18 +7,20 @@ same key in a ``--config`` file.  All outputs land in the --out directory;
 reruns with equal configuration, seed and BLAS thread count produce
 byte-identical artifacts.  Every failure prints one ``error:`` line.
 Exit codes: 0 ok; 1 I/O, including an unreadable checkpoint (a header
-setting or seed outside the rule of its flag included), snapshot or ``report
---matrix`` file, an empty snapshot directory and a ``lifelong`` or ``eval``
-snapshot of fewer than 9 vertices, whose 93/2/5 split has no test vertex; 2
-configuration: before --out is made, a bad argument, a value of the wrong
-type, outside its choice list or outside its range (``nets.network.RULES``
-states each setting's), ``gcn-edges`` with a model other than ac2, other than
-one snapshot for ``summarize``, ``eval`` or ``lifelong --time-warp``, fewer
-than two for ``diff`` or none for ``lifelong``, timestamps unlike the
-snapshots in number or, for ``lifelong``, out of order or repeated; after it,
-an ``eval`` or time-warp checkpoint trained for another summary model, degree
-cap, degree mode or rdf:type setting or for another value of a network setting
-the run sets; 3 numerical failure; 130 interrupted.  Running out of memory
+setting or seed outside the rule of its flag, or an architecture with a model
+it does not read, included), snapshot or ``report --matrix`` file, an empty
+snapshot directory and a ``lifelong`` or ``eval`` snapshot of fewer than 9
+vertices, whose 93/2/5 split has no test vertex; 2 configuration: before
+--out is made, a bad argument, a value of the wrong type, outside its choice
+list or outside its range (``nets.network.RULES`` states each setting's), an
+architecture with a model it does not read (``nets.network.check_pairing``),
+other than one snapshot for ``summarize``, ``eval`` or ``lifelong
+--time-warp``, fewer than two for ``diff`` or none for ``lifelong``,
+timestamps unlike the snapshots in number or, for ``lifelong``, out of order
+or repeated; after it, an ``eval`` or time-warp checkpoint trained for
+another summary model, degree cap, degree mode or rdf:type setting or for
+another value of a network setting the run sets; 3 numerical failure; 130
+interrupted.  Running out of memory
 (exit 1) and an interrupt each print one ``error:`` line.
 """
 
@@ -266,7 +268,7 @@ def cmd_eval(cfg: RunConfig, ckpt_path: str) -> int:
         seq = prepare_tasks(graphs, cfg.model, seed, pred_vocab=pv, class_vocab=cv)
         del graphs
         task = seq.tasks[0]
-        test_acc, unseen = evaluate_network(net, task, seq, which=TEST)
+        test_acc, unseen = evaluate_network(net, task, which=TEST)
         write_json(
             out / "eval.json",
             {

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .nets.network import Hyper, check, parse_hidden
+from .nets.network import Hyper, check, check_pairing, parse_hidden
 
 SEED_ENV_VAR = "SUMLIFE_SEED"
 
@@ -53,8 +53,7 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             check(f.name, getattr(self, f.name))
-        if self.architecture == "gcn-edges" and self.model != "ac2":
-            raise ConfigError(f"architecture gcn-edges needs model ac2, not {self.model!r}")
+        check_pairing(self.architecture, self.model)
         if self.timestamps and len(self.timestamps) != len(self.snapshots):
             raise ConfigError("timestamps and snapshots differ in length")
         self.hyper()  # one hidden size for an architecture that reads feature rows alone

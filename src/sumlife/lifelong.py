@@ -38,7 +38,7 @@ from .features import (
 from .ingest import SnapshotGraph
 from .nets import Hyper, Network
 from .nets.ops import assert_finite
-from .sampling import edge_as_vertex_transform, receptive_field, sample_batch, target_distribution
+from .sampling import receptive_field, sample_batch, target_distribution
 from .summarize import MODEL_HOPS, vertex_hashes
 
 
@@ -117,19 +117,14 @@ def _task_rng(seed: int, task_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(task_index,)))
 
 
-def evaluate_network(
-    net: Network,
-    task: Task,
-    seq: TaskSequence,
-    which: int = TEST,
-) -> tuple[float, float]:
+def evaluate_network(net: Network, task: Task, which: int = TEST) -> tuple[float, float]:
     """(accuracy, unseen-class fraction) on one split of a task.
 
     Unseen classes (index at or above the network's output width) cannot be
     predicted and count as errors.  Every network runs on one batch: the
     split rows' receptive field, ``net.receptive_hops`` out in the snapshot
-    (the rows alone for a feature-only network), transformed as training
-    transforms its batches.  Logits are computed for the split rows only.
+    (the rows alone for a feature-only network), read as the network reads
+    its training batches.  Logits are computed for the split rows only.
     Message passing gives those rows the same sums as a pass over every
     vertex; the BLAS products can round a row subset otherwise (in float32,
     measured from inner widths of 32 on, at any output width; see README
@@ -142,9 +137,7 @@ def evaluate_network(
         return 0.0, 0.0
     labels = task.labels[rows]
     unseen = labels >= net.n_classes
-    batch = receptive_field(task.graph, task.labels, rows, net.receptive_hops, MODEL_HOPS[seq.model])
-    if net.edges_as_vertices:
-        batch = edge_as_vertex_transform(batch)
+    batch = receptive_field(task.graph, task.labels, rows, net.receptive_hops)
     logits = net.batch_logits(batch, batch.target_idx)
     assert_finite(f"the logits of task {task.index}", logits)
     pred = np.argmax(logits, axis=1)
@@ -167,8 +160,6 @@ def _train_on_task(
     losses = []
     for step in range(iterations):
         batch = sample_batch(task.graph, task.labels, distribution, k, cap=batch_cap, rng=rng)
-        if net.edges_as_vertices:
-            batch = edge_as_vertex_transform(batch)
         try:
             losses.append(float(net.train_step(batch, adam, rng)))
         except NumericalError as exc:
@@ -228,9 +219,9 @@ def run_sequence(
         results.append(on_task(task, net))
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                row = list(pool.map(lambda o: evaluate_network(net, o, seq), seq.tasks))
+                row = list(pool.map(lambda o: evaluate_network(net, o), seq.tasks))
         else:
-            row = [evaluate_network(net, o, seq) for o in seq.tasks]
+            row = [evaluate_network(net, o) for o in seq.tasks]
         unseen_row = []
         for other, (acc_ij, unseen) in zip(seq.tasks, row):
             r[task.index, other.index] = acc_ij
@@ -366,13 +357,13 @@ def time_warp(
         [new_snapshot], model, seed, pred_vocab=old_pred_vocab, class_vocab=old_class_vocab
     )
     task = seq.tasks[0]
-    frozen_acc, frozen_unseen = evaluate_network(old_net, task, seq)
+    frozen_acc, frozen_unseen = evaluate_network(old_net, task)
     arch, hyper = old_net.arch, old_net.hyper
     warm, _ = _fit(old_net.clone(), task, seq, arch, hyper, seed, iterations, batch_cap)
     cold, _ = _fit(None, task, seq, arch, hyper, seed, iterations, batch_cap)
     return {
         "frozen_accuracy": frozen_acc,
         "frozen_unseen_fraction": frozen_unseen,
-        "retrained_accuracy": evaluate_network(warm, task, seq)[0],
-        "cold_accuracy": evaluate_network(cold, task, seq)[0],
+        "retrained_accuracy": evaluate_network(warm, task)[0],
+        "cold_accuracy": evaluate_network(cold, task)[0],
     }

@@ -9,13 +9,14 @@ compute dtype ``ops.DTYPE``, so round-trips are bit-exact.  A ``"<f8"``
 checkpoint of an earlier version loads too, cast once to ``DTYPE``; any
 other payload dtype is refused.
 The header is outside input: its ``RUN_FIELDS``, seed and architecture are
-checked against their rules in ``network.RULES``, its network settings by ``Hyper``.
+checked against their rules in ``network.RULES``, its architecture and model
+by ``network.check_pairing``, its network settings by ``Hyper``.
 A file that cannot be read as a checkpoint (bad magic, truncated data, a
-missing, ill-typed or out-of-range header field, a payload dtype other than ``"<f4"`` or
-``"<f8"``, a negative tensor dimension, tensors
-whose shapes do not form the header's network, bytes after the last
-tensor, a vocabulary that does not match its digest or is narrower than
-the network) raises ``CheckpointError``.
+missing, ill-typed or out-of-range header field, an architecture with a
+model it does not read, a payload dtype other than ``"<f4"`` or ``"<f8"``,
+a negative tensor dimension, tensors whose shapes do not form the header's
+network, bytes after the last tensor, a vocabulary that does not match its
+digest or is narrower than the network) raises ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from ..errors import CheckpointError, ConfigError
 from ..features import ClassVocabulary, PredicateVocabulary
 from ..reporting import output
-from .network import Hyper, Network, check
+from .network import Hyper, Network, check, check_pairing
 from .ops import DTYPE
 
 MAGIC = b"GSLC"
@@ -107,6 +108,7 @@ def _from_header(fh, path, header: dict):
     """Network and vocabularies from a parsed header; the payloads follow at ``fh``."""
     for key in (*RUN_FIELDS, "seed", "architecture"):
         check(key, header[key])
+    check_pairing(header["architecture"], header["model"])
     hyper = Hyper(**header["hyper"]).resolved(header["architecture"])
     if header["dtype"] not in PAYLOAD_DTYPES:
         raise CheckpointError(f"{path}: payload dtype {header['dtype']!r} is not "

@@ -1,6 +1,6 @@
 """The one module that names the architectures: "mlp" (features only),
 "graph-mlp" (features + contrastive term over batch edges), "gcn" and
-"gcn-edges" (message passing; the edges variant takes edge-as-vertex batches).
+"gcn-edges" (message passing; the edges variant reads each edge as a vertex).
 
 Each per-architecture decision is made here.  ``_tensor_shapes`` is the one
 statement of each architecture's parameter layout, and ``_widened`` the one
@@ -9,12 +9,13 @@ order, from empty tensors in ``Network.create`` and from the current ones in
 ``Network.grow``.  ``Network.from_tensors`` checks the layout of tensors a
 checkpoint holds.  Every network keeps its tensors, in layout order, as one
 ``ops.Params`` record, the same type for every architecture.  The batch a
-network reads is decided in ``receptive_hops`` and ``edges_as_vertices``,
-its input rows (at its own width) and forward pass in ``_forward``, and the
-backward pass after ``train_step``'s one loss tail.  Both passes look their
-functions up in this module's globals at call time, so a wrapper put on a
-module name (as the benchmark's tracer does) sees every call.  ``RULES``
-is the one statement of every run and network setting's rule.
+network reads is decided in ``receptive_hops``, its input (rows at its own
+width, and gcn-edges' edge vertices) and forward pass in ``_forward``, and
+the backward pass after ``train_step``'s one loss tail.  Both passes look
+their functions up in this module's globals at call time, so a wrapper put
+on a module name (as the benchmark's tracer does) sees every call.  ``RULES``
+is the one statement of every run and network setting's rule, and
+``check_pairing`` of the one rule that ties two of them.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ def check(key: str, value) -> None:
         raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
+def check_pairing(architecture: str, model: str) -> None:
+    """ConfigError unless ``architecture`` reads ``model``'s batches: gcn-edges
+    takes the edge-as-vertex view of 2-hop (ac2) batches only.  Flags, config
+    files and checkpoint headers all pass this rule."""
+    if architecture == "gcn-edges" and MODEL_HOPS[model] != 2:
+        raise ConfigError(f"architecture gcn-edges needs model ac2, not {model!r}")
+
+
 @dataclass
 class Hyper:
     """Training hyperparameters; unset (None) fields fall back to the
@@ -212,20 +221,15 @@ class Network:
         return self.params.n_classes
 
     @property
-    def edges_as_vertices(self) -> bool:
-        """Whether batches reach this network through ``edge_as_vertex_transform``."""
-        return self.arch == "gcn-edges"
-
-    @property
     def receptive_hops(self) -> int:
         """Snapshot out-edge hops a logit reads: 0 for feature-only networks.
         A message-passing logit reads a batch hop per layer, plus one under
         degree normalization (its weights read the outer ring's out-degrees);
-        an edge-as-vertex batch spends two per snapshot hop, so half as many, rounded up."""
+        gcn-edges' input spends two per snapshot hop, so half as many, rounded up."""
         if self.arch in FEATURE_ONLY:
             return 0
         hops = len(self.hyper.hidden) + int(self.hyper.normalize_adjacency)
-        return (hops + 1) // 2 if self.edges_as_vertices else hops
+        return (hops + 1) // 2 if self.arch == "gcn-edges" else hops
 
     def clone(self) -> "Network":
         return Network(self.arch, copy.deepcopy(self.params), copy.deepcopy(self.hyper))
@@ -245,30 +249,42 @@ class Network:
     def _forward(self, batch: Subgraph, rng: np.random.Generator | None = None,
                  rows: np.ndarray | None = None):
         """(logits of the batch vertices ``rows``, in that order, backward
-        cache); every vertex when ``rows`` is None.  Train mode exactly when
+        cache); of every input row when ``rows`` is None, gcn-edges' edge
+        vertices after the batch vertices.  Train mode exactly when
         ``rng`` is given, and the cache is None otherwise.  Only what those
         logits read is computed: the MLP runs on those feature rows alone,
         while message passing and Graph-MLP's embeddings still cover every row.
-        The one place a batch's multi-hot rows are written: at ``n_in``
-        columns, in the parameters' dtype, from the batch's feature pairs; a
-        column the network was never grown to is ignored."""
-        x = np.zeros((batch.num_vertices, self.n_in), self.params.dtype)
-        seen = batch.feature_col < self.n_in
-        x[batch.feature_src[seen], batch.feature_col[seen]] = 1.0
+        The one place a batch becomes a network's input.  Its multi-hot rows
+        are written at ``n_in`` columns, in the parameters' dtype, from the
+        batch's feature pairs; a column the network was never grown to is
+        ignored.  gcn-edges replaces each edge (u, p, v) by u -> e -> v,
+        where the edge vertex e follows the batch vertices with the one-hot
+        row of p's column, ``edge_col``, so two layers recover one hop's
+        predicates."""
+        n, src, dst = batch.num_vertices, batch.edge_src, batch.edge_dst
+        feature_src, feature_col = batch.feature_src, batch.feature_col
+        if self.arch == "gcn-edges":
+            edge_ids = np.arange(n, n + batch.num_edges, dtype=np.int64)
+            src, dst = np.concatenate([src, edge_ids]), np.concatenate([edge_ids, dst])
+            feature_src = np.concatenate([feature_src, edge_ids])
+            feature_col = np.concatenate([feature_col, batch.edge_col])
+            n += batch.num_edges
+        x = np.zeros((n, self.n_in), self.params.dtype)
+        seen = feature_col < self.n_in
+        x[feature_src[seen], feature_col[seen]] = 1.0
         train, dropout = rng is not None, self.hyper.dropout
         if self.arch == "mlp":
             return mlp_forward(self.params, x, train, dropout, rng, rows)
         if self.arch == "graph-mlp":
             _, logits, cache = graphmlp_forward(self.params, x, train, dropout, rng, rows)
             return logits, cache
-        adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
-                              self.hyper.normalize_adjacency, self.params.dtype)
+        adj = batch_adjacency(n, src, dst, self.hyper.normalize_adjacency, self.params.dtype)
         return gcn_forward(self.params, x, adj, train, dropout, rng, rows)
 
     @np.errstate(all="ignore")  # a divergence shows as non-finite logits, not as warnings
     def batch_logits(self, batch: Subgraph, rows: np.ndarray | None = None) -> np.ndarray:
         """Eval-mode logits of the batch vertices ``rows``, in that order;
-        of every batch vertex when ``rows`` is None."""
+        of every input row when ``rows`` is None (see ``_forward``)."""
         return self._forward(batch, rows=rows)[0]
 
     # nothing in sumlife calls this alias: the benchmark tracer wraps it by name
@@ -279,10 +295,10 @@ class Network:
         """Forward, hand-derived backward, Adam update; returns the loss.
 
         Logits are computed once per distinct target row, ``rows`` (sorted):
-        a target may repeat, and may sit past ``n_targets`` when an earlier
-        closure brought it in.  Each draw's loss gradient is summed back onto
-        its row, so the gradients equal those of a pass over every batch
-        vertex, in which the other rows get exact zeros.  The MLP draws
+        a target may repeat, and may sit among the closure vertices when an
+        earlier closure brought it in.  Each draw's loss gradient is summed
+        back onto its row, so the gradients equal those of a pass over every
+        input row, in which the other rows get exact zeros.  The MLP draws
         dropout for those rows alone, and the rng skips the rest, so every
         later draw is as after a mask over every batch vertex.  Graph-MLP
         adds its contrastive term, whose gradient joins at the embeddings.

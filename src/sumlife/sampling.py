@@ -23,7 +23,9 @@ lists a (vertex, feature column) pair per out-edge, the column read off the
 graph's ``edge_pred`` (a task's holds ``features.encode_features``): a batch
 grows with its vertices and out-edges, not with the vocabulary.
 ``sample_batch`` draws from the task's ``target_distribution``, which a
-caller computes once per task; no closure outlives its batch.
+caller computes once per task; no closure outlives its batch.  A batch is
+the same for every architecture: how a network reads it, edge-as-vertex
+input included, is decided in ``nets.network``.
 
 Closures and batches use every edge of the given graph; whether rdf:type
 edges are among them was decided when the graph was built
@@ -32,7 +34,7 @@ edges are among them was decided when the graph was built
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +50,13 @@ class Subgraph:
     (ascending instead in a ``receptive_field`` batch).
     ``target_idx`` are local indices of the drawn targets and may repeat;
     ``labels`` aligns with it.  Edges are the induced edges among batch
-    vertices; ``edge_col`` carries each edge's feature column (-1 after the
-    edge-as-vertex transform, where predicates become vertices).
+    vertices; ``edge_col`` carries each edge's feature column.
     ``feature_src`` and ``feature_col`` list a (local vertex, feature column)
     pair per out-edge of a batch vertex: the ones of the vertices' multi-hot
     rows, where a pair may repeat.
     """
 
     vertices: np.ndarray
-    n_targets: int
     target_idx: np.ndarray
     labels: np.ndarray
     edge_src: np.ndarray
@@ -64,7 +64,6 @@ class Subgraph:
     edge_col: np.ndarray
     feature_src: np.ndarray
     feature_col: np.ndarray
-    k: int
 
     @property
     def num_vertices(self) -> int:
@@ -117,10 +116,7 @@ def _out_edges(g: SnapshotGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, np.repeat(lo - starts, counts) + np.arange(len(idx), dtype=np.int64)
 
 
-def _batch(
-    g: SnapshotGraph, vertices: np.ndarray, n_targets: int, targets: np.ndarray,
-    labels: np.ndarray, k: int,
-) -> Subgraph:
+def _batch(g: SnapshotGraph, vertices: np.ndarray, targets: np.ndarray, labels: np.ndarray) -> Subgraph:
     """The batch of ``vertices`` from one gather of their out-edges: the
     edges among them, in local indices, ordered by source as listed, then by
     CSR position, and a feature pair per out-edge.  ``targets`` are global
@@ -131,9 +127,9 @@ def _batch(
     col = g.edge_pred[edges]
     dst = local[g.edge_obj[edges]]
     keep = dst >= 0
-    return Subgraph(vertices=vertices, n_targets=n_targets, target_idx=local[targets],
-                    labels=np.asarray(labels)[targets], edge_src=src[keep], edge_dst=dst[keep],
-                    edge_col=col[keep], feature_src=src, feature_col=col, k=k)
+    return Subgraph(vertices=vertices, target_idx=local[targets], labels=np.asarray(labels)[targets],
+                    edge_src=src[keep], edge_dst=dst[keep], edge_col=col[keep],
+                    feature_src=src, feature_col=col)
 
 
 def sample_batch(
@@ -178,10 +174,10 @@ def sample_batch(
     # a group starts at its draw's target, so only a target new to the batch is first seen in its own
     is_target = walk[first] == draws[draw_of[first]]
     vertices = np.concatenate([walk[first[is_target]], walk[first[~is_target]]])
-    return _batch(g, vertices, int(is_target.sum()), accepted, labels, k)
+    return _batch(g, vertices, accepted, labels)
 
 
-def receptive_field(g: SnapshotGraph, labels: np.ndarray, rows: np.ndarray, hops: int, k: int) -> Subgraph:
+def receptive_field(g: SnapshotGraph, labels: np.ndarray, rows: np.ndarray, hops: int) -> Subgraph:
     """The batch message passing needs to compute the vertices ``rows`` of ``g``.
 
     ``rows`` become the targets.  Kept are the vertices within ``hops``
@@ -199,28 +195,5 @@ def receptive_field(g: SnapshotGraph, labels: np.ndarray, rows: np.ndarray, hops
         reached = g.edge_obj[_out_edges(g, frontier)[1]]
         frontier = distinct(reached[~inside[reached]])
         inside[frontier] = True
-    return _batch(g, np.flatnonzero(inside), len(rows), rows, labels, k)
+    return _batch(g, np.flatnonzero(inside), rows, labels)
 
-
-def edge_as_vertex_transform(b: Subgraph) -> Subgraph:
-    """Replace each edge (u, p, v) by u -> e_upv -> v.
-
-    The new vertex's feature row is the one-hot of p's column, ``edge_col``,
-    so two message-passing layers recover the original one-hop label
-    information.  Requires a k=2 batch; targets and labels are untouched.
-    """
-    if b.k != 2:
-        raise ValueError("edge-as-vertex transform requires a 2-hop batch")
-    n, e = b.num_vertices, b.num_edges
-    if e == 0:
-        return b
-    edge_ids = n + np.arange(e, dtype=np.int64)
-    return replace(
-        b,
-        vertices=np.concatenate([b.vertices, -1 - np.arange(e, dtype=np.int64)]),
-        edge_src=np.concatenate([b.edge_src, edge_ids]),
-        edge_dst=np.concatenate([edge_ids, b.edge_dst]),
-        edge_col=np.full(2 * e, -1, dtype=np.int64),
-        feature_src=np.concatenate([b.feature_src, edge_ids]),
-        feature_col=np.concatenate([b.feature_col, b.edge_col]),
-    )

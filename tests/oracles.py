@@ -213,6 +213,23 @@ def batch_rows(batch, width: int, dtype=DTYPE) -> np.ndarray:
     return x
 
 
+def reference_edge_vertices(batch, width: int, dtype=DTYPE):
+    """(input rows, edge sources, edge destinations) of a gcn-edges network's
+    view of ``batch``, built one edge at a time: edge i, (u, p, v), becomes
+    the vertex n + i after the n batch vertices, with the one-hot row of p's
+    column (none at or past ``width``), and the edges u -> n + i -> v."""
+    n = batch.num_vertices
+    x = np.vstack([batch_rows(batch, width, dtype), np.zeros((batch.num_edges, width), dtype)])
+    src, dst = [], []
+    edges = zip(batch.edge_src.tolist(), batch.edge_dst.tolist(), batch.edge_col.tolist())
+    for i, (u, v, c) in enumerate(edges):
+        if c < width:
+            x[n + i, c] = 1.0
+        src += [u, n + i]
+        dst += [n + i, v]
+    return x, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+
+
 def feature_pairs(x: np.ndarray) -> dict:
     """The ``feature_src`` and ``feature_col`` fields of a batch whose
     multi-hot rows are the nonzero entries of ``x``."""
@@ -391,11 +408,10 @@ def reference_sample_batch(
         "edge_dst": np.array(dst_l, dtype=np.int64),
         "edge_pred": np.array(pred_l, dtype=np.int64),
         "features": features[vertices],
-        "k": k,
     }
 
 
-def reference_full_graph_batch(g, labels, features, k: int, include_rdf_types: bool) -> dict:
+def reference_full_graph_batch(g, labels, features, include_rdf_types: bool) -> dict:
     """The whole snapshot as one batch, its edges cut out of the CSR arrays by
     the considered-edge mask."""
     mask = _considered_mask(g, include_rdf_types)
@@ -409,7 +425,6 @@ def reference_full_graph_batch(g, labels, features, k: int, include_rdf_types: b
         "edge_dst": g.edge_obj[mask].astype(np.int64),
         "edge_pred": g.edge_pred[mask].astype(np.int64),
         "features": features,
-        "k": k,
     }
 
 
@@ -582,7 +597,8 @@ def reference_train_step(net, batch, adam, rng) -> float:
     ``adam`` in place and returns the loss.  The adjacency, the contrastive
     term, GELU, the row scatter and the one-row product are the package's own:
     the parts re-derived here are the ones the lean step rewrote.  It computes
-    in the dtype of the parameters, writing the feature rows in it too."""
+    in the dtype of the parameters, writing the feature rows in it too, and
+    gives gcn-edges its edge vertices through ``reference_edge_vertices``."""
 
     def relu_grad(a):
         return (a > 0.0).astype(a.dtype)
@@ -590,7 +606,9 @@ def reference_train_step(net, batch, adam, rng) -> float:
     p, hyper = net.params, net.hyper
     rate, dtype = hyper.dropout, p.dtype
     rows, inv = np.unique(batch.target_idx, return_inverse=True)
-    x = batch_rows(batch, net.n_in, dtype)
+    x, src, dst = batch_rows(batch, net.n_in, dtype), batch.edge_src, batch.edge_dst
+    if net.arch == "gcn-edges":
+        x, src, dst = reference_edge_vertices(batch, net.n_in, dtype)
     if net.arch == "mlp":
         mask = reference_dropout_mask(rng, (len(x), p.w0.shape[1]), rate, rows, dtype)
         x = x[rows]
@@ -605,8 +623,7 @@ def reference_train_step(net, batch, adam, rng) -> float:
         z = x1 @ p.w1
         logits = z[rows] @ p.w2
     else:
-        adj = batch_adjacency(batch.num_vertices, batch.edge_src, batch.edge_dst,
-                              hyper.normalize_adjacency, dtype)
+        adj = batch_adjacency(len(x), src, dst, hyper.normalize_adjacency, dtype)
         hs, pre, masks = [x], [], []
         for w in p.layers:
             pre.append(adj @ (hs[-1] @ w))

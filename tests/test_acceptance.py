@@ -197,8 +197,8 @@ def test_criterion_05_overfit_smoke():
         ckpts, _, _ = run_sequence(
             seq, "mlp", Hyper(), "warm", seed=42, iterations=100, batch_cap=1000
         )
-        train_acc, _ = evaluate_network(ckpts[0], seq.tasks[0], seq, which=TRAIN)
-        test_acc, _ = evaluate_network(ckpts[0], seq.tasks[0], seq, which=TEST)
+        train_acc, _ = evaluate_network(ckpts[0], seq.tasks[0], which=TRAIN)
+        test_acc, _ = evaluate_network(ckpts[0], seq.tasks[0], which=TEST)
         assert train_acc >= 0.99, f"train accuracy {train_acc}"
         assert test_acc >= 0.95, f"test accuracy {test_acc}"
         elapsed = time.perf_counter() - start

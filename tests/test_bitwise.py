@@ -31,7 +31,7 @@ from sumlife.lifelong import evaluate_network, prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.gcn import batch_adjacency
 from sumlife.nets.ops import _SCATTER_BLOCK, DTYPE, scatter_add
-from sumlife.sampling import edge_as_vertex_transform, receptive_field
+from sumlife.sampling import receptive_field
 from synth import random_graph
 from test_sampling import assert_same_batch, oracle_task
 
@@ -137,25 +137,25 @@ def _task(seed: int):
     return seq, seq.tasks[0]
 
 
-def _field(seq, task, net, rows, hops):
-    """The receptive-field batch of ``rows`` that ``net`` runs on, as evaluation builds it."""
-    batch = receptive_field(task.graph, task.labels, rows, hops, 2)
-    if net.arch == "gcn-edges":
-        batch = edge_as_vertex_transform(batch)
-    return batch
+def _field(task, rows, hops):
+    """The receptive-field batch of ``rows``, as evaluation builds it."""
+    return receptive_field(task.graph, task.labels, rows, hops)
 
 
 @pytest.mark.parametrize("hops", [0, 1, 2, 3])
-@pytest.mark.parametrize("k", [1, 2])
-def test_receptive_field_matches_cut_of_full_graph_batch(k, hops):
+@pytest.mark.parametrize("stride", [1, 2])
+def test_receptive_field_matches_cut_of_full_graph_batch(stride, hops):
+    """Every ``stride``-th row of each row set: every row, and a sparser
+    target set whose field reaches vertices no row is."""
     g, labels, split, pv = oracle_task()
     rows_sets = [np.arange(g.num_vertices)] + [np.flatnonzero(split == s) for s in (TRAIN, VAL, TEST)]
     for run_graph, include_rdf_types in ((g, True), (drop_rdf_types(g), False)):
         x = reference_features(run_graph, pv)
-        full = reference_full_graph_batch(g, labels, x, k, include_rdf_types)
+        full = reference_full_graph_batch(g, labels, x, include_rdf_types)
         fg = run_graph.without_terms(encode_features(run_graph, pv))
         for rows in rows_sets:
-            b = receptive_field(fg, labels, rows, hops, k)
+            rows = rows[::stride]
+            b = receptive_field(fg, labels, rows, hops)
             assert_same_batch(b, reference_receptive_field(full, rows, hops), g, pv)
 
 
@@ -164,20 +164,20 @@ def test_receptive_field_matches_cut_of_full_graph_batch(k, hops):
 @pytest.mark.parametrize("arch", ["gcn", "gcn-edges"])
 def test_receptive_field_logits_match_full_graph(arch, normalize, layers):
     for seed in range(3):
-        seq, task = _task(seed)
+        _, task = _task(seed)
         rng = np.random.default_rng(seed)
         hyper = Hyper(hidden=[8, 6, 5][:layers], normalize_adjacency=normalize)
         net = Network.create(arch, task.pred_width, task.class_width, hyper, rng)
-        full = net.batch_logits(_field(seq, task, net, np.arange(task.graph.num_vertices), 0))
+        full = net.batch_logits(_field(task, np.arange(task.graph.num_vertices), 0))
         for which in (TRAIN, VAL, TEST):
             rows = np.flatnonzero(task.split == which)
-            part = _field(seq, task, net, rows, net.receptive_hops)
+            part = _field(task, rows, net.receptive_hops)
             assert np.array_equal(part.labels, task.labels[rows])
             logits = net.batch_logits(part)[part.target_idx]
             assert logits.tobytes() == full[rows].tobytes()
             if len(rows):
                 correct = (np.argmax(full[rows], axis=1) == task.labels[rows]).mean()
-                assert evaluate_network(net, task, seq, which)[0] == correct
+                assert evaluate_network(net, task, which)[0] == correct
 
 
 def test_receptive_field_needs_the_extra_hop_under_normalization():
@@ -192,9 +192,9 @@ def test_receptive_field_needs_the_extra_hop_under_normalization():
         net = Network.create(arch, task.pred_width, task.class_width,
                              Hyper(hidden=hidden, normalize_adjacency=True), np.random.default_rng(0))
         assert net.receptive_hops == 2
-        full = net.batch_logits(_field(seq, task, net, np.arange(g.num_vertices), 0))[rows]
+        full = net.batch_logits(_field(task, np.arange(g.num_vertices), 0))[rows]
         for hops, same in ((net.receptive_hops, True), (net.receptive_hops - 1, False)):
-            part = _field(seq, task, net, rows, hops)
+            part = _field(task, rows, hops)
             assert (net.batch_logits(part)[part.target_idx].tobytes() == full.tobytes()) is same
 
 
@@ -210,20 +210,20 @@ def test_receptive_field_logits_round_alike_at_wide_outputs(arch, normalize, n_c
     # place of its row's largest logit.
     for layers in (1, 2, 3):
         for seed in range(3):
-            seq, task = _task(seed)
+            _, task = _task(seed)
             hyper = Hyper(hidden=[8, 6, 5][:layers], normalize_adjacency=normalize)
             rng = np.random.default_rng(seed)
             net = Network.create(arch, task.pred_width, n_classes, hyper, rng)
-            full = net.batch_logits(_field(seq, task, net, np.arange(task.graph.num_vertices), 0))
+            full = net.batch_logits(_field(task, np.arange(task.graph.num_vertices), 0))
             for which in (TRAIN, VAL, TEST):
                 rows = np.flatnonzero(task.split == which)
                 if not len(rows):
                     continue
-                part = _field(seq, task, net, rows, net.receptive_hops)
+                part = _field(task, rows, net.receptive_hops)
                 logits = net.batch_logits(part)[part.target_idx]
                 want = full[rows]
                 assert np.array_equal(np.argmax(logits, axis=1), np.argmax(want, axis=1))
                 ulp = np.spacing(np.abs(want).max(axis=1, keepdims=True))
                 assert (np.abs(logits - want) <= 8 * ulp).all()
                 correct = (np.argmax(want, axis=1) == task.labels[rows]).mean()
-                assert evaluate_network(net, task, seq, which)[0] == correct
+                assert evaluate_network(net, task, which)[0] == correct

@@ -26,6 +26,7 @@ from sumlife.errors import ConfigError, TrainingDivergence
 from sumlife.ingest import load_snapshot
 from sumlife.nets.network import RULES, Hyper
 from synth import distinct_recipes, predicate_pool, ring_triples, write_ntriples
+from test_checkpoint import rewrite_header
 
 
 def _ring_snapshots(directory: Path) -> list[str]:
@@ -696,6 +697,28 @@ def test_lifelong_gcn_edges_needs_ac2(tmp_path, snapshot_files, capsys):
     assert not (tmp_path / "o" / "R.csv").exists()
     with pytest.raises(ConfigError, match="gcn-edges"):
         build_config(None, {"architecture": "gcn-edges"})
+
+
+def test_gcn_edges_header_with_a_one_hop_model_exits_1(tmp_path, snapshot_files, capsys):
+    """A gcn-edges checkpoint whose header names ac1 and no degree cap, each
+    field inside its own rule, pairs an architecture with a model it does not
+    read: ``eval`` and ``--time-warp`` refuse it as unreadable, in one line,
+    and score nothing."""
+    out = tmp_path / "run"
+    assert main(["lifelong", "--model", "ac2", "--architecture", "gcn-edges", "--in",
+                 *snapshot_files, "--out", str(out), "--iterations", "2"]) == 0
+    path = tmp_path / "paired.gslc"
+    path.write_bytes((out / "task01.gslc").read_bytes())
+    rewrite_header(path, lambda header: {**header, "model": "ac1", "degree_cap": None})
+    capsys.readouterr()
+    for argv in (
+        ["eval", "--model", "ac1", "--in", snapshot_files[1], "--ckpt", str(path)],
+        ["lifelong", "--model", "ac1", "--in", snapshot_files[1], "--time-warp", str(path)],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1, argv
+        err = _one_error_line(capsys)
+        assert "paired.gslc" in err and "gcn-edges needs model ac2" in err
+    assert not list(tmp_path.glob("o/*.json"))
 
 
 def test_lifelong_empty_test_splits_leave_omega_null(tmp_path, snapshot_files, capsys):

@@ -102,7 +102,7 @@ def _recording(monkeypatch, seen: list, batches: list) -> None:
     for name in KERNELS:
         wrap(network, name, kernel)
     wrap(network, "adam_step", adam)
-    for name in ("sample_batch", "receptive_field", "edge_as_vertex_transform"):
+    for name in ("sample_batch", "receptive_field"):
         wrap(lifelong, name, batch)
 
 
@@ -123,7 +123,7 @@ def test_train_step_and_evaluation_keep_the_parameters_dtype(monkeypatch, arch, 
     _recording(monkeypatch, seen, batches)
     monkeypatch.setattr(Tracked, "log", log)
     _train_on_task(net, task, seq, 2, 40, _task_rng(1, 0))
-    evaluate_network(net, task, seq)
+    evaluate_network(net, task)
     monkeypatch.undo()
 
     names = {where.split(" ")[0] for where, _ in seen}

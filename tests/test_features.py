@@ -88,7 +88,7 @@ def feature_rows(g, vocab):
     of the whole snapshot at the vocabulary's width."""
     labels = np.zeros(g.num_vertices, dtype=np.int64)
     everyone = np.arange(g.num_vertices)
-    batch = receptive_field(g.without_terms(encode_features(g, vocab)), labels, everyone, 0, 1)
+    batch = receptive_field(g.without_terms(encode_features(g, vocab)), labels, everyone, 0)
     return batch_rows(batch, vocab.width)
 
 

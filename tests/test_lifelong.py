@@ -26,7 +26,7 @@ from sumlife.lifelong import (
 )
 from sumlife.features import TEST, TRAIN, ClassVocabulary, PredicateVocabulary
 from sumlife.sampling import receptive_field
-from sumlife.nets import Hyper, Network
+from sumlife.nets import Hyper, Network, network
 from sumlife.nets.graphmlp import graphmlp_forward
 from sumlife.nets.mlp import mlp_forward
 from sumlife.nets.ops import gelu, relu
@@ -218,17 +218,24 @@ def test_gcn_edges_evaluation_transforms_only_the_test_rows_component(monkeypatc
     task.split[first[:3]] = TEST
     net = Network.create("gcn-edges", task.pred_width, task.class_width, Hyper(),
                          np.random.default_rng(1))
-    seen = []
-    transform = lifelong.edge_as_vertex_transform
+    batches, inputs = [], []
+    field, forward = lifelong.receptive_field, network.gcn_forward
 
-    def recording(batch):
-        seen.append(batch)
-        return transform(batch)
+    def recording_field(*args):
+        batches.append(field(*args))
+        return batches[-1]
 
-    monkeypatch.setattr(lifelong, "edge_as_vertex_transform", recording)
-    evaluate_network(net, task, seq)
-    assert len(seen) == 1
-    assert seen[0].num_vertices > 3 and np.isin(seen[0].vertices, first).all()
+    def recording_forward(params, x, *args):
+        inputs.append(x)
+        return forward(params, x, *args)
+
+    monkeypatch.setattr(lifelong, "receptive_field", recording_field)
+    monkeypatch.setattr(network, "gcn_forward", recording_forward)
+    evaluate_network(net, task)
+    (batch,), (x,) = batches, inputs
+    assert batch.num_vertices > 3 and np.isin(batch.vertices, first).all()
+    # the network's input: the field's vertices, then one vertex per field edge
+    assert len(x) == batch.num_vertices + batch.num_edges > batch.num_vertices
 
 
 def test_warm_cold_share_first_task_row():
@@ -263,7 +270,7 @@ def test_unseen_classes_count_as_errors():
     seq = quick_seq(2)
     ckpts, r, diag = run_sequence(seq, "mlp", Hyper(), "warm", seed=7, iterations=20)
     # first checkpoint evaluated on task 2: its unique classes are unseen
-    acc01, unseen01 = evaluate_network(ckpts[0], seq.tasks[1], seq)
+    acc01, unseen01 = evaluate_network(ckpts[0], seq.tasks[1])
     assert unseen01 > 0.0
     assert acc01 <= 1.0 - unseen01 + 1e-9
     assert diag[0]["unseen_fraction"][1] == unseen01
@@ -399,7 +406,7 @@ def test_feature_only_networks_read_no_hop(arch):
             logits = _by_hand_logits(net, x)
             unseen = labels >= logits.shape[1]
             correct = (np.argmax(logits, axis=1) == labels) & ~unseen
-            assert evaluate_network(net, task, seq) == (float(correct.mean()), float(unseen.mean()))
+            assert evaluate_network(net, task) == (float(correct.mean()), float(unseen.mean()))
             assert r[i, task.index] == correct.mean()
             assert diag[i]["unseen_fraction"][task.index] == unseen.mean()
 
@@ -412,7 +419,7 @@ def test_zero_hop_batch_logits_are_the_feature_rows_logits(arch):
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=[8]),
                          np.random.default_rng(2))
     rows = np.flatnonzero(task.split == TEST)
-    batch = receptive_field(task.graph, task.labels, rows, 0, 1)
+    batch = receptive_field(task.graph, task.labels, rows, 0)
     x = reference_features(g, seq.pred_vocab)[rows][:, : net.n_in]
     bare = mlp_forward(net.params, x)[0] if arch == "mlp" else graphmlp_forward(net.params, x)[1]
     assert net.batch_logits(batch)[batch.target_idx].tobytes() == bare.tobytes()
@@ -445,10 +452,10 @@ def _array_bytes(batch) -> int:
 
 
 def test_batch_arrays_do_not_grow_with_the_vocabulary():
-    """At 2 000 predicates, sampled, receptive-field and edge-as-vertex
-    batches hold at most 8 int64 entries per batch vertex and out-edge: a
-    batch lists its vertices' feature columns, so no array is as wide as the
-    vocabulary (a dense float32 row here is the bytes of about 950 entries)."""
+    """At 2 000 predicates, sampled and receptive-field batches hold at most
+    8 int64 entries per batch vertex and out-edge: a batch lists its
+    vertices' feature columns, so no array is as wide as the vocabulary (a
+    dense float32 row here is the bytes of about 950 entries)."""
     seq = prepare_tasks([("t0", _wide_snapshot())], "ac2", seed=1)
     task = seq.tasks[0]
     assert seq.pred_vocab.width > 1800
@@ -458,13 +465,10 @@ def test_batch_arrays_do_not_grow_with_the_vocabulary():
     batches = [lifelong.sample_batch(g, task.labels, distribution, k, cap=1000,
                                      rng=np.random.default_rng(1))]
     for rows, hops in ((np.flatnonzero(task.split == TEST), 2), (np.arange(g.num_vertices), 0)):
-        batches.append(lifelong.receptive_field(g, task.labels, rows, hops, k))
+        batches.append(lifelong.receptive_field(g, task.labels, rows, hops))
     for b in batches:
         size = b.num_vertices + int(degrees[b.vertices].sum())  # vertices and their out-edges
         assert _array_bytes(b) <= 8 * 8 * size, (b.num_vertices, _array_bytes(b))
-        # each edge becomes a vertex with one out-edge and one feature column
-        tb = lifelong.edge_as_vertex_transform(b)
-        assert _array_bytes(tb) <= 8 * 8 * (size + 2 * b.num_edges), (tb.num_vertices, _array_bytes(tb))
 
 
 def test_training_memory_does_not_grow_with_the_targets_drawn():

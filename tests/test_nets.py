@@ -16,7 +16,7 @@ from sumlife.nets.losses import cross_entropy, ncontrast_loss
 from sumlife.nets.mlp import mlp_backward, mlp_forward
 from sumlife.nets.network import ARCHITECTURES, Hyper, Network
 from sumlife.nets.ops import DTYPE, Params, apply_dropout, assert_finite, dropout_mask, gelu
-from sumlife.sampling import Subgraph, edge_as_vertex_transform
+from sumlife.sampling import Subgraph
 
 
 def test_zero_input_zero_bias_zero_logits():
@@ -183,9 +183,9 @@ def test_full_graph_gcn_logits_memory_linear():
     src, dst = rng.integers(0, n, size=e), rng.integers(0, n, size=e)
     everyone = np.arange(n, dtype=np.int64)
     batch = Subgraph(
-        vertices=everyone, n_targets=n, target_idx=everyone,
-        labels=np.zeros(n, dtype=np.int64), edge_src=src, edge_dst=dst,
-        edge_col=np.full(e, -1, dtype=np.int64), **feature_pairs(rng.random((n, n_in)) < 0.5), k=2,
+        vertices=everyone, target_idx=everyone, labels=np.zeros(n, dtype=np.int64),
+        edge_src=src, edge_dst=dst, edge_col=np.zeros(e, dtype=np.int64),
+        **feature_pairs(rng.random((n, n_in)) < 0.5),
     )
     net = Network.create("gcn", n_in, n_classes, Hyper(hidden=[16]), rng)
     tracemalloc.start()
@@ -208,10 +208,10 @@ def test_mlp_train_step_memory_holds_one_activation():
     rng = np.random.default_rng(0)
     n, width, n_classes, hidden = 1000, 40, 200, 1024
     target_idx = rng.integers(0, 330, n)
-    batch = Subgraph(vertices=np.arange(n), n_targets=n, target_idx=target_idx,
+    batch = Subgraph(vertices=np.arange(n), target_idx=target_idx,
                      labels=rng.integers(0, n_classes, n), edge_src=np.zeros(0, np.int64),
                      edge_dst=np.zeros(0, np.int64), edge_col=np.zeros(0, np.int64),
-                     **feature_pairs(rng.random((n, width)) < 0.1), k=1)
+                     **feature_pairs(rng.random((n, width)) < 0.1))
     net = Network.create("mlp", width, n_classes, Hyper(hidden=[hidden]), rng)
     adam = net.new_adam()
     net.train_step(batch, adam, rng)  # Adam's moments exist before the measured step
@@ -338,13 +338,10 @@ def test_grow_old_logits_unchanged(monkeypatch):
     src, dst = np.array([0, 1, 2, 3, 5]), np.array([1, 2, 0, 4, 6])
     edge_col = np.array([0, 6, 2, 5, 1])  # edges 1 and 3 carry predicates no network saw
 
-    def batch(arch, rows):
-        b = Subgraph(
-            vertices=np.arange(7), n_targets=7, target_idx=np.arange(7),
-            labels=np.zeros(7, dtype=np.int64), edge_src=src, edge_dst=dst,
-            edge_col=edge_col, **feature_pairs(rows), k=2,
-        )
-        return edge_as_vertex_transform(b) if arch == "gcn-edges" else b
+    def batch(rows):
+        return Subgraph(vertices=np.arange(7), target_idx=np.arange(7),
+                        labels=np.zeros(7, dtype=np.int64), edge_src=src, edge_dst=dst,
+                        edge_col=edge_col, **feature_pairs(rows))
 
     inputs, forward = [], network.gcn_forward
 
@@ -356,11 +353,11 @@ def test_grow_old_logits_unchanged(monkeypatch):
     for arch in ARCHITECTURES:
         rng = np.random.default_rng(1)
         net = Network.create(arch, 5, 4, Hyper(hidden=GROW_HIDDEN[arch]), rng)
-        before = net.batch_logits(batch(arch, x))
-        assert net.batch_logits(batch(arch, wide)).tobytes() == before.tobytes(), arch
+        before = net.batch_logits(batch(x))
+        assert net.batch_logits(batch(wide)).tobytes() == before.tobytes(), arch
         net.grow(5, 9, rng)
         for rows in (x, wide):
-            after = net.batch_logits(batch(arch, rows))
+            after = net.batch_logits(batch(rows))
             assert np.array_equal(after[:, :4], before), arch
     # the grown gcn-edges network's last input: its edge vertices follow the 7 vertices
     one_hot, zero = np.eye(5), np.zeros(5)

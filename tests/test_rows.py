@@ -41,16 +41,16 @@ N_CLASSES = 3
 
 def _batch(seed: int) -> Subgraph:
     """Seven vertices, three accepted targets first; targets 1 and 5 repeat,
-    5 sits past ``n_targets`` (an earlier closure brought it in), and
-    vertices 3, 4 and 6 are no target.  The multi-hot rows are where the
-    fixture's features exceed 0.5 in magnitude (at ``x > 0`` one gcn-edges
-    gradient entry is 1.7e-8, below what the central differences resolve)."""
+    5 sits after the closure vertices 3 and 4 (an earlier closure brought it
+    in), and vertices 3, 4 and 6 are no target.  The multi-hot rows are
+    where the fixture's features exceed 0.5 in magnitude, and edge i has
+    column i mod 5."""
     x, _, src, dst = small_problem(seed, b=7)
     target_idx = np.array([1, 0, 5, 1, 2, 5, 5])
     vertex_labels = np.random.default_rng(seed).integers(0, N_CLASSES, size=7)
-    return Subgraph(vertices=np.arange(7), n_targets=3, target_idx=target_idx,
+    return Subgraph(vertices=np.arange(7), target_idx=target_idx,
                     labels=vertex_labels[target_idx], edge_src=src, edge_dst=dst,
-                    edge_col=np.full(len(src), -1), **feature_pairs(np.abs(x) > 0.5), k=2)
+                    edge_col=np.arange(len(src)) % x.shape[1], **feature_pairs(np.abs(x) > 0.5))
 
 
 def _net(arch: str, seed: int, dropout: float) -> Network:
@@ -119,17 +119,19 @@ def test_train_step_gradients_pass_finite_differences(monkeypatch, arch, seed):
 
 @pytest.mark.parametrize("arch", list(HIDDEN))
 def test_dropout_masks_keep_the_full_batch_rng_stream(monkeypatch, arch):
-    """A train step draws one mask per hidden layer at (batch vertices, width),
-    however few rows it computes; a mask drawn at the target rows' count
-    would shift every later draw of the task."""
+    """A train step draws one mask per hidden layer at (input rows, width),
+    however few rows it computes: the batch vertices, and gcn-edges' edge
+    vertices after them.  A mask drawn at the target rows' count would shift
+    every later draw of the task."""
     batch = _batch(3)
     net = _net(arch, 3, dropout=0.5)
     monkeypatch.setattr(network, "adam_step", lambda *a: None)
     rng = np.random.default_rng(11)
     net.train_step(batch, net.new_adam(), rng)
     ref = np.random.default_rng(11)
+    input_rows = batch.num_vertices + (batch.num_edges if arch == "gcn-edges" else 0)
     for width in net.hyper.hidden:
-        ref.random((batch.num_vertices, width))
+        ref.random((input_rows, width))
     assert rng.random() == ref.random()
 
 
@@ -158,7 +160,7 @@ def test_evaluation_builds_logits_for_the_target_rows_only(monkeypatch, arch):
         return logits, cache
 
     monkeypatch.setattr(network, "gcn_forward", recording)
-    want = evaluate_network(net, task, seq)
+    want = evaluate_network(net, task)
     ((batch_vertices, shape),) = seen
     assert shape == (len(rows), n_classes)
     assert batch_vertices > 4 * len(rows)  # the field is much wider than its rows
@@ -170,7 +172,7 @@ def test_evaluation_builds_logits_for_the_target_rows_only(monkeypatch, arch):
     for each, accuracy in ((net, want), (wider, None)):
         tracemalloc.start()
         try:
-            got = evaluate_network(each, task, seq)
+            got = evaluate_network(each, task)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -187,16 +189,16 @@ def test_target_row_logits_match_a_whole_snapshot_pass(arch, normalize, n_classe
     narrow class count."""
     for layers in (1, 2, 3):
         for seed in range(3):
-            seq, task = _task(seed)
+            _, task = _task(seed)
             hyper = Hyper(hidden=[8, 6, 5][:layers], normalize_adjacency=normalize)
             net = Network.create(arch, task.pred_width, n_classes or task.class_width, hyper,
                                  np.random.default_rng(seed))
-            full = net.batch_logits(_field(seq, task, net, np.arange(task.graph.num_vertices), 0))
+            full = net.batch_logits(_field(task, np.arange(task.graph.num_vertices), 0))
             for which in (TRAIN, VAL, TEST):
                 rows = np.flatnonzero(task.split == which)
                 if not len(rows):
                     continue
-                part = _field(seq, task, net, rows, net.receptive_hops)
+                part = _field(task, rows, net.receptive_hops)
                 logits, want = net.batch_logits(part, part.target_idx), full[rows]
                 if n_classes is None:
                     assert net.n_classes < 256
@@ -268,9 +270,9 @@ def _random_batch(rng: np.random.Generator, n_in: int, n_classes: int) -> Subgra
     n_edges = int(rng.integers(n, 3 * n))
     src, dst = rng.integers(0, n, n_edges), rng.integers(0, n, n_edges)
     target_idx = rng.integers(0, n, int(rng.integers(5, n)))
-    return Subgraph(vertices=np.arange(n), n_targets=len(target_idx) // 2, target_idx=target_idx,
+    return Subgraph(vertices=np.arange(n), target_idx=target_idx,
                     labels=rng.integers(0, n_classes, len(target_idx)), edge_src=src, edge_dst=dst,
-                    edge_col=np.full(n_edges, -1), **feature_pairs(rng.random((n, n_in)) < 0.3), k=2)
+                    edge_col=np.arange(n_edges) % n_in, **feature_pairs(rng.random((n, n_in)) < 0.3))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -308,11 +310,11 @@ def test_mlp_train_step_memory_holds_only_the_target_rows():
     n, hidden, n_in, n_classes = 1000, 1024, 40, 30
     targets = rng.choice(n, 100, replace=False)
     target_idx = np.concatenate([targets, rng.choice(targets, 200)])
-    batch = Subgraph(vertices=np.arange(n), n_targets=100, target_idx=target_idx,
+    batch = Subgraph(vertices=np.arange(n), target_idx=target_idx,
                      labels=rng.integers(0, n_classes, len(target_idx)),
                      edge_src=np.zeros(0, dtype=np.int64), edge_dst=np.zeros(0, dtype=np.int64),
                      edge_col=np.zeros(0, dtype=np.int64),
-                     **feature_pairs(rng.random((n, n_in)) < 0.1), k=2)
+                     **feature_pairs(rng.random((n, n_in)) < 0.1))
     net = Network.create("mlp", n_in, n_classes, Hyper(hidden=[hidden]), rng)
     adam = net.new_adam()
     net.train_step(batch, adam, rng)  # warm up numpy's caches

@@ -7,18 +7,15 @@ from oracles import (
     batch_rows,
     position_of,
     reference_features,
+    reference_edge_vertices,
     reference_full_graph_batch,
     reference_sample_batch,
 )
 from sumlife.features import TEST, TRAIN, PredicateVocabulary, encode_features, split_vertices
 from sumlife.ingest import RDF_TYPE_IRI, SnapshotGraph, build_snapshot, drop_rdf_types, filter_high_degree
-from sumlife.sampling import (
-    class_weights,
-    edge_as_vertex_transform,
-    receptive_field,
-    sample_batch,
-    target_distribution,
-)
+from sumlife.nets import Hyper, Network, network
+from sumlife.nets.gcn import batch_adjacency
+from sumlife.sampling import class_weights, receptive_field, sample_batch, target_distribution
 from synth import ring_snapshot, predicate_pool, distinct_recipes
 
 
@@ -59,14 +56,14 @@ def test_batch_within_cap_small_graph():
     g, labels, split, fg, pv = setup_task()
     b = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=1000, rng=np.random.default_rng(0))
     assert b.num_vertices <= min(1000, g.num_vertices)
-    assert b.n_targets >= 1
+    assert len(b.target_idx) >= 1  # the first draw is always admitted
     assert len(b.target_idx) == len(b.labels)
 
 
 def test_batch_respects_cap():
     g, labels, split, fg, pv = setup_task(members=40)
     b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=10, rng=np.random.default_rng(0))
-    assert b.num_vertices <= 10 or b.n_targets == 1
+    assert b.num_vertices <= 10 or len(b.target_idx) == 1
 
 
 def test_oversize_single_target_rule():
@@ -79,7 +76,7 @@ def test_oversize_single_target_rule():
     pv.extend_from_graph(g)
     fg = g.without_terms(encode_features(g, pv))
     b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=1, rng=np.random.default_rng(1))
-    assert b.n_targets == 1
+    assert len(b.target_idx) == 1 and b.target_idx[0] == 0
     # its full closure is present even though it exceeds the cap
     t = int(b.vertices[0])
     expected = {t}
@@ -160,47 +157,50 @@ def test_expected_class_frequency_uniform():
     assert result.pvalue > 0.001
 
 
-def test_edge_as_vertex_requires_two_hops():
-    g, labels, split, fg, pv = setup_task()
-    b = sample_batch(fg, labels, target_distribution(labels, split), 1, cap=50, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        edge_as_vertex_transform(b)
+def gcn_edges_input(b, width, monkeypatch):
+    """The input rows and batch adjacency a gcn-edges network at ``width``
+    inputs builds from the batch ``b``, recorded at ``network.gcn_forward``."""
+    inputs, forward = [], network.gcn_forward
+
+    def recording(params, x, adj, *args):
+        inputs.append((x, adj))
+        return forward(params, x, adj, *args)
+
+    monkeypatch.setattr(network, "gcn_forward", recording)
+    net = Network.create("gcn-edges", width, 2, Hyper(hidden=[2, 2]), np.random.default_rng(0))
+    net.batch_logits(b)
+    monkeypatch.undo()
+    (recorded,) = inputs
+    return recorded
 
 
-def test_edge_as_vertex_shape_and_features():
+def test_edge_as_vertex_shape_and_features(monkeypatch):
     g, labels, split, fg, pv = setup_task()
     b = sample_batch(fg, labels, target_distribution(labels, split), 2, cap=60, rng=np.random.default_rng(4))
     v, e = b.num_vertices, b.num_edges
-    tb = edge_as_vertex_transform(b)
-    assert tb.num_vertices == v + e
-    assert tb.num_edges == 2 * e
+    x, adj = gcn_edges_input(b, pv.width, monkeypatch)
+    assert x.shape == (v + e, pv.width)
+    # each edge (u, p, w) is u -> e_upw -> w: one batch edge per input edge
+    assert len(adj.src) == 2 * e
+    assert set(zip(adj.src.tolist(), adj.dst.tolist())) == (
+        {(int(u), v + i) for i, u in enumerate(b.edge_src)}
+        | {(v + i, int(w)) for i, w in enumerate(b.edge_dst)})
     # each edge vertex row is a one-hot at its predicate's column
-    rows = batch_rows(tb, pv.width)
     for i in range(e):
-        row = rows[v + i]
+        row = x[v + i]
         assert row.sum() == 1.0
         assert int(np.argmax(row)) == b.edge_col[i]
-    assert (tb.target_idx == b.target_idx).all()
-    assert (tb.labels == b.labels).all()
 
 
-def per_edge_features(b, width):
-    """Edge-vertex feature rows built one edge at a time."""
-    rows = np.zeros((b.num_edges, width))
-    for i in range(b.num_edges):
-        rows[i, b.edge_col[i]] = 1.0
-    return rows
-
-
-def test_edge_as_vertex_matches_per_edge_reference():
+def test_edge_as_vertex_matches_per_edge_reference(monkeypatch):
     g, labels, split, fg, pv = setup_task(n_classes=6)
     batches = [
         sample_batch(fg, labels, target_distribution(labels, split), 2, cap=80, rng=np.random.default_rng(9)),
-        receptive_field(fg, labels, np.arange(g.num_vertices), 0, 2),
+        receptive_field(fg, labels, np.arange(g.num_vertices), 0),
     ]
     for b in batches:
         assert len(np.unique(b.edge_col)) > 1
-        assert_edge_rows(b, pv.width)
+        assert_edge_rows(b, pv.width, monkeypatch)
 
 
 def test_edge_as_vertex_predicate_missing_from_vocabulary():
@@ -211,17 +211,17 @@ def test_edge_as_vertex_predicate_missing_from_vocabulary():
         encode_features(g, short)
 
 
-def test_edge_as_vertex_no_edges_identity():
+def test_edge_as_vertex_no_edges_identity(monkeypatch):
     g = build_snapshot("t", [("http://a", "http://p", "http://b")])
     labels = np.zeros(2, dtype=np.int64)
     pv = PredicateVocabulary()
     pv.extend_from_graph(g)
     fg = g.without_terms(encode_features(g, pv))
     # the sink vertex alone: no induced edges
-    empty = receptive_field(fg, labels, np.array([position_of(g, "http://b")]), 0, 2)
+    empty = receptive_field(fg, labels, np.array([position_of(g, "http://b")]), 0)
     assert empty.num_vertices == 1 and empty.num_edges == 0
-    tb = edge_as_vertex_transform(empty)
-    assert tb.num_vertices == 1 and tb.num_edges == 0
+    x, adj = gcn_edges_input(empty, pv.width, monkeypatch)
+    assert np.array_equal(x, batch_rows(empty, pv.width)) and len(adj.src) == 0
 
 
 def oracle_task():
@@ -257,7 +257,6 @@ def assert_same_batch(b, ref, g, vocab):
     pairs write the oracle's multi-hot rows."""
     cols = [vocab.index(g.terms.lexical(p)) for p in ref["edge_pred"].tolist()]
     ref = ref | {"edge_col": np.array(cols, dtype=np.int64)}
-    assert b.n_targets == ref["n_targets"] and b.k == ref["k"]
     assert b.feature_src.dtype == b.feature_col.dtype == np.int64
     for name in ("vertices", "target_idx", "labels", "edge_src", "edge_dst", "edge_col", "features"):
         got = batch_rows(b, vocab.width) if name == "features" else getattr(b, name)
@@ -266,16 +265,19 @@ def assert_same_batch(b, ref, g, vocab):
         assert np.array_equal(got, want), name
 
 
-def assert_edge_rows(b, width):
-    """The edge-as-vertex batch of ``b`` keeps its vertex rows and gives each
-    edge vertex the one-hot row of the edge's column."""
-    rows = batch_rows(edge_as_vertex_transform(b), width)
-    assert np.array_equal(rows[: b.num_vertices], batch_rows(b, width))
-    assert np.array_equal(rows[b.num_vertices :], per_edge_features(b, width))
+def assert_edge_rows(b, width, monkeypatch):
+    """A gcn-edges network's input from ``b`` is the per-edge reference's:
+    its vertex rows, then each edge vertex with the one-hot row of the edge's
+    column, and the same adjacency."""
+    x, adj = gcn_edges_input(b, width, monkeypatch)
+    ref_x, src, dst = reference_edge_vertices(b, width)
+    ref_adj = batch_adjacency(len(ref_x), src, dst)
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(adj.src, ref_adj.src) and np.array_equal(adj.dst, ref_adj.dst)
 
 
 @pytest.mark.parametrize("include_rdf_types", [False, True])
-def test_batches_match_per_edge_reference(include_rdf_types):
+def test_batches_match_per_edge_reference(include_rdf_types, monkeypatch):
     g, labels, split, pv = oracle_task()
     isolated = np.flatnonzero((g.out_degrees() == 0) & (g.in_degrees() == 0))
     assert len(isolated) == 20
@@ -298,11 +300,11 @@ def test_batches_match_per_edge_reference(include_rdf_types):
                                              np.random.default_rng(seed), include_rdf_types)
                 assert_same_batch(b, ref, g, pv)
                 if k == 2:
-                    assert_edge_rows(b, pv.width)
-                reached_before_drawn |= bool((b.target_idx >= b.n_targets).any())
+                    assert_edge_rows(b, pv.width, monkeypatch)
+                # the oracle lists the targets new to the batch first
+                reached_before_drawn |= bool((b.target_idx >= ref["n_targets"]).any())
                 oversize |= b.num_vertices > cap >= 63  # only the fan's closure is that large
-        b = receptive_field(fg, labels, np.arange(g.num_vertices), 0, k)
-        assert_same_batch(b, reference_full_graph_batch(g, labels, x, k, include_rdf_types), g, pv)
-        if k == 2:
-            assert_edge_rows(b, pv.width)
+    b = receptive_field(fg, labels, np.arange(g.num_vertices), 0)
+    assert_same_batch(b, reference_full_graph_batch(g, labels, x, include_rdf_types), g, pv)
+    assert_edge_rows(b, pv.width, monkeypatch)
     assert reached_before_drawn and oversize

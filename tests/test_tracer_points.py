@@ -12,7 +12,7 @@ import pytest
 from sumlife.lifelong import prepare_tasks
 from sumlife.nets import Hyper, Network
 from sumlife.nets.network import ARCHITECTURES, _tensor_shapes, batch_adjacency
-from sumlife.sampling import edge_as_vertex_transform, sample_batch, target_distribution
+from sumlife.sampling import sample_batch, target_distribution
 from synth import drift_sequence
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,8 +58,6 @@ def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
     distribution = target_distribution(task.labels, task.split)
     batch = sample_batch(task.graph, task.labels, distribution, 2, cap=40, rng=rng)
     net = Network.create(arch, task.pred_width, task.class_width, Hyper(hidden=hidden), rng)
-    if net.edges_as_vertices:
-        batch = edge_as_vertex_transform(batch)
     tracer = tracing.Tracer({})
     tracer.install()
     try:
@@ -74,7 +72,7 @@ def test_tracer_sees_the_nets_layer(monkeypatch, arch, hidden):
     assert expected <= names, expected - names
     assert Network.train_step.__name__ == "train_step"  # the tracer is uninstalled
 
-    n = batch.num_vertices
+    n = batch.num_vertices  # the batch's, without the edge vertices gcn-edges adds to its input
     shapes = _tensor_shapes(arch, task.pred_width, hidden, task.class_width)
     if arch == "mlp":
         (d, h), (_, c) = shapes["w0"], shapes["w_out"]
